@@ -20,20 +20,20 @@ from . import expr as _expr
 from .errors import (
     ExprSyntaxError,
     NonConstantWeightsError,
+    NotIntegerNetError,
     PredicateError,
     StateExplosionError,
     StepLimitError,
 )
 from .net import (
     ArcKind,
-    Marking,
     PetriNet,
+    PlaceKind,
     Policy,
     RunConfig,
     TerminalStatus,
     run_final,
 )
-from .oracle import _require_integer_net
 from .quantum import QuantumMapping
 
 __all__ = [
@@ -261,6 +261,25 @@ class ReachabilityGraph:
         return path
 
 
+def _require_integer_net(net: PetriNet) -> None:
+    for place in net.places:
+        if place.kind != PlaceKind.COUNTER:
+            raise NotIntegerNetError(f"place {place.id} is not a counter place")
+    for arc in net.arcs:
+        weight = arc.parsed_weight()
+        if arc.kind == ArcKind.DRAIN:
+            raise NotIntegerNetError(f"arc {arc.source}->{arc.target} is a drain")
+        if _expr.free_places(weight):
+            raise NotIntegerNetError(
+                f"arc {arc.source}->{arc.target} has a marking-dependent weight"
+            )
+        value = _expr.evaluate(weight, {})
+        if value != int(value):
+            raise NotIntegerNetError(
+                f"arc {arc.source}->{arc.target} has non-integer weight {value!r}"
+            )
+
+
 def reachability_graph(net: PetriNet, max_states: int = 10_000) -> ReachabilityGraph:
     """Complete bounded BFS exploration; transitions tried in ordinal order.
 
@@ -277,11 +296,9 @@ def reachability_graph(net: PetriNet, max_states: int = 10_000) -> ReachabilityG
     queue: deque[int] = deque([0])
     while queue:
         src = queue.popleft()
-        m: Marking = list(nodes[src])
-        for ti in range(len(cnet.trans)):
-            if not cnet.enabled(ti, m, 1e-12):
-                continue
-            successor = list(m)
+        state = nodes[src]
+        for ti in cnet.enabled_ordinals(state, 1e-12):
+            successor = list(state)
             cnet.fire_into(ti, successor)
             key = tuple(successor)
             tid = cnet.trans[ti].tid

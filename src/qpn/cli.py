@@ -15,16 +15,18 @@ from dataclasses import dataclass
 
 from . import analysis, netfile, oracle
 from .errors import (
-    ExprError,
+    ExprSyntaxError,
     InvalidParamsError,
     NetFileError,
     NotIntegerNetError,
     PredicateError,
     QpnError,
     StepLimitError,
+    UnknownPlaceError,
 )
+from .expr import evaluate
 from .models import ProtocolParams, detection_report
-from .net import Policy, RunConfig, TerminalStatus, run, run_final
+from .net import Policy, RunConfig, TerminalStatus, marking_env, run, run_final
 from .quantum import probabilities
 from .reference import (
     DEFAULT_TOL_BLOCKING,
@@ -43,7 +45,10 @@ EXIT_VERIFY = 1
 EXIT_USAGE = 2
 EXIT_RUNTIME = 3
 
-_USAGE_ERRORS = (NetFileError, ExprError, NotIntegerNetError, InvalidParamsError, PredicateError)
+# a weight that fails to evaluate is a runtime error (exit 3), but a predicate
+# naming an undeclared place is a usage error (exit 2)
+_USAGE_ERRORS = (NetFileError, ExprSyntaxError, UnknownPlaceError, NotIntegerNetError,
+                 InvalidParamsError, PredicateError)
 
 
 def _default_seed() -> int:
@@ -254,14 +259,11 @@ def _cmd_check(args: argparse.Namespace) -> int:
 
 def _outcome_for_transition(net, mapping, tid: str) -> tuple[str, ...]:
     """Labels of mapped places a transition deposits into with nonzero weight."""
-    from . import expr as _expr
-    from .net import marking_env
-
     env = marking_env(net, net.initial_marking())
     mapped = dict(mapping.assignments)
     labels = []
     for arc in net.output_arcs(tid):
-        if arc.target in mapped and abs(_expr.evaluate(arc.parsed_weight(), env)) > 1e-12:
+        if arc.target in mapped and abs(evaluate(arc.parsed_weight(), env)) > 1e-12:
             labels.append(mapped[arc.target])
     return tuple(labels)
 

@@ -8,7 +8,17 @@ from __future__ import annotations
 
 
 class QpnError(Exception):
-    """Base class for all qpn errors."""
+    """Base class for all qpn errors.
+
+    ``step_index`` is the index of the firing within a run at which the error
+    arose (None outside a run); when set, the message ends with it.
+    """
+
+    step_index: int | None = None
+
+    def __str__(self) -> str:
+        text = super().__str__()
+        return text if self.step_index is None else f"{text} (at step {self.step_index})"
 
 
 # --- expression language ---------------------------------------------------

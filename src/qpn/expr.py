@@ -14,9 +14,12 @@ current token counts, written in ASCII:
 evaluated against.  There is no implicit multiplication; `^` is
 right-associative; scientific-notation literals (`1e-28`) are accepted.
 
-Two evaluators are provided: :func:`evaluate` walks the tree (the reference
-semantics), and :func:`compile_fn` emits a plain Python callable over a dense
-marking vector for use in hot simulation loops.  Tests assert they agree.
+:func:`evaluate` walks the tree and is the reference semantics.  The net
+engine executes weights as Python source emitted from the tree (the form
+:func:`compile_fn` returns as a callable over a dense marking vector); tests
+assert the two agree, and the engine diagnoses a fault in emitted code by
+re-evaluating with :func:`evaluate`, so every evaluation error it reports is
+the reference's.
 """
 
 from __future__ import annotations
@@ -206,9 +209,6 @@ def _tokenize(text: str, operators: tuple[str, ...] = ()) -> list[_Token]:
     return tokens
 
 
-tokenize = _tokenize  # shared with the predicate parser in qpn.analysis
-
-
 # --- parser ---------------------------------------------------------------------
 
 
@@ -329,8 +329,10 @@ def evaluate(expr: WeightExpr, marking: Mapping[str, float]) -> float:
     """Evaluate against a place-id -> token-count mapping.
 
     Pure: the same (expr, marking) always yields the same value.  Raises
-    UnknownPlaceError / DivisionByZeroError / NegativeSqrtError, and
-    NonFiniteResultError if the final value overflows.
+    UnknownPlaceError / DivisionByZeroError / NegativeSqrtError,
+    EvaluationError for other domain faults (a negative base to a fractional
+    power, cos or sin of an infinity), and NonFiniteResultError if the final
+    value is not finite.
     """
     value = _eval(expr, marking)
     if not math.isfinite(value):
@@ -370,10 +372,13 @@ def _eval(expr: WeightExpr, env: Mapping[str, float]) -> float:
             raise EvaluationError(f"invalid power {base!r} ^ {exponent!r}") from None
         except OverflowError:
             raise NonFiniteResultError(f"overflow in {base!r} ^ {exponent!r}") from None
-    if isinstance(expr, Cos):
-        return math.cos(_eval(expr.operand, env))
-    if isinstance(expr, Sin):
-        return math.sin(_eval(expr.operand, env))
+    if isinstance(expr, (Cos, Sin)):
+        operand = _eval(expr.operand, env)
+        fn = math.cos if isinstance(expr, Cos) else math.sin
+        try:
+            return fn(operand)
+        except ValueError:
+            raise EvaluationError(f"{fn.__name__} of {operand!r}") from None
     if isinstance(expr, Sqrt):
         operand = _eval(expr.operand, env)
         if operand < 0.0:
@@ -489,7 +494,7 @@ def compile_fn(expr: WeightExpr, place_index: Mapping[str, int]) -> Callable[[Se
     The emitted code is generated from the AST (never from user text) and
     agrees with :func:`evaluate` wherever the latter succeeds; runtime faults
     (division by zero, negative sqrt) surface as the underlying ValueError /
-    ZeroDivisionError for the caller to wrap with context.
+    ZeroDivisionError, and :func:`evaluate` names them.
     """
     source = f"lambda m: {_emit(expr, place_index)}"
     return eval(source, dict(_COMPILE_GLOBALS))  # noqa: S307 - source built from our own AST

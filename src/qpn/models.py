@@ -31,6 +31,7 @@ import math
 from dataclasses import dataclass
 
 from .errors import InvalidParamsError
+from .expr import _fmt_number
 from .net import (
     Arc,
     ArcKind,
@@ -76,15 +77,8 @@ class ProtocolParams:
             raise InvalidParamsError(f"k must be positive, got {self.k}")
 
 
-def _num(value: float) -> str:
-    """Number literal for weight expressions."""
-    if value == int(value) and abs(value) < 1e15:
-        return str(int(value))
-    return repr(value)
-
-
 def _scaled(text: str, factor: float) -> str:
-    return text if factor == 1.0 else f"{text}*{_num(factor)}"
+    return text if factor == 1.0 else f"{text}*{_fmt_number(factor)}"
 
 
 # --- measurement -------------------------------------------------------------------
@@ -288,7 +282,7 @@ def slaz_blocking_net(params: ProtocolParams) -> tuple[PetriNet, QuantumMapping]
         arcs=[
             # entry: refuel the inner loop and thread the control token
             Arc("p1", "t7"),
-            Arc("t7", "p22", _num(n * n)),
+            Arc("t7", "p22", _fmt_number(n * n)),
             Arc("t7", "p17"),
             Arc("p17", "t17"),
             Arc("t17", "p20"),
@@ -296,7 +290,7 @@ def slaz_blocking_net(params: ProtocolParams) -> tuple[PetriNet, QuantumMapping]
             Arc("t12", "p15"),
             # inner loop, N iterations: damp p21, absorb the blocked remainder
             Arc("p15", "t11"),
-            Arc("p22", "t11", _num(n)),
+            Arc("p22", "t11", _fmt_number(n)),
             Arc("t11", "p19", f"{cos_n}*m(p21)"),
             Arc("t11", "p_abs", absorb),
             Arc("t11", "p23"),
@@ -307,13 +301,13 @@ def slaz_blocking_net(params: ProtocolParams) -> tuple[PetriNet, QuantumMapping]
             Arc("t18", "p15"),
             # inner exit once the tally reaches N
             Arc("p15", "t4"),
-            Arc("p23", "t4", _num(n)),
+            Arc("p23", "t4", _fmt_number(n)),
             Arc("t4", "p3"),
             Arc("p3", "t5"),
             Arc("t5", "p4"),
             # outer beamsplitter: compute both new arms from the same snapshot
             Arc("p4", "t1"),
-            Arc("p6", "t1", _num(m)),
+            Arc("p6", "t1", _fmt_number(m)),
             Arc("t1", "p5", f"{cos_m}*m(p2)-{sin_m}*m(p21)"),
             Arc("t1", "p7"),
             Arc("t1", "p8"),
@@ -339,10 +333,10 @@ def slaz_blocking_net(params: ProtocolParams) -> tuple[PetriNet, QuantumMapping]
             Arc("t8", "p14"),
             # loop back while fuel remains, otherwise finish
             Arc("p14", "t9"),
-            Arc("p6", "t9", _num(m), ArcKind.GUARD),
+            Arc("p6", "t9", _fmt_number(m), ArcKind.GUARD),
             Arc("t9", "p1"),
             Arc("p14", "t10"),
-            Arc("p7", "t10", _num(m)),
+            Arc("p7", "t10", _fmt_number(m)),
             # scavengers: dead, their amplitude inputs are zero at the boundary
             Arc("p14", "t15"),
             Arc("p11", "t15", "m(p11)", ArcKind.DRAIN),
@@ -425,7 +419,7 @@ def slaz_passing_net(params: ProtocolParams) -> tuple[PetriNet, QuantumMapping]:
         arcs=[
             # outer beamsplitter: compute both new arms from the same snapshot
             Arc("p1", "t1"),
-            Arc("p6", "t1", _num(m)),
+            Arc("p6", "t1", _fmt_number(m)),
             Arc("t1", "p5", f"{cos_m}*m(p2)-{sin_m}*m(p21)"),
             Arc("t1", "p7"),
             Arc("t1", "p8"),
@@ -459,7 +453,7 @@ def slaz_passing_net(params: ProtocolParams) -> tuple[PetriNet, QuantumMapping]:
             Arc("t8", "p17"),
             # refuel and thread control into the inner loop
             Arc("p17", "t7"),
-            Arc("t7", "p22", _num(2 * n * n)),
+            Arc("t7", "p22", _fmt_number(2 * n * n)),
             Arc("t7", "p26"),
             Arc("p26", "t17"),
             Arc("t17", "p20"),
@@ -467,7 +461,7 @@ def slaz_passing_net(params: ProtocolParams) -> tuple[PetriNet, QuantumMapping]:
             Arc("t12", "p15"),
             # inner loop, N iterations of a full two-arm rotation
             Arc("p15", "t11"),
-            Arc("p22", "t11", _num(2 * n)),
+            Arc("p22", "t11", _fmt_number(2 * n)),
             Arc("t11", "p19", f"{cos_n}*m(p21)-{sin_n}*m(p31)"),
             Arc("t11", "p23"),
             Arc("t11", "p16"),
@@ -483,7 +477,7 @@ def slaz_passing_net(params: ProtocolParams) -> tuple[PetriNet, QuantumMapping]:
             Arc("t18", "p15"),
             # inner exit at tally 2N
             Arc("p15", "t4"),
-            Arc("p23", "t4", _num(2 * n)),
+            Arc("p23", "t4", _fmt_number(2 * n)),
             Arc("t4", "p3"),
             # discard the rotated-out component on D3
             Arc("p3", "t21"),
@@ -498,10 +492,10 @@ def slaz_passing_net(params: ProtocolParams) -> tuple[PetriNet, QuantumMapping]:
             Arc("t20", "p14"),
             # loop back or finish
             Arc("p14", "t9"),
-            Arc("p6", "t9", _num(m), ArcKind.GUARD),
+            Arc("p6", "t9", _fmt_number(m), ArcKind.GUARD),
             Arc("t9", "p1"),
             Arc("p14", "t10"),
-            Arc("p7", "t10", _num(m)),
+            Arc("p7", "t10", _fmt_number(m)),
             # scavengers
             Arc("p14", "t16"),
             Arc("p19", "t16", "m(p19)", ArcKind.DRAIN),

@@ -30,11 +30,9 @@ from .errors import (
     CounterViolationError,
     DeterminismViolationError,
     EvaluationError,
-    NegativeSqrtError,
     NetDefinitionError,
     NonFiniteResultError,
     NotEnabledError,
-    DivisionByZeroError,
     QpnError,
     ZeroWeightGroupError,
 )
@@ -310,230 +308,214 @@ def validate_marking(net: PetriNet, m: Sequence[float]) -> None:
 
 
 # --- compiled engine ---------------------------------------------------------------
+#
+# Generated Python code is the only executable form of a net: per transition,
+# one function tests enabling and one fires in place.  Weights are evaluated
+# before any place is written, so when one faults the marking is unchanged and
+# diagnose() re-evaluates the arcs with expr.evaluate, the reference, to raise
+# its error.  The code's own result checks (a counter left negative or
+# fractional, a deposit that overflows) raise directly.  `x - x != 0.0` is a
+# cheap non-finiteness test (true for nan and both infinities).
 
-_CONSUME, _DRAIN, _GUARD = 0, 1, 2
-_KIND_CODE = {ArcKind.CONSUME: _CONSUME, ArcKind.DRAIN: _DRAIN, ArcKind.GUARD: _GUARD}
-
-
-def _raise_nonfinite(tid: str) -> None:
-    raise NonFiniteResultError(f"a weight of transition {tid} evaluated to a non-finite value")
+# what generated weight code raises: ZeroDivisionError and OverflowError, the
+# bare ArithmeticError of a non-finite weight, and math's domain ValueError
+_FAULTS = (ArithmeticError, ValueError)
 
 
 def _raise_counter(tid: str, place_id: str, value: float) -> None:
     raise CounterViolationError(f"firing {tid} left counter place {place_id} at {value!r}")
 
 
-class _CompiledTransition:
-    __slots__ = (
-        "tid",
-        "ordinal",
-        "rank",
-        "inputs",
-        "outputs",
-        "dep_places",
-        "touched",
-        "conflict_places",
-        "in_exprs",
-        "out_exprs",
-        "fast_enabled",
-        "fast_fire",
-        "recheck",
-    )
+def _raise_overflow(tid: str, targets: dict[int, str], m: Marking) -> None:
+    p, place_id = next((p, place_id) for p, place_id in targets.items() if not math.isfinite(m[p]))
+    raise NonFiniteResultError(f"firing {tid} left place {place_id} at {m[p]!r}")
 
-    def __init__(self, tid: str, ordinal: int, rank: int):
+
+class _CompiledTransition:
+    __slots__ = ("tid", "rank", "in_arcs", "out_arcs", "touched", "conflict_places", "enabled",
+                 "fire", "recheck")
+
+    def __init__(self, tid: str, rank: int):
         self.tid = tid
-        self.ordinal = ordinal
         self.rank = rank
-        # inputs: (place_idx, kind_code, weight_fn, arc_label)
-        self.inputs: list[tuple[int, int, Callable, str]] = []
-        # outputs: (place_idx, weight_fn, arc_label)
-        self.outputs: list[tuple[int, Callable, str]] = []
-        self.in_exprs: list[tuple[int, int, str]] = []   # (place_idx, kind_code, emitted source)
-        self.out_exprs: list[tuple[int, str]] = []       # (place_idx, emitted source)
-        self.dep_places: set[int] = set()       # places whose change can flip enablement
+        self.in_arcs: list[Arc] = []
+        self.out_arcs: list[Arc] = []
         self.touched: list[int] = []            # places this transition may modify
         self.conflict_places: set[int] = set()  # consume/drain inputs, for conflict grouping
-        self.fast_enabled: Callable | None = None
-        self.fast_fire: Callable | None = None
-        self.recheck: tuple[int, ...] = ()
+        self.enabled: Callable[[Sequence[float], float], bool]
+        self.fire: Callable[[Marking], None]
+        self.recheck: tuple[int, ...] = ()      # transitions whose enabling a firing can flip
 
 
 class _CompiledNet:
-    """Per-transition closures and adjacency used by every execution path."""
+    """Generated per-transition code and the adjacency every execution path uses."""
 
     def __init__(self, net: PetriNet):
         self.net = net
-        self.n_places = len(net.places)
         index = net.place_index
-        self.is_counter = [p.kind == PlaceKind.COUNTER for p in net.places]
-        self.trans: list[_CompiledTransition] = [
-            _CompiledTransition(t.id, i, t.priority) for i, t in enumerate(net.transitions)
-        ]
+        self.trans = [_CompiledTransition(t.id, t.priority) for t in net.transitions]
+        dependents: list[list[int]] = [[] for _ in net.places]  # transitions each place can flip
         for arc in net.arcs:
-            weight = arc.parsed_weight()
-            fn = _expr.compile_fn(weight, index)
-            source = _expr._emit(weight, index)
-            label = f"{arc.source}->{arc.target} w={_expr.format_expr(weight)}"
-            refs = {index[p] for p in _expr.free_places(weight)}
             if arc.kind == ArcKind.DEPOSIT:
                 ct = self.trans[net.transition_index[arc.source]]
+                ct.out_arcs.append(arc)
                 p = index[arc.target]
-                ct.outputs.append((p, fn, label))
-                ct.out_exprs.append((p, source))
-                if p not in ct.touched:
-                    ct.touched.append(p)
             else:
-                ct = self.trans[net.transition_index[arc.target]]
+                ti = net.transition_index[arc.target]
+                ct = self.trans[ti]
+                ct.in_arcs.append(arc)
                 p = index[arc.source]
-                ct.inputs.append((p, _KIND_CODE[arc.kind], fn, label))
-                ct.in_exprs.append((p, _KIND_CODE[arc.kind], source))
-                ct.dep_places.add(p)
-                ct.dep_places.update(refs)
-                if arc.kind != ArcKind.GUARD:
-                    ct.conflict_places.add(p)
-                    if p not in ct.touched:
-                        ct.touched.append(p)
+                for q in {p, *(index[r] for r in _expr.free_places(arc.weight))}:
+                    if ti not in dependents[q]:
+                        dependents[q].append(ti)
+                if arc.kind == ArcKind.GUARD:
+                    continue
+                ct.conflict_places.add(p)
+            if p not in ct.touched:
+                ct.touched.append(p)
         # firing order under deterministic priority
         self.order = sorted(range(len(self.trans)), key=lambda i: (self.trans[i].rank, i))
         self.uniform_rank = len({t.rank for t in self.trans}) <= 1
-        self.dependents: list[list[int]] = [[] for _ in range(self.n_places)]
         for ct in self.trans:
-            for p in sorted(ct.dep_places):
-                self.dependents[p].append(ct.ordinal)
-        for ct in self.trans:
-            seen: list[int] = []
-            for p in ct.touched:
-                for tj in self.dependents[p]:
-                    if tj not in seen:
-                        seen.append(tj)
-            ct.recheck = tuple(seen)
-            ct.fast_enabled = self._gen_enabled(ct)
-            ct.fast_fire = self._gen_fire(ct)
+            ct.recheck = tuple(dict.fromkeys(tj for p in ct.touched for tj in sorted(dependents[p])))
+            self._generate(ct)
+        self._born: list[Callable[[Sequence[float]], float]] | None = None
 
-    # -- fused per-transition code ------------------------------------------------
-    #
-    # One code object per transition for the hot simulation loop.  Weight
-    # evaluation happens before any mutation, so a runtime fault from the fast
-    # path leaves the marking intact and the caller can re-run the careful
-    # path for a precise error.  `w - w != 0.0` is a cheap non-finiteness test
-    # (true for nan and both infinities).
-
-    def _gen_enabled(self, ct: _CompiledTransition) -> Callable:
-        lines = ["def _enabled(m, eps):"]
-        for i, (p, kind, source) in enumerate(ct.in_exprs):
-            if kind == _DRAIN:
-                lines.append(f"    if -eps <= m[{p}] <= eps: return False")
-            else:
-                lines.append(f"    w{i} = {source}")
-                lines.append(f"    if w{i} - w{i} != 0.0: _nonfinite({ct.tid!r})")
-                lines.append(f"    if not (w{i} >= 0.0 and m[{p}] >= w{i} - eps): return False")
-        lines.append("    return True")
-        return self._build(lines, "_enabled")
-
-    def _gen_fire(self, ct: _CompiledTransition) -> Callable:
-        lines = ["def _fire(m):"]
-        consumes: list[tuple[int, int]] = []
-        drains: list[int] = []
-        for i, (p, kind, source) in enumerate(ct.in_exprs):
-            if kind == _DRAIN:
-                drains.append(p)
-            elif kind == _CONSUME:
-                lines.append(f"    w{i} = {source}")
-                lines.append(f"    if w{i} - w{i} != 0.0: _nonfinite({ct.tid!r})")
-                consumes.append((p, i))
-        for j, (p, source) in enumerate(ct.out_exprs):
-            lines.append(f"    v{j} = {source}")
-            lines.append(f"    if v{j} - v{j} != 0.0: _nonfinite({ct.tid!r})")
-        for p, i in consumes:
-            lines.append(f"    m[{p}] -= w{i}")
-        for p in drains:
-            lines.append(f"    m[{p}] = 0.0")
-        for j, (p, _) in enumerate(ct.out_exprs):
-            lines.append(f"    m[{p}] += v{j}")
+    def _generate(self, ct: _CompiledTransition) -> None:
+        index = self.net.place_index
+        enabled = ["def _enabled(m, eps):"]
+        fire = ["def _fire(m):"]
+        consumes, drains, deposits = [], [], []
+        for i, arc in enumerate(ct.in_arcs):
+            p = index[arc.source]
+            if arc.kind == ArcKind.DRAIN:
+                enabled.append(f"    if not (m[{p}] > eps or m[{p}] < -eps): return False")
+                drains.append(f"    m[{p}] = 0.0")
+                continue
+            w, lines = self._bind(f"w{i}", arc)
+            enabled += lines
+            test = f"m[{p}] >= {w} - eps"
+            if not (isinstance(arc.weight, _expr.Constant) and arc.weight.value >= 0.0):
+                test = f"{w} >= 0.0 and {test}"
+            enabled.append(f"    if not ({test}): return False")
+            if arc.kind == ArcKind.CONSUME:
+                fire += lines[:1]  # the enabling test read the same weight, finite
+                consumes.append(f"    m[{p}] -= {w}")
+        enabled.append("    return True")
+        targets: dict[int, str] = {}
+        for j, arc in enumerate(ct.out_arcs):
+            v, lines = self._bind(f"v{j}", arc)
+            fire += lines
+            deposits.append(f"    m[{index[arc.target]}] += {v}")
+            targets[index[arc.target]] = arc.target
+        fire += consumes + drains + deposits
+        if targets:
+            # x - x is 0.0 for every finite x, so the sum is 0.0 iff all are finite
+            test = " + ".join(f"m[{p}] - m[{p}]" for p in targets)
+            fire.append(f"    if {test} != 0.0: _overflow({ct.tid!r}, {targets!r}, m)")
         for p in ct.touched:
-            if self.is_counter[p]:
-                pid = self.net.places[p].id
-                lines.append(f"    c = m[{p}]; r = _round(c); d = c - r")
-                lines.append(
-                    f"    if c < -1e-9 or d > 1e-9 or d < -1e-9: _counterfail({ct.tid!r}, {pid!r}, c)"
-                )
-                lines.append(f"    m[{p}] = r + 0.0")
-        if len(lines) == 1:
-            lines.append("    pass")
-        return self._build(lines, "_fire")
+            place = self.net.places[p]
+            if place.kind == PlaceKind.COUNTER:
+                fire.append(f"    c = m[{p}]; r = _round(c); d = c - r")
+                fire.append(f"    if c < -1e-9 or d > 1e-9 or d < -1e-9: "
+                            f"_counterfail({ct.tid!r}, {place.id!r}, c)")
+                fire.append(f"    m[{p}] = r + 0.0")
+        namespace = self._exec(enabled + fire + ["    pass"])  # a transition may have no arcs
+        ct.enabled = namespace["_enabled"]
+        ct.fire = namespace["_fire"]
+
+    def _bind(self, name: str, arc: Arc) -> tuple[str, list[str]]:
+        """The arc weight's value in generated code, and the lines that bind it.
+
+        A finite constant is its own literal; any other weight is bound to
+        ``name`` and tested finite.
+        """
+        weight = arc.weight
+        if isinstance(weight, _expr.Constant) and math.isfinite(weight.value):
+            return repr(weight.value), []
+        return name, [
+            f"    {name} = {_expr._emit(weight, self.net.place_index)}",
+            f"    if {name} - {name} != 0.0: raise _Fault",
+        ]
 
     @staticmethod
-    def _build(lines: list[str], name: str) -> Callable:
+    def _exec(lines: list[str]) -> dict:
         namespace = dict(_expr._COMPILE_GLOBALS)
         namespace["_round"] = round
-        namespace["_nonfinite"] = _raise_nonfinite
+        namespace["_Fault"] = ArithmeticError
+        namespace["_overflow"] = _raise_overflow
         namespace["_counterfail"] = _raise_counter
         exec("\n".join(lines), namespace)  # noqa: S102 - source built from our own AST
-        return namespace[name]
+        return namespace
 
-    # -- enablement ------------------------------------------------------------
+    def diagnose(self, ti: int, m: Sequence[float], step_index: int | None = None) -> None:
+        """Raise the reference error for a fault in transition ti's generated code.
 
-    def enabled(self, ti: int, m: Sequence[float], eps: float) -> bool:
-        for p, kind, fn, label in self.trans[ti].inputs:
-            if kind == _DRAIN:
-                if not (abs(m[p]) > eps):
-                    return False
-            else:
-                w = self._eval(fn, m, label)
-                if not (w >= 0.0 and m[p] >= w - eps):
-                    return False
-        return True
-
-    @staticmethod
-    def _eval(fn: Callable, m: Sequence[float], label: str) -> float:
-        try:
-            w = fn(m)
-        except ZeroDivisionError:
-            raise DivisionByZeroError(f"division by zero evaluating arc {label}") from None
-        except ValueError as e:
-            # math.sqrt / math.pow domain faults both land here
-            raise NegativeSqrtError(f"domain error evaluating arc {label}: {e}") from None
-        except OverflowError:
-            raise NonFiniteResultError(f"overflow evaluating arc {label}") from None
-        if not math.isfinite(w):
-            raise NonFiniteResultError(f"arc {label} evaluated to {w!r}")
-        return w
-
-    # -- firing -------------------------------------------------------------------
-
-    def fire_into(self, ti: int, m: Marking) -> list[int]:
-        """Apply one firing in place; returns the indices of modified places.
-
-        All weights are evaluated against the marking as it was on entry, so
-        the update is atomic even when a place appears on both sides.  Updates
-        apply kind by kind: consumes subtract, then drains zero, then deposits
-        add.
+        Evaluates the non-drain input weights, then the output weights, over
+        the unchanged marking; the first that fails raises, naming its arc.
         """
-        ct = self.trans[ti]
-        consumes: list[tuple[int, float]] = []
-        drains: list[int] = []
-        for p, kind, fn, label in ct.inputs:
-            if kind == _DRAIN:
-                drains.append(p)
-            elif kind == _CONSUME:
-                consumes.append((p, self._eval(fn, m, label)))
-        out_deltas = [(p, self._eval(fn, m, label)) for p, fn, label in ct.outputs]
-        for p, w in consumes:
-            m[p] -= w
-        for p in drains:
-            m[p] = 0.0
-        for p, w in out_deltas:
-            m[p] += w
-        for p in ct.touched:
-            if self.is_counter[p]:
-                v = m[p]
-                if v < -EPSILON_INT or abs(v - round(v)) > EPSILON_INT:
-                    raise CounterViolationError(
-                        f"firing {ct.tid} left counter place "
-                        f"{self.net.places[p].id} at {v!r}"
-                    )
-                m[p] = float(round(v))
-        return ct.touched
+        env = marking_env(self.net, m)
+        for arc in self.trans[ti].in_arcs + self.trans[ti].out_arcs:
+            if arc.kind == ArcKind.DRAIN:
+                continue
+            try:
+                _expr.evaluate(arc.weight, env)
+            except EvaluationError as e:
+                label = f"{arc.source}->{arc.target} w={_expr.format_expr(arc.weight)}"
+                error = type(e)(f"arc {label}: {e}")
+                error.step_index = step_index
+                raise error from None
+
+    def enabled(self, ti: int, m: Sequence[float], eps: float, step_index: int | None = None) -> bool:
+        try:
+            return self.trans[ti].enabled(m, eps)
+        except _FAULTS:
+            self.diagnose(ti, m, step_index)
+            raise
+
+    def enabled_ordinals(self, m: Sequence[float], eps: float, step_index: int | None = None) -> list[int]:
+        return [ti for ti in range(len(self.trans)) if self.enabled(ti, m, eps, step_index)]
+
+    def fire_into(self, ti: int, m: Marking) -> None:
+        """Apply one firing of an enabled transition in place."""
+        try:
+            self.trans[ti].fire(m)
+        except _FAULTS:
+            self.diagnose(ti, m)
+            raise
+
+    def born_weights(self, members: list[int], m: Sequence[float]) -> list[float]:
+        """Total squared output weight of each member, summed in arc order.
+
+        The code is generated on the first call: deterministic runs never pay for it.
+        """
+        if self._born is None:
+            fns = []
+            for ct in self.trans:
+                values = [self._bind(f"v{j}", arc) for j, arc in enumerate(ct.out_arcs)]
+                squares = " + ".join(f"{v}*{v}" for v, _ in values) or "0.0"
+                lines = [line for _, bind in values for line in bind]
+                fns.append(self._exec(["def _born(m):", *lines, f"    return {squares}"])["_born"])
+            self._born = fns
+        weights = []
+        for t in members:
+            try:
+                weights.append(self._born[t](m))
+            except _FAULTS:
+                self.diagnose(t, m)
+                raise
+        return weights
+
+
+def _cumulative_draw(weights: Sequence[float], total: float, rng: random.Random) -> int:
+    """Index i with probability weights[i] / total; the last absorbs rounding."""
+    draw = rng.random() * total
+    acc = 0.0
+    for i, w in enumerate(weights):
+        acc += w
+        if draw < acc:
+            return i
+    return len(weights) - 1
 
 
 # --- public operations ---------------------------------------------------------------
@@ -560,7 +542,7 @@ def is_enabled(net: PetriNet, m: Sequence[float], transition_id: str, epsilon: f
 def enabled_transitions(net: PetriNet, m: Sequence[float], epsilon: float = 1e-12) -> list[str]:
     _check_dimension(net, m)
     cnet = net.compiled()
-    return [ct.tid for ct in cnet.trans if cnet.enabled(ct.ordinal, m, epsilon)]
+    return [cnet.trans[i].tid for i in cnet.enabled_ordinals(m, epsilon)]
 
 
 def fire(net: PetriNet, m: Sequence[float], transition_id: str, epsilon: float = 1e-12) -> Marking:
@@ -583,8 +565,8 @@ def conflict_groups(net: PetriNet, m: Sequence[float], epsilon: float = 1e-12) -
     """
     _check_dimension(net, m)
     cnet = net.compiled()
-    enabled = [ct.ordinal for ct in cnet.trans if cnet.enabled(ct.ordinal, m, epsilon)]
-    return [[cnet.trans[i].tid for i in group] for group in _group_ordinals(cnet, enabled)]
+    groups = _group_ordinals(cnet, cnet.enabled_ordinals(m, epsilon))
+    return [[cnet.trans[i].tid for i in group] for group in groups]
 
 
 def _group_ordinals(cnet: _CompiledNet, enabled: list[int]) -> list[list[int]]:
@@ -618,26 +600,13 @@ def _born_choice(cnet: _CompiledNet, m: Sequence[float], enabled: list[int], rng
     lead = min(enabled, key=lambda t: (cnet.trans[t].rank, t))
     group = next(g for g in groups if lead in g)
     members = sorted(group, key=lambda t: (cnet.trans[t].rank, t))
-    weights = []
-    for t in members:
-        ct = cnet.trans[t]
-        total = 0.0
-        for p, fn, label in ct.outputs:
-            w = cnet._eval(fn, m, label)
-            total += w * w
-        weights.append(total)
+    weights = cnet.born_weights(members, m)
     total = sum(weights)
     if total <= 0.0:
         raise ZeroWeightGroupError(
             f"conflict group {[cnet.trans[t].tid for t in members]} has zero total squared output weight"
         )
-    draw = rng.random() * total
-    acc = 0.0
-    for t, w in zip(members, weights):
-        acc += w
-        if draw < acc:
-            return t
-    return members[-1]
+    return members[_cumulative_draw(weights, total, rng)]
 
 
 def step(
@@ -649,7 +618,7 @@ def step(
     """Fire one transition per the configured policy; None when quiescent."""
     _check_dimension(net, m)
     cnet = net.compiled()
-    enabled = [ct.ordinal for ct in cnet.trans if cnet.enabled(ct.ordinal, m, config.epsilon)]
+    enabled = cnet.enabled_ordinals(m, config.epsilon)
     if not enabled:
         return None
     if config.policy == Policy.DETERMINISTIC_PRIORITY:
@@ -700,11 +669,10 @@ def _execute(
     trans = cnet.trans
     n_trans = len(trans)
     flags = bytearray(n_trans)
-    count = 0
-    for ti in range(n_trans):
-        if _checked_enabled(cnet, ti, m, eps, 0):
-            flags[ti] = 1
-            count += 1
+    initially = cnet.enabled_ordinals(m, eps, 0)
+    for ti in initially:
+        flags[ti] = 1
+    count = len(initially)
 
     firings = 0
     order = cnet.order
@@ -732,36 +700,25 @@ def _execute(
                 raise
         ct = trans[ti]
         try:
-            ct.fast_fire(m)
-        except CounterViolationError as e:
+            ct.fire(m)
+        except QpnError as e:  # the generated result checks
             e.step_index = step_index
             raise
-        except Exception:
-            # fast path failed before mutating: redo carefully for context
-            try:
-                cnet.fire_into(ti, m)
-            except QpnError as e:
-                e.step_index = step_index
-                raise
+        except _FAULTS:
+            cnet.diagnose(ti, m, step_index)
+            raise
         firings += 1
         if on_fire is not None:
             on_fire(ct.tid, m)
         for tj in ct.recheck:
             try:
-                now = trans[tj].fast_enabled(m, eps)
-            except Exception:
-                now = _checked_enabled(cnet, tj, m, eps, step_index)
+                now = trans[tj].enabled(m, eps)
+            except _FAULTS:
+                cnet.diagnose(tj, m, step_index)
+                raise
             if now != flags[tj]:
                 count += 1 if now else -1
                 flags[tj] = 1 if now else 0
     if count == 0:
         return FinalState(m, firings, TerminalStatus.QUIESCENT)
     return FinalState(m, firings, TerminalStatus.STEP_LIMIT)
-
-
-def _checked_enabled(cnet: _CompiledNet, ti: int, m: Marking, eps: float, step_index: int) -> bool:
-    try:
-        return cnet.enabled(ti, m, eps)
-    except QpnError as e:
-        e.step_index = step_index
-        raise

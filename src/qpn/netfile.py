@@ -33,9 +33,7 @@ from .errors import (
 from .net import Arc, ArcKind, PetriNet, PlaceDecl, PlaceKind, Policy, TransitionDecl
 from .quantum import QuantumMapping
 
-__all__ = ["ConfigOverrides", "NetDocument", "load", "save", "EXTENSION"]
-
-EXTENSION = ".qpn"
+__all__ = ["ConfigOverrides", "NetDocument", "load", "save"]
 
 _KIND_NAMES = {"counter": PlaceKind.COUNTER, "amplitude": PlaceKind.AMPLITUDE}
 _ARC_KIND_NAMES = {"consume": ArcKind.CONSUME, "drain": ArcKind.DRAIN, "guard": ArcKind.GUARD}

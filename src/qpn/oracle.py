@@ -10,25 +10,19 @@ same number:
   the nested-interferometer protocol in its two operating modes;
 * :func:`exact_measurement_dist` - enumerated choice distribution of a single
   conflict group;
-* :func:`bfs_reach` - exhaustive reachability for integer-weighted counter
-  nets.
+* :func:`bfs_reach` - reachable and quiescent markings of integer-weighted
+  counter nets, a view of :func:`qpn.analysis.reachability_graph`.
 """
 
 from __future__ import annotations
 
 import math
-from collections import deque
 from dataclasses import dataclass
 
 from . import expr as _expr
-from .errors import (
-    InvalidParamsError,
-    MultipleGroupsError,
-    NotIntegerNetError,
-    StateExplosionError,
-    ZeroWeightGroupError,
-)
-from .net import ArcKind, Marking, PetriNet, PlaceKind, conflict_groups, marking_env
+from .analysis import reachability_graph
+from .errors import InvalidParamsError, MultipleGroupsError, ZeroWeightGroupError
+from .net import PetriNet, conflict_groups, marking_env
 
 __all__ = [
     "DetectionReport",
@@ -139,56 +133,13 @@ def exact_measurement_dist(net: PetriNet, mapping=None) -> list[tuple[str, float
     return [(tid, w / total) for tid, w in zip(groups[0], weights)]
 
 
-def _require_integer_net(net: PetriNet) -> None:
-    for place in net.places:
-        if place.kind != PlaceKind.COUNTER:
-            raise NotIntegerNetError(f"place {place.id} is not a counter place")
-    for arc in net.arcs:
-        weight = arc.parsed_weight()
-        if arc.kind == ArcKind.DRAIN:
-            raise NotIntegerNetError(f"arc {arc.source}->{arc.target} is a drain")
-        if _expr.free_places(weight):
-            raise NotIntegerNetError(
-                f"arc {arc.source}->{arc.target} has a marking-dependent weight"
-            )
-        value = _expr.evaluate(weight, {})
-        if value != int(value):
-            raise NotIntegerNetError(
-                f"arc {arc.source}->{arc.target} has non-integer weight {value!r}"
-            )
-
-
 def bfs_reach(net: PetriNet, max_states: int = 10_000) -> tuple[list[tuple[float, ...]], set[tuple[float, ...]]]:
     """Breadth-first closure under firing from the initial marking.
 
-    Returns (markings in discovery order, quiescent subset).  Only defined for
-    counter-only nets with constant integer weights; raises StateExplosionError
-    past ``max_states`` states.
+    Returns (markings in discovery order, quiescent subset): a view of
+    :func:`qpn.analysis.reachability_graph`.  Only defined for counter-only
+    nets with constant integer weights; raises StateExplosionError past
+    ``max_states`` states.
     """
-    _require_integer_net(net)
-    cnet = net.compiled()
-    root = tuple(net.initial_marking())
-    seen: dict[tuple[float, ...], None] = {root: None}
-    order = [root]
-    quiescent: set[tuple[float, ...]] = set()
-    queue: deque[tuple[float, ...]] = deque([root])
-    while queue:
-        state = queue.popleft()
-        m: Marking = list(state)
-        any_enabled = False
-        for ti in range(len(cnet.trans)):
-            if not cnet.enabled(ti, m, 1e-12):
-                continue
-            any_enabled = True
-            successor = list(m)
-            cnet.fire_into(ti, successor)
-            key = tuple(successor)
-            if key not in seen:
-                if len(seen) >= max_states:
-                    raise StateExplosionError(f"more than {max_states} reachable markings")
-                seen[key] = None
-                order.append(key)
-                queue.append(key)
-        if not any_enabled:
-            quiescent.add(state)
-    return order, quiescent
+    graph = reachability_graph(net, max_states)
+    return list(graph.nodes), {graph.nodes[i] for i in graph.quiescent_nodes()}

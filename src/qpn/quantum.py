@@ -18,7 +18,7 @@ from dataclasses import dataclass
 from typing import Sequence
 
 from .errors import AllZeroError, NotNormalizedError, QpnError, UnknownPlaceError
-from .net import Marking, PetriNet
+from .net import Marking, PetriNet, _cumulative_draw
 
 __all__ = [
     "QuantumMapping",
@@ -50,12 +50,6 @@ class QuantumMapping:
 
     def places(self) -> list[str]:
         return [p for p, _ in self.assignments]
-
-    def label_of(self, place_id: str) -> str:
-        for p, label in self.assignments:
-            if p == place_id:
-                return label
-        raise UnknownPlaceError(f"place {place_id} is not assigned a label")
 
 
 @dataclass(frozen=True)
@@ -138,11 +132,4 @@ def measure(
         raise NotNormalizedError(
             f"probabilities sum to {probs.total!r}; pass normalize=True to renormalize"
         )
-    draw = rng.random() * probs.total
-    acc = 0.0
-    for (place_id, label), (_, p) in zip(q.assignments, probs.entries):
-        acc += p
-        if draw < acc:
-            return place_id, label
-    place_id, label = q.assignments[-1]
-    return place_id, label
+    return q.assignments[_cumulative_draw([p for _, p in probs.entries], probs.total, rng)]

@@ -65,6 +65,25 @@ class TestSimulate:
         assert len(lines) == 4  # header + initial + two firings
         assert lines[2].split(",")[1] == "t1"
 
+    @pytest.mark.parametrize(
+        "body, message",
+        [
+            # the first firing pushes a past the largest float
+            ('place c init=3 kind=counter\nplace a init=1e308 kind=amplitude\ntrans t\n'
+             'arc c -> t w="1"\narc t -> a w="1e308"\n', "firing t left place a at inf"),
+            ('place c init=1 kind=counter\nplace a init=0 kind=amplitude\ntrans t\n'
+             'arc c -> t w="1"\narc t -> a w="1/m(a)"\n', "arc t->a w=1/m(a)"),
+        ],
+        ids=["overflow", "division"],
+    )
+    def test_runtime_fault_exit_3(self, capsys, tmp_path, body, message):
+        f = tmp_path / "fault.qpn"
+        f.write_text("net fault\n" + body)
+        code, out, err = run_cli(capsys, "simulate", str(f))
+        assert code == 3
+        assert message in err and "(at step 0)" in err
+        assert out == ""
+
     def test_file_config_defaults_apply(self, capsys, tmp_path):
         f = tmp_path / "conf.qpn"
         f.write_text(
@@ -193,6 +212,13 @@ class TestCheck:
             capsys, "check", str(GOLDEN / "entanglement.qpn"), "--pred", "m(p3)=="
         )
         assert code == 2
+
+    def test_undeclared_place_in_predicate_exit_2(self, capsys):
+        code, _, err = run_cli(
+            capsys, "check", str(GOLDEN / "entanglement.qpn"), "--pred", "m(p99)==0"
+        )
+        assert code == 2
+        assert "p99" in err
 
 
 class TestMeasure:

@@ -8,6 +8,7 @@ from hypothesis import strategies as st
 
 from qpn.errors import (
     DivisionByZeroError,
+    EvaluationError,
     ExprSyntaxError,
     MalformedNumberError,
     NegativeSqrtError,
@@ -136,6 +137,12 @@ class TestEvaluate:
     def test_overflow(self):
         with pytest.raises(NonFiniteResultError):
             evaluate(parse("1e300*1e300"), {})
+
+    @pytest.mark.parametrize("text", ["cos(1e308*10)", "sin(0-1e308*10)", "(0-2)^0.5"])
+    def test_domain_error(self, text):
+        with pytest.raises(EvaluationError) as err:
+            evaluate(parse(text), {})
+        assert type(err.value) is EvaluationError
 
     def test_reference_precision(self):
         # the weight expressions used by the bundled nets, against direct math

@@ -10,8 +10,11 @@ from hypothesis import strategies as st
 from qpn.errors import (
     CounterViolationError,
     DivisionByZeroError,
+    EvaluationError,
     NetDefinitionError,
+    NonFiniteResultError,
     NotEnabledError,
+    QpnError,
     ZeroWeightGroupError,
 )
 from qpn.expr import evaluate
@@ -30,6 +33,7 @@ from qpn.net import (
     fire,
     is_enabled,
     run,
+    run_final,
     step,
 )
 
@@ -136,6 +140,11 @@ class TestIsEnabled:
         with pytest.raises(DivisionByZeroError):
             is_enabled(net, net.initial_marking(), "t1")
 
+    def test_non_finite_weight_raises_not_false(self):
+        net = PetriNet("inf", [PlaceDecl("p1", A, 1.0)], ["t1"], [Arc("p1", "t1", "1e300*1e300")])
+        with pytest.raises(NonFiniteResultError, match="arc p1->t1"):
+            is_enabled(net, net.initial_marking(), "t1")
+
     def test_negative_weight_disables(self):
         net = PetriNet(
             "neg",
@@ -155,6 +164,7 @@ class TestIsEnabled:
         assert not is_enabled(net, [0.0], "t1")
         assert is_enabled(net, [1e-6], "t1")
         assert is_enabled(net, [-1e-6], "t1")
+        assert not is_enabled(net, [math.nan], "t1")  # |nan| > eps is false
 
 
 class TestFire:
@@ -230,6 +240,12 @@ class TestFire:
         with pytest.raises(CounterViolationError):
             fire(net, net.initial_marking(), "t1")
 
+    @pytest.mark.parametrize("kind", [A, C])
+    def test_deposit_overflow_raises(self, kind):
+        net = _overflowing_net(kind)
+        with pytest.raises(NonFiniteResultError, match="firing t left place a at inf"):
+            fire(net, net.initial_marking(), "t")
+
     def test_same_place_both_sides_uses_snapshot(self):
         # rewrite pattern: deposit m(p2)-m(p1) onto p1 sets it to m(p2)
         net = PetriNet(
@@ -239,6 +255,11 @@ class TestFire:
             [Arc("c", "t1"), Arc("t1", "p1", "m(p2)-m(p1)")],
         )
         assert fire(net, net.initial_marking(), "t1") == [-0.25, -0.25, 0.0]
+
+    def test_consumes_apply_in_arc_order(self):
+        arcs = [Arc("p1", "t1", "0.1"), Arc("p1", "t1", "0.7")]
+        net = PetriNet("order", [PlaceDecl("p1", A, 1.0)], ["t1"], arcs)
+        assert fire(net, [1.0], "t1") == [(1.0 - 0.1) - 0.7]  # not (1.0 - 0.7) - 0.1
 
     def test_consume_and_drain_on_same_place(self):
         # kind-grouped application: consume subtracts, then the drain zeroes,
@@ -385,6 +406,45 @@ class TestRun:
         with pytest.raises(CounterViolationError) as err:
             run(net, net.initial_marking(), RunConfig())
         assert err.value.step_index == 1
+
+    @pytest.mark.parametrize("runner", [run, run_final])
+    def test_overflow_error_carries_index(self, runner):
+        net = _overflowing_net(A, initial=0.0)  # 0 -> 1e308 -> inf at the second firing
+        with pytest.raises(NonFiniteResultError) as err:
+            runner(net, net.initial_marking(), RunConfig())
+        assert err.value.step_index == 1
+        assert str(err.value) == "firing t left place a at inf (at step 1)"
+
+    def test_evaluation_error_names_arc_and_step(self):
+        # t2 empties p2, so t3's weight divides by zero at the recheck after step 1
+        net = PetriNet(
+            "div",
+            [PlaceDecl("c", C, 1), PlaceDecl("p1", A, 1.0), PlaceDecl("p2", A, 1.0)],
+            ["t1", "t2", "t3"],
+            [
+                Arc("c", "t1"),
+                Arc("t1", "p1", "1"),
+                Arc("p1", "t2", "2"),
+                Arc("p2", "t2", "m(p2)", ArcKind.DRAIN),
+                Arc("p1", "t3", "1/m(p2)", ArcKind.GUARD),
+            ],
+        )
+        with pytest.raises(DivisionByZeroError) as err:
+            run_final(net, net.initial_marking(), RunConfig())
+        assert err.value.step_index == 1
+        assert "arc p1->t3 w=1/m(p2)" in str(err.value)
+
+    def test_power_domain_fault_is_reference_class(self):
+        net = PetriNet(
+            "pow",
+            [PlaceDecl("c", C, 1), PlaceDecl("a", A, -2.0), PlaceDecl("b", A, 0.0)],
+            ["t"],
+            [Arc("c", "t"), Arc("t", "b", "m(a)^0.5")],
+        )
+        with pytest.raises(EvaluationError) as err:
+            run(net, net.initial_marking(), RunConfig())
+        assert type(err.value) is EvaluationError
+        assert err.value.step_index == 0
 
     def test_trace_markings_chain_by_fire(self):
         net, _ = measurement_net()
@@ -537,6 +597,31 @@ class TestSchedulerDependencies:
         assert trace.status == TerminalStatus.QUIESCENT
 
 
+def _overflowing_net(kind, initial=1e308):
+    """Each firing of t deposits 1e308 into place a."""
+    return PetriNet(
+        "overflow",
+        [PlaceDecl("c", C, 3), PlaceDecl("a", kind, initial)],
+        ["t"],
+        [Arc("c", "t"), Arc("t", "a", "1e308")],
+    )
+
+
+def manual_enabled(net, m, tid, eps=1e-12):
+    """Reference enabling test: drains need |m(p)| > eps, other inputs m(p) >= w >= 0."""
+    env = dict(zip(net.place_ids(), m))
+    for arc in net.input_arcs(tid):
+        value = m[net.place_index[arc.source]]
+        if arc.kind == ArcKind.DRAIN:
+            if not abs(value) > eps:
+                return False
+        else:
+            w = evaluate(arc.parsed_weight(), env)
+            if not (w >= 0.0 and value >= w - eps):
+                return False
+    return True
+
+
 # --- firing atomicity property over random nets ------------------------------------
 
 _WEIGHTS = ("1", "2", "0.5", "m(q0)", "m(q1)+1", "cos(m(q2))", "m(q0)*m(q1)", "0-m(q3)")
@@ -569,12 +654,30 @@ def _random_net_and_marking(draw):
 @settings(max_examples=200, deadline=None)
 @given(_random_net_and_marking())
 def test_firing_atomicity(net_and_marking):
-    """fire() equals the marking computed with all weights read pre-fire."""
+    """The generated code agrees with the tree-walk reference bit for bit.
+
+    is_enabled() matches the reference enabling test, and fire() equals the
+    marking computed with all weights read pre-fire, or both raise the same
+    error class.
+    """
     net, marking = net_and_marking
     for tid in net.transition_ids():
-        if not is_enabled(net, marking, tid):
+        try:
+            expected = manual_enabled(net, marking, tid)
+        except QpnError as e:
+            with pytest.raises(type(e)):
+                is_enabled(net, marking, tid)
             continue
-        assert fire(net, marking, tid) == pytest.approx(manual_fire(net, marking, tid), abs=1e-12)
+        assert is_enabled(net, marking, tid) == expected
+        if not expected:
+            continue
+        try:
+            reference = manual_fire(net, marking, tid)
+        except QpnError as e:
+            with pytest.raises(type(e)):
+                fire(net, marking, tid)
+            continue
+        assert fire(net, marking, tid) == reference
 
 
 @settings(max_examples=150, deadline=None)
