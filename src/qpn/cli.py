@@ -51,8 +51,26 @@ _USAGE_ERRORS = (NetFileError, ExprSyntaxError, UnknownPlaceError, NotIntegerNet
                  InvalidParamsError, PredicateError)
 
 
+def _checked_seed(value: int, source: str) -> int:
+    if not 0 <= value < 2**64:
+        raise InvalidParamsError(f"{source} must be an integer in [0, 2^64), got {value}")
+    return value
+
+
 def _default_seed() -> int:
-    return int(os.environ.get("QPN_SEED", "0"))
+    """QPN_SEED, or 0 when unset; every command checks it before running."""
+    text = os.environ.get("QPN_SEED", "0")
+    try:
+        value = int(text)
+    except ValueError:
+        raise InvalidParamsError(f"QPN_SEED is not an integer: {text!r}") from None
+    return _checked_seed(value, "QPN_SEED")
+
+
+def _at_least_one(value: int, flag: str) -> int:
+    if value < 1:
+        raise InvalidParamsError(f"{flag} must be >= 1, got {value}")
+    return value
 
 
 def _load_file(path: str) -> netfile.NetDocument:
@@ -161,6 +179,9 @@ def _emit_tables(report: TableReport, fmt: str, out=None) -> None:
 
 def _cmd_tables(args: argparse.Namespace) -> int:
     modes = ["passing", "blocking"] if args.mode == "both" else [args.mode]
+    for flag, tolerance in (("--tol-passing", args.tol_passing), ("--tol-blocking", args.tol_blocking)):
+        if not tolerance >= 0.0:
+            raise InvalidParamsError(f"{flag} must be a number >= 0, got {tolerance}")
     n_values = _parse_int_list(args.N) if args.N else list(GRID_N)
     m_values = _parse_int_list(args.M) if args.M else list(GRID_M)
     report = run_tables(
@@ -188,10 +209,14 @@ def _effective_config(doc: netfile.NetDocument, args: argparse.Namespace) -> Run
     policy = file_config.policy or Policy.DETERMINISTIC_PRIORITY
     if args.policy:
         policy = Policy.BORN_RANDOM if args.policy == "born" else Policy.DETERMINISTIC_PRIORITY
-    max_steps = args.max_steps or file_config.max_steps or 1_000_000
-    seed = args.seed if args.seed is not None else (
-        file_config.seed if file_config.seed is not None else _default_seed()
-    )
+    if args.max_steps is not None:
+        max_steps = _at_least_one(args.max_steps, "--max-steps")
+    else:
+        max_steps = file_config.max_steps or 1_000_000
+    if args.seed is not None:
+        seed = _checked_seed(args.seed, "--seed")
+    else:
+        seed = file_config.seed if file_config.seed is not None else _default_seed()
     return RunConfig(policy=policy, seed=seed, max_steps=max_steps)
 
 
@@ -226,11 +251,14 @@ def _cmd_simulate(args: argparse.Namespace) -> int:
 
 
 def _write_trace_csv(path: str, net, trace) -> None:
-    with open(path, "w", encoding="utf-8") as out:
-        out.write("step,transition," + ",".join(net.place_ids()) + "\n")
-        out.write("0,," + ",".join(repr(v) for v in trace.initial) + "\n")
-        for i, (tid, marking) in enumerate(trace.steps, start=1):
-            out.write(f"{i},{tid}," + ",".join(repr(v) for v in marking) + "\n")
+    try:
+        with open(path, "w", encoding="utf-8") as out:
+            out.write("step,transition," + ",".join(net.place_ids()) + "\n")
+            out.write("0,," + ",".join(repr(v) for v in trace.initial) + "\n")
+            for i, (tid, marking) in enumerate(trace.steps, start=1):
+                out.write(f"{i},{tid}," + ",".join(repr(v) for v in marking) + "\n")
+    except OSError as e:
+        raise InvalidParamsError(f"cannot write trace {path}: {e.strerror}") from None
 
 
 # --- check -------------------------------------------------------------------------
@@ -239,7 +267,8 @@ def _write_trace_csv(path: str, net, trace) -> None:
 def _cmd_check(args: argparse.Namespace) -> int:
     doc = _load_file(args.file)
     pred = analysis.parse_predicate(args.pred)
-    graph = analysis.reachability_graph(doc.net, max_states=args.max_states)
+    max_states = _at_least_one(args.max_states, "--max-states")
+    graph = analysis.reachability_graph(doc.net, max_states=max_states)
     result = analysis.check_invariant(graph, pred)
     if result.holds:
         print(f"holds on all {len(graph.nodes)} reachable markings")
@@ -272,8 +301,10 @@ def _cmd_measure(args: argparse.Namespace) -> int:
     doc = _load_file(args.file)
     if doc.mapping is None:
         raise NetFileError(f"{args.file} declares no quantum mapping (k/map lines)")
-    dist = analysis.empirical_distribution(doc.net, doc.mapping, args.runs, seed=args.seed)
-    print(f"runs: {dist.runs}  seed: {args.seed}")
+    runs = _at_least_one(args.runs, "--runs")
+    seed = _default_seed() if args.seed is None else _checked_seed(args.seed, "--seed")
+    dist = analysis.empirical_distribution(doc.net, doc.mapping, runs, seed=seed)
+    print(f"runs: {dist.runs}  seed: {seed}")
     for key, freq, stderr in dist.items():
         name = " & ".join(key) if key else "(no marked outcome)"
         print(f"  {name}: {freq:.6f} +- {stderr:.6f}")
@@ -367,7 +398,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("measure", help="empirical outcome distribution over BornRandom runs")
     p.add_argument("file")
     p.add_argument("--runs", type=int, required=True)
-    p.add_argument("--seed", type=int, default=_default_seed())
+    p.add_argument("--seed", type=int, default=None, help="default: QPN_SEED, else 0")
     p.add_argument("--expect", action="store_true", help="compare against the exact distribution")
     p.set_defaults(fn=_cmd_measure)
 
@@ -391,6 +422,7 @@ def main(argv: list[str] | None = None) -> int:
     except SystemExit as e:
         return EXIT_USAGE if e.code not in (0, None) else EXIT_OK
     try:
+        _default_seed()
         return args.fn(args)
     except _USAGE_ERRORS as e:
         print(f"error: {e}", file=sys.stderr)

@@ -59,6 +59,7 @@ __all__ = [
     "free_places",
     "format_expr",
     "compile_fn",
+    "fold_constants",
 ]
 
 
@@ -312,13 +313,28 @@ class _Parser:
         )
 
 
+_PARSED: dict[str, WeightExpr] = {}  # text -> tree, oldest first
+_PARSED_MAX = 4096
+
+
 def parse(text: str) -> WeightExpr:
-    """Parse expression text into its unique tree; whitespace-insensitive."""
+    """Parse expression text into its unique tree; whitespace-insensitive.
+
+    Trees are immutable, so a text parsed again (arc weights such as ``"1"``
+    recur within a net and across the nets of one grid) returns the cached
+    tree; the cache drops its oldest entry when full.
+    """
+    node = _PARSED.get(text)
+    if node is not None:
+        return node
     parser = _Parser(_tokenize(text))
     node = parser.parse_expr()
     tok = parser.peek()
     if tok.kind != "end":
         raise ExprSyntaxError(f"trailing input {tok.text!r}", tok.line, tok.column, ("end of input",))
+    if len(_PARSED) >= _PARSED_MAX:
+        del _PARSED[next(iter(_PARSED))]
+    _PARSED[text] = node
     return node
 
 
@@ -385,6 +401,46 @@ def _eval(expr: WeightExpr, env: Mapping[str, float]) -> float:
             raise NegativeSqrtError(f"sqrt of negative value {operand!r}")
         return math.sqrt(operand)
     raise TypeError(f"not a WeightExpr: {expr!r}")
+
+
+def fold_constants(expr: WeightExpr) -> WeightExpr:
+    """expr with each place-free subtree whose value is finite replaced by that Constant.
+
+    Values come from the reference evaluator, which does the same float
+    operations as emitted code, so the folded tree evaluates bit for bit like
+    expr.  A subtree that faults or is not finite is kept, and faults when
+    evaluated as before.
+    """
+    return _fold(expr)[0]
+
+
+def _fold(expr: WeightExpr) -> tuple[WeightExpr, bool]:
+    """The folded tree, and whether it reads no place."""
+    if isinstance(expr, MarkRef):
+        return expr, False
+    if isinstance(expr, Constant):
+        return expr, True
+    if isinstance(expr, Pi):
+        return Constant(math.pi), True
+    if isinstance(expr, (Negate, Cos, Sin, Sqrt)):
+        operand, constant = _fold(expr.operand)
+        expr = type(expr)(operand)
+    elif isinstance(expr, Power):
+        (base, c1), (exponent, c2) = _fold(expr.base), _fold(expr.exponent)
+        expr, constant = Power(base, exponent), c1 and c2
+    elif isinstance(expr, (Add, Subtract, Multiply, Divide)):
+        (left, c1), (right, c2) = _fold(expr.left), _fold(expr.right)
+        expr, constant = type(expr)(left, right), c1 and c2
+    else:
+        raise TypeError(f"not a WeightExpr: {expr!r}")
+    if constant:
+        try:
+            value = _eval(expr, {})
+        except EvaluationError:
+            return expr, True
+        if math.isfinite(value):
+            return Constant(value), True
+    return expr, constant
 
 
 def free_places(expr: WeightExpr) -> frozenset[str]:
@@ -471,7 +527,7 @@ def _fmt(expr: WeightExpr, context: int) -> str:
 
 
 def _fmt_number(value: float) -> str:
-    if value == int(value) and abs(value) < 1e16:
+    if math.isfinite(value) and value == int(value) and abs(value) < 1e16:
         return str(int(value))
     return repr(value)
 
@@ -484,6 +540,8 @@ _COMPILE_GLOBALS = {
     "_sqrt": math.sqrt,
     "_pow": math.pow,
     "_pi": math.pi,
+    "inf": math.inf,  # the repr of a non-finite Constant built through the API
+    "nan": math.nan,
     "__builtins__": {},
 }
 
@@ -492,11 +550,12 @@ def compile_fn(expr: WeightExpr, place_index: Mapping[str, int]) -> Callable[[Se
     """Compile to a callable over a dense marking vector.
 
     The emitted code is generated from the AST (never from user text) and
-    agrees with :func:`evaluate` wherever the latter succeeds; runtime faults
+    agrees with :func:`evaluate` wherever the latter succeeds (place-free
+    subtrees are folded to literals by :func:`fold_constants`); runtime faults
     (division by zero, negative sqrt) surface as the underlying ValueError /
     ZeroDivisionError, and :func:`evaluate` names them.
     """
-    source = f"lambda m: {_emit(expr, place_index)}"
+    source = f"lambda m: {_emit(fold_constants(expr), place_index)}"
     return eval(source, dict(_COMPILE_GLOBALS))  # noqa: S307 - source built from our own AST
 
 

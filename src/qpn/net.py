@@ -309,31 +309,46 @@ def validate_marking(net: PetriNet, m: Sequence[float]) -> None:
 
 # --- compiled engine ---------------------------------------------------------------
 #
-# Generated Python code is the only executable form of a net: per transition,
-# one function tests enabling and one fires in place.  Weights are evaluated
-# before any place is written, so when one faults the marking is unchanged and
-# diagnose() re-evaluates the arcs with expr.evaluate, the reference, to raise
-# its error.  The code's own result checks (a counter left negative or
-# fractional, a deposit that overflows) raise directly.  `x - x != 0.0` is a
-# cheap non-finiteness test (true for nan and both infinities).
+# Generated Python code is the only executable form of a net.  Per transition
+# it holds an enabling test and a step: the step fires in place, then re-tests
+# every transition whose enabling the firing can flip (its recheck set),
+# updates the enabled flags and returns the change in the enabled count, so a
+# run makes one call per firing.  Place-free subtrees of a weight are folded to
+# literals.  Weights are evaluated before any place is written, so when one
+# faults the marking is unchanged and diagnose() re-evaluates the arcs with
+# expr.evaluate, the reference, to raise its error.  A fault in a re-test comes
+# after the firing was written; the step reports it as _RecheckFault and the
+# run finds the transition at fault.  The code's own result checks (a counter
+# left negative or fractional, a deposit that overflows) raise directly.
+# `x - x != 0.0` is a cheap non-finiteness test (true for nan and both
+# infinities).  Generated code assumes a finite pre-fire marking.
 
 # what generated weight code raises: ZeroDivisionError and OverflowError, the
 # bare ArithmeticError of a non-finite weight, and math's domain ValueError
 _FAULTS = (ArithmeticError, ValueError)
 
+# a finite x plus a constant below half an ulp of the largest float (2**971)
+# stays finite, so such deposits need no overflow test
+_SAFE_DEPOSIT = 2.0**970
 
-def _raise_counter(tid: str, place_id: str, value: float) -> None:
-    raise CounterViolationError(f"firing {tid} left counter place {place_id} at {value!r}")
+
+class _RecheckFault(Exception):
+    """A re-test inside a generated step faulted after the firing was written."""
 
 
-def _raise_overflow(tid: str, targets: dict[int, str], m: Marking) -> None:
-    p, place_id = next((p, place_id) for p, place_id in targets.items() if not math.isfinite(m[p]))
-    raise NonFiniteResultError(f"firing {tid} left place {place_id} at {m[p]!r}")
+def _raise_fault() -> None:
+    raise ArithmeticError  # a non-finite weight; diagnose() names it
+
+
+def _nonfinite(values: list[str]) -> str:
+    """Generated test, true when any value is nan or infinite."""
+    # x - x is 0.0 for every finite x, so the sum is 0.0 iff all are finite
+    return " + ".join(f"{v} - {v}" for v in values) + " != 0.0"
 
 
 class _CompiledTransition:
-    __slots__ = ("tid", "rank", "in_arcs", "out_arcs", "touched", "conflict_places", "enabled",
-                 "fire", "recheck")
+    __slots__ = ("tid", "rank", "in_arcs", "out_arcs", "touched", "conflict_places", "reads",
+                 "enabled", "step", "recheck")
 
     def __init__(self, tid: str, rank: int):
         self.tid = tid
@@ -342,8 +357,11 @@ class _CompiledTransition:
         self.out_arcs: list[Arc] = []
         self.touched: list[int] = []            # places this transition may modify
         self.conflict_places: set[int] = set()  # consume/drain inputs, for conflict grouping
+        # places the enabling test reads -> whether the test is non-decreasing in
+        # that place: false once a weight reads it (a drain's weight reads its place)
+        self.reads: dict[int, bool] = {}
         self.enabled: Callable[[Sequence[float], float], bool]
-        self.fire: Callable[[Marking], None]
+        self.step: Callable[[Marking, float, bytearray], int]
         self.recheck: tuple[int, ...] = ()      # transitions whose enabling a firing can flip
 
 
@@ -354,7 +372,8 @@ class _CompiledNet:
         self.net = net
         index = net.place_index
         self.trans = [_CompiledTransition(t.id, t.priority) for t in net.transitions]
-        dependents: list[list[int]] = [[] for _ in net.places]  # transitions each place can flip
+        self._weights: dict[int, tuple[str, float | None]] = {}  # id(arc) -> _weight(arc)
+        dependents: list[set[int]] = [set() for _ in net.places]  # transitions each place can flip
         for arc in net.arcs:
             if arc.kind == ArcKind.DEPOSIT:
                 ct = self.trans[net.transition_index[arc.source]]
@@ -365,9 +384,12 @@ class _CompiledNet:
                 ct = self.trans[ti]
                 ct.in_arcs.append(arc)
                 p = index[arc.source]
-                for q in {p, *(index[r] for r in _expr.free_places(arc.weight))}:
-                    if ti not in dependents[q]:
-                        dependents[q].append(ti)
+                free = [index[r] for r in _expr.free_places(arc.weight)]
+                ct.reads.setdefault(p, True)
+                for q in free:
+                    ct.reads[q] = False
+                for q in (p, *free):
+                    dependents[q].add(ti)
                 if arc.kind == ArcKind.GUARD:
                     continue
                 ct.conflict_places.add(p)
@@ -377,82 +399,206 @@ class _CompiledNet:
         self.order = sorted(range(len(self.trans)), key=lambda i: (self.trans[i].rank, i))
         self.uniform_rank = len({t.rank for t in self.trans}) <= 1
         for ct in self.trans:
-            ct.recheck = tuple(dict.fromkeys(tj for p in ct.touched for tj in sorted(dependents[p])))
-            self._generate(ct)
+            # in ordinal order, so a run reports the fault a step() loop meets first
+            ct.recheck = tuple(sorted({tj for p in ct.touched for tj in dependents[p]}))
+        tests = [self._enabling_test(ti, ct) for ti, ct in enumerate(self.trans)]
+        enabled = self._define("m, eps", [[f"    return {test}"] for test in tests])
+        steps = self._define("m, eps, flags", [self._step(ti, tests) for ti in range(len(self.trans))])
+        for ct, enabled_fn, step_fn in zip(self.trans, enabled, steps):
+            ct.enabled, ct.step = enabled_fn, step_fn
+        self._fire: list[Callable[[Marking], None]] | None = None
         self._born: list[Callable[[Sequence[float]], float]] | None = None
 
-    def _generate(self, ct: _CompiledTransition) -> None:
+    def _step(self, ti: int, tests: list[str]) -> list[str]:
+        """Lines of ti's step: fire, re-test the recheck set, return the change in the count."""
+        retests = []
+        moves = self._moves(ti)
+        for tj in self.trans[ti].recheck:
+            test, reads = tests[tj], self.trans[tj].reads
+            # {1}: the firing can only enable tj, {-1}: only disable it.  A
+            # re-test skipped on its flag would evaluate as it did last time.
+            signs = {moves[p] if reads[p] else 0 for p in moves if p in reads}
+            if tj == ti:  # a step runs only while its own flag is set
+                if signs != {1}:
+                    retests.append(f"        if not ({test}): flags[{ti}] = 0; d -= 1")
+            elif signs == {1}:
+                retests.append(f"        if not flags[{tj}] and {test}: flags[{tj}] = 1; d += 1")
+            elif signs == {-1}:
+                retests.append(f"        if flags[{tj}] and not ({test}): flags[{tj}] = 0; d -= 1")
+            else:
+                retests += [f"        if {test}:",
+                            f"            if not flags[{tj}]: flags[{tj}] = 1; d += 1",
+                            f"        elif flags[{tj}]: flags[{tj}] = 0; d -= 1"]
+        if not retests:
+            return self._firing(ti) + ["    return 0"]
+        return self._firing(ti) + ["    d = 0", "    try:", *retests, "    except _FAULTS:",
+                                   "        raise _RecheckFault from None", "    return d"]
+
+    def _weight(self, arc: Arc) -> tuple[str, float | None]:
+        """The arc weight as generated code, and its value when that is a finite constant."""
+        known = self._weights.get(id(arc))
+        if known is None:
+            weight = _expr.fold_constants(arc.weight)
+            if isinstance(weight, _expr.Constant) and math.isfinite(weight.value):
+                known = _expr._emit(weight, {}), weight.value
+            else:
+                known = _expr._emit(weight, self.net.place_index), None
+            self._weights[id(arc)] = known
+        return known
+
+    def _moves(self, ti: int) -> dict[int, int]:
+        """Each place ti touches: 1 if a firing can only raise it, -1 if only lower it, else 0.
+
+        Only constant weights count, and on a counter place only those of at
+        least 0.5, since the counter check moves a value by up to EPSILON_INT.
+        """
+        ct = self.trans[ti]
         index = self.net.place_index
-        enabled = ["def _enabled(m, eps):"]
-        fire = ["def _fire(m):"]
-        consumes, drains, deposits = [], [], []
+        changes: list[tuple[str, float | None]] = []  # (place, constant added or None)
+        for arc in ct.in_arcs:
+            if arc.kind != ArcKind.GUARD:
+                w = None if arc.kind == ArcKind.DRAIN else self._weight(arc)[1]
+                changes.append((arc.source, None if w is None else -w))
+        changes += [(arc.target, self._weight(arc)[1]) for arc in ct.out_arcs]
+        moves: dict[int, int] = {}
+        for place_id, change in changes:
+            p = index[place_id]
+            least = 0.5 if self.net.places[p].kind == PlaceKind.COUNTER else 0.0
+            if change is None:
+                sign = 0
+            else:
+                sign = 1 if change >= least else -1 if change <= -least else 0
+            moves[p] = sign if moves.get(p, sign) == sign else 0
+        return moves
+
+    def _bind(self, prefix: str, arcs: list[Arc]) -> tuple[list[str], list[str]]:
+        """The weights of arcs as generated values, and the lines that bind them.
+
+        A finite constant is its own literal; any other weight is bound to
+        prefix + its position, and the bound ones are tested finite together.
+        """
+        values, lines, names = [], [], []
+        for j, arc in enumerate(arcs):
+            code, constant = self._weight(arc)
+            if constant is None:
+                names.append(f"{prefix}{j}")
+                lines.append(f"    {names[-1]} = {code}")
+                code = names[-1]
+            values.append(code)
+        if names:
+            lines.append(f"    if {_nonfinite(names)}: _fault()")
+        return values, lines
+
+    def _enabling_test(self, ti: int, ct: _CompiledTransition) -> str:
+        """One boolean expression: drains need |m(p)| > eps, other inputs m(p) >= w >= 0.
+
+        Inputs are tested in arc order and the first that fails ends the
+        test; a non-finite weight calls _fault().
+        """
+        index = self.net.place_index
+        terms = []
         for i, arc in enumerate(ct.in_arcs):
             p = index[arc.source]
             if arc.kind == ArcKind.DRAIN:
-                enabled.append(f"    if not (m[{p}] > eps or m[{p}] < -eps): return False")
-                drains.append(f"    m[{p}] = 0.0")
+                terms.append(f"(m[{p}] > eps or m[{p}] < -eps)")
                 continue
-            w, lines = self._bind(f"w{i}", arc)
-            enabled += lines
-            test = f"m[{p}] >= {w} - eps"
-            if not (isinstance(arc.weight, _expr.Constant) and arc.weight.value >= 0.0):
-                test = f"{w} >= 0.0 and {test}"
-            enabled.append(f"    if not ({test}): return False")
-            if arc.kind == ArcKind.CONSUME:
-                fire += lines[:1]  # the enabling test read the same weight, finite
+            w, value = self._weight(arc)
+            if value is None:
+                name = f"e{ti}_{i}"
+                terms.append(f"((({name} := {w}) - {name} == 0.0 or _fault()) and {name} >= 0.0)")
+                w = name
+            elif not value >= 0.0:
+                terms.append(f"{w} >= 0.0")
+            terms.append(f"m[{p}] >= {w} - eps")
+        return " and ".join(terms) or "True"
+
+    def _firing(self, ti: int) -> list[str]:
+        """Lines that apply one firing of transition ti to ``m`` in place.
+
+        Weights are bound before any write, so a fault leaves the marking
+        unchanged; then come consumes, drains and deposits in arc order, the
+        overflow test and the counter checks.
+        """
+        ct = self.trans[ti]
+        index = self.net.place_index
+        binds, consumes, drains = [], [], []
+        # whether a -0.0 in the place can survive the firing: x - w is -0.0 only
+        # for x = -0.0, w = +0.0, and x + v only for x = v = -0.0
+        keeps_zero_sign: dict[int, bool] = {}
+        for i, arc in enumerate(ct.in_arcs):
+            p = index[arc.source]
+            if arc.kind == ArcKind.DRAIN:
+                drains.append(f"    m[{p}] = 0.0")
+                keeps_zero_sign[p] = False
+            elif arc.kind == ArcKind.CONSUME:
+                w, value = self._weight(arc)
+                if value is None:  # the enabling test read the same weight, finite
+                    binds.append(f"    w{i} = {w}")
+                    w = f"w{i}"
                 consumes.append(f"    m[{p}] -= {w}")
-        enabled.append("    return True")
-        targets: dict[int, str] = {}
-        for j, arc in enumerate(ct.out_arcs):
-            v, lines = self._bind(f"v{j}", arc)
-            fire += lines
-            deposits.append(f"    m[{index[arc.target]}] += {v}")
-            targets[index[arc.target]] = arc.target
-        fire += consumes + drains + deposits
-        if targets:
-            # x - x is 0.0 for every finite x, so the sum is 0.0 iff all are finite
-            test = " + ".join(f"m[{p}] - m[{p}]" for p in targets)
-            fire.append(f"    if {test} != 0.0: _overflow({ct.tid!r}, {targets!r}, m)")
+                keeps = value is None or (value == 0.0 and math.copysign(1.0, value) > 0.0)
+                keeps_zero_sign[p] = keeps_zero_sign.get(p, True) and keeps
+        values, lines = self._bind("v", ct.out_arcs)
+        deposits = []
+        checked: list[int] = []  # deposit targets that may overflow
+        for v, arc in zip(values, ct.out_arcs):
+            p = index[arc.target]
+            deposits.append(f"    m[{p}] += {v}")
+            value = self._weight(arc)[1]
+            if (value is None or not abs(value) < _SAFE_DEPOSIT) and p not in checked:
+                checked.append(p)
+            keeps = value is None or (value == 0.0 and math.copysign(1.0, value) < 0.0)
+            keeps_zero_sign[p] = keeps_zero_sign.get(p, True) and keeps
+        lines = binds + lines + consumes + drains + deposits
+        if checked:
+            lines.append(f"    if {_nonfinite([f'm[{p}]' for p in checked])}: _overflow({ti}, m)")
+        counters = [p for p in ct.touched if self.net.places[p].kind == PlaceKind.COUNTER]
+        # + 0.0 turns -0.0 into 0.0, as round() does; then a non-negative
+        # integral value passes as is and any other takes the slow path
+        lines += [f"    m[{p}] += 0.0" for p in counters if keeps_zero_sign[p]]
+        if counters:
+            test = " or ".join(f"m[{p}] < 0.0 or m[{p}] % 1.0" for p in counters)
+            lines.append(f"    if {test}: _snap({ti}, m)")
+        return lines
+
+    def _raise_overflow(self, ti: int, m: Marking) -> None:
+        """Name the first deposit target of ti that is no longer finite."""
+        ct = self.trans[ti]
+        p = next(p for p in map(self.net.place_index.get, (a.target for a in ct.out_arcs))
+                 if not math.isfinite(m[p]))
+        raise NonFiniteResultError(f"firing {ct.tid} left place {self.net.places[p].id} at {m[p]!r}")
+
+    def _snap_counters(self, ti: int, m: Marking) -> None:
+        """Snap each counter place ti touches to the integer within EPSILON_INT, else raise."""
+        ct = self.trans[ti]
         for p in ct.touched:
             place = self.net.places[p]
             if place.kind == PlaceKind.COUNTER:
-                fire.append(f"    c = m[{p}]; r = _round(c); d = c - r")
-                fire.append(f"    if c < -1e-9 or d > 1e-9 or d < -1e-9: "
-                            f"_counterfail({ct.tid!r}, {place.id!r}, c)")
-                fire.append(f"    m[{p}] = r + 0.0")
-        namespace = self._exec(enabled + fire + ["    pass"])  # a transition may have no arcs
-        ct.enabled = namespace["_enabled"]
-        ct.fire = namespace["_fire"]
+                value = m[p]
+                r = round(value)
+                d = value - r
+                if value < -EPSILON_INT or d > EPSILON_INT or d < -EPSILON_INT:
+                    raise CounterViolationError(
+                        f"firing {ct.tid} left counter place {place.id} at {value!r}"
+                    )
+                m[p] = r + 0.0
 
-    def _bind(self, name: str, arc: Arc) -> tuple[str, list[str]]:
-        """The arc weight's value in generated code, and the lines that bind it.
-
-        A finite constant is its own literal; any other weight is bound to
-        ``name`` and tested finite.
-        """
-        weight = arc.weight
-        if isinstance(weight, _expr.Constant) and math.isfinite(weight.value):
-            return repr(weight.value), []
-        return name, [
-            f"    {name} = {_expr._emit(weight, self.net.place_index)}",
-            f"    if {name} - {name} != 0.0: raise _Fault",
-        ]
-
-    @staticmethod
-    def _exec(lines: list[str]) -> dict:
+    def _define(self, params: str, bodies: list[list[str]]) -> list[Callable]:
+        """One generated function per transition from its body lines, in one exec."""
+        lines = []
+        for ti, body in enumerate(bodies):
+            lines += [f"def _f{ti}({params}):", *body]
         namespace = dict(_expr._COMPILE_GLOBALS)
-        namespace["_round"] = round
-        namespace["_Fault"] = ArithmeticError
-        namespace["_overflow"] = _raise_overflow
-        namespace["_counterfail"] = _raise_counter
+        namespace.update(_fault=_raise_fault, _overflow=self._raise_overflow, _snap=self._snap_counters,
+                         _FAULTS=_FAULTS, _RecheckFault=_RecheckFault)
         exec("\n".join(lines), namespace)  # noqa: S102 - source built from our own AST
-        return namespace
+        return [namespace[f"_f{ti}"] for ti in range(len(bodies))]
 
     def diagnose(self, ti: int, m: Sequence[float], step_index: int | None = None) -> None:
         """Raise the reference error for a fault in transition ti's generated code.
 
         Evaluates the non-drain input weights, then the output weights, over
-        the unchanged marking; the first that fails raises, naming its arc.
+        the given marking; the first that fails raises, naming its arc.
         """
         env = marking_env(self.net, m)
         for arc in self.trans[ti].in_arcs + self.trans[ti].out_arcs:
@@ -477,9 +623,15 @@ class _CompiledNet:
         return [ti for ti in range(len(self.trans)) if self.enabled(ti, m, eps, step_index)]
 
     def fire_into(self, ti: int, m: Marking) -> None:
-        """Apply one firing of an enabled transition in place."""
+        """Apply one firing of an enabled transition to a finite marking in place.
+
+        The code is generated on the first call: runs fire through their steps.
+        """
+        if self._fire is None:
+            bodies = [self._firing(t) + ["    pass"] for t in range(len(self.trans))]
+            self._fire = self._define("m", bodies)
         try:
-            self.trans[ti].fire(m)
+            self._fire[ti](m)
         except _FAULTS:
             self.diagnose(ti, m)
             raise
@@ -490,13 +642,12 @@ class _CompiledNet:
         The code is generated on the first call: deterministic runs never pay for it.
         """
         if self._born is None:
-            fns = []
+            bodies = []
             for ct in self.trans:
-                values = [self._bind(f"v{j}", arc) for j, arc in enumerate(ct.out_arcs)]
-                squares = " + ".join(f"{v}*{v}" for v, _ in values) or "0.0"
-                lines = [line for _, bind in values for line in bind]
-                fns.append(self._exec(["def _born(m):", *lines, f"    return {squares}"])["_born"])
-            self._born = fns
+                values, lines = self._bind("v", ct.out_arcs)
+                squares = " + ".join(f"{v}*{v}" for v in values) or "0.0"
+                bodies.append(lines + [f"    return {squares}"])
+            self._born = self._define("m", bodies)
         weights = []
         for t in members:
             try:
@@ -547,7 +698,7 @@ def enabled_transitions(net: PetriNet, m: Sequence[float], epsilon: float = 1e-1
 
 def fire(net: PetriNet, m: Sequence[float], transition_id: str, epsilon: float = 1e-12) -> Marking:
     """One atomic firing; returns the successor marking, input untouched."""
-    _check_dimension(net, m)
+    validate_marking(net, m)
     cnet = net.compiled()
     ti = _transition_ordinal(net, transition_id)
     if not cnet.enabled(ti, m, epsilon):
@@ -616,7 +767,7 @@ def step(
     rng: random.Random,
 ) -> tuple[str, Marking] | None:
     """Fire one transition per the configured policy; None when quiescent."""
-    _check_dimension(net, m)
+    validate_marking(net, m)
     cnet = net.compiled()
     enabled = cnet.enabled_ordinals(m, config.epsilon)
     if not enabled:
@@ -674,15 +825,15 @@ def _execute(
         flags[ti] = 1
     count = len(initially)
 
-    firings = 0
     order = cnet.order
+    steps = [ct.step for ct in trans]
     for step_index in range(config.max_steps):
         if count == 0:
-            return FinalState(m, firings, TerminalStatus.QUIESCENT)
-        if require_single_enabled and count > 1:
+            return FinalState(m, step_index, TerminalStatus.QUIESCENT)
+        if count > 1 and require_single_enabled:
             names = [trans[i].tid for i in range(n_trans) if flags[i]]
             raise DeterminismViolationError(
-                f"{len(names)} transitions enabled simultaneously after {firings} firings: {names}"
+                f"{len(names)} transitions enabled simultaneously after {step_index} firings: {names}"
             )
         if deterministic:
             if simple_order:
@@ -698,27 +849,22 @@ def _execute(
             except QpnError as e:
                 e.step_index = step_index
                 raise
-        ct = trans[ti]
         try:
-            ct.fire(m)
+            count += steps[ti](m, eps, flags)
         except QpnError as e:  # the generated result checks
             e.step_index = step_index
             raise
         except _FAULTS:
             cnet.diagnose(ti, m, step_index)
             raise
-        firings += 1
+        except _RecheckFault as fault:
+            # the firing is written: report it, then name the re-test at fault
+            if on_fire is not None:
+                on_fire(trans[ti].tid, m)
+            for tj in trans[ti].recheck:
+                cnet.enabled(tj, m, eps, step_index)
+            raise fault.__context__ from None
         if on_fire is not None:
-            on_fire(ct.tid, m)
-        for tj in ct.recheck:
-            try:
-                now = trans[tj].enabled(m, eps)
-            except _FAULTS:
-                cnet.diagnose(tj, m, step_index)
-                raise
-            if now != flags[tj]:
-                count += 1 if now else -1
-                flags[tj] = 1 if now else 0
-    if count == 0:
-        return FinalState(m, firings, TerminalStatus.QUIESCENT)
-    return FinalState(m, firings, TerminalStatus.STEP_LIMIT)
+            on_fire(trans[ti].tid, m)
+    status = TerminalStatus.QUIESCENT if count == 0 else TerminalStatus.STEP_LIMIT
+    return FinalState(m, config.max_steps, status)

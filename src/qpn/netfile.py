@@ -19,6 +19,7 @@ is structurally equal to ``d`` and ``save`` is idempotent.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 from . import expr as _expr
@@ -145,9 +146,12 @@ def _keyvalues(fields: list[str], allowed: tuple[str, ...], lineno: int) -> dict
 
 def _number(text: str, lineno: int, what: str) -> float:
     try:
-        return float(text)
+        value = float(text)
     except ValueError:
         raise NetFileSyntaxError(f"{what} is not a number: {text!r}", lineno) from None
+    if not math.isfinite(value):
+        raise NetFileSyntaxError(f"{what} is not a finite number: {text!r}", lineno)
+    return value
 
 
 def _integer(text: str, lineno: int, what: str) -> int:

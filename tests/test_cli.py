@@ -1,9 +1,15 @@
 """CLI integration: commands, exit codes, output stability."""
 
+import io
 import math
+import os
+from contextlib import redirect_stderr, redirect_stdout
 from pathlib import Path
+from unittest import mock
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from qpn.cli import main
 
@@ -266,6 +272,144 @@ class TestMeasure:
             "measure", str(GOLDEN / "measurement.qpn"), "--runs", "50", "--seed", "123",
         )
         assert out_env == out_explicit
+
+
+    def test_zero_runs_exit_2(self, capsys):
+        code, out, err = run_cli(capsys, "measure", str(GOLDEN / "measurement.qpn"), "--runs", "0")
+        assert code == 2
+        assert err == "error: --runs must be >= 1, got 0\n"
+        assert out == ""
+
+
+class TestArgumentDomains:
+    """Bad flag values and environment settings are one-line usage errors (exit 2)."""
+
+    @pytest.mark.parametrize("value", ["abc", "-1", str(2**64), "1.5", ""])
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["validate", str(GOLDEN / "zeno_n4.qpn")],
+            ["simulate", str(GOLDEN / "zeno_n4.qpn")],
+            ["measure", str(GOLDEN / "measurement.qpn"), "--runs", "5"],
+        ],
+    )
+    def test_bad_seed_env(self, capsys, monkeypatch, argv, value):
+        monkeypatch.setenv("QPN_SEED", value)
+        code, out, err = run_cli(capsys, *argv)
+        assert code == 2
+        assert out == ""
+        assert err.count("\n") == 1 and "QPN_SEED" in err
+
+    @pytest.mark.parametrize("command", ["simulate", "measure"])
+    @pytest.mark.parametrize("seed", ["-1", str(2**64)])
+    def test_bad_seed_flag(self, capsys, command, seed):
+        extra = ["--runs", "5"] if command == "measure" else []
+        code, _, err = run_cli(
+            capsys, command, str(GOLDEN / "measurement.qpn"), *extra, "--seed", seed
+        )
+        assert code == 2
+        assert err == f"error: --seed must be an integer in [0, 2^64), got {seed}\n"
+
+    def test_largest_seed_accepted(self, capsys, monkeypatch):
+        monkeypatch.setenv("QPN_SEED", str(2**64 - 1))
+        code, out, _ = run_cli(capsys, "simulate", str(GOLDEN / "measurement.qpn"), "--policy", "born")
+        assert code == 0
+        assert f"seed: {2**64 - 1}" in out
+
+    @pytest.mark.parametrize("value", ["0", "-5"])
+    def test_max_steps_below_one(self, capsys, value):
+        code, out, err = run_cli(capsys, "simulate", str(GOLDEN / "zeno_n4.qpn"), "--max-steps", value)
+        assert code == 2
+        assert out == ""
+        assert err == f"error: --max-steps must be >= 1, got {value}\n"
+
+    def test_max_steps_one_is_honoured(self, capsys):
+        code, out, _ = run_cli(capsys, "simulate", str(GOLDEN / "zeno_n4.qpn"), "--max-steps", "1")
+        assert code == 3
+        assert "firings: 1" in out
+
+    def test_max_states_below_one(self, capsys):
+        code, _, err = run_cli(
+            capsys, "check", str(GOLDEN / "entanglement.qpn"), "--pred", "0==0", "--max-states", "0"
+        )
+        assert code == 2
+        assert err == "error: --max-states must be >= 1, got 0\n"
+
+    @pytest.mark.parametrize("flag", ["--tol-passing", "--tol-blocking"])
+    def test_bad_tolerance(self, capsys, flag):
+        code, _, err = run_cli(capsys, "tables", "--N", "2", "--M", "2", flag, "nan")
+        assert code == 2
+        assert err == f"error: {flag} must be a number >= 0, got nan\n"
+
+    def test_unwritable_trace(self, capsys, tmp_path):
+        path = tmp_path / "missing-dir" / "trace.csv"
+        code, _, err = run_cli(capsys, "simulate", str(GOLDEN / "zeno_n4.qpn"), "--trace", str(path))
+        assert code == 2
+        assert err.startswith(f"error: cannot write trace {path}:") and err.count("\n") == 1
+
+
+_SEED_ENV = st.sampled_from([None, "0", "7", "-1", str(2**64 - 1), str(2**64), "abc", "", "0x10"])
+_SMALL_INTS = st.sampled_from(["-1", "0", "1", "3", "x"])
+_FILES = st.sampled_from(
+    [str(GOLDEN / name) for name in ("measurement.qpn", "entanglement.qpn", "zeno_n4.qpn")]
+    + ["no-such-file.qpn"]
+)
+
+
+@st.composite
+def _argv(draw):
+    command = draw(st.sampled_from(["simulate", "measure", "check", "oracle", "tables", "validate"]))
+    flags = []
+
+    def maybe(flag, values):
+        if draw(st.booleans()):
+            flags.extend([flag, draw(values)])
+
+    if command == "simulate":
+        flags.append(draw(_FILES))
+        maybe("--policy", st.sampled_from(["det", "born", "x"]))
+        maybe("--seed", _SMALL_INTS)
+        maybe("--max-steps", _SMALL_INTS)
+    elif command == "measure":
+        flags.append(draw(_FILES))
+        flags += ["--runs", draw(_SMALL_INTS)]
+        maybe("--seed", _SMALL_INTS)
+        if draw(st.booleans()):
+            flags.append("--expect")
+    elif command == "check":
+        flags.append(draw(_FILES))
+        flags += ["--pred", draw(st.sampled_from(["m(p3)==m(p5)", "0==0", "m(p9)==1", "m(p3)=="]))]
+        maybe("--max-states", _SMALL_INTS)
+    elif command == "oracle":
+        flags.append(draw(st.sampled_from(["zeno", "passing", "blocking"])))
+        flags += ["--n", draw(_SMALL_INTS)]
+        maybe("--m", _SMALL_INTS)
+    elif command == "tables":
+        maybe("--mode", st.sampled_from(["passing", "blocking", "both"]))
+        # always small cells: without --N/--M the command runs the full grid
+        flags += ["--N", draw(st.sampled_from(["2", "2,3", "0", "", "x"]))]
+        flags += ["--M", draw(st.sampled_from(["2", "3", "-1", ","]))]
+        maybe("--tol-passing", st.sampled_from(["0.1", "-1", "nan", "x"]))
+        maybe("--format", st.sampled_from(["csv", "md"]))
+    else:
+        flags.append(draw(_FILES))
+    return [command, *flags]
+
+
+@settings(max_examples=80, deadline=None)
+@given(_argv(), _SEED_ENV)
+def test_main_only_returns_documented_codes(argv, seed_env):
+    """Any flags and QPN_SEED value end in exit code 0-3, never an exception."""
+    env = dict(os.environ)
+    env.pop("QPN_SEED", None)
+    if seed_env is not None:
+        env["QPN_SEED"] = seed_env
+    out, err = io.StringIO(), io.StringIO()
+    with mock.patch.dict(os.environ, env, clear=True), redirect_stdout(out), redirect_stderr(err):
+        code = main(argv)
+    assert code in (0, 1, 2, 3)
+    if code == 2 and not err.getvalue().startswith("usage:"):
+        assert err.getvalue().count("\n") == 1
 
 
 class TestOracleCmd:

@@ -1,11 +1,13 @@
 """Weight-expression language: parsing, evaluation, formatting, compilation."""
 
 import math
+import struct
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from qpn import expr as expr_module
 from qpn.errors import (
     DivisionByZeroError,
     EvaluationError,
@@ -31,6 +33,7 @@ from qpn.expr import (
     Subtract,
     compile_fn,
     evaluate,
+    fold_constants,
     format_expr,
     free_places,
     parse,
@@ -254,3 +257,72 @@ def test_compiled_matches_tree_walk(tree, values):
                 raise NonFiniteResultError(str(value))
         return
     assert fn(marking) == pytest.approx(expected, rel=1e-15, abs=1e-300)
+
+
+def _same_outcome(tree, folded, env):
+    """Both raise the same error class, or both give the same bits."""
+    try:
+        expected = evaluate(tree, env)
+    except EvaluationError as e:
+        with pytest.raises(type(e)):
+            evaluate(folded, env)
+        return None
+    assert struct.pack("d", evaluate(folded, env)) == struct.pack("d", expected)
+    return expected
+
+
+@settings(max_examples=300, deadline=None)
+@given(
+    _exprs(),
+    st.lists(
+        st.floats(min_value=-100.0, max_value=100.0, allow_nan=False),
+        min_size=len(_PLACES),
+        max_size=len(_PLACES),
+    ),
+)
+def test_folding_is_bit_identical(tree, values):
+    """Folded trees, and the code compiled from them, evaluate to the same bits."""
+    env = dict(zip(_PLACES, values))
+    folded = fold_constants(tree)
+    expected = _same_outcome(tree, folded, env)
+    if expected is not None:
+        fn = compile_fn(tree, {p: i for i, p in enumerate(_PLACES)})
+        assert struct.pack("d", fn([env[p] for p in _PLACES])) == struct.pack("d", expected)
+
+
+class TestFoldConstants:
+    def test_place_free_subtree_becomes_literal(self):
+        folded = fold_constants(parse("cos(pi/(2*2500))*m(p21)"))
+        assert folded == Multiply(Constant(math.cos(math.pi / (2.0 * 2500.0))), MarkRef("p21"))
+
+    def test_negation_folds_to_signed_constant(self):
+        assert fold_constants(parse("-0")) == Constant(-0.0)
+        assert fold_constants(parse("m(a)*-2")) == Multiply(MarkRef("a"), Constant(-2.0))
+
+    @pytest.mark.parametrize("text", ["1/0", "sqrt(0-1)", "(0-1)^0.5", "10^400", "cos(10^400)"])
+    def test_faulting_subtree_is_kept(self, text):
+        tree = parse(text)
+        folded = fold_constants(tree)
+        assert type(folded) is type(tree)
+        with pytest.raises(EvaluationError) as expected:
+            evaluate(tree, {})
+        with pytest.raises(type(expected.value)):
+            evaluate(folded, {})
+
+    def test_finite_parent_of_infinite_child_folds(self):
+        # 1/inf is 0.0 in both the tree walk and emitted code
+        assert fold_constants(parse("1/(1e308*10)")) == Constant(0.0)
+
+    def test_negative_literal_compiles(self):
+        fn = compile_fn(parse("m(a)--2"), {"a": 0})
+        assert fn([1.0]) == 3.0
+
+
+def test_parse_returns_cached_tree():
+    assert parse("m(p19)-m(p21)") is parse("m(p19)-m(p21)")
+
+
+def test_parse_cache_is_bounded():
+    for i in range(expr_module._PARSED_MAX + 10):
+        assert parse(f"{i}+m(p1)") == Add(Constant(float(i)), MarkRef("p1"))
+    assert len(expr_module._PARSED) == expr_module._PARSED_MAX

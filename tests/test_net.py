@@ -2,6 +2,8 @@
 
 import math
 import random
+import struct
+import sys
 
 import pytest
 from hypothesis import given, settings
@@ -17,7 +19,7 @@ from qpn.errors import (
     QpnError,
     ZeroWeightGroupError,
 )
-from qpn.expr import evaluate
+from qpn.expr import Constant, Divide, evaluate
 from qpn.models import ProtocolParams, entanglement_net, measurement_net, zeno_net
 from qpn.net import (
     Arc,
@@ -29,12 +31,15 @@ from qpn.net import (
     RunConfig,
     TerminalStatus,
     TransitionDecl,
+    _execute,
     conflict_groups,
+    enabled_transitions,
     fire,
     is_enabled,
     run,
     run_final,
     step,
+    validate_marking,
 )
 
 A = PlaceKind.AMPLITUDE
@@ -716,3 +721,306 @@ def test_run_engine_equals_step_loop_on_random_nets(net_and_marking, seed, born)
     assert list(trace.steps) == steps
     if status == TerminalStatus.QUIESCENT:
         assert trace.status == TerminalStatus.QUIESCENT
+
+
+# --- exactness of the fused run steps on nets with counter places ---------------------
+
+# counter m0 values validate_marking admits: signed zeros and values within 1e-9 of an integer
+_COUNTER_M0 = (0.0, -0.0, 1.0, 2.0, 3.0, 1.0000000001, 0.9999999999, -1e-10, 1e-10, 2.0000000005)
+_AMPLITUDE_M0 = (0.0, -0.0, 0.5, -1.25, 1e-10, 3.0)
+_MIXED_WEIGHTS = (
+    "1", "2", "0", "-0", "0.5", "0-1", "1.0000000001", "m(q0)", "m(q1)+1", "m(q2)*0.5",
+    "cos(pi/(2*2500))", "1/m(q3)", "m(q0)-m(q1)",
+)
+
+
+@st.composite
+def _counter_net_and_marking(draw):
+    """Random nets mixing counter and amplitude places, with an admissible m0."""
+    kinds = [draw(st.sampled_from([C, C, A])) for _ in range(4)]
+    places = [PlaceDecl(f"q{i}", kind, 0.0) for i, kind in enumerate(kinds)]
+    n_trans = draw(st.integers(min_value=1, max_value=4))
+    transitions = [TransitionDecl(f"t{t}", draw(st.integers(0, 1))) for t in range(n_trans)]
+    arcs = []
+    for t in range(n_trans):
+        for _ in range(draw(st.integers(min_value=0, max_value=2))):
+            src = f"q{draw(st.integers(0, 3))}"
+            kind = draw(st.sampled_from([ArcKind.CONSUME, ArcKind.CONSUME, ArcKind.GUARD, ArcKind.DRAIN]))
+            weight = f"m({src})" if kind == ArcKind.DRAIN else draw(st.sampled_from(_MIXED_WEIGHTS))
+            arcs.append(Arc(src, f"t{t}", weight, kind))
+        for _ in range(draw(st.integers(min_value=0, max_value=3))):
+            dst = f"q{draw(st.integers(0, 3))}"
+            arcs.append(Arc(f"t{t}", dst, draw(st.sampled_from(_MIXED_WEIGHTS))))
+    net = PetriNet("mixed", places, transitions, arcs)
+    marking = [
+        draw(st.sampled_from(_COUNTER_M0 if kind == C else _AMPLITUDE_M0)) for kind in kinds
+    ]
+    return net, marking
+
+
+def _bits(m):
+    """The exact bytes of a marking: -0.0 and 0.0 differ."""
+    return struct.pack(f"{len(m)}d", *m)
+
+
+def _step_loop(net, m0, config):
+    """run() spelled as a step() loop; errors carry the step run() reports.
+
+    An enabling test that faults before step i re-tests the marking that step
+    i-1 wrote, which run() reports as part of step i-1.
+    """
+    rng = random.Random(config.seed)
+    m = list(m0)
+    steps = []
+    for i in range(config.max_steps):
+        try:
+            enabled_transitions(net, m, config.epsilon)
+        except QpnError as e:
+            e.step_index = max(i - 1, 0)
+            return steps, e
+        try:
+            result = step(net, m, config, rng)
+        except QpnError as e:
+            e.step_index = i
+            return steps, e
+        if result is None:
+            return steps, TerminalStatus.QUIESCENT
+        steps.append(result)
+        m = result[1]
+    return steps, TerminalStatus.STEP_LIMIT
+
+
+def reference_fire(net, m, tid):
+    """Tree-walk firing with the reference result checks.
+
+    After manual_fire: a deposit target that is not finite raises, then each
+    counter place the transition touches is snapped to the integer within
+    1e-9 of it, or raises.
+    """
+    out = manual_fire(net, m, tid)
+    for arc in net.output_arcs(tid):
+        value = out[net.place_index[arc.target]]
+        if not math.isfinite(value):
+            raise NonFiniteResultError(f"firing {tid} left place {arc.target} at {value!r}")
+    touched = [
+        arc.source if arc.target == tid else arc.target
+        for arc in net.arcs
+        if arc.source == tid or (arc.target == tid and arc.kind != ArcKind.GUARD)
+    ]
+    for place_id in dict.fromkeys(touched):
+        p = net.place_index[place_id]
+        if net.places[p].kind == C:
+            value = out[p]
+            nearest = round(value)
+            if value < -1e-9 or abs(value - nearest) > 1e-9:
+                raise CounterViolationError(
+                    f"firing {tid} left counter place {place_id} at {value!r}"
+                )
+            out[p] = nearest + 0.0
+    return out
+
+
+@settings(max_examples=300, deadline=None)
+@given(_counter_net_and_marking(), st.integers(min_value=0, max_value=2**16), st.booleans())
+def test_run_matches_step_loop_bit_for_bit_on_counter_nets(net_and_marking, seed, born):
+    """Every marking, status and error of run() equals the step() loop's, to the bit."""
+    net, marking = net_and_marking
+    policy = Policy.BORN_RANDOM if born else Policy.DETERMINISTIC_PRIORITY
+    config = RunConfig(policy=policy, seed=seed, max_steps=10)
+    expected_steps, expected_end = _step_loop(net, marking, config)
+    try:
+        trace = run(net, marking, config)
+    except QpnError as e:
+        assert isinstance(expected_end, QpnError), f"run raised {e!r}, the loop ended {expected_end}"
+        assert type(e) is type(expected_end)
+        assert str(e) == str(expected_end)
+        assert e.step_index == expected_end.step_index
+        return
+    assert trace.status == expected_end
+    assert [(tid, _bits(m)) for tid, m in trace.steps] == [
+        (tid, _bits(m)) for tid, m in expected_steps
+    ]
+    for _, m in trace.steps:
+        validate_marking(net, m)
+    final = run_final(net, marking, config)
+    assert _bits(final.marking) == _bits(trace.final)
+    assert final.firings == len(trace.steps)
+
+
+@settings(max_examples=300, deadline=None)
+@given(_counter_net_and_marking())
+def test_fire_matches_reference_on_counter_nets(net_and_marking):
+    """fire() equals the tree-walk firing with counter snapping, to the bit."""
+    net, marking = net_and_marking
+    for tid in net.transition_ids():
+        try:
+            if not manual_enabled(net, marking, tid):
+                continue
+            expected = reference_fire(net, marking, tid)
+        except QpnError as e:
+            with pytest.raises(type(e)) as err:
+                fire(net, marking, tid)
+            if not isinstance(e, EvaluationError):  # the engine also names the arc
+                assert str(err.value) == str(e)
+            continue
+        assert _bits(fire(net, marking, tid)) == _bits(expected)
+
+
+class TestFusedStep:
+    def _recheck_fault_net(self):
+        # t1 drains p2 and deposits 1/m(p2), read pre-fire; the re-test of t2,
+        # whose guard weight is 1/m(p2), then divides by zero.  t1's own
+        # weight faults on the post-fire marking too, so diagnosing t1 there
+        # would name the wrong arc.
+        return PetriNet(
+            "recheck",
+            [PlaceDecl("c", C, 1), PlaceDecl("p2", A, 1.0), PlaceDecl("out", A, 0.0)],
+            ["t1", "t2"],
+            [
+                Arc("c", "t1"),
+                Arc("p2", "t1", "m(p2)", ArcKind.DRAIN),
+                Arc("t1", "out", "1/m(p2)"),
+                Arc("out", "t2", "1/m(p2)", ArcKind.GUARD),
+            ],
+        )
+
+    @pytest.mark.parametrize("runner", [run, run_final])
+    def test_recheck_fault_names_retested_arc(self, runner):
+        net = self._recheck_fault_net()
+        with pytest.raises(DivisionByZeroError) as err:
+            runner(net, net.initial_marking(), RunConfig())
+        assert err.value.step_index == 0
+        assert str(err.value).startswith("arc out->t2 w=1/m(p2): ")
+        assert str(err.value).endswith("(at step 0)")
+
+    def test_recheck_fault_reported_after_the_firing(self):
+        net = self._recheck_fault_net()
+        seen = []
+        with pytest.raises(DivisionByZeroError):
+            _execute(net, net.initial_marking(), RunConfig(), on_fire=lambda tid, m: seen.append((tid, list(m))))
+        assert seen == [("t1", [0.0, 0.0, 1.0])]
+
+    def test_fire_checks_the_marking(self):
+        net = PetriNet("c", [PlaceDecl("a", C, 1)], ["t"], [Arc("a", "t")])
+        for marking in ([math.inf], [math.nan], [0.5], [-1.0]):
+            with pytest.raises(QpnError):
+                fire(net, marking, "t")
+            with pytest.raises(QpnError):
+                step(net, marking, RunConfig(), random.Random(0))
+
+    def test_counter_snaps_like_round(self):
+        # 1.0000000001 - 1 is not 0 and -0.0 is not 0.0: both snap to 0.0
+        net = PetriNet(
+            "snap",
+            [PlaceDecl("a", C, 0), PlaceDecl("b", C, 0)],
+            ["t"],
+            [Arc("a", "t"), Arc("t", "b", "-0")],
+        )
+        out = fire(net, [1.0000000001, -0.0], "t")
+        assert _bits(out) == _bits([0.0, 0.0])
+        final = run_final(net, [1.0000000001, -0.0], RunConfig())
+        assert _bits(final.marking) == _bits([0.0, 0.0])
+
+    @pytest.mark.parametrize(
+        "weight, overflows",
+        [(repr(2.0**970), True), (repr(math.nextafter(2.0**970, 0.0)), False)],
+    )
+    def test_constant_deposit_overflow_bound(self, weight, overflows):
+        # the largest float plus half its ulp rounds to inf; anything less stays finite
+        top = sys.float_info.max
+        net = PetriNet(
+            "edge", [PlaceDecl("c", C, 1), PlaceDecl("a", A, top)], ["t"],
+            [Arc("c", "t"), Arc("t", "a", weight)],
+        )
+        if overflows:
+            with pytest.raises(NonFiniteResultError):
+                fire(net, net.initial_marking(), "t")
+            with pytest.raises(NonFiniteResultError):
+                run_final(net, net.initial_marking(), RunConfig())
+        else:
+            assert fire(net, net.initial_marking(), "t")[1] == top
+            assert run_final(net, net.initial_marking(), RunConfig()).marking[1] == top
+
+    def test_non_finite_constant_weight(self):
+        # trees built through the API may hold inf; 1/inf folds to 0.0
+        net = PetriNet(
+            "inf", [PlaceDecl("c", C, 2), PlaceDecl("a", A, 0.0), PlaceDecl("b", A, 0.0)], ["t", "u"],
+            [Arc("c", "t"), Arc("t", "a", Divide(Constant(1.0), Constant(math.inf))),
+             Arc("c", "u"), Arc("u", "b", Constant(math.inf))],
+        )
+        assert fire(net, net.initial_marking(), "t") == [1.0, 0.0, 0.0]
+        with pytest.raises(NonFiniteResultError) as err:
+            fire(net, net.initial_marking(), "u")
+        assert "arc u->b" in str(err.value)
+
+    def test_folded_weight_is_bit_identical(self):
+        net = PetriNet(
+            "fold", [PlaceDecl("c", C, 1), PlaceDecl("a", A, 0.25)], ["t"],
+            [Arc("c", "t"), Arc("t", "a", "cos(pi/(2*2500))*m(a)-sin(pi/3)^2")],
+        )
+        expected = 0.25 + (math.cos(math.pi / (2.0 * 2500.0)) * 0.25 - math.pow(math.sin(math.pi / 3.0), 2.0))
+        assert _bits(run_final(net, net.initial_marking(), RunConfig()).marking) == _bits([0.0, expected])
+
+
+_RETEST_NETS = {
+    # 1e-10 added to a counter at 1.0000000001 is snapped to 1.0: the guard turns off
+    "snap-lowers": (
+        [PlaceDecl("go", C, 1), PlaceDecl("a", C, 1)],
+        [Arc("go", "t1"), Arc("t1", "a", "0.0000000001"), Arc("a", "t2", "1.0000000001", ArcKind.GUARD)],
+        [1.0, 1.0000000001],
+    ),
+    # a deposit that raises a drained place to zero disables the drain
+    "drain-not-monotone": (
+        [PlaceDecl("go", C, 1), PlaceDecl("a", A, -1.0), PlaceDecl("out", A, 0.0)],
+        [Arc("go", "t1"), Arc("t1", "a", "1"), Arc("a", "t2", "m(a)", ArcKind.DRAIN), Arc("t2", "out")],
+        None,
+    ),
+    # raising a lowers the guard test m(x) >= m(a)
+    "weight-reads-place": (
+        [PlaceDecl("go", C, 1), PlaceDecl("a", A, 0.0), PlaceDecl("x", A, 0.5)],
+        [Arc("go", "t1"), Arc("t1", "a", "1"), Arc("x", "t2", "m(a)", ArcKind.GUARD)],
+        None,
+    ),
+    # consume 2 then deposit 1 lowers the place although the last change raises it
+    "mixed-changes": (
+        [PlaceDecl("go", C, 1), PlaceDecl("a", C, 2)],
+        [Arc("go", "t1"), Arc("a", "t1", "2"), Arc("t1", "a", "1"), Arc("a", "t2", "2", ArcKind.GUARD)],
+        None,
+    ),
+}
+
+
+@pytest.mark.parametrize("name", sorted(_RETEST_NETS))
+def test_retest_after_each_firing(name):
+    """Each net fires t1 only: t1 turns t2 off although t2 was enabled at first."""
+    places, arcs, m0 = _RETEST_NETS[name]
+    net = PetriNet(name, places, ["t1", "t2"], arcs)
+    m0 = m0 or net.initial_marking()
+    assert enabled_transitions(net, m0) == ["t1", "t2"]
+    config = RunConfig(max_steps=5)
+    trace = run(net, m0, config)
+    assert trace.fired() == ["t1"]
+    assert trace.status == TerminalStatus.QUIESCENT
+    expected_steps, _ = _step_loop(net, m0, config)
+    assert [(tid, _bits(m)) for tid, m in trace.steps] == [(tid, _bits(m)) for tid, m in expected_steps]
+
+
+def test_first_faulting_retest_in_ordinal_order():
+    # draining z makes the weights of t1 and t2 divide by zero; a step() loop
+    # tests t1 first, and so does the run
+    net = PetriNet(
+        "twofaults",
+        [PlaceDecl("go", C, 1), PlaceDecl("z", A, 1.0), PlaceDecl("x", A, 1.0)],
+        ["t0", "t1", "t2"],
+        [
+            Arc("go", "t0"),
+            Arc("z", "t0", "m(z)", ArcKind.DRAIN),
+            Arc("x", "t2", "2/m(z)", ArcKind.GUARD),
+            Arc("x", "t1", "1/m(z)", ArcKind.GUARD),
+        ],
+    )
+    _, expected = _step_loop(net, net.initial_marking(), RunConfig())
+    with pytest.raises(DivisionByZeroError) as err:
+        run_final(net, net.initial_marking(), RunConfig())
+    assert str(err.value) == str(expected)
+    assert str(err.value).startswith("arc x->t1 w=1/m(z): ")

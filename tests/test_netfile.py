@@ -130,6 +130,19 @@ class TestErrors:
             load("net x\nplace p1 init=0.5 kind=counter\n")
         assert err.value.line == 2
 
+    @pytest.mark.parametrize("kind", ["amplitude", "counter"])
+    @pytest.mark.parametrize("value", ["inf", "-inf", "nan", "1e999"])
+    def test_non_finite_initial(self, kind, value):
+        with pytest.raises(NetFileSyntaxError) as err:
+            load(f"net x\nplace a init={value} kind={kind}\n")
+        assert err.value.line == 2
+
+    @pytest.mark.parametrize("value", ["inf", "1e999"])
+    def test_non_finite_k(self, value):
+        with pytest.raises(NetFileSyntaxError) as err:
+            load(f"net x\nplace a init=1 kind=amplitude\nk = {value}\n")
+        assert err.value.line == 3
+
     def test_bad_weight_expression(self):
         text = 'net x\nplace p1 init=1 kind=counter\ntrans t1\narc p1 -> t1 w="1++"\n'
         with pytest.raises(NetFileSyntaxError) as err:
