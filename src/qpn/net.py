@@ -22,8 +22,9 @@ from __future__ import annotations
 import enum
 import math
 import random
+import re
 from dataclasses import dataclass, replace
-from typing import Callable, Iterable, Sequence
+from typing import Callable, Container, Iterable, Sequence
 
 from . import expr as _expr
 from .errors import (
@@ -161,6 +162,30 @@ class FinalState:
     status: TerminalStatus
 
 
+def _normalize_arc(arc: Arc, places: Container[str], transitions: Container[str]) -> Arc:
+    """The arc with a parsed weight and its kind; raises NetDefinitionError if it is malformed."""
+    weight = arc.parsed_weight()
+    if arc.source in places and arc.target in transitions:
+        kind = arc.kind or ArcKind.CONSUME
+        if kind == ArcKind.DEPOSIT:
+            raise NetDefinitionError(f"input arc {arc.source}->{arc.target} cannot be a deposit")
+        if kind == ArcKind.DRAIN and weight != _expr.MarkRef(arc.source):
+            raise NetDefinitionError(
+                f"drain arc {arc.source}->{arc.target} must have weight m({arc.source})"
+            )
+    elif arc.source in transitions and arc.target in places:
+        if arc.kind not in (None, ArcKind.DEPOSIT):
+            raise NetDefinitionError(
+                f"output arc {arc.source}->{arc.target} must be a deposit, got {arc.kind.value}"
+            )
+        kind = ArcKind.DEPOSIT
+    else:
+        raise NetDefinitionError(
+            f"arc {arc.source}->{arc.target} does not connect a declared place and transition"
+        )
+    return replace(arc, weight=weight, kind=kind)
+
+
 class PetriNet:
     """Immutable net: ordered places/transitions, arcs with expression weights."""
 
@@ -185,30 +210,7 @@ class PetriNet:
     # -- construction helpers --------------------------------------------------
 
     def _normalize(self, arc: Arc) -> Arc:
-        weight = arc.parsed_weight()
-        src_is_place = arc.source in self.place_index
-        src_is_trans = arc.source in self.transition_index
-        dst_is_place = arc.target in self.place_index
-        dst_is_trans = arc.target in self.transition_index
-        if src_is_place and dst_is_trans:
-            kind = arc.kind or ArcKind.CONSUME
-            if kind == ArcKind.DEPOSIT:
-                raise NetDefinitionError(f"input arc {arc.source}->{arc.target} cannot be a deposit")
-            if kind == ArcKind.DRAIN and weight != _expr.MarkRef(arc.source):
-                raise NetDefinitionError(
-                    f"drain arc {arc.source}->{arc.target} must have weight m({arc.source})"
-                )
-        elif src_is_trans and dst_is_place:
-            if arc.kind not in (None, ArcKind.DEPOSIT):
-                raise NetDefinitionError(
-                    f"output arc {arc.source}->{arc.target} must be a deposit, got {arc.kind}"
-                )
-            kind = ArcKind.DEPOSIT
-        else:
-            raise NetDefinitionError(
-                f"arc {arc.source}->{arc.target} does not connect a declared place and transition"
-            )
-        return replace(arc, weight=weight, kind=kind)
+        return _normalize_arc(arc, self.place_index, self.transition_index)
 
     def _validate(self) -> None:
         if not self.places and not self.transitions:
@@ -332,6 +334,19 @@ _FAULTS = (ArithmeticError, ValueError)
 _SAFE_DEPOSIT = 2.0**970
 
 
+# A deterministic run with no on_fire looks for a hot loop every _CHUNK
+# firings.  It records the flag states of up to _MAX_PERIOD firings; once a
+# state comes back, the states in between are a period.  A period seen _HOT
+# times (about _HOT * _CHUNK firings, enough to repay its compile cost) is
+# compiled by _CompiledNet.loop and from then on runs whole periods per call.
+_CHUNK = 64
+_MAX_PERIOD = 8
+_HOT = 32
+
+_PLACE_REF = re.compile(r"\bm\[(\d+)\]")
+_EPS_BOUND = re.compile(r">= (-?\d[^ ]*) - eps")  # a constant weight's enabling threshold
+
+
 class _RecheckFault(Exception):
     """A re-test inside a generated step faulted after the firing was written."""
 
@@ -344,6 +359,18 @@ def _nonfinite(values: list[str]) -> str:
     """Generated test, true when any value is nan or infinite."""
     # x - x is 0.0 for every finite x, so the sum is 0.0 iff all are finite
     return " + ".join(f"{v} - {v}" for v in values) + " != 0.0"
+
+
+class _Loop:
+    """A compiled period: run(m, eps, budget) -> (firings done, transition left to finish or -1)."""
+
+    __slots__ = ("run", "period", "single", "firings")
+
+    def __init__(self, run: Callable[[Marking, float, int], tuple[int, int]], period: int, single: bool):
+        self.run = run
+        self.period = period
+        self.single = single  # one transition enabled in every state of the period
+        self.firings = 0      # firings done by run, over all runs of the net
 
 
 class _CompiledTransition:
@@ -401,23 +428,31 @@ class _CompiledNet:
         for ct in self.trans:
             # in ordinal order, so a run reports the fault a step() loop meets first
             ct.recheck = tuple(sorted({tj for p in ct.touched for tj in dependents[p]}))
-        tests = [self._enabling_test(ti, ct) for ti, ct in enumerate(self.trans)]
-        enabled = self._define("m, eps", [[f"    return {test}"] for test in tests])
-        steps = self._define("m, eps, flags", [self._step(ti, tests) for ti in range(len(self.trans))])
+        self._tests = [self._enabling_test(ti, ct) for ti, ct in enumerate(self.trans)]
+        enabled = self._define("m, eps", [[f"    return {test}"] for test in self._tests])
+        steps = self._define("m, eps, flags", [self._step(ti) for ti in range(len(self.trans))])
         for ct, enabled_fn, step_fn in zip(self.trans, enabled, steps):
             ct.enabled, ct.step = enabled_fn, step_fn
         self._fire: list[Callable[[Marking], None]] | None = None
         self._born: list[Callable[[Sequence[float]], float]] | None = None
+        self.loops: dict[bytes, _Loop] = {}  # compiled periods by their head flag state
+        self._sightings: dict[bytes, int] = {}
 
-    def _step(self, ti: int, tests: list[str]) -> list[str]:
+    def _signs(self, tj: int, moves: dict[int, int]) -> set[int]:
+        """{1} if a firing with these moves can only enable tj, {-1} if only disable it.
+
+        A re-test skipped on a flag it cannot change would evaluate as it did
+        last time.
+        """
+        reads = self.trans[tj].reads
+        return {moves[p] if reads[p] else 0 for p in moves if p in reads}
+
+    def _step(self, ti: int) -> list[str]:
         """Lines of ti's step: fire, re-test the recheck set, return the change in the count."""
         retests = []
         moves = self._moves(ti)
         for tj in self.trans[ti].recheck:
-            test, reads = tests[tj], self.trans[tj].reads
-            # {1}: the firing can only enable tj, {-1}: only disable it.  A
-            # re-test skipped on its flag would evaluate as it did last time.
-            signs = {moves[p] if reads[p] else 0 for p in moves if p in reads}
+            test, signs = self._tests[tj], self._signs(tj, moves)
             if tj == ti:  # a step runs only while its own flag is set
                 if signs != {1}:
                     retests.append(f"        if not ({test}): flags[{ti}] = 0; d -= 1")
@@ -512,12 +547,13 @@ class _CompiledNet:
             terms.append(f"m[{p}] >= {w} - eps")
         return " and ".join(terms) or "True"
 
-    def _firing(self, ti: int) -> list[str]:
+    def _firing(self, ti: int, slow: str | None = None) -> list[str]:
         """Lines that apply one firing of transition ti to ``m`` in place.
 
         Weights are bound before any write, so a fault leaves the marking
         unchanged; then come consumes, drains and deposits in arc order, the
-        overflow test and the counter checks.
+        overflow test and the counter checks.  ``slow`` replaces the call made
+        when one of these tests fails.
         """
         ct = self.trans[ti]
         index = self.net.place_index
@@ -551,15 +587,75 @@ class _CompiledNet:
             keeps_zero_sign[p] = keeps_zero_sign.get(p, True) and keeps
         lines = binds + lines + consumes + drains + deposits
         if checked:
-            lines.append(f"    if {_nonfinite([f'm[{p}]' for p in checked])}: _overflow({ti}, m)")
+            lines.append(f"    if {_nonfinite([f'm[{p}]' for p in checked])}: {slow or f'_overflow({ti}, m)'}")
         counters = [p for p in ct.touched if self.net.places[p].kind == PlaceKind.COUNTER]
         # + 0.0 turns -0.0 into 0.0, as round() does; then a non-negative
         # integral value passes as is and any other takes the slow path
         lines += [f"    m[{p}] += 0.0" for p in counters if keeps_zero_sign[p]]
         if counters:
             test = " or ".join(f"m[{p}] < 0.0 or m[{p}] % 1.0" for p in counters)
-            lines.append(f"    if {test}: _snap({ti}, m)")
+            lines.append(f"    if {test}: {slow or f'_snap({ti}, m)'}")
         return lines
+
+    def sighted(self, period: list[bytes]) -> None:
+        """Count a sighting of the period through these flag states; compile it once hot."""
+        head = min(period)
+        if head in self.loops:
+            return
+        seen = self._sightings[head] = self._sightings.get(head, 0) + 1
+        if seen >= _HOT:
+            start = period.index(head)
+            self.loops[head] = self.loop(period[start:] + period[:start])
+
+    def loop(self, states: list[bytes]) -> _Loop:
+        """Compile the period through these flag states into one loop over locals.
+
+        Firing i is the first enabled transition of states[i] in priority
+        order.  It runs _firing's lines with each m[p] renamed to a local
+        x<p>, so every float operation is the one a step makes, and each
+        re-test that step would make becomes a guard that the flag recorded
+        in states[i + 1] comes out again.  The function runs whole periods
+        while they fit in ``budget`` firings.  It leaves the loop on a guard
+        miss (after the firing), on a weight fault (before it), or when a
+        result test fails (after the writes, before the checks, whose
+        transition it returns).  It writes the locals back and returns the
+        firings done.
+        """
+        n = len(states)
+        body, written, bounds, guards = [], set(), {}, []
+        for i, pre in enumerate(states):
+            post = states[(i + 1) % n]
+            ti = next(t for t in self.order if pre[t])
+            written.update(self.trans[ti].touched)
+            if i == 0 or not guards:  # else the last step's guards set at = i
+                body.append(f"at = {i}")
+            body += [line.strip() for line in self._firing(ti, f"at = {i}; fix = {ti}; break")]
+            moves, guards = self._moves(ti), []
+            for tj in self.trans[ti].recheck:
+                signs = self._signs(tj, moves)
+                if not (signs == {1} and pre[tj] or signs == {-1} and not pre[tj]):  # _step re-tests it
+                    test = _EPS_BOUND.sub(lambda b: ">= " + bounds.setdefault(b[1], f"k{len(bounds)}"),
+                                          self._tests[tj])
+                    guards.append(f"not ({test})" if post[tj] else f"({test})")
+            if guards:
+                body += [f"at = {i + 1}", f"if {' or '.join(guards)}: break"]
+        text = "\n".join(f"            {line}" for line in body)
+        places = sorted({int(p) for p in _PLACE_REF.findall(text)})
+        lines = [f"    x{p} = m[{p}]" for p in places]
+        lines += [f"    {name} = {weight} - eps" for weight, name in bounds.items()]
+        lines += ["    done = at = 0", "    fix = -1", "    try:", "        while done < budget:",
+                  _PLACE_REF.sub(r"x\1", text), f"            done += {n}", "        else:",
+                  "            at = 0", "    except _FAULTS:", "        pass"]
+        lines += [f"    m[{p}] = x{p}" for p in sorted(written)]
+        lines.append("    return done + at, fix")
+        single = all(sum(state) == 1 for state in states)
+        return _Loop(self._define("m, eps, budget", [lines])[0], n, single)
+
+    def finish(self, ti: int, m: Marking) -> None:
+        """The result checks of a firing of ti a loop wrote but left unchecked."""
+        if any(not math.isfinite(m[self.net.place_index[a.target]]) for a in self.trans[ti].out_arcs):
+            self._raise_overflow(ti, m)
+        self._snap_counters(ti, m)
 
     def _raise_overflow(self, ti: int, m: Marking) -> None:
         """Name the first deposit target of ti that is no longer finite."""
@@ -621,6 +717,14 @@ class _CompiledNet:
 
     def enabled_ordinals(self, m: Sequence[float], eps: float, step_index: int | None = None) -> list[int]:
         return [ti for ti in range(len(self.trans)) if self.enabled(ti, m, eps, step_index)]
+
+    def enabled_flags(self, m: Sequence[float], eps: float, step_index: int) -> tuple[bytearray, int]:
+        """The enabled flag of every transition, and how many are set."""
+        enabled = self.enabled_ordinals(m, eps, step_index)
+        flags = bytearray(len(self.trans))
+        for ti in enabled:
+            flags[ti] = 1
+        return flags, len(enabled)
 
     def fire_into(self, ti: int, m: Marking) -> None:
         """Apply one firing of an enabled transition to a finite marking in place.
@@ -819,52 +923,88 @@ def _execute(
 
     trans = cnet.trans
     n_trans = len(trans)
-    flags = bytearray(n_trans)
-    initially = cnet.enabled_ordinals(m, eps, 0)
-    for ti in initially:
-        flags[ti] = 1
-    count = len(initially)
+    flags, count = cnet.enabled_flags(m, eps, 0)
 
     order = cnet.order
     steps = [ct.step for ct in trans]
-    for step_index in range(config.max_steps):
-        if count == 0:
-            return FinalState(m, step_index, TerminalStatus.QUIESCENT)
-        if count > 1 and require_single_enabled:
-            names = [trans[i].tid for i in range(n_trans) if flags[i]]
-            raise DeterminismViolationError(
-                f"{len(names)} transitions enabled simultaneously after {step_index} firings: {names}"
-            )
-        if deterministic:
-            if simple_order:
-                ti = flags.find(1)
+    max_steps = config.max_steps
+    traced = deterministic and on_fire is None  # the next firing depends on flags alone
+    path: list[bytes] | None = None  # flag states recorded since the last look
+    start = 0
+    while True:
+        stop = min(start + (_CHUNK if path is None else 1), max_steps) if traced else max_steps
+        for step_index in range(start, stop):
+            if count == 0:
+                return FinalState(m, step_index, TerminalStatus.QUIESCENT)
+            if count > 1 and require_single_enabled:
+                names = [trans[i].tid for i in range(n_trans) if flags[i]]
+                raise DeterminismViolationError(
+                    f"{len(names)} transitions enabled simultaneously after {step_index} firings: {names}"
+                )
+            if deterministic:
+                if simple_order:
+                    ti = flags.find(1)
+                else:
+                    ti = next(i for i in order if flags[i])
             else:
-                ti = next(i for i in order if flags[i])
-        else:
-            # BornRandom draws once per step, also for singleton groups,
-            # so run() matches a manual step() loop draw for draw
-            enabled = [i for i in order if flags[i]]
+                # BornRandom draws once per step, also for singleton groups,
+                # so run() matches a manual step() loop draw for draw
+                enabled = [i for i in order if flags[i]]
+                try:
+                    ti = _born_choice(cnet, m, enabled, rng)
+                except QpnError as e:
+                    e.step_index = step_index
+                    raise
             try:
-                ti = _born_choice(cnet, m, enabled, rng)
-            except QpnError as e:
+                count += steps[ti](m, eps, flags)
+            except QpnError as e:  # the generated result checks
                 e.step_index = step_index
                 raise
-        try:
-            count += steps[ti](m, eps, flags)
-        except QpnError as e:  # the generated result checks
-            e.step_index = step_index
-            raise
-        except _FAULTS:
-            cnet.diagnose(ti, m, step_index)
-            raise
-        except _RecheckFault as fault:
-            # the firing is written: report it, then name the re-test at fault
+            except _FAULTS:
+                cnet.diagnose(ti, m, step_index)
+                raise
+            except _RecheckFault as fault:
+                # the firing is written: report it, then name the re-test at fault
+                if on_fire is not None:
+                    on_fire(trans[ti].tid, m)
+                for tj in trans[ti].recheck:
+                    cnet.enabled(tj, m, eps, step_index)
+                raise fault.__context__ from None
             if on_fire is not None:
                 on_fire(trans[ti].tid, m)
-            for tj in trans[ti].recheck:
-                cnet.enabled(tj, m, eps, step_index)
-            raise fault.__context__ from None
-        if on_fire is not None:
-            on_fire(trans[ti].tid, m)
+        if stop == max_steps:
+            break
+        # a look for a hot loop: run the compiled one, or record the flag states
+        start = stop
+        state = bytes(flags)
+        loop = cnet.loops.get(state)
+        if loop is not None and (loop.single or not require_single_enabled):
+            path = None
+            budget = (max_steps - start) // loop.period * loop.period
+            if not budget:
+                continue
+            fired, pending = loop.run(m, eps, budget)
+            loop.firings += fired
+            start += fired
+            if pending >= 0:
+                try:
+                    cnet.finish(pending, m)
+                except QpnError as e:
+                    e.step_index = start
+                    raise
+                start += 1
+            if start > stop:
+                # every enabling test but the last firing's re-tests reads what
+                # it read last time, so this raises the fault a step would
+                flags, count = cnet.enabled_flags(m, eps, start - 1)
+        elif path is None:
+            path = [state]
+        elif state in path:
+            cnet.sighted(path[path.index(state):])
+            path = None
+        elif len(path) < _MAX_PERIOD:
+            path.append(state)
+        else:
+            path = None
     status = TerminalStatus.QUIESCENT if count == 0 else TerminalStatus.STEP_LIMIT
-    return FinalState(m, config.max_steps, status)
+    return FinalState(m, max_steps, status)

@@ -31,7 +31,7 @@ from .errors import (
     NetFileSyntaxError,
     UndeclaredReferenceError,
 )
-from .net import Arc, ArcKind, PetriNet, PlaceDecl, PlaceKind, Policy, TransitionDecl
+from .net import Arc, ArcKind, PetriNet, PlaceDecl, PlaceKind, Policy, TransitionDecl, _normalize_arc
 from .quantum import QuantumMapping
 
 __all__ = ["ConfigOverrides", "NetDocument", "load", "save"]
@@ -306,6 +306,10 @@ def load(text: str) -> NetDocument:
                 raise UndeclaredReferenceError(
                     f"weight references undeclared place {ref}", lineno
                 )
+        try:
+            _normalize_arc(arc, place_lines, trans_lines)
+        except NetDefinitionError as e:
+            raise NetFileSyntaxError(str(e), lineno) from None
     for pid, lineno in map_lines.items():
         if pid not in place_lines:
             raise UndeclaredReferenceError(f"mapped place {pid} is not declared", lineno)

@@ -184,6 +184,21 @@ class TestErrors:
         doc = load('net x\nplace p1 init=0 kind=amplitude\nmap p1 = "a#b"  # real comment\n')
         assert doc.mapping.assignments == (("p1", "a#b"),)
 
+    @pytest.mark.parametrize(
+        "arc, message",
+        [
+            ('arc a -> t w="2" kind=drain', "drain arc a->t must have weight m(a)"),
+            ("arc t -> a kind=guard", "output arc t->a must be a deposit, got guard"),
+            ("arc a -> b", "arc a->b does not connect a declared place and transition"),
+        ],
+    )
+    def test_arc_definition_error_line(self, arc, message):
+        text = f"net x\nplace a init=1 kind=counter\nplace b init=0 kind=counter\ntrans t\n{arc}\n"
+        with pytest.raises(NetFileSyntaxError) as err:
+            load(text)
+        assert err.value.line == 5
+        assert str(err.value) == f"line 5: {message}"
+
     def test_corruptions_reported_at_their_line(self):
         """Appending a junk token to any statement names exactly that line."""
         text = (GOLDEN / "measurement.qpn").read_text()
@@ -273,3 +288,52 @@ def test_generated_round_trip(doc):
     else:
         assert loaded.config is None
     assert save(loaded) == text
+
+
+# --- mutated golden files -------------------------------------------------------------
+
+_TOKENS = (
+    "", "net", "place", "trans", "arc", "k", "map", "config", "->", "=", '"', "#", "p1", "t1", "zz",
+    "init=", "init=-1", "init=0.5", "init=inf", "init=1e999", "kind=drain", "kind=guard",
+    "kind=deposit", "kind=amplitude", "w=", 'w="1/0"', 'w="m(p1)"', 'w="m(', 'w="sqrt(0-1)"',
+    "priority=x", "priority=-3", "max_steps=0", "seed=-1", "policy=born", '"e1"', "0", "-1", "nan",
+)
+
+
+@st.composite
+def _mutated_golden(draw):
+    """A golden file with lines dropped, duplicated or swapped and single tokens edited."""
+    name = draw(st.sampled_from(sorted(p.name for p in GOLDEN.glob("*.qpn"))))
+    lines = (GOLDEN / name).read_text().splitlines()
+    for _ in range(draw(st.integers(min_value=1, max_value=4))):
+        if not lines:
+            break
+        i = draw(st.integers(0, len(lines) - 1))
+        op = draw(st.sampled_from(["drop", "duplicate", "swap", "token"]))
+        if op == "drop":
+            del lines[i]
+        elif op == "duplicate":
+            lines.insert(i, lines[i])
+        elif op == "swap":
+            j = draw(st.integers(0, len(lines) - 1))
+            lines[i], lines[j] = lines[j], lines[i]
+        else:
+            tokens = lines[i].split(" ")
+            j = draw(st.integers(0, len(tokens)))
+            new = draw(st.one_of(st.sampled_from(_TOKENS), st.text(max_size=6)))
+            if j == len(tokens):
+                tokens.append(new)
+            else:
+                tokens[j] = new
+            lines[i] = " ".join(tokens)
+    return "\n".join(lines) + "\n"
+
+
+@settings(max_examples=400, deadline=None)
+@given(_mutated_golden())
+def test_load_of_mutated_golden_raises_only_netfile_errors(text):
+    """load either succeeds or raises a NetFileError, whatever the edit."""
+    try:
+        load(text)
+    except NetFileError as e:
+        assert e.line is None or e.line >= 1

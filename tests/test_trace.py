@@ -1,0 +1,278 @@
+"""The trace tier: hot periods of deterministic runs compiled into one loop.
+
+``run_final`` runs a recurring period of firings as a generated loop over
+local variables; ``run`` passes ``on_fire`` and a ``step()`` loop calls the
+plain generated code, so both serve as references.  Every comparison is bit
+for bit.
+"""
+
+import random
+import struct
+from unittest import mock
+
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+import qpn.net as net_module
+from qpn.errors import DeterminismViolationError, QpnError
+from qpn.models import (
+    ProtocolParams,
+    blocking_expected_firings,
+    passing_expected_firings,
+    slaz_blocking_net,
+    slaz_passing_net,
+    zeno_expected_firings,
+    zeno_net,
+)
+from qpn.net import (
+    Arc,
+    ArcKind,
+    PetriNet,
+    PlaceDecl,
+    PlaceKind,
+    RunConfig,
+    TerminalStatus,
+    TransitionDecl,
+    enabled_transitions,
+    run,
+    run_final,
+    step,
+)
+
+C, A = PlaceKind.COUNTER, PlaceKind.AMPLITUDE
+
+
+def _bits(m):
+    """The exact bytes of a marking: -0.0 and 0.0 differ."""
+    return struct.pack(f"{len(m)}d", *m)
+
+
+def _loop_firings(net):
+    return sum(loop.firings for loop in net.compiled().loops.values())
+
+
+# --- closed forms at sizes where a loop compiles ------------------------------------
+
+
+@pytest.mark.parametrize(
+    "build, expected",
+    [
+        (lambda: slaz_passing_net(ProtocolParams(N=700, M=3))[0], passing_expected_firings(700, 3)),
+        (lambda: slaz_blocking_net(ProtocolParams(N=1100, M=2))[0], blocking_expected_firings(1100, 2)),
+        (lambda: zeno_net(ProtocolParams(N=3000))[0], zeno_expected_firings(3000)),
+    ],
+    ids=["passing-700-3", "blocking-1100-2", "zeno-3000"],
+)
+def test_closed_form_firings_through_loops(build, expected):
+    net = build()
+    config = RunConfig(max_steps=expected + 8)
+    final = run_final(net, net.initial_marking(), config, require_single_enabled=True)
+    assert final.status == TerminalStatus.QUIESCENT
+    assert final.firings == expected
+    assert _loop_firings(net) > expected // 4  # the loop did a real share of the run
+    trace = run(build(), net.initial_marking(), config)
+    assert len(trace.steps) == expected
+    assert _bits(final.marking) == _bits(trace.final)
+
+
+def test_loop_is_reused_across_runs_and_budgets():
+    """A cached loop serves later runs, and max_steps cuts it only at whole periods."""
+    net, _ = zeno_net(ProtocolParams(N=3000))
+    m0 = net.initial_marking()
+    run_final(net, m0, RunConfig(max_steps=zeno_expected_firings(3000)))
+    [loop] = net.compiled().loops.values()
+    for max_steps in (100, 101, 102, 4001, 8997):
+        firings = loop.firings
+        expected = run(net, m0, RunConfig(max_steps=max_steps))
+        got = run_final(net, m0, RunConfig(max_steps=max_steps))
+        assert loop.firings > firings  # from the first look for a loop, at firing 64, on
+        assert (got.firings, got.status) == (len(expected.steps), expected.status)
+        assert _bits(got.marking) == _bits(expected.final)
+
+
+def _switch_net(switch_on):
+    """t0 fires 5000 times; s, of lower priority, is enabled from t0's switch_on-th firing."""
+    places = [PlaceDecl("r", C, 1.0), PlaceDecl("b", C, 5000.0), PlaceDecl("w", C, 0.0),
+              PlaceDecl("x", C, 1.0), PlaceDecl("out", A, 0.0)]
+    arcs = [Arc("r", "t0"), Arc("b", "t0"), Arc("t0", "r"), Arc("t0", "w"),
+            Arc("w", "s", str(switch_on), ArcKind.GUARD), Arc("x", "s"), Arc("s", "out", "0.5")]
+    return PetriNet("switch", places, [TransitionDecl("t0", 0), TransitionDecl("s", 1)], arcs)
+
+
+def test_cached_loop_with_two_enabled_respects_require_single_enabled():
+    """A loop through states with two enabled transitions never runs under the single check.
+
+    The first run compiles a period-1 loop in which t0 and s are both
+    enabled.  In the second, that state first appears after switch_on
+    firings; over this range of switch_on it falls on a look for a loop for
+    some values, and the run must stop there all the same.
+    """
+    for switch_on in range(120, 200):
+        net = _switch_net(switch_on)
+        m0 = net.initial_marking()
+        first = run_final(net, m0, RunConfig())
+        assert (first.firings, first.status) == (5001, TerminalStatus.QUIESCENT)
+        [loop] = net.compiled().loops.values()
+        assert not loop.single and loop.firings > 0
+        message = rf"after {switch_on} firings: \['t0', 's'\]"
+        with pytest.raises(DeterminismViolationError, match=message):
+            run_final(net, m0, RunConfig(), require_single_enabled=True)
+
+
+# --- a ring differential test with seeded hazards -----------------------------------
+
+_RING_WEIGHTS = (
+    "m(a0)*0.5", "0.5*m(a1)+0.25", "m(a0)-m(a1)", "sin(m(a0))", "m(r0)*0.75",
+    "cos(pi/(2*m(b)+2))", "0.25", "0-0.5", "m(a1)*m(a1)",
+)
+_HAZARDS = ("div_firing", "div_retest", "negative", "fractional", "overflow", "switch_on", "drain")
+
+
+@st.composite
+def _ring_case(draw):
+    """A token circulating through 2-5 transitions for hundreds of laps, with hazards.
+
+    Returns (net, config, require_single_enabled).
+    """
+    k = draw(st.integers(min_value=2, max_value=5))
+    laps = draw(st.integers(min_value=100, max_value=400))
+    places = [PlaceDecl(f"r{i}", C, 1.0 if i == 0 else 0.0) for i in range(k)]
+    places += [PlaceDecl("b", C, float(laps)), PlaceDecl("a0", A, 0.5), PlaceDecl("a1", A, -0.25)]
+    transitions = [TransitionDecl(f"t{i}", draw(st.integers(0, 2))) for i in range(k)]
+    arcs = [Arc("b", "t0")]
+    for i in range(k):
+        arcs += [Arc(f"r{i}", f"t{i}"), Arc(f"t{i}", f"r{(i + 1) % k}")]
+        for _ in range(draw(st.integers(min_value=0, max_value=2))):
+            target = draw(st.sampled_from(["a0", "a1"]))
+            arcs.append(Arc(f"t{i}", target, draw(st.sampled_from(_RING_WEIGHTS))))
+
+    def ring():
+        return f"t{draw(st.integers(0, k - 1))}"
+
+    for hazard in draw(st.sets(st.sampled_from(_HAZARDS), min_size=1, max_size=2)):
+        at_lap = draw(st.integers(min_value=30, max_value=laps + 20))
+        if hazard == "div_firing":  # 1/m(q) as q counts down to 0, in a deposit
+            places.append(PlaceDecl("q", A, float(at_lap)))
+            arcs += [Arc(ring(), "q", "0-1"), Arc(ring(), "a0", "1/m(q)")]
+        elif hazard == "div_retest":  # the same in a guard, so a re-test faults
+            places += [PlaceDecl("u", A, float(at_lap)), PlaceDecl("z", A, 1e9)]
+            arcs += [Arc(ring(), "u", "0-1"), Arc("z", ring(), "1/m(u)", ArcKind.GUARD)]
+        elif hazard == "negative":  # a counter driven below zero
+            places.append(PlaceDecl("c", C, float(at_lap)))
+            arcs.append(Arc(ring(), "c", "0-1"))
+        elif hazard == "fractional":  # snapped while within 1e-9, then a violation
+            places += [PlaceDecl("f", C, 0.0), PlaceDecl("h", A, 0.0)]
+            source = ring()
+            arcs += [Arc(source, "h", f"1/{at_lap}000000000"), Arc(source, "f", "m(h)")]
+        elif hazard == "overflow":  # a deposit that grows until it is not finite
+            places.append(PlaceDecl("g", A, 1.0))
+            arcs.append(Arc(ring(), "g", f"m(g)*{draw(st.sampled_from([3, 15, 255]))}"))
+        elif hazard == "switch_on":  # a second transition enabled mid-loop
+            places += [PlaceDecl("w", C, 0.0), PlaceDecl("s_out", A, 0.0)]
+            transitions.append(TransitionDecl("s", draw(st.integers(0, 2))))
+            arcs += [Arc(ring(), "w"), Arc("w", "s", str(at_lap)), Arc("s", "s_out", "m(a0)")]
+        else:  # a drain that stops the ring once the drained place reaches zero
+            places.append(PlaceDecl("d", A, 1.0))
+            arcs += [Arc("d", ring(), "m(d)", ArcKind.DRAIN), Arc(ring(), "d", "m(a0)*m(a0)")]
+    max_steps = draw(st.one_of(st.just(1_000_000), st.integers(min_value=k * 30, max_value=k * (laps + 10))))
+    net = PetriNet("ring", places, transitions, arcs)
+    return net, RunConfig(max_steps=max_steps), draw(st.booleans())
+
+
+def _reference(net, m0, config, require_single_enabled):
+    """run_final spelled as a step() loop: (marking, firings, status) or the error.
+
+    A fault in an enabling test before step i re-tests what step i-1 wrote,
+    which a run reports as part of step i-1.
+    """
+    rng = random.Random(config.seed)
+    m = list(m0)
+    for i in range(config.max_steps):
+        try:
+            enabled = enabled_transitions(net, m, config.epsilon)
+        except QpnError as e:
+            e.step_index = max(i - 1, 0)
+            return e
+        if require_single_enabled and len(enabled) > 1:
+            return DeterminismViolationError(
+                f"{len(enabled)} transitions enabled simultaneously after {i} firings: {enabled}"
+            )
+        try:
+            result = step(net, m, config, rng)
+        except QpnError as e:
+            e.step_index = i
+            return e
+        if result is None:
+            return m, i, TerminalStatus.QUIESCENT
+        m = result[1]
+    try:
+        enabled = enabled_transitions(net, m, config.epsilon)
+    except QpnError as e:
+        e.step_index = config.max_steps - 1
+        return e
+    return m, config.max_steps, TerminalStatus.STEP_LIMIT if enabled else TerminalStatus.QUIESCENT
+
+
+# hazards that strike after 1,500 laps of a 3-transition ring, well after its
+# loop has compiled with the real look interval and sighting threshold
+_LATE_HAZARDS = {
+    "overflow": ([PlaceDecl("g", A, 1.0)], [Arc("t1", "g", "m(g)*0.5")]),  # x1.5 a lap
+    "negative": ([PlaceDecl("c", C, 1500.0)], [Arc("t2", "c", "0-1")]),
+    "fractional": ([PlaceDecl("f", C, 0.0), PlaceDecl("h", A, 0.0)],
+                   [Arc("t1", "h", "1/1500000000000"), Arc("t1", "f", "m(h)")]),
+    "div_firing": ([PlaceDecl("q", A, 1500.0)], [Arc("t0", "q", "0-1"), Arc("t2", "a", "1/m(q)")]),
+    "div_retest": ([PlaceDecl("u", A, 1500.0), PlaceDecl("z", A, 1e9)],
+                   [Arc("t0", "u", "0-1"), Arc("z", "t1", "1/m(u)", ArcKind.GUARD)]),
+}
+
+
+@pytest.mark.parametrize("hazard", sorted(_LATE_HAZARDS))
+def test_late_hazard_inside_a_loop_matches_step_loop(hazard):
+    extra_places, extra_arcs = _LATE_HAZARDS[hazard]
+    places = [PlaceDecl("r0", C, 1.0), PlaceDecl("r1", C, 0.0), PlaceDecl("r2", C, 0.0),
+              PlaceDecl("b", C, 3000.0), PlaceDecl("a", A, 0.5), *extra_places]
+    arcs = [Arc("b", "t0"), Arc("r0", "t0"), Arc("t0", "r1"), Arc("r1", "t1"), Arc("t1", "r2"),
+            Arc("r2", "t2"), Arc("t2", "r0"), Arc("t1", "a", "m(a)*0.5"), *extra_arcs]
+    net = PetriNet("late", places, ["t0", "t1", "t2"], arcs)
+    m0, config = net.initial_marking(), RunConfig()
+    expected = _reference(net, m0, config, True)
+    assert isinstance(expected, QpnError)
+    with pytest.raises(type(expected)) as raised:
+        run_final(net, m0, config, require_single_enabled=True)
+    assert (str(raised.value), raised.value.step_index) == (str(expected), expected.step_index)
+    # snapping f leaves the loop after every lap; the other hazards strike inside it
+    assert _loop_firings(net) > (0 if hazard == "fractional" else 1000)
+
+
+def test_loops_match_step_loop_on_ring_nets():
+    """run_final with compiled loops equals a step() loop, on every outcome.
+
+    The look interval and the sighting threshold are lowered so that loops
+    compile within the first laps and the hazards strike inside them.
+    """
+    engaged = []
+
+    @settings(max_examples=120, deadline=None)
+    @given(_ring_case())
+    def check(case):
+        net, config, single = case
+        m0 = net.initial_marking()
+        expected = _reference(net, m0, config, single)
+        try:
+            final = run_final(net, m0, config, require_single_enabled=single)
+        except QpnError as e:
+            assert isinstance(expected, QpnError), f"run_final raised {e!r}, the loop ended {expected}"
+            assert type(e) is type(expected)
+            assert str(e) == str(expected)
+            assert e.step_index == expected.step_index
+        else:
+            assert not isinstance(expected, QpnError), f"run_final ended {final}, the loop raised {expected!r}"
+            marking, firings, status = expected
+            assert (final.firings, final.status) == (firings, status)
+            assert _bits(final.marking) == _bits(marking)
+        engaged.append(_loop_firings(net) > 0)
+
+    with mock.patch.object(net_module, "_CHUNK", 8), mock.patch.object(net_module, "_HOT", 2):
+        check()
+    assert sum(engaged) >= 0.6 * len(engaged), f"loops ran on {sum(engaged)} of {len(engaged)} examples"
