@@ -1,7 +1,7 @@
 """Generic net analysis.
 
 * marking predicates - comparisons between weight expressions combined with
-  AND/OR/NOT, evaluated with a configurable equality tolerance;
+  AND/OR/NOT, evaluated with the equality tolerance CMP_EPSILON;
 * bounded reachability graphs for counter-only nets with constant integer
   weights, exportable as DOT text;
 * exhaustive invariant checking over a reachability graph, returning the first
@@ -32,6 +32,7 @@ from .net import (
     Policy,
     RunConfig,
     TerminalStatus,
+    marking_env,
     run_final,
 )
 from .quantum import QuantumMapping
@@ -55,7 +56,7 @@ __all__ = [
     "to_dot",
 ]
 
-DEFAULT_CMP_EPSILON = 1e-9
+CMP_EPSILON = 1e-9  # predicate comparisons: a == b means |a - b| <= CMP_EPSILON
 
 _CMP_OPS = ("==", "!=", "<=", ">=", "<", ">")
 
@@ -179,38 +180,30 @@ def parse_predicate(text: str) -> MarkingPredicate:
     return _PredicateParser(tokens).parse()
 
 
-def evaluate_predicate(
-    pred: MarkingPredicate,
-    marking: Mapping[str, float],
-    cmp_epsilon: float = DEFAULT_CMP_EPSILON,
-) -> bool:
-    """Evaluate with tolerant comparisons: equality means within cmp_epsilon."""
+def evaluate_predicate(pred: MarkingPredicate, marking: Mapping[str, float]) -> bool:
+    """Evaluate with tolerant comparisons: equality means within CMP_EPSILON."""
     if isinstance(pred, Compare):
         a = _expr.evaluate(pred.left, marking)
         b = _expr.evaluate(pred.right, marking)
         if pred.op == "==":
-            return abs(a - b) <= cmp_epsilon
+            return abs(a - b) <= CMP_EPSILON
         if pred.op == "!=":
-            return abs(a - b) > cmp_epsilon
+            return abs(a - b) > CMP_EPSILON
         if pred.op == "<=":
-            return a <= b + cmp_epsilon
+            return a <= b + CMP_EPSILON
         if pred.op == ">=":
-            return a >= b - cmp_epsilon
+            return a >= b - CMP_EPSILON
         if pred.op == "<":
-            return a < b - cmp_epsilon
+            return a < b - CMP_EPSILON
         if pred.op == ">":
-            return a > b + cmp_epsilon
+            return a > b + CMP_EPSILON
         raise PredicateError(f"unknown comparison operator {pred.op!r}")
     if isinstance(pred, And):
-        return evaluate_predicate(pred.left, marking, cmp_epsilon) and evaluate_predicate(
-            pred.right, marking, cmp_epsilon
-        )
+        return evaluate_predicate(pred.left, marking) and evaluate_predicate(pred.right, marking)
     if isinstance(pred, Or):
-        return evaluate_predicate(pred.left, marking, cmp_epsilon) or evaluate_predicate(
-            pred.right, marking, cmp_epsilon
-        )
+        return evaluate_predicate(pred.left, marking) or evaluate_predicate(pred.right, marking)
     if isinstance(pred, Not):
-        return not evaluate_predicate(pred.operand, marking, cmp_epsilon)
+        return not evaluate_predicate(pred.operand, marking)
     raise PredicateError(f"not a predicate: {pred!r}")
 
 
@@ -297,7 +290,7 @@ def reachability_graph(net: PetriNet, max_states: int = 10_000) -> ReachabilityG
     while queue:
         src = queue.popleft()
         state = nodes[src]
-        for ti in cnet.enabled_ordinals(state, 1e-12):
+        for ti in cnet.enabled_ordinals(state):
             successor = list(state)
             cnet.fire_into(ti, successor)
             key = tuple(successor)
@@ -323,18 +316,12 @@ class InvariantResult:
         return self.holds
 
 
-def check_invariant(
-    graph: ReachabilityGraph,
-    pred: MarkingPredicate | str,
-    cmp_epsilon: float = DEFAULT_CMP_EPSILON,
-) -> InvariantResult:
+def check_invariant(graph: ReachabilityGraph, pred: MarkingPredicate | str) -> InvariantResult:
     """Evaluate the predicate on every node; first BFS counterexample wins."""
     if isinstance(pred, str):
         pred = parse_predicate(pred)
-    place_ids = graph.net.place_ids()
     for i, node in enumerate(graph.nodes):
-        env = dict(zip(place_ids, node))
-        if not evaluate_predicate(pred, env, cmp_epsilon):
+        if not evaluate_predicate(pred, marking_env(graph.net, node)):
             return InvariantResult(False, node, tuple(graph.path_to(i)))
     return InvariantResult(True)
 

@@ -154,8 +154,8 @@ def run_tables(
     return TableReport(tuple(rows))
 
 
-def _emit_tables(report: TableReport, fmt: str, out=None) -> None:
-    out = out if out is not None else sys.stdout
+def _emit_tables(report: TableReport, fmt: str) -> None:
+    out = sys.stdout
     if fmt == "csv":
         out.write("mode,N,M,net,oracle,paper,delta_net_oracle,delta_net_paper,verdict\n")
         for r in report.rows:
@@ -310,7 +310,7 @@ def _cmd_measure(args: argparse.Namespace) -> int:
         print(f"  {name}: {freq:.6f} +- {stderr:.6f}")
     if not args.expect:
         return EXIT_OK
-    exact = oracle.exact_measurement_dist(doc.net, doc.mapping)
+    exact = oracle.exact_measurement_dist(doc.net)
     worst = 0.0
     failed = False
     for tid, p in exact:

@@ -43,7 +43,7 @@ from .net import (
     RunConfig,
     run_final,
 )
-from .oracle import DetectionReport
+from .oracle import DetectionReport, _check_cycles
 from .quantum import QuantumMapping
 
 __all__ = [
@@ -71,8 +71,7 @@ class ProtocolParams:
     k: float = 1.0
 
     def __post_init__(self) -> None:
-        if self.N < 1 or self.M < 1:
-            raise InvalidParamsError(f"cycle counts must be >= 1, got N={self.N}, M={self.M}")
+        _check_cycles(1, N=self.N, M=self.M)
         if not (self.k > 0):
             raise InvalidParamsError(f"k must be positive, got {self.k}")
 
@@ -516,11 +515,9 @@ def passing_expected_firings(n: int, m: int) -> int:
 # --- run helpers ------------------------------------------------------------------
 
 
-def run_to_quiescence(net: PetriNet, max_steps: int, epsilon: float = 1e-12) -> FinalState:
+def run_to_quiescence(net: PetriNet, max_steps: int) -> FinalState:
     """Deterministic run asserting the single-enabled-transition invariant."""
-    config = RunConfig(
-        policy=Policy.DETERMINISTIC_PRIORITY, max_steps=max_steps, epsilon=epsilon
-    )
+    config = RunConfig(policy=Policy.DETERMINISTIC_PRIORITY, max_steps=max_steps)
     final = run_final(net, net.initial_marking(), config, require_single_enabled=True)
     if final.status.value != "quiescent":
         raise InvalidParamsError(f"run did not reach quiescence within {max_steps} steps")

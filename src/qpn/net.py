@@ -10,7 +10,7 @@ Input arc kinds:
 
 * ``CONSUME`` - requires m(p) >= w and subtracts w;
 * ``GUARD``   - same enabling test, leaves the place untouched;
-* ``DRAIN``   - requires |m(p)| > eps and sets the place to zero; its weight
+* ``DRAIN``   - requires |m(p)| > EPSILON and sets the place to zero; its weight
   expression is always exactly ``m(<place>)``.
 
 A :class:`PetriNet` is immutable after construction and can be shared across
@@ -52,6 +52,7 @@ __all__ = [
     "RunConfig",
     "Trace",
     "FinalState",
+    "EPSILON",
     "EPSILON_INT",
     "is_enabled",
     "enabled_transitions",
@@ -66,6 +67,7 @@ __all__ = [
 
 Marking = list[float]
 
+EPSILON = 1e-12  # enabling tolerance: m(p) >= w - EPSILON, and a drain needs |m(p)| > EPSILON
 EPSILON_INT = 1e-9  # integrality tolerance for counter places
 
 
@@ -128,13 +130,10 @@ class RunConfig:
     policy: Policy = Policy.DETERMINISTIC_PRIORITY
     seed: int = 0
     max_steps: int = 1_000_000
-    epsilon: float = 1e-12
 
     def __post_init__(self) -> None:
         if self.max_steps < 1:
             raise ValueError("max_steps must be >= 1")
-        if not (self.epsilon > 0):
-            raise ValueError("epsilon must be > 0")
         if not (0 <= self.seed < 2**64):
             raise ValueError("seed must fit in 64 bits")
 
@@ -280,21 +279,9 @@ class PetriNet:
 # --- marking helpers -------------------------------------------------------------
 
 
-class _MarkingEnv:
-    """Read-only place-id -> value view over a dense marking vector."""
-
-    __slots__ = ("_index", "_m")
-
-    def __init__(self, index: dict[str, int], m: Sequence[float]):
-        self._index = index
-        self._m = m
-
-    def __getitem__(self, place_id: str) -> float:
-        return self._m[self._index[place_id]]
-
-
-def marking_env(net: PetriNet, m: Sequence[float]) -> _MarkingEnv:
-    return _MarkingEnv(net.place_index, m)
+def marking_env(net: PetriNet, m: Sequence[float]) -> dict[str, float]:
+    """The marking as a place id -> value mapping, for expr.evaluate."""
+    return dict(zip(net.place_index, m))
 
 
 def validate_marking(net: PetriNet, m: Sequence[float]) -> None:
@@ -344,7 +331,6 @@ _MAX_PERIOD = 8
 _HOT = 32
 
 _PLACE_REF = re.compile(r"\bm\[(\d+)\]")
-_EPS_BOUND = re.compile(r">= (-?\d[^ ]*) - eps")  # a constant weight's enabling threshold
 
 
 class _RecheckFault(Exception):
@@ -362,11 +348,11 @@ def _nonfinite(values: list[str]) -> str:
 
 
 class _Loop:
-    """A compiled period: run(m, eps, budget) -> (firings done, transition left to finish or -1)."""
+    """A compiled period: run(m, budget) -> (firings done, transition left to finish or -1)."""
 
     __slots__ = ("run", "period", "single", "firings")
 
-    def __init__(self, run: Callable[[Marking, float, int], tuple[int, int]], period: int, single: bool):
+    def __init__(self, run: Callable[[Marking, int], tuple[int, int]], period: int, single: bool):
         self.run = run
         self.period = period
         self.single = single  # one transition enabled in every state of the period
@@ -387,8 +373,8 @@ class _CompiledTransition:
         # places the enabling test reads -> whether the test is non-decreasing in
         # that place: false once a weight reads it (a drain's weight reads its place)
         self.reads: dict[int, bool] = {}
-        self.enabled: Callable[[Sequence[float], float], bool]
-        self.step: Callable[[Marking, float, bytearray], int]
+        self.enabled: Callable[[Sequence[float]], bool]
+        self.step: Callable[[Marking, bytearray], int]
         self.recheck: tuple[int, ...] = ()      # transitions whose enabling a firing can flip
 
 
@@ -429,8 +415,8 @@ class _CompiledNet:
             # in ordinal order, so a run reports the fault a step() loop meets first
             ct.recheck = tuple(sorted({tj for p in ct.touched for tj in dependents[p]}))
         self._tests = [self._enabling_test(ti, ct) for ti, ct in enumerate(self.trans)]
-        enabled = self._define("m, eps", [[f"    return {test}"] for test in self._tests])
-        steps = self._define("m, eps, flags", [self._step(ti) for ti in range(len(self.trans))])
+        enabled = self._define("m", [[f"    return {test}"] for test in self._tests])
+        steps = self._define("m, flags", [self._step(ti) for ti in range(len(self.trans))])
         for ct, enabled_fn, step_fn in zip(self.trans, enabled, steps):
             ct.enabled, ct.step = enabled_fn, step_fn
         self._fire: list[Callable[[Marking], None]] | None = None
@@ -525,26 +511,28 @@ class _CompiledNet:
         return values, lines
 
     def _enabling_test(self, ti: int, ct: _CompiledTransition) -> str:
-        """One boolean expression: drains need |m(p)| > eps, other inputs m(p) >= w >= 0.
+        """One boolean expression: drains need |m(p)| > EPSILON, other inputs m(p) >= w >= 0.
 
         Inputs are tested in arc order and the first that fails ends the
-        test; a non-finite weight calls _fault().
+        test; a non-finite weight calls _fault().  A constant weight's
+        threshold w - EPSILON is a literal, the same subtraction done here.
         """
         index = self.net.place_index
         terms = []
         for i, arc in enumerate(ct.in_arcs):
             p = index[arc.source]
             if arc.kind == ArcKind.DRAIN:
-                terms.append(f"(m[{p}] > eps or m[{p}] < -eps)")
+                terms.append(f"(m[{p}] > {EPSILON!r} or m[{p}] < {-EPSILON!r})")
                 continue
             w, value = self._weight(arc)
             if value is None:
                 name = f"e{ti}_{i}"
                 terms.append(f"((({name} := {w}) - {name} == 0.0 or _fault()) and {name} >= 0.0)")
-                w = name
-            elif not value >= 0.0:
+                terms.append(f"m[{p}] >= {name} - {EPSILON!r}")
+                continue
+            if not value >= 0.0:
                 terms.append(f"{w} >= 0.0")
-            terms.append(f"m[{p}] >= {w} - eps")
+            terms.append(f"m[{p}] >= {value - EPSILON!r}")
         return " and ".join(terms) or "True"
 
     def _firing(self, ti: int, slow: str | None = None) -> list[str]:
@@ -622,7 +610,7 @@ class _CompiledNet:
         firings done.
         """
         n = len(states)
-        body, written, bounds, guards = [], set(), {}, []
+        body, written, guards = [], set(), []
         for i, pre in enumerate(states):
             post = states[(i + 1) % n]
             ti = next(t for t in self.order if pre[t])
@@ -634,22 +622,20 @@ class _CompiledNet:
             for tj in self.trans[ti].recheck:
                 signs = self._signs(tj, moves)
                 if not (signs == {1} and pre[tj] or signs == {-1} and not pre[tj]):  # _step re-tests it
-                    test = _EPS_BOUND.sub(lambda b: ">= " + bounds.setdefault(b[1], f"k{len(bounds)}"),
-                                          self._tests[tj])
+                    test = self._tests[tj]
                     guards.append(f"not ({test})" if post[tj] else f"({test})")
             if guards:
                 body += [f"at = {i + 1}", f"if {' or '.join(guards)}: break"]
         text = "\n".join(f"            {line}" for line in body)
         places = sorted({int(p) for p in _PLACE_REF.findall(text)})
         lines = [f"    x{p} = m[{p}]" for p in places]
-        lines += [f"    {name} = {weight} - eps" for weight, name in bounds.items()]
         lines += ["    done = at = 0", "    fix = -1", "    try:", "        while done < budget:",
                   _PLACE_REF.sub(r"x\1", text), f"            done += {n}", "        else:",
                   "            at = 0", "    except _FAULTS:", "        pass"]
         lines += [f"    m[{p}] = x{p}" for p in sorted(written)]
         lines.append("    return done + at, fix")
         single = all(sum(state) == 1 for state in states)
-        return _Loop(self._define("m, eps, budget", [lines])[0], n, single)
+        return _Loop(self._define("m, budget", [lines])[0], n, single)
 
     def finish(self, ti: int, m: Marking) -> None:
         """The result checks of a firing of ti a loop wrote but left unchecked."""
@@ -708,19 +694,19 @@ class _CompiledNet:
                 error.step_index = step_index
                 raise error from None
 
-    def enabled(self, ti: int, m: Sequence[float], eps: float, step_index: int | None = None) -> bool:
+    def enabled(self, ti: int, m: Sequence[float], step_index: int | None = None) -> bool:
         try:
-            return self.trans[ti].enabled(m, eps)
+            return self.trans[ti].enabled(m)
         except _FAULTS:
             self.diagnose(ti, m, step_index)
             raise
 
-    def enabled_ordinals(self, m: Sequence[float], eps: float, step_index: int | None = None) -> list[int]:
-        return [ti for ti in range(len(self.trans)) if self.enabled(ti, m, eps, step_index)]
+    def enabled_ordinals(self, m: Sequence[float], step_index: int | None = None) -> list[int]:
+        return [ti for ti in range(len(self.trans)) if self.enabled(ti, m, step_index)]
 
-    def enabled_flags(self, m: Sequence[float], eps: float, step_index: int) -> tuple[bytearray, int]:
+    def enabled_flags(self, m: Sequence[float], step_index: int) -> tuple[bytearray, int]:
         """The enabled flag of every transition, and how many are set."""
-        enabled = self.enabled_ordinals(m, eps, step_index)
+        enabled = self.enabled_ordinals(m, step_index)
         flags = bytearray(len(self.trans))
         for ti in enabled:
             flags[ti] = 1
@@ -763,7 +749,12 @@ class _CompiledNet:
 
 
 def _cumulative_draw(weights: Sequence[float], total: float, rng: random.Random) -> int:
-    """Index i with probability weights[i] / total; the last absorbs rounding."""
+    """Index i with probability weights[i] / total; the last absorbs rounding.
+
+    A total that is not finite raises: no draw could fall below it.
+    """
+    if not math.isfinite(total):
+        raise NonFiniteResultError(f"the weights of a Born draw sum to {total!r}")
     draw = rng.random() * total
     acc = 0.0
     for i, w in enumerate(weights):
@@ -788,31 +779,31 @@ def _check_dimension(net: PetriNet, m: Sequence[float]) -> None:
         raise QpnError(f"marking has {len(m)} entries, net has {len(net.places)} places")
 
 
-def is_enabled(net: PetriNet, m: Sequence[float], transition_id: str, epsilon: float = 1e-12) -> bool:
+def is_enabled(net: PetriNet, m: Sequence[float], transition_id: str) -> bool:
     """Enabling test; expression failures raise rather than answer False."""
     _check_dimension(net, m)
-    return net.compiled().enabled(_transition_ordinal(net, transition_id), m, epsilon)
+    return net.compiled().enabled(_transition_ordinal(net, transition_id), m)
 
 
-def enabled_transitions(net: PetriNet, m: Sequence[float], epsilon: float = 1e-12) -> list[str]:
+def enabled_transitions(net: PetriNet, m: Sequence[float]) -> list[str]:
     _check_dimension(net, m)
     cnet = net.compiled()
-    return [cnet.trans[i].tid for i in cnet.enabled_ordinals(m, epsilon)]
+    return [cnet.trans[i].tid for i in cnet.enabled_ordinals(m)]
 
 
-def fire(net: PetriNet, m: Sequence[float], transition_id: str, epsilon: float = 1e-12) -> Marking:
+def fire(net: PetriNet, m: Sequence[float], transition_id: str) -> Marking:
     """One atomic firing; returns the successor marking, input untouched."""
     validate_marking(net, m)
     cnet = net.compiled()
     ti = _transition_ordinal(net, transition_id)
-    if not cnet.enabled(ti, m, epsilon):
+    if not cnet.enabled(ti, m):
         raise NotEnabledError(f"transition {transition_id} is not enabled")
     out = list(m)
     cnet.fire_into(ti, out)
     return out
 
 
-def conflict_groups(net: PetriNet, m: Sequence[float], epsilon: float = 1e-12) -> list[list[str]]:
+def conflict_groups(net: PetriNet, m: Sequence[float]) -> list[list[str]]:
     """Partition of the enabled transitions by shared consume/drain places.
 
     Transitions that only share guard places land in different groups.  Groups
@@ -820,7 +811,7 @@ def conflict_groups(net: PetriNet, m: Sequence[float], epsilon: float = 1e-12) -
     """
     _check_dimension(net, m)
     cnet = net.compiled()
-    groups = _group_ordinals(cnet, cnet.enabled_ordinals(m, epsilon))
+    groups = _group_ordinals(cnet, cnet.enabled_ordinals(m))
     return [[cnet.trans[i].tid for i in group] for group in groups]
 
 
@@ -873,7 +864,7 @@ def step(
     """Fire one transition per the configured policy; None when quiescent."""
     validate_marking(net, m)
     cnet = net.compiled()
-    enabled = cnet.enabled_ordinals(m, config.epsilon)
+    enabled = cnet.enabled_ordinals(m)
     if not enabled:
         return None
     if config.policy == Policy.DETERMINISTIC_PRIORITY:
@@ -916,14 +907,13 @@ def _execute(
     validate_marking(net, m0)
     cnet = net.compiled()
     m = [float(v) for v in m0]
-    eps = config.epsilon
     rng = random.Random(config.seed)
     deterministic = config.policy == Policy.DETERMINISTIC_PRIORITY
     simple_order = cnet.uniform_rank  # priority order == ordinal order
 
     trans = cnet.trans
     n_trans = len(trans)
-    flags, count = cnet.enabled_flags(m, eps, 0)
+    flags, count = cnet.enabled_flags(m, 0)
 
     order = cnet.order
     steps = [ct.step for ct in trans]
@@ -956,7 +946,7 @@ def _execute(
                     e.step_index = step_index
                     raise
             try:
-                count += steps[ti](m, eps, flags)
+                count += steps[ti](m, flags)
             except QpnError as e:  # the generated result checks
                 e.step_index = step_index
                 raise
@@ -968,7 +958,7 @@ def _execute(
                 if on_fire is not None:
                     on_fire(trans[ti].tid, m)
                 for tj in trans[ti].recheck:
-                    cnet.enabled(tj, m, eps, step_index)
+                    cnet.enabled(tj, m, step_index)
                 raise fault.__context__ from None
             if on_fire is not None:
                 on_fire(trans[ti].tid, m)
@@ -983,7 +973,7 @@ def _execute(
             budget = (max_steps - start) // loop.period * loop.period
             if not budget:
                 continue
-            fired, pending = loop.run(m, eps, budget)
+            fired, pending = loop.run(m, budget)
             loop.firings += fired
             start += fired
             if pending >= 0:
@@ -996,7 +986,7 @@ def _execute(
             if start > stop:
                 # every enabling test but the last firing's re-tests reads what
                 # it read last time, so this raises the fault a step would
-                flags, count = cnet.enabled_flags(m, eps, start - 1)
+                flags, count = cnet.enabled_flags(m, start - 1)
         elif path is None:
             path = [state]
         elif state in path:

@@ -21,7 +21,7 @@ from dataclasses import dataclass
 
 from . import expr as _expr
 from .analysis import reachability_graph
-from .errors import InvalidParamsError, MultipleGroupsError, ZeroWeightGroupError
+from .errors import InvalidParamsError, MultipleGroupsError, NonFiniteResultError, ZeroWeightGroupError
 from .net import PetriNet, conflict_groups, marking_env
 
 __all__ = [
@@ -32,6 +32,16 @@ __all__ = [
     "exact_measurement_dist",
     "bfs_reach",
 ]
+
+
+def _check_cycles(least: int, **counts: int) -> None:
+    """Raise InvalidParamsError unless every count is in [least, 2^53].
+
+    2^53 is the largest cycle count a float counter place holds exactly.
+    """
+    if not all(least <= n <= 2**53 for n in counts.values()):
+        got = ", ".join(f"{name}={n}" for name, n in counts.items())
+        raise InvalidParamsError(f"cycle counts must be in [{least}, 2^53], got {got}")
 
 
 @dataclass(frozen=True)
@@ -59,8 +69,7 @@ def zeno_oracle(n_cycles: int) -> tuple[float, float]:
     p10 = cos^(2N), p01 = cos^(2(N-1)) * sin^2, both at angle pi/(2N): the
     initial state survives with probability approaching 1 as N grows.
     """
-    if n_cycles < 1:
-        raise InvalidParamsError(f"cycle count must be >= 1, got {n_cycles}")
+    _check_cycles(1, N=n_cycles)
     theta = math.pi / (2 * n_cycles)
     c, s = math.cos(theta), math.sin(theta)
     p10 = c ** (2 * n_cycles)
@@ -74,8 +83,7 @@ def passing_oracle(n_inner: int, m_outer: int) -> DetectionReport:
     Every outer cycle the channel-side component completes a full inner
     rotation and is dumped on D3, so the result is independent of N.
     """
-    if n_inner < 1 or m_outer < 1:
-        raise InvalidParamsError(f"cycle counts must be >= 1, got N={n_inner}, M={m_outer}")
+    _check_cycles(1, N=n_inner, M=m_outer)
     d1 = math.cos(math.pi / (2 * m_outer)) ** (2 * m_outer)
     return DetectionReport(d1=d1, d2=0.0, absorbed=0.0, discarded=1.0 - d1)
 
@@ -93,8 +101,7 @@ def blocking_oracle(n_inner: int, m_outer: int) -> DetectionReport:
     starting from (L, R) = (1, 0).  D2 = R_M^2, D1 = L_M^2, absorbed is the
     remainder.
     """
-    if n_inner < 2 or m_outer < 2:
-        raise InvalidParamsError(f"cycle counts must be >= 2, got N={n_inner}, M={m_outer}")
+    _check_cycles(2, N=n_inner, M=m_outer)
     theta = math.pi / (2 * m_outer)
     c, s = math.cos(theta), math.sin(theta)
     a = math.cos(math.pi / (2 * n_inner)) ** n_inner
@@ -107,11 +114,11 @@ def blocking_oracle(n_inner: int, m_outer: int) -> DetectionReport:
     return DetectionReport(d1=d1, d2=d2, absorbed=1.0 - d1 - d2, discarded=0.0)
 
 
-def exact_measurement_dist(net: PetriNet, mapping=None) -> list[tuple[str, float]]:
+def exact_measurement_dist(net: PetriNet) -> list[tuple[str, float]]:
     """Choice distribution of the initial marking's single conflict group.
 
     Probability of each member is proportional to its total squared output
-    weight, normalized over the group.
+    weight, normalized over the group; a total that is not finite raises.
     """
     m0 = net.initial_marking()
     groups = conflict_groups(net, m0)
@@ -128,6 +135,8 @@ def exact_measurement_dist(net: PetriNet, mapping=None) -> list[tuple[str, float
             total += w * w
         weights.append(total)
     total = sum(weights)
+    if not math.isfinite(total):
+        raise NonFiniteResultError(f"conflict group's squared output weights sum to {total!r}")
     if total <= 0.0:
         raise ZeroWeightGroupError("conflict group has zero total squared output weight")
     return [(tid, w / total) for tid, w in zip(groups[0], weights)]

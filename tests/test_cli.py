@@ -274,6 +274,20 @@ class TestMeasure:
         assert out_env == out_explicit
 
 
+    def test_non_finite_born_total_exit_3(self, capsys, tmp_path):
+        huge = tmp_path / "huge.qpn"
+        huge.write_text(
+            'net huge\nplace c init=1 kind=counter\nplace a init=0 kind=amplitude\n'
+            'place b init=0 kind=amplitude\ntrans t1\ntrans t2\narc c -> t1 w="1"\n'
+            'arc c -> t2 w="1"\narc t1 -> a w="1e200"\narc t2 -> b w="1e200"\n'
+            'k = 1\nmap a = "A"\nmap b = "B"\n'
+        )
+        for argv in (("simulate", str(huge), "--policy", "born"),
+                     ("measure", str(huge), "--runs", "1000", "--expect")):
+            code, _, err = run_cli(capsys, *argv)
+            assert code == 3
+            assert err.startswith("error: ") and err.count("\n") == 1
+
     def test_zero_runs_exit_2(self, capsys):
         code, out, err = run_cli(capsys, "measure", str(GOLDEN / "measurement.qpn"), "--runs", "0")
         assert code == 2
@@ -350,6 +364,7 @@ class TestArgumentDomains:
 
 _SEED_ENV = st.sampled_from([None, "0", "7", "-1", str(2**64 - 1), str(2**64), "abc", "", "0x10"])
 _SMALL_INTS = st.sampled_from(["-1", "0", "1", "3", "x"])
+_CYCLE_COUNTS = st.sampled_from(["-1", "0", "1", "3", "x", str(10**400)])
 _FILES = st.sampled_from(
     [str(GOLDEN / name) for name in ("measurement.qpn", "entanglement.qpn", "zeno_n4.qpn")]
     + ["no-such-file.qpn"]
@@ -382,13 +397,13 @@ def _argv(draw):
         maybe("--max-states", _SMALL_INTS)
     elif command == "oracle":
         flags.append(draw(st.sampled_from(["zeno", "passing", "blocking"])))
-        flags += ["--n", draw(_SMALL_INTS)]
-        maybe("--m", _SMALL_INTS)
+        flags += ["--n", draw(_CYCLE_COUNTS)]
+        maybe("--m", _CYCLE_COUNTS)
     elif command == "tables":
         maybe("--mode", st.sampled_from(["passing", "blocking", "both"]))
         # always small cells: without --N/--M the command runs the full grid
-        flags += ["--N", draw(st.sampled_from(["2", "2,3", "0", "", "x"]))]
-        flags += ["--M", draw(st.sampled_from(["2", "3", "-1", ","]))]
+        flags += ["--N", draw(st.sampled_from(["2", "2,3", "0", "", "x", str(10**400)]))]
+        flags += ["--M", draw(st.sampled_from(["2", "3", "-1", ",", str(10**400)]))]
         maybe("--tol-passing", st.sampled_from(["0.1", "-1", "nan", "x"]))
         maybe("--format", st.sampled_from(["csv", "md"]))
     else:

@@ -360,6 +360,22 @@ class TestStep:
         with pytest.raises(ZeroWeightGroupError):
             step(net, net.initial_marking(), RunConfig(policy=Policy.BORN_RANDOM), random.Random(0))
 
+    def test_non_finite_weight_total(self):
+        """Squares of 1e200 overflow: the draw raises instead of picking the last member."""
+        net = PetriNet(
+            "huge",
+            [PlaceDecl("c", C, 1), PlaceDecl("a", A), PlaceDecl("b", A)],
+            ["t1", "t2"],
+            [Arc("c", "t1"), Arc("c", "t2"), Arc("t1", "a", "1e200"), Arc("t2", "b", "1e200")],
+        )
+        for seed in range(5):
+            config = RunConfig(policy=Policy.BORN_RANDOM, seed=seed)
+            with pytest.raises(NonFiniteResultError):
+                step(net, net.initial_marking(), config, random.Random(seed))
+            with pytest.raises(NonFiniteResultError) as info:
+                run(net, net.initial_marking(), config)
+            assert info.value.step_index == 0
+
 
 class TestRun:
     def test_entanglement_deterministic_two_firings(self):
@@ -627,6 +643,37 @@ def manual_enabled(net, m, tid, eps=1e-12):
     return True
 
 
+# --- the enabling tolerance at its boundary ----------------------------------------
+
+
+def _boundary_cases():
+    """(kind, weight text, m(q), m(p), enabled): each threshold and the float below it."""
+    for kind in (ArcKind.CONSUME, ArcKind.GUARD):
+        for w in (1.0, 0.1, 3.0, 0.0, 1e-12):
+            at = w - 1e-12
+            for weight in (repr(w), "m(q)"):
+                yield kind, weight, w, at, True
+                yield kind, weight, w, math.nextafter(at, -math.inf), False
+    for at in (1e-12, -1e-12):
+        yield ArcKind.DRAIN, "m(p)", 0.0, at, False
+        yield ArcKind.DRAIN, "m(p)", 0.0, math.nextafter(at, math.copysign(math.inf, at)), True
+
+
+@pytest.mark.parametrize("kind, weight, q, value, expected", list(_boundary_cases()))
+def test_enabling_tolerance_boundary(kind, weight, q, value, expected):
+    """Folded thresholds w - 1e-12 and drains |m(p)| > 1e-12 keep the boundary exactly."""
+    net = PetriNet(
+        "boundary",
+        [PlaceDecl("p", A, value), PlaceDecl("q", A, q), PlaceDecl("out", A)],
+        ["t"],
+        [Arc("p", "t", weight, kind), Arc("t", "out", "1")],
+    )
+    m0 = net.initial_marking()
+    assert manual_enabled(net, m0, "t") == expected
+    assert is_enabled(net, m0, "t") == expected
+    assert run_final(net, m0, RunConfig(max_steps=1)).firings == expected
+
+
 # --- firing atomicity property over random nets ------------------------------------
 
 _WEIGHTS = ("1", "2", "0.5", "m(q0)", "m(q1)+1", "cos(m(q2))", "m(q0)*m(q1)", "0-m(q3)")
@@ -774,7 +821,7 @@ def _step_loop(net, m0, config):
     steps = []
     for i in range(config.max_steps):
         try:
-            enabled_transitions(net, m, config.epsilon)
+            enabled_transitions(net, m)
         except QpnError as e:
             e.step_index = max(i - 1, 0)
             return steps, e

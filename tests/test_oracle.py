@@ -7,6 +7,7 @@ import pytest
 from qpn.errors import (
     InvalidParamsError,
     MultipleGroupsError,
+    NonFiniteResultError,
     NotIntegerNetError,
     StateExplosionError,
     ZeroWeightGroupError,
@@ -186,6 +187,16 @@ class TestExactMeasurementDist:
             [Arc("p1", "t1"), Arc("t1", "p2", "0")],
         )
         with pytest.raises(ZeroWeightGroupError):
+            exact_measurement_dist(net)
+
+    def test_non_finite_total_rejected(self):
+        net = PetriNet(
+            "huge",
+            [PlaceDecl("c", C, 1), PlaceDecl("a", A), PlaceDecl("b", A)],
+            ["t1", "t2"],
+            [Arc("c", "t1"), Arc("c", "t2"), Arc("t1", "a", "1e200"), Arc("t2", "b", "1e200")],
+        )
+        with pytest.raises(NonFiniteResultError):
             exact_measurement_dist(net)
 
 

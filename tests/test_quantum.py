@@ -7,7 +7,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from qpn.errors import AllZeroError, NotNormalizedError, QpnError, UnknownPlaceError
+from qpn.errors import AllZeroError, NonFiniteResultError, NotNormalizedError, QpnError, UnknownPlaceError
 from qpn.models import measurement_net, zeno_net, ProtocolParams
 from qpn.net import PetriNet, PlaceDecl, PlaceKind, RunConfig, run
 from qpn.quantum import QuantumMapping, amplitudes, measure, probabilities, superpose
@@ -165,6 +165,14 @@ class TestMeasure:
         q = QuantumMapping(assignments=(("p", "a"),))
         with pytest.raises(AllZeroError):
             measure(q, net, [0.0], random.Random(0), normalize=True)
+
+    def test_non_finite_total(self):
+        """Probabilities of 1e200 amplitudes sum to inf: no label can be drawn."""
+        net = _net({"p": 1e200, "r": 1e200})
+        q = QuantumMapping(assignments=(("p", "a"), ("r", "b")))
+        for seed in range(5):
+            with pytest.raises(NonFiniteResultError):
+                measure(q, net, [1e200, 1e200], random.Random(seed), normalize=True)
 
     def test_deterministic_under_fixed_rng(self):
         net, mapping = measurement_net()

@@ -190,7 +190,7 @@ def _reference(net, m0, config, require_single_enabled):
     m = list(m0)
     for i in range(config.max_steps):
         try:
-            enabled = enabled_transitions(net, m, config.epsilon)
+            enabled = enabled_transitions(net, m)
         except QpnError as e:
             e.step_index = max(i - 1, 0)
             return e
@@ -207,7 +207,7 @@ def _reference(net, m0, config, require_single_enabled):
             return m, i, TerminalStatus.QUIESCENT
         m = result[1]
     try:
-        enabled = enabled_transitions(net, m, config.epsilon)
+        enabled = enabled_transitions(net, m)
     except QpnError as e:
         e.step_index = config.max_steps - 1
         return e
