@@ -14,7 +14,7 @@ from __future__ import annotations
 
 from collections import deque
 from dataclasses import dataclass
-from typing import Mapping, Union
+from typing import Mapping, Sequence, Union
 
 from . import expr as _expr
 from .errors import (
@@ -51,6 +51,7 @@ __all__ = [
     "check_invariant",
     "EmpiricalDistribution",
     "empirical_distribution",
+    "outcome",
     "run_seed",
     "incidence_matrix",
     "to_dot",
@@ -379,16 +380,29 @@ def empirical_distribution(
     if runs < 1:
         raise ValueError("runs must be >= 1")
     m0 = net.initial_marking()
-    assigned = [(net.place_index[p], label) for p, label in mapping.assignments]
+    assigned = _assigned(net, mapping)
     counts: dict[tuple[str, ...], int] = {}
     for i in range(runs):
         config = RunConfig(policy=Policy.BORN_RANDOM, seed=run_seed(seed, i), max_steps=max_steps)
         final = run_final(net, m0, config)
         if final.status != TerminalStatus.QUIESCENT:
             raise StepLimitError(f"run {i} did not reach quiescence within {max_steps} steps")
-        key = tuple(label for idx, label in assigned if abs(final.marking[idx]) > 1e-9)
+        key = _outcome(assigned, final.marking)
         counts[key] = counts.get(key, 0) + 1
     return EmpiricalDistribution(runs, counts)
+
+
+def outcome(net: PetriNet, mapping: QuantumMapping, marking: Sequence[float]) -> tuple[str, ...]:
+    """The labels of the mapped places a marking holds more than 1e-9 in, in mapping order."""
+    return _outcome(_assigned(net, mapping), marking)
+
+
+def _assigned(net: PetriNet, mapping: QuantumMapping) -> list[tuple[int, str]]:
+    return [(net.place_index[p], label) for p, label in mapping.assignments]
+
+
+def _outcome(assigned: list[tuple[int, str]], marking: Sequence[float]) -> tuple[str, ...]:
+    return tuple(label for idx, label in assigned if abs(marking[idx]) > 1e-9)
 
 
 # --- incidence ----------------------------------------------------------------------

@@ -24,9 +24,8 @@ from .errors import (
     StepLimitError,
     UnknownPlaceError,
 )
-from .expr import evaluate
 from .models import ProtocolParams, detection_report
-from .net import Policy, RunConfig, TerminalStatus, marking_env, run, run_final
+from .net import Policy, RunConfig, TerminalStatus, fire, run, run_final
 from .quantum import probabilities
 from .reference import (
     DEFAULT_TOL_BLOCKING,
@@ -286,17 +285,6 @@ def _cmd_check(args: argparse.Namespace) -> int:
 # --- measure -----------------------------------------------------------------------
 
 
-def _outcome_for_transition(net, mapping, tid: str) -> tuple[str, ...]:
-    """Labels of mapped places a transition deposits into with nonzero weight."""
-    env = marking_env(net, net.initial_marking())
-    mapped = dict(mapping.assignments)
-    labels = []
-    for arc in net.output_arcs(tid):
-        if arc.target in mapped and abs(evaluate(arc.parsed_weight(), env)) > 1e-12:
-            labels.append(mapped[arc.target])
-    return tuple(labels)
-
-
 def _cmd_measure(args: argparse.Namespace) -> int:
     doc = _load_file(args.file)
     if doc.mapping is None:
@@ -310,11 +298,16 @@ def _cmd_measure(args: argparse.Namespace) -> int:
         print(f"  {name}: {freq:.6f} +- {stderr:.6f}")
     if not args.expect:
         return EXIT_OK
-    exact = oracle.exact_measurement_dist(doc.net)
+    # each branch's outcome is that of its successor of m0, as a run counts it;
+    # branches with one outcome pool their exact probabilities
+    m0 = doc.net.initial_marking()
+    expected: dict[tuple[str, ...], float] = {}
+    for tid, p in oracle.exact_measurement_dist(doc.net):
+        key = analysis.outcome(doc.net, doc.mapping, fire(doc.net, m0, tid))
+        expected[key] = expected.get(key, 0.0) + p
     worst = 0.0
     failed = False
-    for tid, p in exact:
-        key = _outcome_for_transition(doc.net, doc.mapping, tid)
+    for key, p in expected.items():
         freq = dist.frequency(key)
         sigma = (p * (1.0 - p) / dist.runs) ** 0.5
         pull = abs(freq - p) / sigma if sigma > 0 else 0.0

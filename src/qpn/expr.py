@@ -26,6 +26,7 @@ from __future__ import annotations
 
 import math
 import re
+import threading
 from dataclasses import dataclass
 from typing import Callable, Mapping, Sequence, Union
 
@@ -332,10 +333,24 @@ def parse(text: str) -> WeightExpr:
     tok = parser.peek()
     if tok.kind != "end":
         raise ExprSyntaxError(f"trailing input {tok.text!r}", tok.line, tok.column, ("end of input",))
-    if len(_PARSED) >= _PARSED_MAX:
-        del _PARSED[next(iter(_PARSED))]
-    _PARSED[text] = node
+    _remember(_PARSED, _PARSED_MAX, text, node)
     return node
+
+
+_REMEMBER_LOCK = threading.Lock()
+
+
+def _remember(cache: dict, bound: int, key: object, value: object) -> None:
+    """Add an entry to a cache that drops its oldest entry when full.
+
+    Lookups need no lock, but inserts take one: another thread's insert
+    between iter() and next() would make next() raise, and two threads
+    evicting at once could leave the cache past its bound.
+    """
+    with _REMEMBER_LOCK:
+        if len(cache) >= bound:
+            cache.pop(next(iter(cache)), None)  # pop, not del: tolerate a key already gone
+        cache[key] = value
 
 
 # --- evaluation -------------------------------------------------------------------
@@ -546,6 +561,17 @@ _COMPILE_GLOBALS = {
 }
 
 
+# Emitted code wraps each finite float literal in this delimiter, which it
+# uses nowhere else, so qpn.net can split a generated module into its shape
+# and its literals with one str.split; strip it before compiling the text.
+LITERAL = "`"
+
+
+def _literal(value: float) -> str:
+    """A finite float as a delimited literal of emitted code."""
+    return f"{LITERAL}{value!r}{LITERAL}"
+
+
 def compile_fn(expr: WeightExpr, place_index: Mapping[str, int]) -> Callable[[Sequence[float]], float]:
     """Compile to a callable over a dense marking vector.
 
@@ -555,13 +581,14 @@ def compile_fn(expr: WeightExpr, place_index: Mapping[str, int]) -> Callable[[Se
     (division by zero, negative sqrt) surface as the underlying ValueError /
     ZeroDivisionError, and :func:`evaluate` names them.
     """
-    source = f"lambda m: {_emit(fold_constants(expr), place_index)}"
+    source = f"lambda m: {_emit(fold_constants(expr), place_index)}".replace(LITERAL, "")
     return eval(source, dict(_COMPILE_GLOBALS))  # noqa: S307 - source built from our own AST
 
 
 def _emit(expr: WeightExpr, index: Mapping[str, int]) -> str:
     if isinstance(expr, Constant):
-        return repr(expr.value)
+        # inf and nan are names in _COMPILE_GLOBALS, not literals
+        return _literal(expr.value) if math.isfinite(expr.value) else repr(expr.value)
     if isinstance(expr, Pi):
         return "_pi"
     if isinstance(expr, MarkRef):

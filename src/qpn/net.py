@@ -24,6 +24,7 @@ import math
 import random
 import re
 from dataclasses import dataclass, replace
+from types import CodeType
 from typing import Callable, Container, Iterable, Sequence
 
 from . import expr as _expr
@@ -532,7 +533,7 @@ class _CompiledNet:
                 continue
             if not value >= 0.0:
                 terms.append(f"{w} >= 0.0")
-            terms.append(f"m[{p}] >= {value - EPSILON!r}")
+            terms.append(f"m[{p}] >= {_expr._literal(value - EPSILON)}")
         return " and ".join(terms) or "True"
 
     def _firing(self, ti: int, slow: str | None = None) -> list[str]:
@@ -673,7 +674,7 @@ class _CompiledNet:
         namespace = dict(_expr._COMPILE_GLOBALS)
         namespace.update(_fault=_raise_fault, _overflow=self._raise_overflow, _snap=self._snap_counters,
                          _FAULTS=_FAULTS, _RecheckFault=_RecheckFault)
-        exec("\n".join(lines), namespace)  # noqa: S102 - source built from our own AST
+        exec(_code("\n".join(lines)), namespace)  # noqa: S102 - source built from our own AST
         return [namespace[f"_f{ti}"] for ti in range(len(bodies))]
 
     def diagnose(self, ti: int, m: Sequence[float], step_index: int | None = None) -> None:
@@ -746,6 +747,74 @@ class _CompiledNet:
                 self.diagnose(t, m)
                 raise
         return weights
+
+
+# --- code cache ------------------------------------------------------------------------
+#
+# The nets of one family differ mostly in their float literals, so generated
+# modules are compiled once per shape: the source with the literals that
+# expr.LITERAL delimits cut out.  The first module of a shape is compiled with
+# a distinct sentinel float in each hole; a plan records the co_consts slot
+# each sentinel landed in, and every module of that shape, the first
+# included, is that code with its own literals patched into those slots
+# (copy-and-patch compilation, Xu and Kjolstad, OOPSLA 2021).  The compiler
+# folds a literal it can combine with another, such as the operands of a
+# weight 1/0 that fold_constants keeps; a sentinel then goes missing, and
+# modules of that shape compile their real text.
+
+# a plan is (code, ((slot, hole), ...), ((slot, nested plan), ...)): the
+# template code and where each hole's literal goes; the empty plan means that
+# a literal was folded and the real text is compiled
+_SHAPES: dict[str, tuple] = {}  # shape -> plan, oldest first
+_SHAPES_MAX = 256
+
+
+def _code(source: str) -> CodeType:
+    """The compiled module of generated source, patched from its shape's plan."""
+    parts = source.split(_expr.LITERAL)  # shape text at even positions, literals at odd
+    shape = _expr.LITERAL.join(parts[::2])
+    plan = _SHAPES.get(shape)
+    if plan is None:
+        plan = _new_plan(parts)
+        _expr._remember(_SHAPES, _SHAPES_MAX, shape, plan)
+    if not plan:
+        return compile("".join(parts), "<string>", "exec")
+    return _patch(plan, [float(text) for text in parts[1::2]])
+
+
+def _new_plan(parts: list[str]) -> tuple:
+    """Compile the shape with a sentinel in each hole; the empty plan if one went missing."""
+    holes = len(parts) // 2
+    # tiny floats no generated code holds: its fixed literals are 0.0, 1.0 and +-EPSILON
+    hole_of = {(i + 1) * 2.0**-1020: i for i in range(holes)}
+    text = list(parts)
+    text[1::2] = map(repr, hole_of)
+    found: list[int] = []
+    plan = _plan_of(compile("".join(text), "<string>", "exec"), hole_of, found)
+    return plan if sorted(found) == list(range(holes)) else ()
+
+
+def _plan_of(code: CodeType, hole_of: dict[float, int], found: list[int]) -> tuple:
+    slots, nested = [], []
+    for slot, const in enumerate(code.co_consts):
+        if type(const) is float and const in hole_of:
+            slots.append((slot, hole_of[const]))
+            found.append(hole_of[const])
+        elif isinstance(const, CodeType):
+            sub = _plan_of(const, hole_of, found)
+            if sub[1] or sub[2]:
+                nested.append((slot, sub))
+    return code, tuple(slots), tuple(nested)
+
+
+def _patch(plan: tuple, values: list[float]) -> CodeType:
+    code, slots, nested = plan
+    consts = list(code.co_consts)
+    for slot, hole in slots:
+        consts[slot] = values[hole]
+    for slot, sub in nested:
+        consts[slot] = _patch(sub, values)
+    return code.replace(co_consts=tuple(consts))
 
 
 def _cumulative_draw(weights: Sequence[float], total: float, rng: random.Random) -> int:

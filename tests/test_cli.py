@@ -237,6 +237,34 @@ class TestMeasure:
         assert code == 0
         assert "worst deviation" in out
 
+    @staticmethod
+    def _two_branches(tmp_path, t1_extra):
+        """Branches t1 and t2 each deposit 1/sqrt(2) into the place mapped to A."""
+        path = tmp_path / "branches.qpn"
+        path.write_text(
+            'net branches\nplace src init=1 kind=counter\nplace a init=0 kind=amplitude\n'
+            'place z init=0 kind=amplitude\ntrans t1\ntrans t2\narc src -> t1 w="1"\n'
+            'arc src -> t2 w="1"\narc t1 -> a w="1/sqrt(2)"\narc t2 -> a w="1/sqrt(2)"\n'
+            + t1_extra + 'k = 1\nmap a = "A"\nmap z = "Z"\n'
+        )
+        return str(path)
+
+    def test_expect_pools_branches_with_one_outcome(self, capsys, tmp_path):
+        """Two branches that both leave only A expect A once, with their summed probability."""
+        path = self._two_branches(tmp_path, "")
+        code, out, _ = run_cli(capsys, "measure", path, "--runs", "2000", "--seed", "1", "--expect")
+        assert code == 0
+        assert out.count("expect ") == 1
+        assert "  expect A: 1.000000  observed 1.000000  (0.00 sigma) ok\n" in out
+
+    def test_expect_labels_a_branch_as_a_run_counts_it(self, capsys, tmp_path):
+        """A deposit of 1e-10 into Z is below the 1e-9 a run counts, so t1 expects A, not A & Z."""
+        path = self._two_branches(tmp_path, 'arc t1 -> z w="1e-10"\n')
+        code, out, _ = run_cli(capsys, "measure", path, "--runs", "2000", "--seed", "1", "--expect")
+        assert code == 0
+        assert "A & Z" not in out
+        assert "  expect A: 1.000000  observed 1.000000  (0.00 sigma) ok\n" in out
+
     def test_single_run(self, capsys):
         code, out, _ = run_cli(
             capsys, "measure", str(GOLDEN / "measurement.qpn"), "--runs", "1", "--seed", "5"

@@ -9,6 +9,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from qpn import net as net_module
 from qpn.errors import (
     CounterViolationError,
     DivisionByZeroError,
@@ -672,6 +673,21 @@ def test_enabling_tolerance_boundary(kind, weight, q, value, expected):
     assert manual_enabled(net, m0, "t") == expected
     assert is_enabled(net, m0, "t") == expected
     assert run_final(net, m0, RunConfig(max_steps=1)).firings == expected
+
+
+def test_enabling_tolerance_boundary_through_cached_shapes(monkeypatch):
+    """From an empty shape cache, later weights reuse the code of an earlier one,
+    patched with their own threshold w - 1e-12, and keep the boundary exactly."""
+    monkeypatch.setattr(net_module, "_SHAPES", {})
+    built, plans = [], []
+    new_plan = net_module._new_plan
+    monkeypatch.setattr(net_module, "_new_plan", lambda parts: plans.append(parts) or new_plan(parts))
+    code = net_module._code
+    monkeypatch.setattr(net_module, "_code", lambda source: built.append(source) or code(source))
+    for kind, weight, q, value, expected in _boundary_cases():
+        test_enabling_tolerance_boundary(kind, weight, q, value, expected)
+    assert len(built) - len(plans) >= 1  # hits
+    assert all(net_module._SHAPES.values())  # each shape patched, none compiled as text
 
 
 # --- firing atomicity property over random nets ------------------------------------
