@@ -278,31 +278,36 @@ def reachability_graph(net: PetriNet, max_states: int = 10_000) -> ReachabilityG
     """Complete bounded BFS exploration; transitions tried in ordinal order.
 
     Requires a counter-only net with constant integer weights; raises
-    StateExplosionError past ``max_states`` distinct markings.
+    StateExplosionError past ``max_states`` distinct markings.  Each node is
+    queued with its enabled flags, as the step that reached it left them;
+    the step of each set flag fires on copies of both.  Constant weights
+    cannot fault, so the steps are called directly.
     """
     _require_integer_net(net)
-    cnet = net.compiled()
+    trans = net.compiled().trans
     root = tuple(net.initial_marking())
     index: dict[tuple[float, ...], int] = {root: 0}
     nodes: list[tuple[float, ...]] = [root]
     parents: list[tuple[int, str] | None] = [None]
     edges: list[tuple[int, str, int]] = []
-    queue: deque[int] = deque([0])
+    queue: deque[tuple[int, bytearray]] = deque([(0, bytearray(ct.enabled(root) for ct in trans))])
     while queue:
-        src = queue.popleft()
+        src, flags = queue.popleft()
         state = nodes[src]
-        for ti in cnet.enabled_ordinals(state):
-            successor = list(state)
-            cnet.fire_into(ti, successor)
+        for ti, on in enumerate(flags):
+            if not on:
+                continue
+            successor, after = list(state), bytearray(flags)
+            trans[ti].step(successor, after)
             key = tuple(successor)
-            tid = cnet.trans[ti].tid
+            tid = trans[ti].tid
             if key not in index:
                 if len(nodes) >= max_states:
                     raise StateExplosionError(f"more than {max_states} reachable markings")
                 index[key] = len(nodes)
                 nodes.append(key)
                 parents.append((src, tid))
-                queue.append(index[key])
+                queue.append((index[key], after))
             edges.append((src, tid, index[key]))
     return ReachabilityGraph(net, tuple(nodes), tuple(edges), tuple(parents))
 
@@ -370,7 +375,6 @@ def empirical_distribution(
     mapping: QuantumMapping,
     runs: int,
     seed: int = 0,
-    max_steps: int = 1_000_000,
 ) -> EmpiricalDistribution:
     """Terminal-outcome frequencies over ``runs`` seeded BornRandom runs.
 
@@ -383,10 +387,10 @@ def empirical_distribution(
     assigned = _assigned(net, mapping)
     counts: dict[tuple[str, ...], int] = {}
     for i in range(runs):
-        config = RunConfig(policy=Policy.BORN_RANDOM, seed=run_seed(seed, i), max_steps=max_steps)
+        config = RunConfig(policy=Policy.BORN_RANDOM, seed=run_seed(seed, i))
         final = run_final(net, m0, config)
         if final.status != TerminalStatus.QUIESCENT:
-            raise StepLimitError(f"run {i} did not reach quiescence within {max_steps} steps")
+            raise StepLimitError(f"run {i} did not reach quiescence within {config.max_steps} steps")
         key = _outcome(assigned, final.marking)
         counts[key] = counts.get(key, 0) + 1
     return EmpiricalDistribution(runs, counts)

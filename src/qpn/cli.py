@@ -118,7 +118,6 @@ def run_tables(
     m_values: list[int],
     tol_passing: float = DEFAULT_TOL_PASSING,
     tol_blocking: float = DEFAULT_TOL_BLOCKING,
-    k: float = 1.0,
 ) -> TableReport:
     """Build, run and grade every grid cell; rows in (mode, N, M) order."""
     rows: list[TableRow] = []
@@ -126,7 +125,7 @@ def run_tables(
         tolerance = tol_passing if mode == "passing" else tol_blocking
         for n in sorted(n_values):
             for m in sorted(m_values):
-                report = detection_report(mode, ProtocolParams(N=n, M=m, k=k))
+                report = detection_report(mode, ProtocolParams(N=n, M=m))
                 if mode == "passing":
                     oracle_report = oracle.passing_oracle(n, m)
                     net_value, oracle_value = report.d1, oracle_report.d1

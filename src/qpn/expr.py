@@ -15,9 +15,9 @@ evaluated against.  There is no implicit multiplication; `^` is
 right-associative; scientific-notation literals (`1e-28`) are accepted.
 
 :func:`evaluate` walks the tree and is the reference semantics.  The net
-engine executes weights as Python source emitted from the tree (the form
-:func:`compile_fn` returns as a callable over a dense marking vector); tests
-assert the two agree, and the engine diagnoses a fault in emitted code by
+engine executes weights as Python source emitted from the tree, inside the
+code :mod:`qpn.net` generates for each net; tests fire nets and assert the
+two agree bit for bit, and the engine diagnoses a fault in emitted code by
 re-evaluating with :func:`evaluate`, so every evaluation error it reports is
 the reference's.
 """
@@ -28,7 +28,7 @@ import math
 import re
 import threading
 from dataclasses import dataclass
-from typing import Callable, Mapping, Sequence, Union
+from typing import Mapping, Union
 
 from .errors import (
     DivisionByZeroError,
@@ -59,7 +59,6 @@ __all__ = [
     "evaluate",
     "free_places",
     "format_expr",
-    "compile_fn",
     "fold_constants",
 ]
 
@@ -547,7 +546,7 @@ def _fmt_number(value: float) -> str:
     return repr(value)
 
 
-# --- compilation ---------------------------------------------------------------
+# --- emitted code ---------------------------------------------------------------
 
 _COMPILE_GLOBALS = {
     "_cos": math.cos,
@@ -570,19 +569,6 @@ LITERAL = "`"
 def _literal(value: float) -> str:
     """A finite float as a delimited literal of emitted code."""
     return f"{LITERAL}{value!r}{LITERAL}"
-
-
-def compile_fn(expr: WeightExpr, place_index: Mapping[str, int]) -> Callable[[Sequence[float]], float]:
-    """Compile to a callable over a dense marking vector.
-
-    The emitted code is generated from the AST (never from user text) and
-    agrees with :func:`evaluate` wherever the latter succeeds (place-free
-    subtrees are folded to literals by :func:`fold_constants`); runtime faults
-    (division by zero, negative sqrt) surface as the underlying ValueError /
-    ZeroDivisionError, and :func:`evaluate` names them.
-    """
-    source = f"lambda m: {_emit(fold_constants(expr), place_index)}".replace(LITERAL, "")
-    return eval(source, dict(_COMPILE_GLOBALS))  # noqa: S307 - source built from our own AST
 
 
 def _emit(expr: WeightExpr, index: Mapping[str, int]) -> str:

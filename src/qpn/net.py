@@ -308,8 +308,10 @@ def validate_marking(net: PetriNet, m: Sequence[float]) -> None:
 # faults the marking is unchanged and diagnose() re-evaluates the arcs with
 # expr.evaluate, the reference, to raise its error.  A fault in a re-test comes
 # after the firing was written; the step reports it as _RecheckFault and the
-# run finds the transition at fault.  The code's own result checks (a counter
-# left negative or fractional, a deposit that overflows) raise directly.
+# run finds the transition at fault, while fire_into, whose callers re-test
+# nothing, leaves it for the next enabling test to name.  The code's own
+# result checks (a counter left negative or fractional, a deposit that
+# overflows) raise directly.
 # `x - x != 0.0` is a cheap non-finiteness test (true for nan and both
 # infinities).  Generated code assumes a finite pre-fire marking.
 
@@ -361,7 +363,7 @@ class _Loop:
 
 
 class _CompiledTransition:
-    __slots__ = ("tid", "rank", "in_arcs", "out_arcs", "touched", "conflict_places", "reads",
+    __slots__ = ("tid", "rank", "in_arcs", "out_arcs", "touched", "rivals", "reads",
                  "enabled", "step", "recheck")
 
     def __init__(self, tid: str, rank: int):
@@ -370,7 +372,7 @@ class _CompiledTransition:
         self.in_arcs: list[Arc] = []
         self.out_arcs: list[Arc] = []
         self.touched: list[int] = []            # places this transition may modify
-        self.conflict_places: set[int] = set()  # consume/drain inputs, for conflict grouping
+        self.rivals: frozenset[int] = frozenset()  # transitions sharing a consume/drain input
         # places the enabling test reads -> whether the test is non-decreasing in
         # that place: false once a weight reads it (a drain's weight reads its place)
         self.reads: dict[int, bool] = {}
@@ -388,6 +390,7 @@ class _CompiledNet:
         self.trans = [_CompiledTransition(t.id, t.priority) for t in net.transitions]
         self._weights: dict[int, tuple[str, float | None]] = {}  # id(arc) -> _weight(arc)
         dependents: list[set[int]] = [set() for _ in net.places]  # transitions each place can flip
+        consumers: list[set[int]] = [set() for _ in net.places]  # transitions consuming or draining it
         for arc in net.arcs:
             if arc.kind == ArcKind.DEPOSIT:
                 ct = self.trans[net.transition_index[arc.source]]
@@ -406,7 +409,7 @@ class _CompiledNet:
                     dependents[q].add(ti)
                 if arc.kind == ArcKind.GUARD:
                     continue
-                ct.conflict_places.add(p)
+                consumers[p].add(ti)
             if p not in ct.touched:
                 ct.touched.append(p)
         # firing order under deterministic priority
@@ -415,12 +418,13 @@ class _CompiledNet:
         for ct in self.trans:
             # in ordinal order, so a run reports the fault a step() loop meets first
             ct.recheck = tuple(sorted({tj for p in ct.touched for tj in dependents[p]}))
+            ct.rivals = frozenset(tj for a in ct.in_arcs if a.kind != ArcKind.GUARD
+                                  for tj in consumers[index[a.source]])
         self._tests = [self._enabling_test(ti, ct) for ti, ct in enumerate(self.trans)]
         enabled = self._define("m", [[f"    return {test}"] for test in self._tests])
         steps = self._define("m, flags", [self._step(ti) for ti in range(len(self.trans))])
         for ct, enabled_fn, step_fn in zip(self.trans, enabled, steps):
             ct.enabled, ct.step = enabled_fn, step_fn
-        self._fire: list[Callable[[Marking], None]] | None = None
         self._born: list[Callable[[Sequence[float]], float]] | None = None
         self.loops: dict[bytes, _Loop] = {}  # compiled periods by their head flag state
         self._sightings: dict[bytes, int] = {}
@@ -716,28 +720,39 @@ class _CompiledNet:
     def fire_into(self, ti: int, m: Marking) -> None:
         """Apply one firing of an enabled transition to a finite marking in place.
 
-        The code is generated on the first call: runs fire through their steps.
+        Runs ti's step on scratch flags.  A re-test fault comes after the
+        firing is written; it is ignored, and the next enabling test names it.
         """
-        if self._fire is None:
-            bodies = [self._firing(t) + ["    pass"] for t in range(len(self.trans))]
-            self._fire = self._define("m", bodies)
         try:
-            self._fire[ti](m)
+            self.trans[ti].step(m, bytearray(len(self.trans)))
         except _FAULTS:
             self.diagnose(ti, m)
             raise
+        except _RecheckFault:
+            pass
 
     def born_weights(self, members: list[int], m: Sequence[float]) -> list[float]:
         """Total squared output weight of each member, summed in arc order.
 
-        The code is generated on the first call: deterministic runs never pay for it.
+        The code is generated on the first call: deterministic runs never pay
+        for it.  The square of a constant weight, and the sum of the leading
+        run of them, are literals computed here with the same float
+        operations; left to the compiler, they would be folded with their
+        sentinels, and the shape could not be patched.
         """
         if self._born is None:
             bodies = []
             for ct in self.trans:
                 values, lines = self._bind("v", ct.out_arcs)
-                squares = " + ".join(f"{v}*{v}" for v in values) or "0.0"
-                bodies.append(lines + [f"    return {squares}"])
+                lead, squares = None, []  # lead: the sum of the leading constant squares
+                for v, arc in zip(values, ct.out_arcs):
+                    w = self._weight(arc)[1]
+                    if w is not None and not squares:
+                        lead = w * w if lead is None else lead + w * w
+                    else:
+                        squares.append(f"{v}*{v}" if w is None else _expr._emit(_expr.Constant(w * w), {}))
+                head = [] if lead is None else [_expr._emit(_expr.Constant(lead), {})]
+                bodies.append(lines + [f"    return {' + '.join(head + squares) or '0.0'}"])
             self._born = self._define("m", bodies)
         weights = []
         for t in members:
@@ -880,41 +895,30 @@ def conflict_groups(net: PetriNet, m: Sequence[float]) -> list[list[str]]:
     """
     _check_dimension(net, m)
     cnet = net.compiled()
-    groups = _group_ordinals(cnet, cnet.enabled_ordinals(m))
-    return [[cnet.trans[i].tid for i in group] for group in groups]
-
-
-def _group_ordinals(cnet: _CompiledNet, enabled: list[int]) -> list[list[int]]:
-    parent = {t: t for t in enabled}
-
-    def find(x: int) -> int:
-        while parent[x] != x:
-            parent[x] = parent[parent[x]]
-            x = parent[x]
-        return x
-
-    by_place: dict[int, int] = {}
-    for t in enabled:
-        for p in cnet.trans[t].conflict_places:
-            if p in by_place:
-                ra, rb = find(by_place[p]), find(t)
-                if ra != rb:
-                    parent[rb] = ra
-            else:
-                by_place[p] = t
-    clusters: dict[int, list[int]] = {}
-    for t in enabled:
-        clusters.setdefault(find(t), []).append(t)
-    groups = [sorted(members) for members in clusters.values()]
-    groups.sort(key=lambda g: min((cnet.trans[t].rank, t) for t in g))
+    pending = set(cnet.enabled_ordinals(m))
+    groups = []
+    for t in cnet.order:  # each group is found from its first member in priority order
+        if t in pending:
+            group = _group(cnet, t, pending)
+            pending -= group
+            groups.append([cnet.trans[i].tid for i in sorted(group)])
     return groups
 
 
+def _group(cnet: _CompiledNet, lead: int, enabled: set[int]) -> set[int]:
+    """The enabled transitions linked to lead by a chain of rivals."""
+    group, frontier = {lead}, [lead]
+    while frontier:
+        for t in cnet.trans[frontier.pop()].rivals:
+            if t in enabled and t not in group:
+                group.add(t)
+                frontier.append(t)
+    return group
+
+
 def _born_choice(cnet: _CompiledNet, m: Sequence[float], enabled: list[int], rng: random.Random) -> int:
-    groups = _group_ordinals(cnet, enabled)
     lead = min(enabled, key=lambda t: (cnet.trans[t].rank, t))
-    group = next(g for g in groups if lead in g)
-    members = sorted(group, key=lambda t: (cnet.trans[t].rank, t))
+    members = sorted(_group(cnet, lead, set(enabled)), key=lambda t: (cnet.trans[t].rank, t))
     weights = cnet.born_weights(members, m)
     total = sum(weights)
     if total <= 0.0:

@@ -63,26 +63,6 @@ class NetDocument:
 # --- parsing helpers ------------------------------------------------------------
 
 
-def _strip_comment(line: str) -> str:
-    out = []
-    in_quote = False
-    escaped = False
-    for ch in line:
-        if in_quote:
-            if escaped:
-                escaped = False
-            elif ch == "\\":
-                escaped = True
-            elif ch == '"':
-                in_quote = False
-        elif ch == '"':
-            in_quote = True
-        elif ch == "#":
-            break
-        out.append(ch)
-    return "".join(out).strip()
-
-
 def _unquote(text: str, lineno: int) -> str:
     if len(text) < 2 or not text.startswith('"') or not text.endswith('"'):
         raise NetFileSyntaxError(f"expected a quoted string, got {text!r}", lineno)
@@ -95,7 +75,7 @@ def _quote(text: str) -> str:
 
 
 def _split_fields(text: str, lineno: int) -> list[str]:
-    """Whitespace-split that keeps quoted strings (with escapes) intact."""
+    """Whitespace-separated fields before the first unquoted ``#``; quoted strings stay whole."""
     fields: list[str] = []
     current: list[str] = []
     in_quote = False
@@ -113,6 +93,8 @@ def _split_fields(text: str, lineno: int) -> list[str]:
         if ch == '"':
             current.append(ch)
             in_quote = True
+        elif ch == "#":
+            break
         elif ch.isspace():
             if current:
                 fields.append("".join(current))
@@ -180,10 +162,9 @@ def load(text: str) -> NetDocument:
     config: ConfigOverrides | None = None
 
     for lineno, raw in enumerate(text.splitlines(), start=1):
-        line = _strip_comment(raw)
-        if not line:
+        fields = _split_fields(raw, lineno)
+        if not fields:
             continue
-        fields = _split_fields(line, lineno)
         keyword = fields[0]
 
         if keyword == "net":

@@ -1,8 +1,12 @@
 """Predicates, reachability graphs, invariants, empirical statistics."""
 
 import math
+import re
+from collections import deque
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from qpn.analysis import (
     And,
@@ -23,11 +27,22 @@ from qpn.errors import (
     ExprSyntaxError,
     NonConstantWeightsError,
     NotIntegerNetError,
+    QpnError,
     StateExplosionError,
 )
 from qpn.expr import MarkRef
 from qpn.models import ProtocolParams, entanglement_net, measurement_net, zeno_net
-from qpn.net import Arc, ArcKind, PetriNet, PlaceDecl, PlaceKind, fire, is_enabled
+from qpn.net import (
+    Arc,
+    ArcKind,
+    PetriNet,
+    PlaceDecl,
+    PlaceKind,
+    TransitionDecl,
+    enabled_transitions,
+    fire,
+    is_enabled,
+)
 from qpn.quantum import QuantumMapping
 
 C = PlaceKind.COUNTER
@@ -236,3 +251,65 @@ class TestDotExport:
         assert 's0 [label="p1=1 p2=1"' in dot
         assert '[label="t1"]' in dot
         assert dot.endswith("}\n")
+
+
+# --- the BFS against one written from enabled_transitions and fire ------------------
+
+
+@st.composite
+def _counter_net(draw):
+    """Counter nets with constant integer weights, guards, shared inputs and priorities.
+
+    No transition deposits more than it consumes, so the token total never
+    grows and every graph is finite.
+    """
+    n_places = draw(st.integers(min_value=2, max_value=4))
+    places = [PlaceDecl(f"p{i}", C, draw(st.sampled_from([1, 2, 0, 3]))) for i in range(n_places)]
+    place = st.integers(0, n_places - 1).map(lambda i: f"p{i}")
+    n_trans = draw(st.integers(min_value=1, max_value=6))
+    transitions = [TransitionDecl(f"t{t}", draw(st.integers(0, 2))) for t in range(n_trans)]
+    arcs = []
+    for t in range(n_trans):
+        budget = 0
+        for _ in range(draw(st.integers(min_value=1, max_value=2))):
+            weight = draw(st.sampled_from([1, 2, 0]))
+            budget += weight
+            arcs.append(Arc(draw(place), f"t{t}", draw(st.sampled_from([str(weight), f"{weight}+0"]))))
+        for _ in range(draw(st.integers(min_value=0, max_value=1))):
+            arcs.append(Arc(draw(place), f"t{t}", str(draw(st.integers(0, 2))), ArcKind.GUARD))
+        while budget and not draw(st.integers(0, 3)) == 3:
+            weight = draw(st.integers(1, budget))
+            budget -= weight
+            arcs.append(Arc(f"t{t}", draw(place), str(weight)))
+    return PetriNet("counters", places, transitions, arcs)
+
+
+def _reference_graph(net):
+    """Nodes, edges and parents of a BFS that fires every enabled transition in ordinal order."""
+    root = tuple(net.initial_marking())
+    index, nodes, parents, edges = {root: 0}, [root], [None], []
+    queue = deque([0])
+    while queue:
+        src = queue.popleft()
+        for tid in enabled_transitions(net, nodes[src]):
+            key = tuple(fire(net, nodes[src], tid))
+            if key not in index:
+                index[key] = len(nodes)
+                nodes.append(key)
+                parents.append((src, tid))
+                queue.append(index[key])
+            edges.append((src, tid, index[key]))
+    return tuple(nodes), tuple(edges), tuple(parents)
+
+
+@settings(max_examples=300, deadline=None)
+@given(_counter_net())
+def test_graph_matches_a_bfs_of_enabled_transitions_and_fire(net):
+    try:
+        expected = _reference_graph(net)
+    except QpnError as e:  # two consumes of one place can drive a counter negative
+        with pytest.raises(type(e), match=re.escape(str(e))):
+            reachability_graph(net)
+        return
+    graph = reachability_graph(net)
+    assert (graph.nodes, graph.edges, graph.parents) == expected

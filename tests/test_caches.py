@@ -23,7 +23,7 @@ from qpn import expr as expr_module
 from qpn import net as net_module
 from qpn import netfile
 from qpn.errors import DivisionByZeroError, QpnError
-from qpn.expr import Add, Constant, MarkRef, parse
+from qpn.expr import Add, Constant, MarkRef, evaluate, parse
 from qpn.models import (
     ProtocolParams,
     entanglement_net,
@@ -98,7 +98,7 @@ def checked(monkeypatch):
 
 
 def _exercise(net, max_steps=5000):
-    """Build every module of a net: tests and steps, loops, _fire and the Born code."""
+    """Build every module of a net: tests and steps, loops and the Born code."""
     cnet = net.compiled()
     m0 = net.initial_marking()
     for config in (RunConfig(max_steps=max_steps), RunConfig(Policy.BORN_RANDOM, 1, 50)):
@@ -140,8 +140,7 @@ def test_patched_code_equals_a_fresh_compile_on_grid_shapes(checked, mode):
         net, _ = build(ProtocolParams(N=n, M=m))
         loops += len(_exercise(net, max_steps=10**6).loops)
     assert loops == 2
-    # only the Born code, one module per net, folds the squares of its constant weights
-    assert checked["patched"] >= checked["modules"] - 3
+    assert checked["patched"] == checked["modules"]  # the Born code included
     assert checked["hits"] >= 4  # the tests and the steps of the last two nets
 
 
@@ -180,6 +179,39 @@ def test_patched_code_equals_a_fresh_compile_on_random_nets(nets):
         for net in nets:
             _exercise(net, max_steps=3000)
     assert counts["modules"] >= 4
+
+
+_LEADING_CONSTANTS = """net lead
+place a init=0.75 kind=amplitude
+trans t1
+trans t2
+arc t1 -> a w="0.1"
+arc t1 -> a w="1/3"
+arc t1 -> a w="m(a)"
+arc t1 -> a w="0.2"
+arc t2 -> a w="0.2"
+arc t2 -> a w="0.3"
+"""
+
+
+@pytest.mark.parametrize("text", [(GOLDEN / "measurement.qpn").read_text(), _LEADING_CONSTANTS],
+                         ids=["measurement", "leading-constants"])
+def test_born_code_of_constant_weights_is_patched(monkeypatch, text):
+    """Constant squares, and the sum of the leading run of them, are literals the
+    compiler cannot fold, so the Born code patches like the rest and gives each
+    transition's squared output weights summed in arc order."""
+    monkeypatch.setattr(net_module, "_SHAPES", {})
+    net = netfile.load(text).net
+    cnet = net.compiled()
+    m0 = net.initial_marking()
+    before = set(net_module._SHAPES)
+    weights = cnet.born_weights(list(range(len(cnet.trans))), m0)
+    (born,) = set(net_module._SHAPES) - before
+    assert net_module._SHAPES[born]
+    env = dict(zip(net.place_ids(), m0))
+    for tid, got in zip(net.transition_ids(), weights):
+        expected = sum(w * w for w in (evaluate(a.weight, env) for a in net.output_arcs(tid)))
+        assert struct.pack("d", got) == struct.pack("d", expected)
 
 
 def test_folded_literals_compile_the_real_text(monkeypatch):

@@ -1,4 +1,4 @@
-"""Weight-expression language: parsing, evaluation, formatting, compilation."""
+"""Weight-expression language: parsing, evaluation, formatting, and the code a net generates."""
 
 import math
 import struct
@@ -31,13 +31,13 @@ from qpn.expr import (
     Sin,
     Sqrt,
     Subtract,
-    compile_fn,
     evaluate,
     fold_constants,
     format_expr,
     free_places,
     parse,
 )
+from qpn.net import Arc, PetriNet, PlaceDecl, PlaceKind, fire
 
 
 class TestParse:
@@ -227,6 +227,18 @@ def _exprs(depth: int = 3):
     return st.recursive(leaves, extend, max_leaves=12)
 
 
+def _fired(tree, env):
+    """The value a net's generated code computes for tree over env.
+
+    One transition deposits tree into a place ``out`` that starts at -0.0,
+    and x + -0.0 is x for every x.
+    """
+    places = [PlaceDecl(p, PlaceKind.AMPLITUDE, v) for p, v in env.items()]
+    places.append(PlaceDecl("out", PlaceKind.AMPLITUDE, -0.0))
+    net = PetriNet("expr", places, ["t"], [Arc("t", "out", tree)])
+    return fire(net, net.initial_marking(), "t")[-1]
+
+
 @settings(max_examples=300, deadline=None)
 @given(_exprs())
 def test_format_parse_round_trip(tree):
@@ -243,20 +255,15 @@ def test_format_parse_round_trip(tree):
     ),
 )
 def test_compiled_matches_tree_walk(tree, values):
-    """The generated-code evaluator agrees with the reference tree walk."""
+    """A net's generated code deposits the bits of the reference tree walk, or raises its error class."""
     env = dict(zip(_PLACES, values))
-    index = {p: i for i, p in enumerate(_PLACES)}
-    marking = [env[p] for p in _PLACES]
-    fn = compile_fn(tree, index)
     try:
         expected = evaluate(tree, env)
-    except Exception:
-        with pytest.raises(Exception):
-            value = fn(marking)
-            if not math.isfinite(value):
-                raise NonFiniteResultError(str(value))
+    except EvaluationError as e:
+        with pytest.raises(type(e)):
+            _fired(tree, env)
         return
-    assert fn(marking) == pytest.approx(expected, rel=1e-15, abs=1e-300)
+    assert struct.pack("d", _fired(tree, env)) == struct.pack("d", expected)
 
 
 def _same_outcome(tree, folded, env):
@@ -281,13 +288,12 @@ def _same_outcome(tree, folded, env):
     ),
 )
 def test_folding_is_bit_identical(tree, values):
-    """Folded trees, and the code compiled from them, evaluate to the same bits."""
+    """Folded trees, and the code a net generates from them, evaluate to the same bits."""
     env = dict(zip(_PLACES, values))
     folded = fold_constants(tree)
     expected = _same_outcome(tree, folded, env)
     if expected is not None:
-        fn = compile_fn(tree, {p: i for i, p in enumerate(_PLACES)})
-        assert struct.pack("d", fn([env[p] for p in _PLACES])) == struct.pack("d", expected)
+        assert struct.pack("d", _fired(tree, env)) == struct.pack("d", expected)
 
 
 class TestFoldConstants:
@@ -314,8 +320,7 @@ class TestFoldConstants:
         assert fold_constants(parse("1/(1e308*10)")) == Constant(0.0)
 
     def test_negative_literal_compiles(self):
-        fn = compile_fn(parse("m(a)--2"), {"a": 0})
-        assert fn([1.0]) == 3.0
+        assert _fired(parse("m(a)--2"), {"a": 1.0}) == 3.0
 
 
 def test_parse_returns_cached_tree():

@@ -963,6 +963,15 @@ class TestFusedStep:
             _execute(net, net.initial_marking(), RunConfig(), on_fire=lambda tid, m: seen.append((tid, list(m))))
         assert seen == [("t1", [0.0, 0.0, 1.0])]
 
+    def test_fire_leaves_a_recheck_fault_to_the_next_enabling_test(self):
+        """fire and step run t1's step, whose re-test of t2 faults after the firing."""
+        net = self._recheck_fault_net()
+        m0 = net.initial_marking()
+        assert fire(net, m0, "t1") == [0.0, 0.0, 1.0]
+        assert step(net, m0, RunConfig(), random.Random(0)) == ("t1", [0.0, 0.0, 1.0])
+        with pytest.raises(DivisionByZeroError, match=r"^arc out->t2 w=1/m\(p2\): "):
+            enabled_transitions(net, [0.0, 0.0, 1.0])
+
     def test_fire_checks_the_marking(self):
         net = PetriNet("c", [PlaceDecl("a", C, 1)], ["t"], [Arc("a", "t")])
         for marking in ([math.inf], [math.nan], [0.5], [-1.0]):
@@ -1087,3 +1096,76 @@ def test_first_faulting_retest_in_ordinal_order():
         run_final(net, net.initial_marking(), RunConfig())
     assert str(err.value) == str(expected)
     assert str(err.value).startswith("arc x->t1 w=1/m(z): ")
+
+
+# --- conflict groups against a transitive closure ----------------------------------
+
+_OUTPUTS = ("0", "0.5", "1/sqrt(3)", "2", "m(q0)", "m(q1)*0.5")
+
+
+@st.composite
+def _conflict_net_and_marking(draw):
+    """Nets whose transitions share consume, drain and guard places, with mixed priorities."""
+    n_trans = draw(st.integers(min_value=1, max_value=6))
+    transitions = [TransitionDecl(f"t{t}", draw(st.integers(0, 2))) for t in range(n_trans)]
+    arcs = []
+    for t in range(n_trans):
+        for _ in range(draw(st.integers(min_value=0, max_value=2))):
+            src = f"q{draw(st.integers(0, 3))}"
+            kind = draw(st.sampled_from([ArcKind.CONSUME, ArcKind.GUARD, ArcKind.DRAIN]))
+            weight = f"m({src})" if kind == ArcKind.DRAIN else draw(st.sampled_from(["0", "0.5", "1"]))
+            arcs.append(Arc(src, f"t{t}", weight, kind))
+        for _ in range(draw(st.integers(min_value=0, max_value=3))):
+            arcs.append(Arc(f"t{t}", f"q{draw(st.integers(0, 3))}", draw(st.sampled_from(_OUTPUTS))))
+    places = [PlaceDecl(f"q{i}", A, 0.0) for i in range(4)]
+    net = PetriNet("conflicts", places, transitions, arcs)
+    marking = draw(st.lists(st.sampled_from([-1.0, 0.0, 0.5, 1.0, 2.0]), min_size=4, max_size=4))
+    return net, marking
+
+
+def _closure_groups(net, m):
+    """Enabled transitions linked by shared consume/drain places, closed transitively (Warshall)."""
+    enabled = enabled_transitions(net, m)
+    shared = {t: {a.source for a in net.input_arcs(t) if a.kind != ArcKind.GUARD} for t in enabled}
+    linked = {(a, b) for a in enabled for b in enabled if a == b or shared[a] & shared[b]}
+    for k in enabled:
+        for a in enabled:
+            for b in enabled:
+                if (a, k) in linked and (k, b) in linked:
+                    linked.add((a, b))
+    rank = {t.id: (t.priority, i) for i, t in enumerate(net.transitions)}
+    groups = {frozenset(b for b in enabled if (a, b) in linked) for a in enabled}
+    ordered = sorted(groups, key=lambda g: min(rank[t] for t in g))
+    return [sorted(g, key=lambda t: rank[t][1]) for g in ordered], rank
+
+
+@settings(max_examples=300, deadline=None)
+@given(_conflict_net_and_marking(), st.integers(min_value=0, max_value=2**16))
+def test_conflict_groups_match_transitive_closure(net_and_marking, seed):
+    """conflict_groups equals a closure built from the arcs, and a Born step draws
+    from the lead transition's group with squared weights summed in arc order."""
+    net, m = net_and_marking
+    groups, rank = _closure_groups(net, m)
+    assert conflict_groups(net, m) == groups
+    if not groups:
+        assert step(net, m, RunConfig(Policy.BORN_RANDOM, seed), random.Random(seed)) is None
+        return
+    members = sorted(groups[0], key=rank.get)
+    env = dict(zip(net.place_ids(), m))
+    weights = [sum(w * w for w in (evaluate(a.parsed_weight(), env) for a in net.output_arcs(t)))
+               for t in members]
+    got = net.compiled().born_weights([net.transition_index[t] for t in members], m)
+    assert [struct.pack("d", w) for w in got] == [struct.pack("d", w) for w in weights]
+    total = sum(weights)
+    config = RunConfig(Policy.BORN_RANDOM, seed)
+    if total <= 0.0:
+        with pytest.raises(ZeroWeightGroupError):
+            step(net, m, config, random.Random(seed))
+        return
+    draw, acc, chosen = random.Random(seed).random() * total, 0.0, members[-1]
+    for t, w in zip(members, weights):
+        acc += w
+        if draw < acc:
+            chosen = t
+            break
+    assert step(net, m, config, random.Random(seed)) == (chosen, fire(net, m, chosen))
