@@ -3,18 +3,20 @@
 * marking predicates - comparisons between weight expressions combined with
   AND/OR/NOT, evaluated with the equality tolerance CMP_EPSILON;
 * bounded reachability graphs for counter-only nets with constant integer
-  weights, exportable as DOT text;
+  weights, exportable as DOT text; the BFS calls one generated successors
+  function per node;
 * exhaustive invariant checking over a reachability graph, returning the first
-  counterexample with its firing path;
+  counterexample with its firing path; the predicate runs as generated code,
+  and evaluate_predicate, the reference, names any fault;
 * seeded empirical outcome distributions over repeated BornRandom runs;
 * incidence matrices for constant-weight nets.
 """
 
 from __future__ import annotations
 
-from collections import deque
+import itertools
 from dataclasses import dataclass
-from typing import Mapping, Sequence, Union
+from typing import Callable, Iterator, Mapping, Sequence, Union
 
 from . import expr as _expr
 from .errors import (
@@ -32,6 +34,8 @@ from .net import (
     Policy,
     RunConfig,
     TerminalStatus,
+    _CompiledNet,
+    _FAULTS,
     marking_env,
     run_final,
 )
@@ -278,38 +282,57 @@ def reachability_graph(net: PetriNet, max_states: int = 10_000) -> ReachabilityG
     """Complete bounded BFS exploration; transitions tried in ordinal order.
 
     Requires a counter-only net with constant integer weights; raises
-    StateExplosionError past ``max_states`` distinct markings.  Each node is
-    queued with its enabled flags, as the step that reached it left them;
-    the step of each set flag fires on copies of both.  Constant weights
-    cannot fault, so the steps are called directly.
+    StateExplosionError past ``max_states`` distinct markings.  One generated
+    function gives the successors of each node, which is the whole search.
     """
     _require_integer_net(net)
-    trans = net.compiled().trans
+    cnet = net.compiled()
+    successors = _successors(cnet)
+    tids = [ct.tid for ct in cnet.trans]
     root = tuple(net.initial_marking())
     index: dict[tuple[float, ...], int] = {root: 0}
     nodes: list[tuple[float, ...]] = [root]
     parents: list[tuple[int, str] | None] = [None]
     edges: list[tuple[int, str, int]] = []
-    queue: deque[tuple[int, bytearray]] = deque([(0, bytearray(ct.enabled(root) for ct in trans))])
-    while queue:
-        src, flags = queue.popleft()
-        state = nodes[src]
-        for ti, on in enumerate(flags):
-            if not on:
-                continue
-            successor, after = list(state), bytearray(flags)
-            trans[ti].step(successor, after)
-            key = tuple(successor)
-            tid = trans[ti].tid
-            if key not in index:
+    for state in nodes:  # visits the nodes appended on the way
+        src = index[state]  # the int the dict holds: a new one per node would cost memory
+        for ti, key in successors(state):
+            dst = index.get(key)
+            if dst is None:
                 if len(nodes) >= max_states:
                     raise StateExplosionError(f"more than {max_states} reachable markings")
-                index[key] = len(nodes)
+                dst = index[key] = len(nodes)
                 nodes.append(key)
-                parents.append((src, tid))
-                queue.append((index[key], after))
-            edges.append((src, tid, index[key]))
+                parents.append((src, tids[ti]))
+            edges.append((src, tids[ti], dst))
+    del index  # freed before the tuples are built, which lowers the peak
     return ReachabilityGraph(net, tuple(nodes), tuple(edges), tuple(parents))
+
+
+def _successors(cnet: _CompiledNet) -> Callable[[tuple[float, ...]], list[tuple[int, tuple[float, ...]]]]:
+    """Generated successors(state): (ordinal, successor) of each enabled transition, in ordinal order.
+
+    The state tuple is unpacked into locals x<p>.  Each transition runs its
+    enabling test on them, then its firing lines with each place it touches
+    renamed to a local y<p>, and the successor tuple is built from both.  A
+    failing overflow or counter test copies the successor to a list that
+    finish() raises on or snaps, as the step would.  Weights must be
+    constant: the firing lines then read only the places they touch.
+    """
+    n = len(cnet.net.places)
+    lines = [f"    {''.join(f'x{p}, ' for p in range(n))}= state"] if n else []
+    lines.append("    out = []")
+    for ti, ct in enumerate(cnet.trans):
+        values = [f"y{p}" if p in ct.touched else f"x{p}" for p in range(n)]
+        copy = "; ".join(f"y{p} = s[{p}]" for p in ct.touched)
+        slow = f"s = [{', '.join(values)}]; _finish({ti}, s); {copy}"
+        firing, _ = _expr._on_locals("\n".join(cnet._firing(ti, slow)), "y")
+        test, _ = _expr._on_locals(cnet._tests[ti], "x")
+        lines += [f"    if {test}:", *(f"        y{p} = x{p}" for p in ct.touched),
+                  *(f"    {line}" for line in firing.split("\n")),
+                  f"        out.append(({ti}, ({''.join(f'{v}, ' for v in values)})))"]
+    lines.append("    return out")
+    return cnet._define("state", [lines])[0]
 
 
 @dataclass(frozen=True)
@@ -323,13 +346,51 @@ class InvariantResult:
 
 
 def check_invariant(graph: ReachabilityGraph, pred: MarkingPredicate | str) -> InvariantResult:
-    """Evaluate the predicate on every node; first BFS counterexample wins."""
+    """Evaluate the predicate on every node; first BFS counterexample wins.
+
+    The predicate runs as generated code; on a fault, evaluate_predicate
+    re-runs it on that node and raises the reference error.
+    """
     if isinstance(pred, str):
         pred = parse_predicate(pred)
+    code = _emit_predicate(pred, graph.net.place_index, itertools.count())
+    holds = graph.net.compiled()._define("m", [[f"    return {code}"]])[0]
     for i, node in enumerate(graph.nodes):
-        if not evaluate_predicate(pred, marking_env(graph.net, node)):
-            return InvariantResult(False, node, tuple(graph.path_to(i)))
+        try:
+            if not holds(node):
+                return InvariantResult(False, node, tuple(graph.path_to(i)))
+        except _FAULTS:
+            evaluate_predicate(pred, marking_env(graph.net, node))
+            raise
     return InvariantResult(True)
+
+
+def _emit_predicate(pred: MarkingPredicate, index: Mapping[str, int], names: Iterator[int]) -> str:
+    """The predicate as one generated expression over the marking vector ``m``.
+
+    Each comparison binds its two sides to fresh names, tests them finite as
+    an enabling test tests a weight, then compares them as
+    evaluate_predicate does, with CMP_EPSILON as a literal; abs(a - b) <= e
+    is written -e <= a - b <= e.  AND, OR and NOT keep Python's
+    short-circuit.  A comparison naming an undeclared place, or anything
+    else that cannot be emitted, becomes _fault(): if it is reached, the
+    reference raises its error.
+    """
+    if isinstance(pred, (And, Or)):
+        op = "and" if isinstance(pred, And) else "or"
+        return f"({_emit_predicate(pred.left, index, names)} {op} {_emit_predicate(pred.right, index, names)})"
+    if isinstance(pred, Not):
+        return f"(not {_emit_predicate(pred.operand, index, names)})"
+    if not (isinstance(pred, Compare) and pred.op in _CMP_OPS and predicate_places(pred) <= index.keys()):
+        return "_fault()"
+    i = next(names)
+    a, b, eps = f"a{i}", f"b{i}", _expr._literal(CMP_EPSILON)
+    within = f"{_expr._literal(-CMP_EPSILON)} <= {a} - {b} <= {eps}"
+    compare = {"==": within, "!=": f"not ({within})", "<=": f"{a} <= {b} + {eps}",
+               ">=": f"{a} >= {b} - {eps}", "<": f"{a} < {b} - {eps}", ">": f"{a} > {b} + {eps}"}
+    sides = [f"(({x} := {_expr._emit(_expr.fold_constants(side), index)}) - {x} == 0.0 or _fault())"
+             for x, side in ((a, pred.left), (b, pred.right))]
+    return f"({sides[0]} and {sides[1]} and {compare[pred.op]})"
 
 
 # --- empirical statistics ----------------------------------------------------------

@@ -601,3 +601,29 @@ def _emit(expr: WeightExpr, index: Mapping[str, int]) -> str:
     if isinstance(expr, Sqrt):
         return f"_sqrt({_emit(expr.operand, index)})"
     raise TypeError(f"not a WeightExpr: {expr!r}")
+
+
+_PLACE_REF = re.compile(r"\bm\[(\d+)\]")  # a marking read, as _emit writes it
+
+
+def _on_locals(text: str, prefix: str) -> tuple[str, list[int]]:
+    """Generated text with each m[p] renamed to the local <prefix><p>, and the places it names."""
+    places = sorted({int(p) for p in _PLACE_REF.findall(text)})
+    return _PLACE_REF.sub(rf"{prefix}\1", text), places
+
+
+def _sum(terms: list[tuple[str, float | None]]) -> tuple[str, float | None]:
+    """Generated code adding (code, value if constant) terms in order; the sum's value if constant.
+
+    The leading run of constants is added here, with the same float
+    operations, into one literal: left to the compiler, literals would be
+    folded with their sentinels, and the shape could not be patched.
+    """
+    lead, rest = None, []
+    for code, value in terms:
+        if value is not None and not rest:
+            lead = value if lead is None else lead + value
+        else:
+            rest.append(code)
+    head = [] if lead is None else [_emit(Constant(lead), {})]
+    return " + ".join(head + rest), None if rest else lead

@@ -8,7 +8,8 @@ snapshot, which makes each firing atomic.
 
 Input arc kinds:
 
-* ``CONSUME`` - requires m(p) >= w and subtracts w;
+* ``CONSUME`` - requires m(p) >= w and subtracts w; the consume arcs of one
+  place together require m(p) >= the sum of their weights;
 * ``GUARD``   - same enabling test, leaves the place untouched;
 * ``DRAIN``   - requires |m(p)| > EPSILON and sets the place to zero; its weight
   expression is always exactly ``m(<place>)``.
@@ -22,7 +23,6 @@ from __future__ import annotations
 import enum
 import math
 import random
-import re
 from dataclasses import dataclass, replace
 from types import CodeType
 from typing import Callable, Container, Iterable, Sequence
@@ -333,8 +333,6 @@ _CHUNK = 64
 _MAX_PERIOD = 8
 _HOT = 32
 
-_PLACE_REF = re.compile(r"\bm\[(\d+)\]")
-
 
 class _RecheckFault(Exception):
     """A re-test inside a generated step faulted after the firing was written."""
@@ -519,10 +517,14 @@ class _CompiledNet:
         """One boolean expression: drains need |m(p)| > EPSILON, other inputs m(p) >= w >= 0.
 
         Inputs are tested in arc order and the first that fails ends the
-        test; a non-finite weight calls _fault().  A constant weight's
-        threshold w - EPSILON is a literal, the same subtraction done here.
+        test; a non-finite weight calls _fault().  The consume arcs of one
+        place are compared once, at the last of them, with the sum of their
+        weights in arc order (expr._sum).  A constant threshold w - EPSILON
+        is a literal, the same subtraction done here.
         """
         index = self.net.place_index
+        consumed = [index[a.source] for a in ct.in_arcs if a.kind == ArcKind.CONSUME]
+        parts: dict[int, list] = {p: [] for p in consumed if consumed.count(p) > 1}  # repeated places
         terms = []
         for i, arc in enumerate(ct.in_arcs):
             p = index[arc.source]
@@ -533,11 +535,18 @@ class _CompiledNet:
             if value is None:
                 name = f"e{ti}_{i}"
                 terms.append(f"((({name} := {w}) - {name} == 0.0 or _fault()) and {name} >= 0.0)")
-                terms.append(f"m[{p}] >= {name} - {EPSILON!r}")
-                continue
-            if not value >= 0.0:
+                w = name
+            elif not value >= 0.0:
                 terms.append(f"{w} >= 0.0")
-            terms.append(f"m[{p}] >= {_expr._literal(value - EPSILON)}")
+            if arc.kind == ArcKind.CONSUME and p in parts:
+                parts[p].append((w, value))
+                if len(parts[p]) < consumed.count(p):
+                    continue
+                w, value = _expr._sum(parts[p])
+            if value is None:
+                terms.append(f"m[{p}] >= {w} - {EPSILON!r}")
+            else:
+                terms.append(f"m[{p}] >= {_expr._emit(_expr.Constant(value - EPSILON), {})}")
         return " and ".join(terms) or "True"
 
     def _firing(self, ti: int, slow: str | None = None) -> list[str]:
@@ -631,11 +640,10 @@ class _CompiledNet:
                     guards.append(f"not ({test})" if post[tj] else f"({test})")
             if guards:
                 body += [f"at = {i + 1}", f"if {' or '.join(guards)}: break"]
-        text = "\n".join(f"            {line}" for line in body)
-        places = sorted({int(p) for p in _PLACE_REF.findall(text)})
+        text, places = _expr._on_locals("\n".join(f"            {line}" for line in body), "x")
         lines = [f"    x{p} = m[{p}]" for p in places]
         lines += ["    done = at = 0", "    fix = -1", "    try:", "        while done < budget:",
-                  _PLACE_REF.sub(r"x\1", text), f"            done += {n}", "        else:",
+                  text, f"            done += {n}", "        else:",
                   "            at = 0", "    except _FAULTS:", "        pass"]
         lines += [f"    m[{p}] = x{p}" for p in sorted(written)]
         lines.append("    return done + at, fix")
@@ -677,7 +685,7 @@ class _CompiledNet:
             lines += [f"def _f{ti}({params}):", *body]
         namespace = dict(_expr._COMPILE_GLOBALS)
         namespace.update(_fault=_raise_fault, _overflow=self._raise_overflow, _snap=self._snap_counters,
-                         _FAULTS=_FAULTS, _RecheckFault=_RecheckFault)
+                         _finish=self.finish, _FAULTS=_FAULTS, _RecheckFault=_RecheckFault)
         exec(_code("\n".join(lines)), namespace)  # noqa: S102 - source built from our own AST
         return [namespace[f"_f{ti}"] for ti in range(len(bodies))]
 
@@ -735,24 +743,16 @@ class _CompiledNet:
         """Total squared output weight of each member, summed in arc order.
 
         The code is generated on the first call: deterministic runs never pay
-        for it.  The square of a constant weight, and the sum of the leading
-        run of them, are literals computed here with the same float
-        operations; left to the compiler, they would be folded with their
-        sentinels, and the shape could not be patched.
+        for it.  The square of a constant weight is a literal computed here
+        with the same float operation, for the reason expr._sum gives.
         """
         if self._born is None:
             bodies = []
             for ct in self.trans:
                 values, lines = self._bind("v", ct.out_arcs)
-                lead, squares = None, []  # lead: the sum of the leading constant squares
-                for v, arc in zip(values, ct.out_arcs):
-                    w = self._weight(arc)[1]
-                    if w is not None and not squares:
-                        lead = w * w if lead is None else lead + w * w
-                    else:
-                        squares.append(f"{v}*{v}" if w is None else _expr._emit(_expr.Constant(w * w), {}))
-                head = [] if lead is None else [_expr._emit(_expr.Constant(lead), {})]
-                bodies.append(lines + [f"    return {' + '.join(head + squares) or '0.0'}"])
+                terms = [(f"{v}*{v}", None) if w is None else (_expr._emit(_expr.Constant(w * w), {}), w * w)
+                         for v, w in zip(values, (self._weight(arc)[1] for arc in ct.out_arcs))]
+                bodies.append(lines + [f"    return {_expr._sum(terms)[0] or '0.0'}"])
             self._born = self._define("m", bodies)
         weights = []
         for t in members:

@@ -2,17 +2,21 @@
 
 import math
 import re
+import struct
 from collections import deque
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from qpn import analysis as analysis_module
 from qpn.analysis import (
+    CMP_EPSILON,
     And,
     Compare,
     Not,
     Or,
+    ReachabilityGraph,
     check_invariant,
     empirical_distribution,
     evaluate_predicate,
@@ -24,13 +28,16 @@ from qpn.analysis import (
     to_dot,
 )
 from qpn.errors import (
+    CounterViolationError,
     ExprSyntaxError,
     NonConstantWeightsError,
     NotIntegerNetError,
+    NonFiniteResultError,
     QpnError,
     StateExplosionError,
+    UnknownPlaceError,
 )
-from qpn.expr import MarkRef
+from qpn.expr import Constant, Cos, MarkRef, parse
 from qpn.models import ProtocolParams, entanglement_net, measurement_net, zeno_net
 from qpn.net import (
     Arc,
@@ -45,6 +52,7 @@ from qpn.net import (
 )
 from qpn.quantum import QuantumMapping
 
+A = PlaceKind.AMPLITUDE
 C = PlaceKind.COUNTER
 
 
@@ -313,3 +321,192 @@ def test_graph_matches_a_bfs_of_enabled_transitions_and_fire(net):
         return
     graph = reachability_graph(net)
     assert (graph.nodes, graph.edges, graph.parents) == expected
+
+
+# --- the reachability graph against that BFS, node for node to the bit --------------
+
+# admissible counter values: validate_marking takes 1.0000000001 and 2.9999999999,
+# whose firings take the slow path and snap, and -0.0 keeps its sign at the root
+_COUNTER_M0 = (0.0, -0.0, 1.0, 2.0, 3.0, 1.0000000001, 2.9999999999)
+
+
+def _bits(marking):
+    return struct.pack(f"{len(marking)}d", *marking)
+
+
+@settings(max_examples=300, deadline=None)
+@given(_counter_net(), st.data())
+def test_successors_match_a_bfs_of_enabled_transitions_and_fire_to_the_bit(net, data):
+    """Nodes (by their bits), edges and parents equal the reference BFS's, from
+    m0 counters that take the slow path; the state budget binds at exactly the
+    number of nodes."""
+    m0 = [data.draw(st.sampled_from(_COUNTER_M0)) for _ in net.places]
+    net.initial_marking = lambda: list(m0)
+    try:
+        nodes, edges, parents = _reference_graph(net)
+    except QpnError as e:
+        with pytest.raises(type(e), match=re.escape(str(e))):
+            reachability_graph(net)
+        return
+    graph = reachability_graph(net, max_states=len(nodes))
+    assert [_bits(node) for node in graph.nodes] == [_bits(node) for node in nodes]
+    assert (graph.edges, graph.parents) == (edges, parents)
+    if len(nodes) > 1:
+        with pytest.raises(StateExplosionError, match=f"^more than {len(nodes) - 1} reachable markings$"):
+            reachability_graph(net, max_states=len(nodes) - 1)
+
+
+def test_state_budget_binds_at_exactly_the_number_of_markings():
+    assert len(reachability_graph(entanglement_net(), max_states=8).nodes) == 8
+    with pytest.raises(StateExplosionError, match="^more than 7 reachable markings$"):
+        reachability_graph(entanglement_net(), max_states=7)
+
+
+def _slow_net(deposit):
+    return PetriNet("slow", [PlaceDecl("p", C, 2), PlaceDecl("q", C)], ["t"],
+                    [Arc("p", "t"), Arc("t", "q", deposit), Arc("t", "q", deposit)])
+
+
+def test_slow_path_raises_as_the_step_does():
+    """A counter left fractional, or a deposit that overflows, raises the step's error."""
+    net = _slow_net("1")
+    net.initial_marking = lambda: [1.5, 0.0]
+    with pytest.raises(CounterViolationError, match=r"^firing t left counter place p at 0\.5$"):
+        reachability_graph(net)
+    with pytest.raises(NonFiniteResultError, match="^firing t left place q at inf$"):
+        reachability_graph(_slow_net("1e308"))
+
+
+def test_slow_path_snaps_as_the_step_does():
+    net = _slow_net("1")
+    net.initial_marking = lambda: [2.0000000001, 0.0]
+    graph = reachability_graph(net)
+    expected = ((2.0000000001, 0.0), (1.0, 2.0), (0.0, 4.0))  # 1.0000000001 snapped to 1.0
+    assert [_bits(node) for node in graph.nodes] == [_bits(m) for m in expected]
+
+
+# --- generated predicates against evaluate_predicate ---------------------------------
+
+_ENV_PLACES = ("a", "b", "c")
+_OPS = ("==", "!=", "<=", ">=", "<", ">")
+
+
+def _one_node_graph(marking):
+    net = PetriNet("env", [PlaceDecl(p, A) for p in _ENV_PLACES], [], [])
+    return ReachabilityGraph(net, (tuple(marking),), (), (None,))
+
+
+def _outcome(fn):
+    try:
+        return fn()
+    except QpnError as e:
+        return type(e), str(e)
+
+
+def _assert_agree(pred, marking):
+    """check_invariant on a one-node graph answers as evaluate_predicate, or raises its error."""
+    expected = _outcome(lambda: evaluate_predicate(pred, dict(zip(_ENV_PLACES, marking))))
+    assert _outcome(lambda: check_invariant(_one_node_graph(marking), pred).holds) == expected
+    return expected
+
+
+def _boundary_values():
+    """(m(a), m(b)): a - b exactly +-CMP_EPSILON, and the floats just inside and beyond."""
+    for b in (0.0, -0.0):
+        for at in (CMP_EPSILON, -CMP_EPSILON):
+            yield at, b
+            yield math.nextafter(at, 0.0), b
+            yield math.nextafter(at, math.copysign(math.inf, at)), b
+    for a, b in ((1.0 + CMP_EPSILON, 1.0), (1.0, 1.0 + CMP_EPSILON), (3.0, 3.0 - CMP_EPSILON)):
+        yield a, b
+        yield math.nextafter(a, math.inf), b
+        yield math.nextafter(a, -math.inf), b
+
+
+@pytest.mark.parametrize("op", _OPS)
+def test_compiled_comparisons_at_the_tolerance(op):
+    seen = set()
+    for a, b in _boundary_values():
+        for pred in (Compare(MarkRef("a"), op, MarkRef("b")), parse_predicate(f"m(a) {op} m(b) + 0")):
+            seen.add(_assert_agree(pred, (a, b, 0.0)))
+            seen.add(_assert_agree(pred, (b, a, 0.0)))
+    assert seen == {True, False}
+
+
+_FAULT_CASES = [
+    ("1/0 == 0", (0.0, 0.0, 0.0)),
+    ("1/m(c) > 0", (0.0, 0.0, -0.0)),
+    ("sqrt(m(a)) > 0", (-1.0, 0.0, 0.0)),
+    ("cos(m(a)*1e300) == 0", (1e300, 0.0, 0.0)),
+    (Compare(Cos(Constant(1e400)), "==", Constant(0.0)), (0.0, 0.0, 0.0)),
+    ("m(a)*m(a) > 0", (1e200, 0.0, 0.0)),
+    ("0 < m(b) - m(a)*m(a)", (1e200, 1.0, 0.0)),
+    ("m(a)^2 > 0", (1e200, 0.0, 0.0)),
+    ("(0-1)^0.5 == 0", (0.0, 0.0, 0.0)),
+    ("m(a) == 0 AND m(zz) == 0", (0.0, 0.0, 0.0)),
+    ("m(zz) == 1/0", (0.0, 0.0, 0.0)),
+    ("1/0 == m(zz)", (0.0, 0.0, 0.0)),
+]
+
+
+@pytest.mark.parametrize("pred, marking", _FAULT_CASES)
+def test_compiled_faults_raise_the_reference_error(pred, marking):
+    if isinstance(pred, str):
+        pred = parse_predicate(pred)
+    outcome = _assert_agree(pred, marking)
+    assert isinstance(outcome, tuple) and issubclass(outcome[0], QpnError)
+
+
+@pytest.mark.parametrize("text, holds", [
+    ("0 == 1 AND 1/0 == 0", False),
+    ("0 == 0 OR sqrt(0-1) == 0", True),
+    ("NOT (0 == 0 OR m(a)*1e300*1e300 == 0)", False),
+    ("NOT 0 == 1 AND (0 == 1 AND cos(m(a)*1e300) == 0 OR m(zz) == 0 OR 1 > 0)", None),
+    ("m(a) == 1 AND m(zz) == 0", False),
+    ("m(a) == 0 OR m(zz) == 0", True),
+])
+def test_right_sides_never_reached_never_fault(text, holds):
+    outcome = _assert_agree(parse_predicate(text), (0.0, 0.0, 0.0))
+    if holds is not None:
+        assert outcome is holds
+
+
+def test_unknown_place_raises_the_reference_error_after_the_search():
+    graph = reachability_graph(entanglement_net())
+    with pytest.raises(UnknownPlaceError, match="^unknown place 'p99'$"):
+        check_invariant(graph, "m(p3) >= 0 AND m(p99) == 0")
+    assert check_invariant(graph, "m(p3) < 0 AND m(p99) == 0").path == ()
+
+
+def test_tree_walker_runs_only_on_a_fault(monkeypatch):
+    graph = reachability_graph(entanglement_net())
+
+    def refuse(pred, marking):
+        raise AssertionError("evaluate_predicate ran")
+
+    monkeypatch.setattr(analysis_module, "evaluate_predicate", refuse)
+    assert check_invariant(graph, "m(p3)==m(p5) AND m(p4)==m(p6)").holds
+    assert check_invariant(graph, "m(p3)==0").path == ("t1",)
+
+
+_SIDES = ("m(a)", "m(b)", "m(c)", "m(a)+m(b)*2", "m(a)-m(b)", "0", "1e-9", "1", "pi/4",
+          "1/m(c)", "sqrt(m(a))", "cos(m(b)*1e300)", "m(a)*m(a)", "m(b)^2", "(0-1)^0.5", "m(zz)")
+_VALUES = (0.0, -0.0, 1.0, -1.0, 2.0, 1e-9, -1e-9, 1.0 + 1e-9, 0.5, 1e200, -1e200, 3.0)
+
+
+def _predicates():
+    side = st.sampled_from(_SIDES).map(parse)
+    compare = st.builds(Compare, side, st.sampled_from(_OPS), side)
+    return st.recursive(
+        compare,
+        lambda inner: st.one_of(st.builds(And, inner, inner), st.builds(Or, inner, inner), st.builds(Not, inner)),
+        max_leaves=6,
+    )
+
+
+@settings(max_examples=400, deadline=None)
+@given(_predicates(), st.lists(st.one_of(st.sampled_from(_VALUES), st.floats(-4.0, 4.0)), min_size=3, max_size=3))
+def test_compiled_predicates_match_the_tree_walk(pred, marking):
+    """Truth values, or the error class and message, of nested AND/OR/NOT over
+    comparisons whose sides can fault."""
+    _assert_agree(pred, marking)

@@ -144,6 +144,28 @@ def test_patched_code_equals_a_fresh_compile_on_grid_shapes(checked, mode):
     assert checked["hits"] >= 4  # the tests and the steps of the last two nets
 
 
+def test_patched_code_equals_a_fresh_compile_for_successors_and_predicates(checked):
+    """The BFS successor function and the generated predicates patch like any module;
+    two product nets of one structure share the successors shape."""
+    from qpn.analysis import check_invariant, reachability_graph
+
+    def product(c, d):
+        """Two sources; s0 fires into x0 (weight c) or y0 (weight d), s1 the other way round."""
+        places = [PlaceDecl(p, C, 1 if p[0] == "s" else 0) for p in ("s0", "x0", "y0", "s1", "x1", "y1")]
+        arcs = [Arc("s0", "a0"), Arc("a0", "x0", str(c)), Arc("s0", "b0"), Arc("b0", "y0", str(d)),
+                Arc("s1", "a1"), Arc("a1", "x1", str(d)), Arc("s1", "b1"), Arc("b1", "y1", str(c))]
+        return PetriNet("product", places, ["a0", "b0", "a1", "b1"], arcs)
+
+    for net, (c, d) in ((product(2, 3), (2, 3)), (product(5, 7), (5, 7)), (entanglement_net(), (1, 1))):
+        graph = reachability_graph(net)
+        for text in (f"{c * d}*m(s0)+{d}*m(x0)+{c}*m(y0)=={c * d}", "m(x0)<=1.5 OR NOT m(y0)>0.5",
+                     "m(s0)!=m(s1) AND m(x0)>=2 AND m(y0)<1"):
+            with contextlib.suppress(QpnError):
+                check_invariant(graph, text)
+    assert checked["patched"] == checked["modules"]
+    assert checked["hits"] >= 4  # the second product net: its successors and its three predicates
+
+
 _TEMPLATES = ("{c}", "m(q0)*{c}", "m(q1)+{c}", "cos(m(q2))", "{c}-m(q3)", "sqrt(m(q0))/{c}")
 
 

@@ -227,6 +227,32 @@ class TestCheck:
         assert "p99" in err
 
 
+    def test_undeclared_place_after_the_search(self, capsys):
+        """The search's own errors come first; a comparison never reached names nothing."""
+        code, _, err = run_cli(capsys, "check", str(GOLDEN / "zeno_n4.qpn"), "--pred", "m(p99)==0")
+        assert code == 2
+        assert "not a counter place" in err
+        code, out, _ = run_cli(
+            capsys, "check", str(GOLDEN / "entanglement.qpn"), "--pred", "0==0 OR m(p99)==0"
+        )
+        assert (code, out) == (0, "holds on all 8 reachable markings\n")
+
+    def test_faulting_predicate_exit_3_with_the_reference_message(self, capsys):
+        code, _, err = run_cli(
+            capsys, "check", str(GOLDEN / "entanglement.qpn"), "--pred", "1/m(p3)>0"
+        )
+        assert code == 3
+        assert err == "error: division by zero in 1/m(p3)\n"
+
+
+@pytest.mark.parametrize("argv", [["simulate"], ["check", "--pred", "m(p)==1"]])
+def test_repeated_consume_golden_net_exits_0(capsys, argv):
+    """Two consume arcs of weight 1 from p holding 1: t is disabled, no counter fault."""
+    code, out, err = run_cli(capsys, argv[0], str(GOLDEN / "repeated_consume.qpn"), *argv[1:])
+    assert (code, err) == (0, "")
+    assert "status: quiescent" in out or out == "holds on all 1 reachable markings\n"
+
+
 class TestMeasure:
     def test_expected_distribution(self, capsys):
         code, out, _ = run_cli(

@@ -630,17 +630,31 @@ def _overflowing_net(kind, initial=1e308):
 
 
 def manual_enabled(net, m, tid, eps=1e-12):
-    """Reference enabling test: drains need |m(p)| > eps, other inputs m(p) >= w >= 0."""
+    """Reference enabling test: drains need |m(p)| > eps, other inputs m(p) >= w >= 0.
+
+    Inputs are taken in arc order.  The consume arcs of one place are
+    compared once, at the last of them, with the sum of their weights in arc
+    order.
+    """
     env = dict(zip(net.place_ids(), m))
-    for arc in net.input_arcs(tid):
+    arcs = net.input_arcs(tid)
+    last = {arc.source: i for i, arc in enumerate(arcs) if arc.kind == ArcKind.CONSUME}
+    taken = {}  # place -> the sum of its consume weights so far
+    for i, arc in enumerate(arcs):
         value = m[net.place_index[arc.source]]
         if arc.kind == ArcKind.DRAIN:
             if not abs(value) > eps:
                 return False
-        else:
-            w = evaluate(arc.parsed_weight(), env)
-            if not (w >= 0.0 and value >= w - eps):
-                return False
+            continue
+        w = evaluate(arc.parsed_weight(), env)
+        if not w >= 0.0:
+            return False
+        if arc.kind == ArcKind.CONSUME:
+            w = taken[arc.source] = taken[arc.source] + w if arc.source in taken else w
+            if last[arc.source] != i:
+                continue
+        if not value >= w - eps:
+            return False
     return True
 
 
@@ -688,6 +702,116 @@ def test_enabling_tolerance_boundary_through_cached_shapes(monkeypatch):
         test_enabling_tolerance_boundary(kind, weight, q, value, expected)
     assert len(built) - len(plans) >= 1  # hits
     assert all(net_module._SHAPES.values())  # each shape patched, none compiled as text
+
+
+# --- the consume arcs of one place are tested against their sum --------------------
+
+
+def _repeated_consume_net(initial, weights, guard=None):
+    """Transition t consumes each weight from p in arc order, and deposits 1 into out."""
+    arcs = [Arc("p", "t", w) for w in weights] + [Arc("t", "out", "1")]
+    if guard is not None:
+        arcs.insert(1, Arc("p", "t", guard, ArcKind.GUARD))
+    return PetriNet(
+        "repeated",
+        [PlaceDecl("p", A, initial), PlaceDecl("q", A, 0.1), PlaceDecl("out", A)],
+        ["t"],
+        arcs,
+    )
+
+
+def _sum_cases():
+    """(weights, guard, their sum in arc order, the largest): constant, marking-dependent, mixed."""
+    yield ("1", "1"), None, 2.0, 1.0
+    yield ("0.1", "0.2"), None, 0.1 + 0.2, 0.2
+    yield ("m(q)", "0.2"), None, 0.1 + 0.2, 0.2
+    yield ("0.2", "0.3", "m(q)"), None, (0.2 + 0.3) + 0.1, 0.3
+    yield ("m(q)", "0.2", "0.3"), None, (0.1 + 0.2) + 0.3, 0.3
+    yield ("0.2", "m(q)", "0.3"), "0.25", (0.2 + 0.1) + 0.3, 0.3
+
+
+@pytest.mark.parametrize("weights, guard, total, largest", list(_sum_cases()))
+def test_repeated_consume_needs_the_sum_of_its_weights(weights, guard, total, largest):
+    """Enabled from sum - 1e-12, the sum taken in arc order; disabled one float below,
+    and with enough for the largest weight alone."""
+    at = total - 1e-12
+    for value, expected in ((at, True), (math.nextafter(at, -math.inf), False), (largest, False)):
+        net = _repeated_consume_net(value, weights, guard)
+        m0 = net.initial_marking()
+        assert manual_enabled(net, m0, "t") == expected
+        assert is_enabled(net, m0, "t") == expected
+        assert run_final(net, m0, RunConfig(max_steps=1)).firings == expected
+
+
+def test_repeated_consume_whose_sum_overflows_is_disabled():
+    net = _repeated_consume_net(1e308, ("1e308", "1e308"))
+    m0 = net.initial_marking()
+    assert not manual_enabled(net, m0, "t")
+    assert not is_enabled(net, m0, "t")
+
+
+def test_repeated_consume_of_a_counter_place_is_disabled_below_the_sum():
+    """Two consume arcs of weight 1 from a counter holding 1: t is disabled, not a counter fault."""
+    from qpn.analysis import reachability_graph
+
+    def net(initial):
+        return PetriNet("rc", [PlaceDecl("p", C, initial)], ["t"], [Arc("p", "t", "1"), Arc("p", "t", "1")])
+
+    one, two = net(1), net(2)
+    assert not is_enabled(one, [1.0], "t")
+    final = run_final(one, [1.0], RunConfig())
+    assert (final.marking, final.firings, final.status) == ([1.0], 0, TerminalStatus.QUIESCENT)
+    graph = reachability_graph(one)
+    assert (graph.nodes, graph.edges) == (((1.0,),), ())
+    assert is_enabled(two, [2.0], "t")
+    assert run_final(two, [2.0], RunConfig()).marking == [0.0]
+    graph = reachability_graph(two)
+    assert (graph.nodes, graph.edges) == (((2.0,), (0.0,)), ((0, "t", 1),))
+
+
+def _per_arc_test(cnet, ti):
+    """The enabling test as it was generated when every input arc was compared alone."""
+    terms = []
+    for i, arc in enumerate(cnet.trans[ti].in_arcs):
+        p = cnet.net.place_index[arc.source]
+        if arc.kind == ArcKind.DRAIN:
+            terms.append(f"(m[{p}] > 1e-12 or m[{p}] < -1e-12)")
+            continue
+        w, value = cnet._weight(arc)
+        if value is None:
+            name = f"e{ti}_{i}"
+            terms.append(f"((({name} := {w}) - {name} == 0.0 or _fault()) and {name} >= 0.0)")
+            terms.append(f"m[{p}] >= {name} - 1e-12")
+            continue
+        if not value >= 0.0:
+            terms.append(f"{w} >= 0.0")
+        terms.append(f"m[{p}] >= `{value - 1e-12!r}`")
+    return " and ".join(terms) or "True"
+
+
+def test_enabling_tests_without_repeated_consume_places_are_generated_as_before():
+    """Summing changes no byte of a test whose consume arcs name distinct places."""
+    from pathlib import Path
+
+    from qpn import netfile
+    from qpn.models import slaz_blocking_net, slaz_passing_net
+
+    nets = [measurement_net()[0], entanglement_net(), zeno_net(ProtocolParams(N=6))[0]]
+    for n, m in ((2, 2), (3, 2), (320, 25), (47, 23)):
+        nets += [slaz_passing_net(ProtocolParams(N=n, M=m))[0], slaz_blocking_net(ProtocolParams(N=n, M=m))[0]]
+    nets += [netfile.load(path.read_text()).net
+             for path in sorted((Path(__file__).parent / "golden").glob("*.qpn"))]
+    compared = repeated = 0
+    for net in nets:
+        cnet = net.compiled()
+        for ti, ct in enumerate(cnet.trans):
+            sources = [a.source for a in ct.in_arcs if a.kind == ArcKind.CONSUME]
+            if len(sources) == len(set(sources)):
+                assert cnet._tests[ti] == _per_arc_test(cnet, ti)
+                compared += 1
+            else:
+                repeated += 1
+    assert compared > 100 and repeated == 1  # the repeated-consume golden net
 
 
 # --- firing atomicity property over random nets ------------------------------------
@@ -772,7 +896,8 @@ def test_run_engine_equals_step_loop_on_random_nets(net_and_marking, seed, born)
                 return steps, TerminalStatus.QUIESCENT
             steps.append(result)
             m = result[1]
-        return steps, TerminalStatus.STEP_LIMIT
+        # the run tests the last marking too, to tell QUIESCENT from STEP_LIMIT
+        return steps, TerminalStatus.STEP_LIMIT if enabled_transitions(net, m) else TerminalStatus.QUIESCENT
 
     try:
         trace = run(net, marking, config)
@@ -830,17 +955,21 @@ def _step_loop(net, m0, config):
     """run() spelled as a step() loop; errors carry the step run() reports.
 
     An enabling test that faults before step i re-tests the marking that step
-    i-1 wrote, which run() reports as part of step i-1.
+    i-1 wrote, which run() reports as part of step i-1.  After the last step
+    the run still tests the marking, to tell QUIESCENT from STEP_LIMIT, so
+    the loop does too.
     """
     rng = random.Random(config.seed)
     m = list(m0)
     steps = []
-    for i in range(config.max_steps):
+    for i in range(config.max_steps + 1):
         try:
-            enabled_transitions(net, m)
+            enabled = enabled_transitions(net, m)
         except QpnError as e:
             e.step_index = max(i - 1, 0)
             return steps, e
+        if i == config.max_steps:
+            return steps, TerminalStatus.STEP_LIMIT if enabled else TerminalStatus.QUIESCENT
         try:
             result = step(net, m, config, rng)
         except QpnError as e:
@@ -850,7 +979,6 @@ def _step_loop(net, m0, config):
             return steps, TerminalStatus.QUIESCENT
         steps.append(result)
         m = result[1]
-    return steps, TerminalStatus.STEP_LIMIT
 
 
 def reference_fire(net, m, tid):
