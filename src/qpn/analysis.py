@@ -36,6 +36,7 @@ from .net import (
     TerminalStatus,
     _CompiledNet,
     _FAULTS,
+    _names,
     marking_env,
     run_final,
 )
@@ -313,23 +314,22 @@ def _successors(cnet: _CompiledNet) -> Callable[[tuple[float, ...]], list[tuple[
     """Generated successors(state): (ordinal, successor) of each enabled transition, in ordinal order.
 
     The state tuple is unpacked into locals x<p>.  Each transition runs its
-    enabling test on them, then its firing lines with each place it touches
-    renamed to a local y<p>, and the successor tuple is built from both.  A
-    failing overflow or counter test copies the successor to a list that
-    finish() raises on or snaps, as the step would.  Weights must be
-    constant: the firing lines then read only the places they touch.
+    enabling test on them, then its firing with each place it touches in a
+    local y<p>, and the successor tuple is built from both.  A failing
+    overflow or counter test copies the successor to a list that finish()
+    raises on or snaps, as the step would.
     """
     n = len(cnet.net.places)
     lines = [f"    {''.join(f'x{p}, ' for p in range(n))}= state"] if n else []
     lines.append("    out = []")
+    olds = _names(cnet.net, "x{}")
     for ti, ct in enumerate(cnet.trans):
         values = [f"y{p}" if p in ct.touched else f"x{p}" for p in range(n)]
         copy = "; ".join(f"y{p} = s[{p}]" for p in ct.touched)
         slow = f"s = [{', '.join(values)}]; _finish({ti}, s); {copy}"
-        firing, _ = _expr._on_locals("\n".join(cnet._firing(ti, slow)), "y")
-        test, _ = _expr._on_locals(cnet._tests[ti], "x")
-        lines += [f"    if {test}:", *(f"        y{p} = x{p}" for p in ct.touched),
-                  *(f"    {line}" for line in firing.split("\n")),
+        firing = cnet._firing(ti, dict(zip(cnet.net.place_index, values)), slow)
+        lines += [f"    if {cnet._test(ti, olds)}:", *(f"        y{p} = x{p}" for p in ct.touched),
+                  *(f"    {line}" for line in firing),
                   f"        out.append(({ti}, ({''.join(f'{v}, ' for v in values)})))"]
     lines.append("    return out")
     return cnet._define("state", [lines])[0]
@@ -353,7 +353,7 @@ def check_invariant(graph: ReachabilityGraph, pred: MarkingPredicate | str) -> I
     """
     if isinstance(pred, str):
         pred = parse_predicate(pred)
-    code = _emit_predicate(pred, graph.net.place_index, itertools.count())
+    code = _emit_predicate(pred, _names(graph.net, "m[{}]"), itertools.count())
     holds = graph.net.compiled()._define("m", [[f"    return {code}"]])[0]
     for i, node in enumerate(graph.nodes):
         try:
@@ -365,7 +365,7 @@ def check_invariant(graph: ReachabilityGraph, pred: MarkingPredicate | str) -> I
     return InvariantResult(True)
 
 
-def _emit_predicate(pred: MarkingPredicate, index: Mapping[str, int], names: Iterator[int]) -> str:
+def _emit_predicate(pred: MarkingPredicate, places: Mapping[str, str], names: Iterator[int]) -> str:
     """The predicate as one generated expression over the marking vector ``m``.
 
     Each comparison binds its two sides to fresh names, tests them finite as
@@ -378,17 +378,17 @@ def _emit_predicate(pred: MarkingPredicate, index: Mapping[str, int], names: Ite
     """
     if isinstance(pred, (And, Or)):
         op = "and" if isinstance(pred, And) else "or"
-        return f"({_emit_predicate(pred.left, index, names)} {op} {_emit_predicate(pred.right, index, names)})"
+        return f"({_emit_predicate(pred.left, places, names)} {op} {_emit_predicate(pred.right, places, names)})"
     if isinstance(pred, Not):
-        return f"(not {_emit_predicate(pred.operand, index, names)})"
-    if not (isinstance(pred, Compare) and pred.op in _CMP_OPS and predicate_places(pred) <= index.keys()):
+        return f"(not {_emit_predicate(pred.operand, places, names)})"
+    if not (isinstance(pred, Compare) and pred.op in _CMP_OPS and predicate_places(pred) <= places.keys()):
         return "_fault()"
     i = next(names)
     a, b, eps = f"a{i}", f"b{i}", _expr._literal(CMP_EPSILON)
     within = f"{_expr._literal(-CMP_EPSILON)} <= {a} - {b} <= {eps}"
     compare = {"==": within, "!=": f"not ({within})", "<=": f"{a} <= {b} + {eps}",
                ">=": f"{a} >= {b} - {eps}", "<": f"{a} < {b} - {eps}", ">": f"{a} > {b} + {eps}"}
-    sides = [f"(({x} := {_expr._emit(_expr.fold_constants(side), index)}) - {x} == 0.0 or _fault())"
+    sides = [f"(({x} := {_expr._emit(_expr.fold_constants(side), places)}) - {x} == 0.0 or _fault())"
              for x, side in ((a, pred.left), (b, pred.right))]
     return f"({sides[0]} and {sides[1]} and {compare[pred.op]})"
 

@@ -74,7 +74,7 @@ def _at_least_one(value: int, flag: str) -> int:
 
 def _load_file(path: str) -> netfile.NetDocument:
     try:
-        with open(path, "r", encoding="utf-8") as handle:
+        with open(path, "r", encoding="utf-8-sig") as handle:
             text = handle.read()
     except OSError as e:
         raise NetFileError(f"cannot read {path}: {e}") from None

@@ -571,7 +571,14 @@ def _literal(value: float) -> str:
     return f"{LITERAL}{value!r}{LITERAL}"
 
 
-def _emit(expr: WeightExpr, index: Mapping[str, int]) -> str:
+def _emit(expr: WeightExpr | str, names: Mapping[str, str]) -> str:
+    """Python source for expr; names maps each place id to the code that reads it.
+
+    A str leaf is code already emitted, such as a local that holds a hoisted
+    subtree's value.
+    """
+    if isinstance(expr, str):
+        return expr
     if isinstance(expr, Constant):
         # inf and nan are names in _COMPILE_GLOBALS, not literals
         return _literal(expr.value) if math.isfinite(expr.value) else repr(expr.value)
@@ -579,37 +586,28 @@ def _emit(expr: WeightExpr, index: Mapping[str, int]) -> str:
         return "_pi"
     if isinstance(expr, MarkRef):
         try:
-            return f"m[{index[expr.place]}]"
+            return names[expr.place]
         except KeyError:
             raise UnknownPlaceError(f"unknown place {expr.place!r}") from None
     if isinstance(expr, Negate):
-        return f"(-{_emit(expr.operand, index)})"
+        return f"(-{_emit(expr.operand, names)})"
     if isinstance(expr, Add):
-        return f"({_emit(expr.left, index)}+{_emit(expr.right, index)})"
+        return f"({_emit(expr.left, names)}+{_emit(expr.right, names)})"
     if isinstance(expr, Subtract):
-        return f"({_emit(expr.left, index)}-{_emit(expr.right, index)})"
+        return f"({_emit(expr.left, names)}-{_emit(expr.right, names)})"
     if isinstance(expr, Multiply):
-        return f"({_emit(expr.left, index)}*{_emit(expr.right, index)})"
+        return f"({_emit(expr.left, names)}*{_emit(expr.right, names)})"
     if isinstance(expr, Divide):
-        return f"({_emit(expr.left, index)}/{_emit(expr.right, index)})"
+        return f"({_emit(expr.left, names)}/{_emit(expr.right, names)})"
     if isinstance(expr, Power):
-        return f"_pow({_emit(expr.base, index)},{_emit(expr.exponent, index)})"
+        return f"_pow({_emit(expr.base, names)},{_emit(expr.exponent, names)})"
     if isinstance(expr, Cos):
-        return f"_cos({_emit(expr.operand, index)})"
+        return f"_cos({_emit(expr.operand, names)})"
     if isinstance(expr, Sin):
-        return f"_sin({_emit(expr.operand, index)})"
+        return f"_sin({_emit(expr.operand, names)})"
     if isinstance(expr, Sqrt):
-        return f"_sqrt({_emit(expr.operand, index)})"
+        return f"_sqrt({_emit(expr.operand, names)})"
     raise TypeError(f"not a WeightExpr: {expr!r}")
-
-
-_PLACE_REF = re.compile(r"\bm\[(\d+)\]")  # a marking read, as _emit writes it
-
-
-def _on_locals(text: str, prefix: str) -> tuple[str, list[int]]:
-    """Generated text with each m[p] renamed to the local <prefix><p>, and the places it names."""
-    places = sorted({int(p) for p in _PLACE_REF.findall(text)})
-    return _PLACE_REF.sub(rf"{prefix}\1", text), places
 
 
 def _sum(terms: list[tuple[str, float | None]]) -> tuple[str, float | None]:

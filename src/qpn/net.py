@@ -16,6 +16,15 @@ Input arc kinds:
 
 A :class:`PetriNet` is immutable after construction and can be shared across
 threads; each run owns its marking and RNG exclusively.
+
+Runs execute generated Python code (see the compiled engine below); the
+tree-walking :func:`qpn.expr.evaluate` is the reference that names faults.
+A deterministic run compiles each hot period of firings into a loop whose
+fast path is specialized on its entry state: counter places that move by
+constant integers get a trip count instead of per-firing checks, guard terms
+over unwritten places are evaluated once, and blocks of periods run without
+finiteness tests and are replayed through the checked body when a test at
+their end fails, so every result stays bit for bit that of a step() loop.
 """
 
 from __future__ import annotations
@@ -23,9 +32,9 @@ from __future__ import annotations
 import enum
 import math
 import random
-from dataclasses import dataclass, replace
+from dataclasses import dataclass, fields, replace
 from types import CodeType
-from typing import Callable, Container, Iterable, Sequence
+from typing import Callable, Container, Iterable, Mapping, Sequence
 
 from . import expr as _expr
 from .errors import (
@@ -325,13 +334,51 @@ _SAFE_DEPOSIT = 2.0**970
 
 
 # A deterministic run with no on_fire looks for a hot loop every _CHUNK
-# firings.  It records the flag states of up to _MAX_PERIOD firings; once a
-# state comes back, the states in between are a period.  A period seen _HOT
-# times (about _HOT * _CHUNK firings, enough to repay its compile cost) is
-# compiled by _CompiledNet.loop and from then on runs whole periods per call.
+# firings, and after a loop exits at each of the next _CHUNK firings, until a
+# cached loop head comes up.  It records the flag states of up to _MAX_PERIOD
+# firings; once a state comes back, the states in between are a period.  A
+# period seen _HOT times (about _HOT * _CHUNK firings, enough to repay its
+# compile cost) is compiled by _CompiledNet.loop and from then on runs whole
+# periods per call, up to _BLOCK of them per speculative block.
 _CHUNK = 64
 _MAX_PERIOD = 8
 _HOT = 32
+_BLOCK = 64
+
+
+# A compiled loop: the fast path, specialized on the entry state, then the
+# checked body, which replays a failed block and runs the tail (see loop()).
+_LOOP = """\
+{load}    done = at = j = 0
+    fix = -1
+    z = 0.0
+    try:
+{hoisted}        k, {terms}= _trip(_plan, budget // {n}{args})
+    except _FAULTS:
+        k = 0
+    while j < k:
+        b = k - j if k - j < {block} else {block}
+        {copies} = {saved}
+        try:
+            for _ in _range(b):
+{fast}            else:
+                if {finite}:
+                    j += b
+                    continue
+        except _FAULTS:
+            pass
+        {saved} = {copies}
+        break
+    if j:
+        done = j * {n}
+{advance}    try:
+        while done < budget:
+{checked}            done += {n}
+        else:
+            at = 0
+    except _FAULTS:
+        pass
+{store}    return done + at, fix"""
 
 
 class _RecheckFault(Exception):
@@ -346,6 +393,46 @@ def _nonfinite(values: list[str]) -> str:
     """Generated test, true when any value is nan or infinite."""
     # x - x is 0.0 for every finite x, so the sum is 0.0 iff all are finite
     return " + ".join(f"{v} - {v}" for v in values) + " != 0.0"
+
+
+def _names(net: PetriNet, template: str) -> dict[str, str]:
+    """Each place id -> the code that reads the place: template filled with its index."""
+    return {p.id: template.format(i) for i, p in enumerate(net.places)}
+
+
+def _trip_count(plan: tuple, periods: int, *values: float) -> tuple:
+    """The whole periods a loop's fast path runs from its entry state, then each counter term's value.
+
+    ``values`` holds the loop's induction counters, the thresholds of its
+    counter terms, then the values of the guard terms it computed at entry.
+    Each counter must hold an exact non-negative integer, not -0.0.  The
+    periods are then cut so that every counter stays non-negative after each
+    firing and exact (at most 2**53 after every move), and so that no counter
+    term changes its value; they are 0 if a guard that these terms decide
+    fails in the first period.
+    """
+    counters, terms, breaks = plan
+    levels = []
+    for x, (d, low, room) in zip(values, counters):
+        if x % 1.0 != 0.0 or math.copysign(1.0, x) < 0.0 or x + low < 0.0:
+            return (0,) + (False,) * len(terms)
+        levels.append(int(x))
+        if room:
+            periods = min(periods, (2**53 - levels[-1]) // room)
+        if d < 0:
+            periods = min(periods, (levels[-1] + low) // -d + 1)
+    held = []
+    for c, offset, threshold in terms:  # counter c + offset + j * d >= threshold in period j
+        d, level, threshold = counters[c][0], levels[c] + offset, values[threshold]
+        held.append(level >= threshold)
+        if d > 0 and not held[-1]:
+            periods = min(periods, (math.ceil(threshold) - level + d - 1) // d)
+        elif d < 0 and held[-1]:
+            periods = min(periods, (level - math.ceil(threshold)) // -d + 1)
+    known = held + list(values)  # term values, then values[i] at len(held) + i
+    if any(all(known[i] for i in names) != want for want, names in breaks):
+        periods = 0
+    return (periods, *held)
 
 
 class _Loop:
@@ -385,8 +472,10 @@ class _CompiledNet:
     def __init__(self, net: PetriNet):
         self.net = net
         index = net.place_index
+        self._ids = list(index)
+        self._m = _names(net, "m[{}]")
         self.trans = [_CompiledTransition(t.id, t.priority) for t in net.transitions]
-        self._weights: dict[int, tuple[str, float | None]] = {}  # id(arc) -> _weight(arc)
+        self._weights: dict[int, tuple[_expr.WeightExpr, float | None]] = {}  # id(arc) -> _folded(arc)
         dependents: list[set[int]] = [set() for _ in net.places]  # transitions each place can flip
         consumers: list[set[int]] = [set() for _ in net.places]  # transitions consuming or draining it
         for arc in net.arcs:
@@ -418,7 +507,8 @@ class _CompiledNet:
             ct.recheck = tuple(sorted({tj for p in ct.touched for tj in dependents[p]}))
             ct.rivals = frozenset(tj for a in ct.in_arcs if a.kind != ArcKind.GUARD
                                   for tj in consumers[index[a.source]])
-        self._tests = [self._enabling_test(ti, ct) for ti, ct in enumerate(self.trans)]
+        self._terms = [self._enabling_terms(ti, ct) for ti, ct in enumerate(self.trans)]
+        self._tests = [self._test(ti, self._m) for ti in range(len(self.trans))]
         enabled = self._define("m", [[f"    return {test}"] for test in self._tests])
         steps = self._define("m, flags", [self._step(ti) for ti in range(len(self.trans))])
         for ct, enabled_fn, step_fn in zip(self.trans, enabled, steps):
@@ -454,20 +544,17 @@ class _CompiledNet:
                             f"            if not flags[{tj}]: flags[{tj}] = 1; d += 1",
                             f"        elif flags[{tj}]: flags[{tj}] = 0; d -= 1"]
         if not retests:
-            return self._firing(ti) + ["    return 0"]
-        return self._firing(ti) + ["    d = 0", "    try:", *retests, "    except _FAULTS:",
+            return self._firing(ti, self._m) + ["    return 0"]
+        return self._firing(ti, self._m) + ["    d = 0", "    try:", *retests, "    except _FAULTS:",
                                    "        raise _RecheckFault from None", "    return d"]
 
-    def _weight(self, arc: Arc) -> tuple[str, float | None]:
-        """The arc weight as generated code, and its value when that is a finite constant."""
+    def _folded(self, arc: Arc) -> tuple[_expr.WeightExpr, float | None]:
+        """The arc weight with its place-free subtrees folded, and its value when that is a finite constant."""
         known = self._weights.get(id(arc))
         if known is None:
-            weight = _expr.fold_constants(arc.weight)
-            if isinstance(weight, _expr.Constant) and math.isfinite(weight.value):
-                known = _expr._emit(weight, {}), weight.value
-            else:
-                known = _expr._emit(weight, self.net.place_index), None
-            self._weights[id(arc)] = known
+            tree = _expr.fold_constants(arc.weight)
+            finite = isinstance(tree, _expr.Constant) and math.isfinite(tree.value)
+            known = self._weights[id(arc)] = tree, tree.value if finite else None
         return known
 
     def _moves(self, ti: int) -> dict[int, int]:
@@ -481,9 +568,9 @@ class _CompiledNet:
         changes: list[tuple[str, float | None]] = []  # (place, constant added or None)
         for arc in ct.in_arcs:
             if arc.kind != ArcKind.GUARD:
-                w = None if arc.kind == ArcKind.DRAIN else self._weight(arc)[1]
+                w = None if arc.kind == ArcKind.DRAIN else self._folded(arc)[1]
                 changes.append((arc.source, None if w is None else -w))
-        changes += [(arc.target, self._weight(arc)[1]) for arc in ct.out_arcs]
+        changes += [(arc.target, self._folded(arc)[1]) for arc in ct.out_arcs]
         moves: dict[int, int] = {}
         for place_id, change in changes:
             p = index[place_id]
@@ -495,67 +582,100 @@ class _CompiledNet:
             moves[p] = sign if moves.get(p, sign) == sign else 0
         return moves
 
-    def _bind(self, prefix: str, arcs: list[Arc]) -> tuple[list[str], list[str]]:
-        """The weights of arcs as generated values, and the lines that bind them.
+    def _bind(self, prefix: str, arcs: list[Arc]) -> tuple[list[str | float], list[tuple]]:
+        """The weights of arcs as firing operands, and the operations that bind them.
 
-        A finite constant is its own literal; any other weight is bound to
+        A finite constant is its own operand; any other weight is bound to
         prefix + its position, and the bound ones are tested finite together.
         """
-        values, lines, names = [], [], []
+        values, ops = [], []
         for j, arc in enumerate(arcs):
-            code, constant = self._weight(arc)
-            if constant is None:
-                names.append(f"{prefix}{j}")
-                lines.append(f"    {names[-1]} = {code}")
-                code = names[-1]
-            values.append(code)
-        if names:
-            lines.append(f"    if {_nonfinite(names)}: _fault()")
-        return values, lines
+            tree, value = self._folded(arc)
+            if value is None:
+                value = f"{prefix}{j}"
+                ops.append(("bind", value, tree))
+            values.append(value)
+        if ops:
+            ops.append(("fault", [op[1] for op in ops]))
+        return values, ops
 
-    def _enabling_test(self, ti: int, ct: _CompiledTransition) -> str:
-        """One boolean expression: drains need |m(p)| > EPSILON, other inputs m(p) >= w >= 0.
+    def _enabling_terms(self, ti: int, ct: _CompiledTransition) -> list[tuple]:
+        """ti's enabling test as the terms of one conjunction, tested in order.
 
-        Inputs are tested in arc order and the first that fails ends the
-        test; a non-finite weight calls _fault().  The consume arcs of one
+        Drains need |m(p)| > EPSILON, other inputs m(p) >= w >= 0, in arc
+        order; a non-finite weight calls _fault().  The consume arcs of one
         place are compared once, at the last of them, with the sum of their
         weights in arc order (expr._sum).  A constant threshold w - EPSILON
-        is a literal, the same subtraction done here.
+        is a literal, the same subtraction done here.  Terms are
+        ("drain", p); ("weight", name, tree), which binds a weight to name;
+        ("negative", literal), a constant weight below 0; and ("ge", p,
+        threshold, names), m(p) >= threshold, code reading the weights
+        bound to names.
         """
         index = self.net.place_index
         consumed = [index[a.source] for a in ct.in_arcs if a.kind == ArcKind.CONSUME]
         parts: dict[int, list] = {p: [] for p in consumed if consumed.count(p) > 1}  # repeated places
-        terms = []
+        terms: list[tuple] = []
         for i, arc in enumerate(ct.in_arcs):
             p = index[arc.source]
             if arc.kind == ArcKind.DRAIN:
-                terms.append(f"(m[{p}] > {EPSILON!r} or m[{p}] < {-EPSILON!r})")
+                terms.append(("drain", p))
                 continue
-            w, value = self._weight(arc)
+            tree, value = self._folded(arc)
             if value is None:
-                name = f"e{ti}_{i}"
-                terms.append(f"((({name} := {w}) - {name} == 0.0 or _fault()) and {name} >= 0.0)")
-                w = name
-            elif not value >= 0.0:
-                terms.append(f"{w} >= 0.0")
+                w, bound = f"e{ti}_{i}", (f"e{ti}_{i}",)
+                terms.append(("weight", w, tree))
+            else:
+                w, bound = _expr._emit(tree, {}), ()
+                if not value >= 0.0:
+                    terms.append(("negative", w))
             if arc.kind == ArcKind.CONSUME and p in parts:
-                parts[p].append((w, value))
+                parts[p].append((w, value, bound))
                 if len(parts[p]) < consumed.count(p):
                     continue
-                w, value = _expr._sum(parts[p])
+                w, value = _expr._sum([(code, v) for code, v, _ in parts[p]])
+                bound = tuple(name for _, _, names in parts[p] for name in names)
             if value is None:
-                terms.append(f"m[{p}] >= {w} - {EPSILON!r}")
+                terms.append(("ge", p, f"{w} - {EPSILON!r}", bound))
             else:
-                terms.append(f"m[{p}] >= {_expr._emit(_expr.Constant(value - EPSILON), {})}")
-        return " and ".join(terms) or "True"
+                terms.append(("ge", p, _expr._emit(_expr.Constant(value - EPSILON), {}), ()))
+        return terms
 
-    def _firing(self, ti: int, slow: str | None = None) -> list[str]:
-        """Lines that apply one firing of transition ti to ``m`` in place.
+    def _term(self, term: tuple, names: Mapping[str, str], tree: Callable | None) -> str:
+        """One enabling-test term as generated code over names; tree, if given, rewrites a weight first."""
+        kind = term[0]
+        if kind == "ge":
+            return f"{names[self._ids[term[1]]]} >= {term[2]}"
+        if kind == "drain":
+            x = names[self._ids[term[1]]]
+            return f"({x} > {EPSILON!r} or {x} < {-EPSILON!r})"
+        if kind == "weight":
+            name, w = term[1], _expr._emit(term[2] if tree is None else tree(term[2]), names)
+            return f"((({name} := {w}) - {name} == 0.0 or _fault()) and {name} >= 0.0)"
+        return f"{term[1]} >= 0.0"
+
+    def _term_reads(self, term: tuple) -> set[str]:
+        """The places an enabling-test term reads, by id."""
+        if term[0] == "weight":
+            return set(_expr.free_places(term[2]))
+        return set() if term[0] == "negative" else {self._ids[term[1]]}
+
+    def _test(self, ti: int, names: Mapping[str, str]) -> str:
+        """ti's enabling test as one boolean expression over names."""
+        return " and ".join(self._term(term, names, None) for term in self._terms[ti]) or "True"
+
+    def _ops(self, ti: int) -> list[tuple]:
+        """One firing of transition ti as operations, in the order generated code runs them.
 
         Weights are bound before any write, so a fault leaves the marking
         unchanged; then come consumes, drains and deposits in arc order, the
-        overflow test and the counter checks.  ``slow`` replaces the call made
-        when one of these tests fails.
+        overflow test and the counter checks.  Operations are ("bind", name,
+        tree); ("fault", names), which calls _fault() unless all are finite;
+        ("consume", p, value), ("drain", p) and ("deposit", p, value), with a
+        bound name or a finite constant as value; ("overflow", places) and
+        ("counters", places), which take the slow path unless the places
+        are finite, or non-negative integers; and ("zero", p), which adds
+        0.0 to turn -0.0 into 0.0.
         """
         ct = self.trans[ti]
         index = self.net.place_index
@@ -566,38 +686,84 @@ class _CompiledNet:
         for i, arc in enumerate(ct.in_arcs):
             p = index[arc.source]
             if arc.kind == ArcKind.DRAIN:
-                drains.append(f"    m[{p}] = 0.0")
+                drains.append(("drain", p))
                 keeps_zero_sign[p] = False
             elif arc.kind == ArcKind.CONSUME:
-                w, value = self._weight(arc)
-                if value is None:  # the enabling test read the same weight, finite
-                    binds.append(f"    w{i} = {w}")
-                    w = f"w{i}"
-                consumes.append(f"    m[{p}] -= {w}")
+                tree, value = self._folded(arc)
                 keeps = value is None or (value == 0.0 and math.copysign(1.0, value) > 0.0)
+                if value is None:  # the enabling test read the same weight, finite
+                    value = f"w{i}"
+                    binds.append(("bind", value, tree))
+                consumes.append(("consume", p, value))
                 keeps_zero_sign[p] = keeps_zero_sign.get(p, True) and keeps
-        values, lines = self._bind("v", ct.out_arcs)
+        values, ops = self._bind("v", ct.out_arcs)
         deposits = []
         checked: list[int] = []  # deposit targets that may overflow
         for v, arc in zip(values, ct.out_arcs):
             p = index[arc.target]
-            deposits.append(f"    m[{p}] += {v}")
-            value = self._weight(arc)[1]
-            if (value is None or not abs(value) < _SAFE_DEPOSIT) and p not in checked:
+            deposits.append(("deposit", p, v))
+            bound = isinstance(v, str)
+            if (bound or not abs(v) < _SAFE_DEPOSIT) and p not in checked:
                 checked.append(p)
-            keeps = value is None or (value == 0.0 and math.copysign(1.0, value) < 0.0)
+            keeps = bound or (v == 0.0 and math.copysign(1.0, v) < 0.0)
             keeps_zero_sign[p] = keeps_zero_sign.get(p, True) and keeps
-        lines = binds + lines + consumes + drains + deposits
+        ops = binds + ops + consumes + drains + deposits
         if checked:
-            lines.append(f"    if {_nonfinite([f'm[{p}]' for p in checked])}: {slow or f'_overflow({ti}, m)'}")
+            ops.append(("overflow", checked))
         counters = [p for p in ct.touched if self.net.places[p].kind == PlaceKind.COUNTER]
         # + 0.0 turns -0.0 into 0.0, as round() does; then a non-negative
         # integral value passes as is and any other takes the slow path
-        lines += [f"    m[{p}] += 0.0" for p in counters if keeps_zero_sign[p]]
+        ops += [("zero", p) for p in counters if keeps_zero_sign[p]]
         if counters:
-            test = " or ".join(f"m[{p}] < 0.0 or m[{p}] % 1.0" for p in counters)
-            lines.append(f"    if {test}: {slow or f'_snap({ti}, m)'}")
+            ops.append(("counters", counters))
+        return ops
+
+    def _inlined(self, ops: list[tuple]) -> list[tuple]:
+        """The operations of a firing with each bound weight moved into the write that uses it.
+
+        A bind moves only if no write before that one touches a place the
+        weight reads, so the value is the same.
+        """
+        trees = {op[1]: op[2] for op in ops if op[0] == "bind"}
+        out, writes, touched = [], [], set()
+        for op in ops:
+            if op[0] in ("consume", "deposit") and op[2] in trees and not touched & _expr.free_places(trees[op[2]]):
+                op = (op[0], op[1], trees.pop(op[2]))
+            if op[0] in ("consume", "drain", "deposit"):
+                touched.add(self._ids[op[1]])
+            (out if op[0] == "bind" else writes).append(op)
+        return [op for op in out if op[1] in trees] + writes
+
+    def _lines(self, ops: list[tuple], names: Mapping[str, str], ti: int, slow: str | None) -> list[str]:
+        """Operations of a firing of ti as lines of code over names.
+
+        ``slow``, if given, replaces the call made when an overflow or
+        counter test fails.  A ("sink", p) operation adds x - x of the place to z.
+        """
+        ids, lines = self._ids, []
+        for op in ops:
+            kind = op[0]
+            if kind == "consume" or kind == "deposit":
+                value = _expr._literal(op[2]) if isinstance(op[2], float) else _expr._emit(op[2], names)
+                lines.append(f"{names[ids[op[1]]]} {'-' if kind == 'consume' else '+'}= {value}")
+            elif kind == "bind":
+                lines.append(f"{op[1]} = {_expr._emit(op[2], names)}")
+            elif kind == "fault":
+                lines.append(f"if {_nonfinite(op[1])}: _fault()")
+            elif kind == "overflow":
+                lines.append(f"if {_nonfinite([names[ids[p]] for p in op[1]])}: {slow or f'_overflow({ti}, m)'}")
+            elif kind == "counters":
+                test = " or ".join(f"{x} < 0.0 or {x} % 1.0" for x in (names[ids[p]] for p in op[1]))
+                lines.append(f"if {test}: {slow or f'_snap({ti}, m)'}")
+            elif kind == "sink":
+                lines.append(f"z += {names[ids[op[1]]]} - {names[ids[op[1]]]}")
+            else:
+                lines.append(f"{names[ids[op[1]]]} {'= 0.0' if kind == 'drain' else '+= 0.0'}")
         return lines
+
+    def _firing(self, ti: int, names: Mapping[str, str], slow: str | None = None) -> list[str]:
+        """Lines that apply one firing of transition ti in place, to the places names reads."""
+        return [f"    {line}" for line in self._lines(self._ops(ti), names, ti, slow)]
 
     def sighted(self, period: list[bytes]) -> None:
         """Count a sighting of the period through these flag states; compile it once hot."""
@@ -613,42 +779,172 @@ class _CompiledNet:
         """Compile the period through these flag states into one loop over locals.
 
         Firing i is the first enabled transition of states[i] in priority
-        order.  It runs _firing's lines with each m[p] renamed to a local
-        x<p>, so every float operation is the one a step makes, and each
-        re-test that step would make becomes a guard that the flag recorded
-        in states[i + 1] comes out again.  The function runs whole periods
-        while they fit in ``budget`` firings.  It leaves the loop on a guard
-        miss (after the firing), on a weight fault (before it), or when a
-        result test fails (after the writes, before the checks, whose
-        transition it returns).  It writes the locals back and returns the
-        firings done.
+        order.  Its operations run on locals x<p>, so every float operation
+        is the one a step makes, and each re-test that step would make
+        becomes a guard that the flag recorded in states[i + 1] comes out
+        again.
+
+        The checked body runs whole periods while they fit in ``budget``
+        firings.  It leaves on a guard miss (after the firing), on a weight
+        fault (before it), or when a result test fails (after the writes,
+        before the checks, whose transition it returns).  It writes the
+        locals back and returns the firings done.
+
+        A fast path runs first, specialized on the entry state (see
+        _trip_count).  Induction counters, the counter places whose every
+        move in the period is a constant integer, drop their counter checks,
+        and their updates unless other code reads them.  Guard terms and
+        weight subtrees over places the loop never writes are computed once
+        at entry; a term m(p) >= threshold on an induction counter becomes
+        the value it keeps over the trip count.  The fast body keeps every
+        other float operation in order but drops the finiteness and overflow
+        tests: in blocks of up to _BLOCK periods, it tests every local it
+        writes once at the end, having added x - x of each drained value to
+        a sink z.  Every value the checked body tests finite is a weight added
+        to a local or a local, and locals are written only by adding,
+        subtracting or draining, so a non-finite one stays so unless drained.
+        On a break, a fault or a non-finite local it restores the locals of
+        the block's start, and the checked body replays the block and meets
+        the exit as it would have.
         """
-        n = len(states)
-        body, written, guards = [], set(), []
+        n, ids, x = len(states), self._ids, _names(self.net, "x{}")
+        period = []  # (transition, operations, guards as (transition re-tested, flag wanted))
         for i, pre in enumerate(states):
             post = states[(i + 1) % n]
             ti = next(t for t in self.order if pre[t])
-            written.update(self.trans[ti].touched)
-            if i == 0 or not guards:  # else the last step's guards set at = i
-                body.append(f"at = {i}")
-            body += [line.strip() for line in self._firing(ti, f"at = {i}; fix = {ti}; break")]
-            moves, guards = self._moves(ti), []
-            for tj in self.trans[ti].recheck:
-                signs = self._signs(tj, moves)
-                if not (signs == {1} and pre[tj] or signs == {-1} and not pre[tj]):  # _step re-tests it
-                    test = self._tests[tj]
-                    guards.append(f"not ({test})" if post[tj] else f"({test})")
+            moves = self._moves(ti)
+            guards = [(tj, post[tj]) for tj in self.trans[ti].recheck  # those _step re-tests
+                      if not ((s := self._signs(tj, moves)) == {1} and pre[tj] or s == {-1} and not pre[tj])]
+            period.append((ti, self._ops(ti), guards))
+        written = sorted({p for ti, _, _ in period for p in self.trans[ti].touched})
+        moving = {ids[p] for p in written}
+        reads = set(moving)
+
+        checked: list[str] = []
+        for i, (ti, ops, guards) in enumerate(period):
+            if i == 0 or not period[i - 1][2]:  # else the last firing's guards set at = i
+                checked.append(f"at = {i}")
+            checked += self._lines(ops, x, ti, f"at = {i}; fix = {ti}; break")
+            reads.update(name for op in ops if op[0] == "bind" for name in _expr.free_places(op[2]))
             if guards:
-                body += [f"at = {i + 1}", f"if {' or '.join(guards)}: break"]
-        text, places = _expr._on_locals("\n".join(f"            {line}" for line in body), "x")
-        lines = [f"    x{p} = m[{p}]" for p in places]
-        lines += ["    done = at = 0", "    fix = -1", "    try:", "        while done < budget:",
-                  text, f"            done += {n}", "        else:",
-                  "            at = 0", "    except _FAULTS:", "        pass"]
-        lines += [f"    m[{p}] = x{p}" for p in sorted(written)]
-        lines.append("    return done + at, fix")
+                tests = [self._test(tj, x) for tj, _ in guards]
+                checked += [f"at = {i + 1}", "if " + " or ".join(
+                    f"not ({test})" if want else f"({test})" for test, (_, want) in zip(tests, guards)) + ": break"]
+                reads.update(*(self._term_reads(term) for tj, _ in guards for term in self._terms[tj]))
+
+        # induction counters: the level after each firing of the period and the sum of |moves|
+        level = {p: 0 for p in written if self.net.places[p].kind == PlaceKind.COUNTER}
+        room, after, irregular = dict.fromkeys(level, 0), {p: [] for p in level}, set()
+        for _, ops, _ in period:
+            for op in ops:
+                if op[0] in ("consume", "drain", "deposit") and op[1] in level:
+                    c = None if op[0] == "drain" else op[2]
+                    if isinstance(c, float) and c == int(c):
+                        step = int(c) if op[0] == "deposit" else -int(c)
+                        level[op[1]] += step
+                        room[op[1]] += abs(step)
+                    else:
+                        irregular.add(op[1])
+            for p, value in level.items():
+                after[p].append(value)
+        induction = [p for p in level if p not in irregular]
+        counter_of = {p: c for c, p in enumerate(induction)}
+
+        hoisted: dict[str, str] = {}  # code computed at entry -> the local holding it
+        fixed_weights: set[str] = set()  # weight names bound at entry
+
+        def hoist(tree):
+            if isinstance(tree, (str, float, _expr.Constant, _expr.Pi, _expr.MarkRef)):
+                return tree
+            free = _expr.free_places(tree)
+            if free and not free & moving:
+                return hoisted.setdefault(_expr._emit(tree, x), f"h{len(hoisted)}")
+            return type(tree)(*(hoist(getattr(tree, f.name)) for f in fields(tree)))
+
+        counter_terms: dict[tuple, str] = {}
+        plan_terms, args = [], [f"x{p}" for p in induction]  # _trip's values: counters, then as needed
+        tracked: set[str] = set()  # places of induction counters the fast body reads
+        breaks: dict[tuple, None] = {}  # (flag wanted, decided terms) of guards decided at entry
+        guard_lines: list[list[str]] = []
+        for i, (ti, ops, guards) in enumerate(period):
+            lines = []
+            for tj, want in guards:
+                codes, decided = [], []
+                for term in self._terms[tj]:
+                    kind, free = term[0], self._term_reads(term)
+                    fixed = kind != "ge" or fixed_weights.issuperset(term[3])
+                    if fixed and not free & moving:
+                        if kind == "weight":
+                            fixed_weights.add(term[1])
+                        name = hoisted.setdefault(self._term(term, x, None), f"h{len(hoisted)}")
+                    elif fixed and kind == "ge" and term[1] in counter_of:
+                        p = term[1]
+                        key = (p, after[p][i], term[2])
+                        if key not in counter_terms:
+                            counter_terms[key] = f"g{len(counter_terms)}"
+                            plan_terms.append((counter_of[p], after[p][i], len(args)))
+                            args.append(term[2])
+                        name = counter_terms[key]
+                    else:
+                        name = None
+                        tracked.update(free)
+                    codes.append(name or self._term(term, x, hoist))
+                    if name:
+                        decided.append(name)
+                rest = [code for code in codes if code not in decided]
+                if want and rest:
+                    lines.append(f"if not ({' and '.join(rest)}): break")
+                elif rest:
+                    lines.append(f"if {' and '.join(codes)}: break")
+                if want or not rest:
+                    breaks[bool(want), tuple(decided)] = None
+            guard_lines.append(lines)
+        for _, ops, _ in period:
+            tracked.update(name for op in ops if op[0] == "bind" for name in _expr.free_places(op[2]))
+        untracked = [p for p in induction if ids[p] not in tracked]
+
+        fast, sink = [], False
+        for i, (ti, ops, _) in enumerate(period):
+            fast_ops = []
+            for op in self._inlined(ops):
+                kind = op[0]
+                if (kind in ("fault", "overflow") or kind == "zero" and op[1] in counter_of
+                        or kind in ("consume", "deposit") and op[1] in untracked):
+                    continue
+                if kind in ("bind", "consume", "deposit"):
+                    op = (kind, op[1], hoist(op[2]))
+                elif kind == "counters":
+                    op = ("counters", [p for p in op[1] if p not in counter_of])
+                    if not op[1]:
+                        continue
+                elif kind == "drain":
+                    fast_ops.append(("sink", op[1]))
+                    sink = True
+                fast_ops.append(op)
+            fast += self._lines(fast_ops, x, ti, "break") + guard_lines[i]
+
+        terms_at = {name: t for t, name in enumerate(counter_terms.values())}  # index into _trip's known
+        for name in dict.fromkeys(name for _, names in breaks for name in names):
+            if name not in terms_at:
+                terms_at[name] = len(counter_terms) + len(args)
+                args.append(name)
+        saved = [f"x{p}" for p in written if p not in untracked]
+        tested = saved + ["z"] if sink else saved
+        text = _LOOP.format(
+            load="".join(f"    x{p} = m[{p}]\n" for p in sorted(self.net.place_index[r] for r in reads)),
+            hoisted="".join(f"        {name} = {code}\n" for code, name in hoisted.items()),
+            terms="".join(f"{g}, " for g in counter_terms.values()), n=n, args="".join(f", {a}" for a in args),
+            block=_BLOCK, saved=", ".join(saved) or "z", copies=", ".join("s" + v for v in saved) or "z",
+            fast="".join(f"                {line}\n" for line in fast or ["pass"]),
+            finite=f"not ({_nonfinite(tested)})" if tested else "True",
+            advance="".join(f"        x{p} += j * _d[{counter_of[p]}]\n" for p in untracked),
+            checked="".join(f"            {line}\n" for line in checked),
+            store="".join(f"    m[{p}] = x{p}\n" for p in written))
+        plan = ([(after[p][-1], min(after[p]), room[p]) for p in induction], plan_terms,
+                [(want, [terms_at[name] for name in names]) for want, names in breaks])
         single = all(sum(state) == 1 for state in states)
-        return _Loop(self._define("m, budget", [lines])[0], n, single)
+        run = self._define("m, budget", [[text]], _plan=plan, _d=tuple(after[p][-1] for p in induction))[0]
+        return _Loop(run, n, single)
 
     def finish(self, ti: int, m: Marking) -> None:
         """The result checks of a firing of ti a loop wrote but left unchecked."""
@@ -678,14 +974,15 @@ class _CompiledNet:
                     )
                 m[p] = r + 0.0
 
-    def _define(self, params: str, bodies: list[list[str]]) -> list[Callable]:
-        """One generated function per transition from its body lines, in one exec."""
+    def _define(self, params: str, bodies: list[list[str]], **extra: object) -> list[Callable]:
+        """One generated function per transition from its body lines, in one exec; extra adds globals."""
         lines = []
         for ti, body in enumerate(bodies):
             lines += [f"def _f{ti}({params}):", *body]
         namespace = dict(_expr._COMPILE_GLOBALS)
         namespace.update(_fault=_raise_fault, _overflow=self._raise_overflow, _snap=self._snap_counters,
-                         _finish=self.finish, _FAULTS=_FAULTS, _RecheckFault=_RecheckFault)
+                         _finish=self.finish, _FAULTS=_FAULTS, _RecheckFault=_RecheckFault,
+                         _trip=_trip_count, _range=range, **extra)
         exec(_code("\n".join(lines)), namespace)  # noqa: S102 - source built from our own AST
         return [namespace[f"_f{ti}"] for ti in range(len(bodies))]
 
@@ -748,11 +1045,12 @@ class _CompiledNet:
         """
         if self._born is None:
             bodies = []
-            for ct in self.trans:
-                values, lines = self._bind("v", ct.out_arcs)
-                terms = [(f"{v}*{v}", None) if w is None else (_expr._emit(_expr.Constant(w * w), {}), w * w)
-                         for v, w in zip(values, (self._weight(arc)[1] for arc in ct.out_arcs))]
-                bodies.append(lines + [f"    return {_expr._sum(terms)[0] or '0.0'}"])
+            for ti, ct in enumerate(self.trans):
+                values, ops = self._bind("v", ct.out_arcs)
+                terms = [(f"{v}*{v}", None) if isinstance(v, str) else (_expr._emit(_expr.Constant(v * v), {}), v * v)
+                         for v in values]
+                bodies.append([f"    {line}" for line in self._lines(ops, self._m, ti, None)]
+                              + [f"    return {_expr._sum(terms)[0] or '0.0'}"])
             self._born = self._define("m", bodies)
         weights = []
         for t in members:
@@ -993,9 +1291,10 @@ def _execute(
     max_steps = config.max_steps
     traced = deterministic and on_fire is None  # the next firing depends on flags alone
     path: list[bytes] | None = None  # flag states recorded since the last look
+    relook = 0  # firings after a loop exit still to look for a cached loop head at
     start = 0
     while True:
-        stop = min(start + (_CHUNK if path is None else 1), max_steps) if traced else max_steps
+        stop = min(start + (_CHUNK if path is None and not relook else 1), max_steps) if traced else max_steps
         for step_index in range(start, stop):
             if count == 0:
                 return FinalState(m, step_index, TerminalStatus.QUIESCENT)
@@ -1060,6 +1359,9 @@ def _execute(
                 # every enabling test but the last firing's re-tests reads what
                 # it read last time, so this raises the fault a step would
                 flags, count = cnet.enabled_flags(m, start - 1)
+            relook = _CHUNK
+        elif relook:
+            relook -= 1
         elif path is None:
             path = [state]
         elif state in path:

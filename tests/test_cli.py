@@ -179,6 +179,12 @@ class TestTables:
         assert code == 0
         assert out == (GOLDEN / "tables_n320_m25.csv").read_text()
 
+    def test_golden_csv_of_a_deep_cell(self, capsys):
+        """The same on a cell whose inner cycles run about 5,000 firings in compiled loops."""
+        code, out, _ = run_cli(capsys, "tables", "--mode", "both", "--N", "2500", "--M", "25")
+        assert code == 0
+        assert out == (GOLDEN / "tables_n2500_m25.csv").read_text()
+
     def test_impossible_tolerance_fails(self, capsys):
         code, out, _ = run_cli(
             capsys,
@@ -511,6 +517,16 @@ class TestValidate:
         code, _, err = run_cli(capsys, "validate", str(bad))
         assert code == 2
         assert "line 2" in err
+
+    def test_file_saved_with_a_utf8_bom(self, capsys, tmp_path):
+        """A byte order mark before the header is not part of line 1."""
+        plain, bom = tmp_path / "plain.qpn", tmp_path / "bom.qpn"
+        plain.write_bytes((GOLDEN / "measurement.qpn").read_bytes())
+        bom.write_bytes(b"\xef\xbb\xbf" + plain.read_bytes())
+        for argv in (("validate",), ("measure", "--runs", "200", "--seed", "3", "--expect")):
+            code, out, err = run_cli(capsys, argv[0], str(bom), *argv[1:])
+            assert (code, err) == (0, "")
+            assert out.replace("bom.qpn", "plain.qpn") == run_cli(capsys, argv[0], str(plain), *argv[1:])[1]
 
 
 class TestUsage:

@@ -9,6 +9,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from qpn import expr as _expr
 from qpn import net as net_module
 from qpn.errors import (
     CounterViolationError,
@@ -777,7 +778,8 @@ def _per_arc_test(cnet, ti):
         if arc.kind == ArcKind.DRAIN:
             terms.append(f"(m[{p}] > 1e-12 or m[{p}] < -1e-12)")
             continue
-        w, value = cnet._weight(arc)
+        tree, value = cnet._folded(arc)
+        w = _expr._emit(tree, cnet._m)
         if value is None:
             name = f"e{ti}_{i}"
             terms.append(f"((({name} := {w}) - {name} == 0.0 or _fault()) and {name} >= 0.0)")

@@ -6,6 +6,7 @@ plain generated code, so both serve as references.  Every comparison is bit
 for bit.
 """
 
+import hashlib
 import random
 import struct
 from unittest import mock
@@ -76,6 +77,42 @@ def test_closed_form_firings_through_loops(build, expected):
     assert _bits(final.marking) == _bits(trace.final)
 
 
+# SHA-256 of the struct-packed final marking of each deep run, recorded before
+# compiled loops were specialized on their entry state: every bit is pinned,
+# where the tables CSV shows 9 decimals
+_DEEP_DIGESTS = [
+    (lambda: slaz_passing_net(ProtocolParams(N=2500, M=25))[0], passing_expected_firings(2500, 25),
+     "f4bb9e65a68bb0a1da898a4c450e8b43ab3e5e9882fc1c11f18d1e1c25f415f0"),
+    (lambda: slaz_blocking_net(ProtocolParams(N=2500, M=50))[0], blocking_expected_firings(2500, 50),
+     "24b948d5bd7e562c1c023be2b4eab7c2cf3cf0108a74d176070ae4bfff4b2638"),
+    (lambda: zeno_net(ProtocolParams(N=99577))[0], zeno_expected_firings(99577),
+     "145b554ffda7e9f31a70b52d4ceee22297573bda22e694669d872a47c30297ef"),
+]
+
+
+@pytest.mark.parametrize("build, expected, digest", _DEEP_DIGESTS, ids=["passing-2500-25", "blocking-2500-50",
+                                                                       "zeno-99577"])
+def test_deep_runs_keep_every_bit(build, expected, digest):
+    net = build()
+    config = RunConfig(max_steps=expected + 8)
+    final = run_final(net, net.initial_marking(), config, require_single_enabled=True)
+    assert (final.firings, final.status) == (expected, TerminalStatus.QUIESCENT)
+    assert hashlib.sha256(_bits(final.marking)).hexdigest() == digest
+
+
+def test_loop_is_entered_again_after_it_exits():
+    """After an exit, each firing is looked at until the loop head comes back.
+
+    Passing N=320/M=150 runs 959 of every 980 firings in its inner loop once
+    that has compiled, which takes two outer cycles.
+    """
+    net, _ = slaz_passing_net(ProtocolParams(N=320, M=150))
+    config = RunConfig(max_steps=passing_expected_firings(320, 150))
+    final = run_final(net, net.initial_marking(), config)
+    assert _loop_firings(net) >= 0.96 * final.firings
+    assert _bits(final.marking) == _bits(run(net, net.initial_marking(), config).final)
+
+
 def test_loop_is_reused_across_runs_and_budgets():
     """A cached loop serves later runs, and max_steps cuts it only at whole periods."""
     net, _ = zeno_net(ProtocolParams(N=3000))
@@ -124,9 +161,10 @@ def test_cached_loop_with_two_enabled_respects_require_single_enabled():
 
 _RING_WEIGHTS = (
     "m(a0)*0.5", "0.5*m(a1)+0.25", "m(a0)-m(a1)", "sin(m(a0))", "m(r0)*0.75",
-    "cos(pi/(2*m(b)+2))", "0.25", "0-0.5", "m(a1)*m(a1)",
+    "cos(pi/(2*m(b)+2))", "0.25", "0-0.5", "m(a1)*m(a1)", "m(a1)^2", "m(a0)/(m(b)+1)",
 )
-_HAZARDS = ("div_firing", "div_retest", "negative", "fractional", "overflow", "switch_on", "drain")
+_HAZARDS = ("div_firing", "div_retest", "negative", "fractional", "overflow", "switch_on", "drain",
+            "trig_of_inf", "nan_drain", "power", "drained_overflow")
 
 
 @st.composite
@@ -172,9 +210,23 @@ def _ring_case(draw):
             places += [PlaceDecl("w", C, 0.0), PlaceDecl("s_out", A, 0.0)]
             transitions.append(TransitionDecl("s", draw(st.integers(0, 2))))
             arcs += [Arc(ring(), "w"), Arc("w", "s", str(at_lap)), Arc("s", "s_out", "m(a0)")]
-        else:  # a drain that stops the ring once the drained place reaches zero
+        elif hazard == "drain":  # a drain that stops the ring once the drained place reaches zero
             places.append(PlaceDecl("d", A, 1.0))
             arcs += [Arc("d", ring(), "m(d)", ArcKind.DRAIN), Arc(ring(), "d", "m(a0)*m(a0)")]
+        elif hazard == "trig_of_inf":  # sin or cos of a place after it overflows
+            places.append(PlaceDecl("o", A, 2.0 ** max(1000 - 8 * at_lap, -1000)))
+            arcs += [Arc(ring(), "o", "m(o)*255"), Arc(ring(), "a1", f"{draw(st.sampled_from(['sin', 'cos']))}(m(o))")]
+        elif hazard == "nan_drain":  # inf - inf into a drained place, whose drain test a nan fails
+            places += [PlaceDecl("n", A, 2.0 ** max(1000 - 8 * at_lap, -1000)), PlaceDecl("nd", A, 1.0)]
+            arcs += [Arc(ring(), "n", "m(n)*255"), Arc(ring(), "nd", "m(n)-m(n)+1"),
+                     Arc("nd", ring(), "m(nd)", ArcKind.DRAIN)]
+        elif hazard == "drained_overflow":  # a deposit that overflows on some laps, into a drained place
+            places += [PlaceDecl("sc", C, 0.0), PlaceDecl("se", A, 0.8 - 0.01 * at_lap), PlaceDecl("sd", A, 1.0)]
+            arcs += [Arc(ring(), "sc"), Arc(ring(), "se", "0.01"), Arc(ring(), "sd", _spike("sc", "se")),
+                     Arc("sd", ring(), "m(sd)", ArcKind.DRAIN)]
+        else:  # m(g)^2 added to g: 1/g falls by about 1 a lap, then g overflows within 12 laps
+            places.append(PlaceDecl("pw", A, 1.0 / at_lap))
+            arcs.append(Arc(ring(), "pw", "m(pw)^2"))
     max_steps = draw(st.one_of(st.just(1_000_000), st.integers(min_value=k * 30, max_value=k * (laps + 10))))
     net = PetriNet("ring", places, transitions, arcs)
     return net, RunConfig(max_steps=max_steps), draw(st.booleans())
@@ -214,6 +266,11 @@ def _reference(net, m0, config, require_single_enabled):
     return m, config.max_steps, TerminalStatus.STEP_LIMIT if enabled else TerminalStatus.QUIESCENT
 
 
+def _spike(c, e):
+    """1e308 * (sin(c) + e) + 1, which overflows on laps c near a peak of sin once e passes 0.7977."""
+    return f"1e308*(sin(m({c}))+m({e}))+1"
+
+
 # hazards that strike after 1,500 laps of a 3-transition ring, well after its
 # loop has compiled with the real look interval and sighting threshold
 _LATE_HAZARDS = {
@@ -224,6 +281,10 @@ _LATE_HAZARDS = {
     "div_firing": ([PlaceDecl("q", A, 1500.0)], [Arc("t0", "q", "0-1"), Arc("t2", "a", "1/m(q)")]),
     "div_retest": ([PlaceDecl("u", A, 1500.0), PlaceDecl("z", A, 1e9)],
                    [Arc("t0", "u", "0-1"), Arc("z", "t1", "1/m(u)", ArcKind.GUARD)]),
+    # from about lap 1,500 the deposit into d overflows on some laps, and t2 drains d on every lap
+    "drained_overflow": ([PlaceDecl("c", C, 0.0), PlaceDecl("e", A, -0.7), PlaceDecl("d", A, 1.0)],
+                         [Arc("t0", "c"), Arc("t0", "e", "0.001"), Arc("t1", "d", _spike("c", "e")),
+                          Arc("d", "t2", "m(d)", ArcKind.DRAIN)]),
 }
 
 
@@ -245,11 +306,29 @@ def test_late_hazard_inside_a_loop_matches_step_loop(hazard):
     assert _loop_firings(net) > (0 if hazard == "fractional" else 1000)
 
 
+def _check_against_step_loop(net, m0, config, single):
+    """run_final equals a step() loop: marking bits, firings and status, or error class, message and step."""
+    expected = _reference(net, m0, config, single)
+    try:
+        final = run_final(net, m0, config, require_single_enabled=single)
+    except QpnError as e:
+        assert isinstance(expected, QpnError), f"run_final raised {e!r}, the loop ended {expected}"
+        assert type(e) is type(expected)
+        assert str(e) == str(expected)
+        assert e.step_index == expected.step_index
+    else:
+        assert not isinstance(expected, QpnError), f"run_final ended {final}, the loop raised {expected!r}"
+        marking, firings, status = expected
+        assert (final.firings, final.status) == (firings, status)
+        assert _bits(final.marking) == _bits(marking)
+
+
 def test_loops_match_step_loop_on_ring_nets():
     """run_final with compiled loops equals a step() loop, on every outcome.
 
-    The look interval and the sighting threshold are lowered so that loops
-    compile within the first laps and the hazards strike inside them.
+    The look interval, the sighting threshold and the block length are
+    lowered so that loops compile within the first laps and the hazards
+    strike inside them, speculative blocks included.
     """
     engaged = []
 
@@ -257,22 +336,73 @@ def test_loops_match_step_loop_on_ring_nets():
     @given(_ring_case())
     def check(case):
         net, config, single = case
-        m0 = net.initial_marking()
-        expected = _reference(net, m0, config, single)
-        try:
-            final = run_final(net, m0, config, require_single_enabled=single)
-        except QpnError as e:
-            assert isinstance(expected, QpnError), f"run_final raised {e!r}, the loop ended {expected}"
-            assert type(e) is type(expected)
-            assert str(e) == str(expected)
-            assert e.step_index == expected.step_index
-        else:
-            assert not isinstance(expected, QpnError), f"run_final ended {final}, the loop raised {expected!r}"
-            marking, firings, status = expected
-            assert (final.firings, final.status) == (firings, status)
-            assert _bits(final.marking) == _bits(marking)
+        _check_against_step_loop(net, net.initial_marking(), config, single)
         engaged.append(_loop_firings(net) > 0)
 
-    with mock.patch.object(net_module, "_CHUNK", 8), mock.patch.object(net_module, "_HOT", 2):
+    with mock.patch.object(net_module, "_CHUNK", 8), mock.patch.object(net_module, "_HOT", 2), \
+            mock.patch.object(net_module, "_BLOCK", 4):
         check()
     assert sum(engaged) >= 0.6 * len(engaged), f"loops ran on {sum(engaged)} of {len(engaged)} examples"
+
+
+def _metered_ring(laps):
+    """A 3-transition ring of `laps` laps; t2, of the highest ordinal, starts each lap and counts it in c.
+
+    The loop head is the state in which t2 alone is enabled.
+    """
+    places = [PlaceDecl("r0", C, 1.0), PlaceDecl("r1", C, 0.0), PlaceDecl("r2", C, 0.0),
+              PlaceDecl("b", C, float(laps)), PlaceDecl("c", C, 0.0), PlaceDecl("a", A, 0.5)]
+    arcs = [Arc("b", "t2"), Arc("r0", "t2"), Arc("t2", "r1"), Arc("t2", "c"), Arc("r1", "t1"),
+            Arc("t1", "r2"), Arc("t1", "a", "m(a)*0.5"), Arc("r2", "t0"), Arc("t0", "r0")]
+    return PetriNet("metered", places, ["t0", "t1", "t2"], arcs)
+
+
+def _recording_trip_counts(calls):
+    trip_count = net_module._trip_count
+
+    def record(plan, periods, *values):
+        result = trip_count(plan, periods, *values)
+        calls.append((periods, result[0], values[:len(plan[0])]))
+        return result
+
+    return mock.patch.object(net_module, "_trip_count", record)
+
+
+def test_counter_decided_exits_match_step_loop():
+    """Trip counts of 0 and 1, and trip counts cut by the budget, on exits the lap counter decides."""
+    calls = []
+    with mock.patch.object(net_module, "_CHUNK", 8), mock.patch.object(net_module, "_HOT", 2), \
+            _recording_trip_counts(calls):
+        for laps in range(8, 30):
+            for max_steps in (10**6, 3 * laps - 7, 3 * laps - 1, 3 * laps, 3 * laps + 1):
+                for single in (False, True):
+                    net = _metered_ring(laps)
+                    _check_against_step_loop(net, net.initial_marking(), RunConfig(max_steps=max_steps), single)
+    trips = {k for _, k, _ in calls}
+    assert {0, 1} <= trips
+    assert any(0 < k == periods for periods, k, _ in calls)
+    assert any(0 < k < periods for periods, k, _ in calls)
+
+
+@pytest.mark.parametrize("c0", [0.0, -0.0, 7.0000000001, 6.9999999999, 2.0**53 - 40, 2.0**53 - 1, 2.0**53],
+                         ids=["zero", "negative-zero", "above-7", "below-7", "2^53-40", "2^53-1", "2^53"])
+def test_counter_entry_states_match_step_loop(c0):
+    """A loop entered with its lap counter at -0.0, off an integer by less than 1e-9, or near 2**53.
+
+    The run starts one firing before the loop head and looks for a loop
+    after every firing, so c enters the loop as the marking holds it.
+    """
+    calls = []
+    with _recording_trip_counts(calls):
+        with mock.patch.object(net_module, "_CHUNK", 8), mock.patch.object(net_module, "_HOT", 2):
+            net = _metered_ring(60)
+            run_final(net, net.initial_marking(), RunConfig())  # compiles the loop
+        m0 = net.initial_marking()
+        m0[:3] = [0.0, 0.0, 1.0]  # t0 fires first
+        m0[net.place_index["c"]] = c0
+        for max_steps in (10**6, 100):
+            del calls[:]
+            with mock.patch.object(net_module, "_CHUNK", 1):
+                _check_against_step_loop(net, m0, RunConfig(max_steps=max_steps), False)
+            # the loop's induction counters are r0, r1, r2, b and c
+            assert _bits(calls[0][2]) == _bits([1.0, 0.0, 0.0, 60.0, c0])
