@@ -29,6 +29,7 @@ from .errors import (
 )
 from .net import (
     ArcKind,
+    BornTable,
     PetriNet,
     PlaceKind,
     Policy,
@@ -440,16 +441,18 @@ def empirical_distribution(
     """Terminal-outcome frequencies over ``runs`` seeded BornRandom runs.
 
     Run i uses seed :func:`run_seed`(seed, i); identical inputs reproduce the
-    distribution bit for bit.
+    distribution bit for bit.  The runs share one :class:`BornTable`, so a
+    marking's Born step is computed once per sweep.
     """
     if runs < 1:
         raise ValueError("runs must be >= 1")
     m0 = net.initial_marking()
+    table = BornTable(net, m0)
     assigned = _assigned(net, mapping)
     counts: dict[tuple[str, ...], int] = {}
     for i in range(runs):
         config = RunConfig(policy=Policy.BORN_RANDOM, seed=run_seed(seed, i))
-        final = run_final(net, m0, config)
+        final = run_final(net, m0, config, table=table)
         if final.status != TerminalStatus.QUIESCENT:
             raise StepLimitError(f"run {i} did not reach quiescence within {config.max_steps} steps")
         key = _outcome(assigned, final.marking)

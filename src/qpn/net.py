@@ -32,6 +32,8 @@ from __future__ import annotations
 import enum
 import math
 import random
+import struct
+from bisect import bisect_right
 from dataclasses import dataclass, fields, replace
 from types import CodeType
 from typing import Callable, Container, Iterable, Mapping, Sequence
@@ -334,12 +336,13 @@ _SAFE_DEPOSIT = 2.0**970
 
 
 # A deterministic run with no on_fire looks for a hot loop every _CHUNK
-# firings, and after a loop exits at each of the next _CHUNK firings, until a
-# cached loop head comes up.  It records the flag states of up to _MAX_PERIOD
-# firings; once a state comes back, the states in between are a period.  A
-# period seen _HOT times (about _HOT * _CHUNK firings, enough to repay its
-# compile cost) is compiled by _CompiledNet.loop and from then on runs whole
-# periods per call, up to _BLOCK of them per speculative block.
+# firings.  After a loop exits it looks at the exit state and then after each
+# firing, _CHUNK looks in all, until a cached loop head comes up.  It records
+# the flag states of up to _MAX_PERIOD firings; once a state comes back, the
+# states in between are a period.  A period seen _HOT times (about _HOT *
+# _CHUNK firings, enough to repay its compile cost) is compiled by
+# _CompiledNet.loop and from then on runs whole periods per call, up to
+# _BLOCK of them per speculative block.
 _CHUNK = 64
 _MAX_PERIOD = 8
 _HOT = 32
@@ -1130,20 +1133,33 @@ def _patch(plan: tuple, values: list[float]) -> CodeType:
     return code.replace(co_consts=tuple(consts))
 
 
+def _running_sums(weights: Sequence[float]) -> list[float]:
+    """The running sums acc += w of the weights: the bounds a draw falls below."""
+    sums, acc = [], 0.0
+    for w in weights:
+        acc += w
+        sums.append(acc)
+    return sums
+
+
+def _draw(sums: Sequence[float], total: float, rng: random.Random) -> int:
+    """Index i with probability (sums[i] - sums[i-1]) / total; the last absorbs rounding.
+
+    The first running sum above the draw: the sums of non-negative weights
+    never fall, so bisect finds it.
+    """
+    i = bisect_right(sums, rng.random() * total)
+    return i if i < len(sums) else len(sums) - 1
+
+
 def _cumulative_draw(weights: Sequence[float], total: float, rng: random.Random) -> int:
-    """Index i with probability weights[i] / total; the last absorbs rounding.
+    """Index i with probability weights[i] / total, for non-negative weights.
 
     A total that is not finite raises: no draw could fall below it.
     """
     if not math.isfinite(total):
         raise NonFiniteResultError(f"the weights of a Born draw sum to {total!r}")
-    draw = rng.random() * total
-    acc = 0.0
-    for i, w in enumerate(weights):
-        acc += w
-        if draw < acc:
-            return i
-    return len(weights) - 1
+    return _draw(_running_sums(weights), total, rng)
 
 
 # --- public operations ---------------------------------------------------------------
@@ -1214,15 +1230,27 @@ def _group(cnet: _CompiledNet, lead: int, enabled: set[int]) -> set[int]:
     return group
 
 
-def _born_choice(cnet: _CompiledNet, m: Sequence[float], enabled: list[int], rng: random.Random) -> int:
-    lead = min(enabled, key=lambda t: (cnet.trans[t].rank, t))
-    members = sorted(_group(cnet, lead, set(enabled)), key=lambda t: (cnet.trans[t].rank, t))
+def _born_group(cnet: _CompiledNet, m: Sequence[float], enabled: list[int]) -> tuple[list[int], list[float], float]:
+    """The lead group of a Born step, its members' weights and their total.
+
+    ``enabled`` lists the enabled transitions in priority order; the first
+    leads, and the members keep that order.  A zero total raises: no member
+    could be drawn.
+    """
+    group = _group(cnet, enabled[0], set(enabled))
+    members = [t for t in enabled if t in group]
     weights = cnet.born_weights(members, m)
     total = sum(weights)
     if total <= 0.0:
         raise ZeroWeightGroupError(
             f"conflict group {[cnet.trans[t].tid for t in members]} has zero total squared output weight"
         )
+    return members, weights, total
+
+
+def _born_choice(cnet: _CompiledNet, m: Sequence[float], enabled: list[int], rng: random.Random) -> int:
+    """The member of the lead group that one Born draw picks; enabled is in priority order."""
+    members, weights, total = _born_group(cnet, m, enabled)
     return members[_cumulative_draw(weights, total, rng)]
 
 
@@ -1235,11 +1263,12 @@ def step(
     """Fire one transition per the configured policy; None when quiescent."""
     validate_marking(net, m)
     cnet = net.compiled()
-    enabled = cnet.enabled_ordinals(m)
+    # tested in ordinal order, so that a fault is the one a run meets first
+    enabled = sorted(cnet.enabled_ordinals(m), key=lambda t: (cnet.trans[t].rank, t))
     if not enabled:
         return None
     if config.policy == Policy.DETERMINISTIC_PRIORITY:
-        ti = min(enabled, key=lambda t: (cnet.trans[t].rank, t))
+        ti = enabled[0]
     else:
         ti = _born_choice(cnet, m, enabled, rng)
     out = list(m)
@@ -1259,13 +1288,124 @@ def run_final(
     m0: Sequence[float],
     config: RunConfig,
     require_single_enabled: bool = False,
+    *,
+    table: BornTable | None = None,
 ) -> FinalState:
     """Memory-lean run: final marking and firing count, no per-step record.
 
     With ``require_single_enabled`` the run asserts that at most one
     transition is enabled before every firing (conflict-free execution).
+    A Born run given ``table``, a :class:`BornTable` of this net and m0,
+    walks the table, and runs as without it where the walk cannot finish.
     """
+    if table is not None:
+        if table.net is not net or table.m0 is not m0 or config.policy != Policy.BORN_RANDOM or require_single_enabled:
+            raise ValueError("a Born table walks Born runs from its own net and initial marking")
+        final = table.walk(config)
+        if final is not None:
+            return final
     return _execute(net, m0, config, require_single_enabled=require_single_enabled)
+
+
+# the markings a BornTable keeps an entry for; a run through a marking beyond
+# it refills that marking's entry and does not store it
+_TABLE_MAX = 4096
+
+
+@dataclass(slots=True)
+class _Branch:
+    """A Born step from a marking: one draw over the lead group, then a member's successor.
+
+    ``sums`` are the running sums of the members' weights in priority order,
+    ``total`` is their sum, and each successor is the (key, enabled flags)
+    of the marking the member's firing leaves, or None when that firing
+    faults.
+    """
+
+    sums: list[float]
+    total: float
+    successors: list[tuple[bytes, bytearray] | None]
+
+
+# the entry of a marking whose step faults before its draw, or whose total
+# admits no draw: every run through it runs as without a table
+_REFERENCE = "reference"
+
+
+class BornTable:
+    """The Born steps from the markings that Born runs of a net from m0 meet.
+
+    Entries are keyed by a marking's bits (struct-packed, so -0.0 and 0.0
+    are different keys).  A quiescent marking's entry is the marking; any
+    other marking's entry is the Born step from it (see _Branch), filled on
+    the first visit from what a run computes there: the same flags, group,
+    weights, total and firings.  A run then costs its seeding, one draw per
+    firing and lookups.  m0 is validated once, when the table is built.
+    """
+
+    def __init__(self, net: PetriNet, m0: Sequence[float]) -> None:
+        validate_marking(net, m0)
+        self.net, self.m0 = net, m0
+        self._cnet = net.compiled()
+        self._packing = struct.Struct(f"{len(m0)}d")
+        self._entries: dict[bytes, object] = {}
+        flags, _ = self._cnet.enabled_flags(m0, 0)
+        self._first = self._fill(self._packing.pack(*m0), flags)
+        self._rng = random.Random()  # reseeded per run: the stream of random.Random(seed)
+
+    def _fill(self, key: bytes, flags: bytearray) -> object:
+        """The entry of the marking with these bits and enabled flags, stored while the table has room."""
+        m = list(self._packing.unpack(key))
+        entry = self._step(m, flags) if any(flags) else m
+        if len(self._entries) < _TABLE_MAX:
+            self._entries[key] = entry
+        return entry
+
+    def _step(self, m: Marking, flags: bytearray) -> _Branch | str:
+        """The Born step from a finite marking with these enabled flags, as a run takes it.
+
+        The lead group, its weights and their total come from _born_group,
+        which Born runs draw with, and each member's successor from its step
+        on a copy of the marking and the flags.
+        """
+        cnet = self._cnet
+        try:
+            members, weights, total = _born_group(cnet, m, [t for t in cnet.order if flags[t]])
+        except (QpnError, *_FAULTS):
+            return _REFERENCE
+        if not math.isfinite(total):
+            return _REFERENCE
+        successors: list[tuple[bytes, bytearray] | None] = []
+        for t in members:
+            out, out_flags = list(m), bytearray(flags)
+            try:
+                cnet.trans[t].step(out, out_flags)
+            except (QpnError, _RecheckFault, *_FAULTS):
+                successors.append(None)
+            else:
+                successors.append((self._packing.pack(*out), out_flags))
+        return _Branch(_running_sums(weights), total, successors)
+
+    def walk(self, config: RunConfig) -> FinalState | None:
+        """The Born run with this config, or None where it meets a fault or max_steps."""
+        rng = self._rng
+        rng.seed(config.seed)
+        entries = self._entries
+        entry = self._first
+        firings = 0
+        while entry.__class__ is _Branch:
+            if firings == config.max_steps:
+                return None
+            successor = entry.successors[_draw(entry.sums, entry.total, rng)]
+            if successor is None:
+                return None
+            firings += 1
+            entry = entries.get(successor[0])
+            if entry is None:
+                entry = self._fill(*successor)
+        if entry is _REFERENCE:
+            return None
+        return FinalState(list(entry), firings, TerminalStatus.QUIESCENT)
 
 
 def _execute(
@@ -1292,9 +1432,15 @@ def _execute(
     traced = deterministic and on_fire is None  # the next firing depends on flags alone
     path: list[bytes] | None = None  # flag states recorded since the last look
     relook = 0  # firings after a loop exit still to look for a cached loop head at
+    exited = False  # a loop has just run: look at its exit state before the next firing
     start = 0
     while True:
-        stop = min(start + (_CHUNK if path is None and not relook else 1), max_steps) if traced else max_steps
+        if exited:
+            stop = start
+        elif traced:
+            stop = min(start + (_CHUNK if path is None and not relook else 1), max_steps)
+        else:
+            stop = max_steps
         for step_index in range(start, stop):
             if count == 0:
                 return FinalState(m, step_index, TerminalStatus.QUIESCENT)
@@ -1340,6 +1486,7 @@ def _execute(
         start = stop
         state = bytes(flags)
         loop = cnet.loops.get(state)
+        exited = False
         if loop is not None and (loop.single or not require_single_enabled):
             path = None
             budget = (max_steps - start) // loop.period * loop.period
@@ -1359,6 +1506,7 @@ def _execute(
                 # every enabling test but the last firing's re-tests reads what
                 # it read last time, so this raises the fault a step would
                 flags, count = cnet.enabled_flags(m, start - 1)
+                exited = True  # a loop that fired nothing would meet its head again
             relook = _CHUNK
         elif relook:
             relook -= 1

@@ -1,15 +1,18 @@
 """Predicates, reachability graphs, invariants, empirical statistics."""
 
+import dataclasses
 import math
 import re
 import struct
 from collections import deque
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from qpn import analysis as analysis_module
+from qpn import net as net_module
 from qpn.analysis import (
     CMP_EPSILON,
     And,
@@ -21,34 +24,44 @@ from qpn.analysis import (
     empirical_distribution,
     evaluate_predicate,
     incidence_matrix,
+    outcome,
     parse_predicate,
     predicate_places,
     reachability_graph,
     run_seed,
     to_dot,
 )
+from qpn import netfile
 from qpn.errors import (
     CounterViolationError,
+    DivisionByZeroError,
     ExprSyntaxError,
     NonConstantWeightsError,
     NotIntegerNetError,
     NonFiniteResultError,
     QpnError,
     StateExplosionError,
+    StepLimitError,
     UnknownPlaceError,
+    ZeroWeightGroupError,
 )
 from qpn.expr import Constant, Cos, MarkRef, parse
 from qpn.models import ProtocolParams, entanglement_net, measurement_net, zeno_net
 from qpn.net import (
     Arc,
     ArcKind,
+    BornTable,
     PetriNet,
     PlaceDecl,
     PlaceKind,
+    Policy,
+    RunConfig,
+    TerminalStatus,
     TransitionDecl,
     enabled_transitions,
     fire,
     is_enabled,
+    run_final,
 )
 from qpn.quantum import QuantumMapping
 
@@ -219,6 +232,230 @@ class TestEmpiricalDistribution:
         seeds = {run_seed(0, i) for i in range(1000)}
         assert len(seeds) == 1000
         assert run_seed(123, 45) == run_seed(123, 45)
+
+
+# --- Born sweeps against one reference run per seed ---------------------------------
+
+GOLDEN = Path(__file__).parent / "golden"
+
+
+def _reference_sweep(net, mapping, runs, seed):
+    """empirical_distribution spelled as one run_final per seed: the counts, or the error it raises."""
+    m0 = net.initial_marking()
+    counts = {}
+    for i in range(runs):
+        config = analysis_module.RunConfig(policy=Policy.BORN_RANDOM, seed=run_seed(seed, i))
+        try:
+            final = run_final(net, m0, config)
+        except QpnError as e:
+            return e
+        if final.status != TerminalStatus.QUIESCENT:
+            return StepLimitError(f"run {i} did not reach quiescence within {config.max_steps} steps")
+        key = outcome(net, mapping, final.marking)
+        counts[key] = counts.get(key, 0) + 1
+    return counts
+
+
+def _check_sweep(net, mapping, runs, seed):
+    """The sweep gives the reference counts, or raises its error class, message and step."""
+    expected = _reference_sweep(net, mapping, runs, seed)
+    if isinstance(expected, QpnError):
+        with pytest.raises(type(expected)) as raised:
+            empirical_distribution(net, mapping, runs, seed=seed)
+        assert (str(raised.value), raised.value.step_index) == (str(expected), expected.step_index)
+    else:
+        dist = empirical_distribution(net, mapping, runs, seed=seed)
+        assert (dist.runs, dist.counts) == (runs, expected)
+    return expected
+
+
+@st.composite
+def _chained_branches(draw):
+    """Lanes of Born branches, each firing hands its lane's token to the next stage.
+
+    Every branch deposits into one of a shared pool of mapped amplitude
+    places, some with a weight that reads the pool, so that paths merge and
+    markings hold -0.0; transitions draw priority ranks.
+    """
+    pool = draw(st.integers(min_value=1, max_value=4))
+    places = [PlaceDecl(f"a{i}", A, draw(st.sampled_from([0.0, -0.0, 0.5]))) for i in range(pool)]
+    transitions, arcs = [], []
+    for lane in range(draw(st.integers(min_value=1, max_value=2))):
+        stages = draw(st.integers(min_value=1, max_value=3))
+        places += [PlaceDecl(f"c{lane}_{k}", C, 1.0 if k == 0 else 0.0) for k in range(stages)]
+        for k in range(stages):
+            shares = draw(st.lists(st.integers(min_value=1, max_value=9), min_size=1, max_size=4))
+            for j, share in enumerate(shares):
+                tid = f"t{lane}_{k}_{j}"
+                transitions.append(TransitionDecl(tid, draw(st.integers(min_value=0, max_value=2))))
+                arcs.append(Arc(f"c{lane}_{k}", tid))
+                weight = f"sqrt({share}/{sum(shares)})"
+                if draw(st.booleans()):
+                    weight += f" + m(a{draw(st.integers(min_value=0, max_value=pool - 1))})/2"
+                arcs.append(Arc(tid, f"a{draw(st.integers(min_value=0, max_value=pool - 1))}", weight))
+                if k + 1 < stages:
+                    arcs.append(Arc(tid, f"c{lane}_{k + 1}"))
+    mapping = QuantumMapping(assignments=tuple((f"a{i}", f"e{i}") for i in range(pool)))
+    return PetriNet("chained", places, transitions, arcs), mapping
+
+
+def _branch_net(shares):
+    """One counter token split over branches; branch i deposits sqrt(a_i/S) on its own mapped place."""
+    places = [PlaceDecl("src", C, 1)] + [PlaceDecl(f"b{i}", A) for i in range(len(shares))]
+    arcs = [Arc("src", f"t{i}") for i in range(len(shares))]
+    arcs += [Arc(f"t{i}", f"b{i}", f"sqrt({a}/{sum(shares)})") for i, a in enumerate(shares)]
+    mapping = QuantumMapping(assignments=tuple((f"b{i}", f"e{i}") for i in range(len(shares))))
+    return PetriNet("branches", places, [f"t{i}" for i in range(len(shares))], arcs), mapping
+
+
+_SEEDS = st.integers(min_value=0, max_value=2**64 - 1)
+_RUNS = st.integers(min_value=1, max_value=150)
+
+
+@settings(max_examples=60, deadline=None)
+@given(_chained_branches(), _RUNS, _SEEDS)
+def test_sweep_counts_equal_reference_runs_on_chained_branches(case, runs, seed):
+    net, mapping = case
+    assert not isinstance(_check_sweep(net, mapping, runs, seed), QpnError)
+
+
+@settings(max_examples=20, deadline=None)
+@given(st.lists(st.integers(min_value=1, max_value=9), min_size=1, max_size=8), _RUNS, _SEEDS)
+def test_sweep_counts_equal_reference_runs_on_branch_nets(shares, runs, seed):
+    net, mapping = _branch_net(shares)
+    _check_sweep(net, mapping, runs, seed)
+
+
+@pytest.mark.parametrize("name", ["measurement.qpn", "entanglement_mapped.qpn"])
+@pytest.mark.parametrize("seed", [0, 1, 20171704, 2**64 - 1])
+def test_sweep_counts_equal_reference_runs_on_golden_nets(name, seed):
+    doc = netfile.load((GOLDEN / name).read_text(encoding="utf-8"))
+    _check_sweep(doc.net, doc.mapping, 300, seed)
+
+
+def _with_stage(shares, extra_places, second_stage_arcs):
+    """A branch net whose branch t0 also hands a token to a second stage, t0's successor u."""
+    net, mapping = _branch_net(shares)
+    places = list(net.places) + [PlaceDecl("c2", C, 0.0), *extra_places]
+    arcs = list(net.arcs) + [Arc("t0", "c2"), Arc("c2", "u"), *second_stage_arcs]
+    return PetriNet("staged", places, [*net.transition_ids(), "u"], arcs), mapping
+
+
+def _faulting(kind):
+    if kind == "zero-group":  # reached at step 1, by the runs that pick t0
+        return _with_stage([1, 2, 3], [PlaceDecl("d", A)], [Arc("u", "d", "0")])
+    if kind == "weight":  # u's deposit divides by zero at step 1
+        return _with_stage([2, 1], [PlaceDecl("z", A), PlaceDecl("d", A)], [Arc("u", "d", "1/m(z)")])
+    if kind == "overflow-total":
+        net = PetriNet("huge", [PlaceDecl("c", C, 1), PlaceDecl("a", A), PlaceDecl("b", A)], ["t1", "t2"],
+                       [Arc("c", "t1"), Arc("c", "t2"), Arc("t1", "a", "1e200"), Arc("t2", "b", "1e200")])
+        return net, QuantumMapping(assignments=(("a", "A"), ("b", "B")))
+    net, mapping = _branch_net([3, 1, 2, 4])
+    places, arcs = list(net.places), list(net.arcs)
+    if kind == "counter":  # t2 leaves a fractional counter
+        places.append(PlaceDecl("k", C))
+        arcs.append(Arc("t2", "k", "0.5"))
+    else:  # "recheck": t3 drains q, and the re-test of v, guarded by 1/m(q), divides by zero
+        places += [PlaceDecl("q", A, 1.0), PlaceDecl("e", A)]
+        arcs += [Arc("q", "t3", "m(q)", ArcKind.DRAIN), Arc("e", "v", "1/m(q)", ArcKind.GUARD)]
+        return PetriNet("recheck", places, [*net.transition_ids(), "v"], arcs), mapping
+    return PetriNet(kind, places, net.transition_ids(), arcs), mapping
+
+
+@pytest.mark.parametrize("kind, error, step_index", [
+    ("zero-group", ZeroWeightGroupError, 1),
+    ("weight", DivisionByZeroError, 1),
+    ("overflow-total", NonFiniteResultError, 0),
+    ("counter", CounterViolationError, 0),
+    ("recheck", DivisionByZeroError, 0),
+])
+@pytest.mark.parametrize("seed", [3, 20171704])
+def test_sweep_raises_the_reference_error(kind, error, step_index, seed):
+    """A fault met on a table fill reruns that seed, which raises as a run of the reference loop does."""
+    net, mapping = _faulting(kind)
+    expected = _check_sweep(net, mapping, 200, seed)
+    assert type(expected) is error and expected.step_index == step_index
+
+
+@dataclasses.dataclass(frozen=True)
+class _ShortRun(analysis_module.RunConfig):
+    max_steps: int = 60
+
+
+@pytest.mark.parametrize("laps, quiescent", [(60, True), (61, False)])
+def test_sweep_step_limit_equals_reference(monkeypatch, laps, quiescent):
+    """A run quiescent after exactly max_steps firings counts; one firing more raises StepLimitError."""
+    monkeypatch.setattr(analysis_module, "RunConfig", _ShortRun)
+    net, mapping = _branch_net([1, 3])
+    places = list(net.places) + [PlaceDecl("n", C, float(laps - 1))]
+    arcs = list(net.arcs) + [Arc("n", "tick"), Arc("tick", "b0", "0.25")]
+    net = PetriNet("ticking", places, [*net.transition_ids(), "tick"], arcs)
+    expected = _check_sweep(net, mapping, 50, 9)
+    assert isinstance(expected, StepLimitError) != quiescent
+
+
+def test_sweep_that_never_quiesces_raises_the_step_limit(monkeypatch):
+    """A two-marking cycle: every run walks the table to max_steps, then reruns and raises."""
+    monkeypatch.setattr(analysis_module, "RunConfig", _ShortRun)
+    net = PetriNet("cycle", [PlaceDecl("p", C, 1.0), PlaceDecl("q", C, 0.0)], ["t1", "t2", "t3"],
+                   [Arc("p", "t1"), Arc("t1", "q"), Arc("p", "t2"), Arc("t2", "q"), Arc("q", "t3"), Arc("t3", "p")])
+    mapping = QuantumMapping(assignments=(("p", "P"),))
+    expected = _check_sweep(net, mapping, 5, 1)
+    assert str(expected) == "run 0 did not reach quiescence within 60 steps"
+
+
+def test_sweep_beyond_the_table_bound_gives_reference_counts(monkeypatch):
+    """Markings the full table has no room for are refilled on every visit, with the same counts."""
+    net, mapping = _branch_net([1, 2, 3])
+    places = list(net.places) + [PlaceDecl("c2", C), PlaceDecl("d", A), PlaceDecl("f", A)]
+    arcs = list(net.arcs) + [Arc(f"t{i}", "c2") for i in range(3)]
+    arcs += [Arc("c2", "u0"), Arc("c2", "u1"), Arc("u0", "d", "0.5"), Arc("u1", "f", "0.75")]
+    net = PetriNet("two-stage", places, [*net.transition_ids(), "u0", "u1"], arcs)
+    fills = []
+    born_step = BornTable._step
+
+    def counting(table, m, flags):
+        fills.append(struct.pack(f"{len(m)}d", *m))
+        return born_step(table, m, flags)
+
+    monkeypatch.setattr(BornTable, "_step", counting)
+    _check_sweep(net, mapping, 400, 5)
+    assert len(fills) == len(set(fills)) == 4  # m0 and the three markings of the second stage
+    del fills[:]
+    monkeypatch.setattr(net_module, "_TABLE_MAX", 1)
+    _check_sweep(net, mapping, 400, 5)
+    assert len(set(fills)) == 4 and len(fills) == 401  # each run refills its second-stage marking
+
+
+def test_each_sweep_run_is_one_run_final_call(monkeypatch):
+    """A sweep's runs are run_final calls with their seeds and firing counts, as without a table."""
+    doc = netfile.load((GOLDEN / "entanglement_mapped.qpn").read_text(encoding="utf-8"))
+    calls = []
+
+    def recording(net, m0, config, *args, **kwargs):
+        final = run_final(net, m0, config, *args, **kwargs)
+        calls.append((config.seed, final.firings))
+        return final
+
+    monkeypatch.setattr(analysis_module, "run_final", recording)
+    empirical_distribution(doc.net, doc.mapping, 50, seed=4)
+    m0 = doc.net.initial_marking()
+    assert calls == [
+        (run_seed(4, i), run_final(doc.net, m0, RunConfig(policy=Policy.BORN_RANDOM, seed=run_seed(4, i))).firings)
+        for i in range(50)
+    ]
+
+
+def test_table_walks_only_born_runs_of_its_own_net_and_marking():
+    net, _ = _branch_net([1, 2])
+    m0 = net.initial_marking()
+    table = BornTable(net, m0)
+    born = RunConfig(policy=Policy.BORN_RANDOM, seed=1)
+    assert run_final(net, m0, born, table=table) == run_final(net, m0, born)
+    for args, config in [((net, list(m0)), born), ((net, m0), RunConfig(seed=1)),
+                         ((_branch_net([1, 2])[0], m0), born)]:
+        with pytest.raises(ValueError, match="a Born table walks Born runs"):
+            run_final(*args, config, table=table)
 
 
 class TestIncidenceMatrix:

@@ -297,6 +297,15 @@ class TestMeasure:
         assert "A & Z" not in out
         assert "  expect A: 1.000000  observed 1.000000  (0.00 sigma) ok\n" in out
 
+    def test_seeded_output_matches_golden(self, capsys):
+        """The seeded counts and the --expect report, byte for byte as recorded."""
+        code, out, err = run_cli(
+            capsys,
+            "measure", str(GOLDEN / "measurement.qpn"), "--runs", "2000", "--seed", "1", "--expect",
+        )
+        assert (code, err) == (0, "")
+        assert out == (GOLDEN / "measure_runs2000_seed1.txt").read_text(encoding="utf-8")
+
     def test_single_run(self, capsys):
         code, out, _ = run_cli(
             capsys, "measure", str(GOLDEN / "measurement.qpn"), "--runs", "1", "--seed", "5"

@@ -406,3 +406,47 @@ def test_counter_entry_states_match_step_loop(c0):
                 _check_against_step_loop(net, m0, RunConfig(max_steps=max_steps), False)
             # the loop's induction counters are r0, r1, r2, b and c
             assert _bits(calls[0][2]) == _bits([1.0, 0.0, 0.0, 60.0, c0])
+
+
+def _ring_behind_warm_up(warm_laps, ring_laps):
+    """A two-transition warm-up ring of `warm_laps` laps, then a metered 3-transition ring.
+
+    The warm-up transitions u0 and u1 come first in ordinal order.  Its loop
+    leaves after u1 in the state where t2 alone is enabled, which is the
+    head of the ring's loop; t2 counts the ring's laps in c.
+    """
+    places = [PlaceDecl("s0", C, 1.0), PlaceDecl("s1", C, 0.0), PlaceDecl("w", C, float(warm_laps)),
+              PlaceDecl("r0", C, 1.0), PlaceDecl("r1", C, 0.0), PlaceDecl("r2", C, 0.0),
+              PlaceDecl("b", C, float(ring_laps)), PlaceDecl("c", C, 0.0), PlaceDecl("a", A, 0.5)]
+    arcs = [Arc("s0", "u0"), Arc("w", "u0"), Arc("u0", "s1"), Arc("s1", "u1"), Arc("u1", "s0"),
+            Arc("b", "t2"), Arc("r0", "t2"), Arc("t2", "r1"), Arc("t2", "c"), Arc("r1", "t1"),
+            Arc("t1", "r2"), Arc("t1", "a", "m(a)*0.5"), Arc("r2", "t0"), Arc("t0", "r0")]
+    return PetriNet("warm-ring", places, ["u0", "u1", "t0", "t1", "t2"], arcs)
+
+
+def test_loop_whose_head_is_another_loops_exit_state_is_entered_at_once():
+    """The ring loop first runs at the warm-up loop's exit state, with its lap counter at 0.0.
+
+    Budgets that leave the ring loop less than one period after the warm-up
+    make the run fire plain steps there instead of looking again.
+    """
+    warm, laps = 40, 40
+    with mock.patch.object(net_module, "_CHUNK", 8), mock.patch.object(net_module, "_HOT", 2):
+        net = _ring_behind_warm_up(warm, laps)
+        run_final(net, net.initial_marking(), RunConfig())  # compiles both loops
+        loops = net.compiled().loops
+        assert len(loops) == 2
+        ring = loops[bytes([0, 0, 0, 0, 1])]
+        laps_at_entry = []
+        ring_run = ring.run
+
+        def recording(m, budget):
+            laps_at_entry.append(m[net.place_index["c"]])
+            return ring_run(m, budget)
+
+        ring.run = recording
+        m0 = net.initial_marking()
+        for max_steps in (10**6, 2 * warm + 1, 2 * warm + 2, 2 * warm + 3, 2 * warm + 4):
+            del laps_at_entry[:]
+            _check_against_step_loop(net, m0, RunConfig(max_steps=max_steps), False)
+            assert laps_at_entry[:1] == ([0.0] if max_steps >= 2 * warm + 3 else [])
