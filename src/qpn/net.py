@@ -30,13 +30,14 @@ their end fails, so every result stays bit for bit that of a step() loop.
 from __future__ import annotations
 
 import enum
+import functools
 import math
 import random
 import struct
 from bisect import bisect_right
 from dataclasses import dataclass, fields, replace
 from types import CodeType
-from typing import Callable, Container, Iterable, Mapping, Sequence
+from typing import Callable, Container, Iterable, Iterator, Mapping, Sequence
 
 from . import expr as _expr
 from .errors import (
@@ -474,22 +475,73 @@ class _CompiledNet:
 
     def __init__(self, net: PetriNet):
         self.net = net
-        index = net.place_index
-        self._ids = list(index)
+        self._ids = list(net.place_index)
         self._m = _names(net, "m[{}]")
         self.trans = [_CompiledTransition(t.id, t.priority) for t in net.transitions]
+        for arc in net.arcs:
+            if arc.kind == ArcKind.DEPOSIT:
+                self.trans[net.transition_index[arc.source]].out_arcs.append(arc)
+            else:
+                self.trans[net.transition_index[arc.target]].in_arcs.append(arc)
         self._weights: dict[int, tuple[_expr.WeightExpr, float | None]] = {}  # id(arc) -> _folded(arc)
+        key, consts = self._structure()
+        plan = _STRUCTURES.get(key)
+        values = None if plan is None else plan.values(consts)
+        if values is None:
+            plan, values = self._generate(consts)
+            _expr._remember(_STRUCTURES, _STRUCTURES_MAX, key, plan)
+        else:
+            for ct, wiring in zip(self.trans, plan.wiring):
+                ct.touched, ct.reads, ct.recheck, ct.rivals = wiring
+            self.order, self.uniform_rank = plan.order, plan.uniform_rank
+        enabled, steps = (self._exec(_shaped(shape, text, [values[i] for i in holes]), len(self.trans))
+                          for shape, text, holes in plan.modules)
+        for ct, enabled_fn, step_fn in zip(self.trans, enabled, steps):
+            ct.enabled, ct.step = enabled_fn, step_fn
+        self._born: list[Callable[[Sequence[float]], float]] | None = None
+        self.loops: dict[bytes, _Loop] = {}  # compiled periods by their head flag state
+        self._sightings: dict[bytes, int] = {}
+
+    def _structure(self) -> tuple[tuple, list[float]]:
+        """The key of the net's structure, and its folded constants in the order of the key's holes.
+
+        Folds every weight into _folded's cache.  The key holds the places'
+        ids and kinds, the transitions, and each arc's endpoints, kind and
+        folded weight with each finite constant a hole (see _skeleton); a
+        weight that folds to a finite constant is keyed by _class, the
+        outcome of every decision emission takes on its value.
+        """
+        net, consts, arcs = self.net, [], []
+        least = {p.id: 0.5 if p.kind == PlaceKind.COUNTER else 0.0 for p in net.places}  # see _moves
+        for arc in net.arcs:
+            tree = _expr.fold_constants(arc.weight)
+            if type(tree) is _expr.Constant and math.isfinite(tree.value):
+                self._weights[id(arc)] = tree, tree.value
+                consts.append(tree.value)
+                shape = _class(tree.value, least[arc.target if arc.kind is ArcKind.DEPOSIT else arc.source])
+            else:
+                self._weights[id(arc)] = tree, None
+                shape = _skeleton(tree, consts)
+            arcs.append((arc.source, arc.target, arc.kind, shape))
+        return (tuple(least.items()), tuple((t.id, t.priority) for t in net.transitions), tuple(arcs)), consts
+
+    def _generate(self, consts: list[float]) -> tuple[_Structure, list[float]]:
+        """Wire the net and emit its enabling tests and steps; how a net of its structure builds them, and the literals.
+
+        Emission runs on copies of the folded weights whose constants are
+        _Hole floats, so each literal of its text is the index of the value's
+        recipe; every decision is taken on the real values.
+        """
+        net, index = self.net, self.net.place_index
         dependents: list[set[int]] = [set() for _ in net.places]  # transitions each place can flip
         consumers: list[set[int]] = [set() for _ in net.places]  # transitions consuming or draining it
         for arc in net.arcs:
             if arc.kind == ArcKind.DEPOSIT:
                 ct = self.trans[net.transition_index[arc.source]]
-                ct.out_arcs.append(arc)
                 p = index[arc.target]
             else:
                 ti = net.transition_index[arc.target]
                 ct = self.trans[ti]
-                ct.in_arcs.append(arc)
                 p = index[arc.source]
                 free = [index[r] for r in _expr.free_places(arc.weight)]
                 ct.reads.setdefault(p, True)
@@ -510,15 +562,36 @@ class _CompiledNet:
             ct.recheck = tuple(sorted({tj for p in ct.touched for tj in dependents[p]}))
             ct.rivals = frozenset(tj for a in ct.in_arcs if a.kind != ArcKind.GUARD
                                   for tj in consumers[index[a.source]])
-        self._terms = [self._enabling_terms(ti, ct) for ti, ct in enumerate(self.trans)]
-        self._tests = [self._test(ti, self._m) for ti in range(len(self.trans))]
-        enabled = self._define("m", [[f"    return {test}"] for test in self._tests])
-        steps = self._define("m, flags", [self._step(ti) for ti in range(len(self.trans))])
-        for ct, enabled_fn, step_fn in zip(self.trans, enabled, steps):
-            ct.enabled, ct.step = enabled_fn, step_fn
-        self._born: list[Callable[[Sequence[float]], float]] | None = None
-        self.loops: dict[bytes, _Loop] = {}  # compiled periods by their head flag state
-        self._sightings: dict[bytes, int] = {}
+
+        book: list[tuple | None] = []  # each _Hole's recipe, the constants' None first
+        holes = iter([_Hole(value, book, None) for value in consts])
+        real, self._weights = self._weights, {}
+        for arc in net.arcs:
+            tree, value = real[id(arc)]
+            if value is None:
+                self._weights[id(arc)] = _holed(tree, holes), None
+            else:  # emission writes a constant weight from its value
+                self._weights[id(arc)] = tree, next(holes)
+        sources = [_source("m", [[f"    return {test}"] for test in self._tests]),
+                   _source("m, flags", [self._step(ti) for ti in range(len(self.trans))])]
+        self._weights = real
+        for name in ("_terms", "_tests"):  # emitted over the holes: a loop or a predicate emits them again
+            vars(self).pop(name, None)
+        derived = book[len(consts):]
+        values = _derive(derived, consts)
+        wiring = [(ct.touched, ct.reads, ct.recheck, ct.rivals) for ct in self.trans]
+        return _Structure(derived, _finite(values, len(consts)), wiring, self.order, self.uniform_rank,
+                          [_module(source) for source in sources]), values
+
+    @functools.cached_property
+    def _terms(self) -> list[list[tuple]]:
+        """Each transition's enabling test as terms (see _enabling_terms)."""
+        return [self._enabling_terms(ti, ct) for ti, ct in enumerate(self.trans)]
+
+    @functools.cached_property
+    def _tests(self) -> list[str]:
+        """Each transition's enabling test as one expression over m."""
+        return [self._test(ti, self._m) for ti in range(len(self.trans))]
 
     def _signs(self, tj: int, moves: dict[int, int]) -> set[int]:
         """{1} if a firing with these moves can only enable tj, {-1} if only disable it.
@@ -553,12 +626,7 @@ class _CompiledNet:
 
     def _folded(self, arc: Arc) -> tuple[_expr.WeightExpr, float | None]:
         """The arc weight with its place-free subtrees folded, and its value when that is a finite constant."""
-        known = self._weights.get(id(arc))
-        if known is None:
-            tree = _expr.fold_constants(arc.weight)
-            finite = isinstance(tree, _expr.Constant) and math.isfinite(tree.value)
-            known = self._weights[id(arc)] = tree, tree.value if finite else None
-        return known
+        return self._weights[id(arc)]
 
     def _moves(self, ti: int) -> dict[int, int]:
         """Each place ti touches: 1 if a firing can only raise it, -1 if only lower it, else 0.
@@ -629,7 +697,7 @@ class _CompiledNet:
                 w, bound = f"e{ti}_{i}", (f"e{ti}_{i}",)
                 terms.append(("weight", w, tree))
             else:
-                w, bound = _expr._emit(tree, {}), ()
+                w, bound = _expr._literal(value), ()
                 if not value >= 0.0:
                     terms.append(("negative", w))
             if arc.kind == ArcKind.CONSUME and p in parts:
@@ -979,15 +1047,16 @@ class _CompiledNet:
 
     def _define(self, params: str, bodies: list[list[str]], **extra: object) -> list[Callable]:
         """One generated function per transition from its body lines, in one exec; extra adds globals."""
-        lines = []
-        for ti, body in enumerate(bodies):
-            lines += [f"def _f{ti}({params}):", *body]
+        return self._exec(_code(_source(params, bodies)), len(bodies), **extra)
+
+    def _exec(self, code: CodeType, count: int, **extra: object) -> list[Callable]:
+        """The functions _f0 .. _f<count - 1> a generated module defines."""
         namespace = dict(_expr._COMPILE_GLOBALS)
         namespace.update(_fault=_raise_fault, _overflow=self._raise_overflow, _snap=self._snap_counters,
                          _finish=self.finish, _FAULTS=_FAULTS, _RecheckFault=_RecheckFault,
                          _trip=_trip_count, _range=range, **extra)
-        exec(_code("\n".join(lines)), namespace)  # noqa: S102 - source built from our own AST
-        return [namespace[f"_f{ti}"] for ti in range(len(bodies))]
+        exec(code, namespace)  # noqa: S102 - source built from our own AST
+        return [namespace[f"_f{ti}"] for ti in range(count)]
 
     def diagnose(self, ti: int, m: Sequence[float], step_index: int | None = None) -> None:
         """Raise the reference error for a fault in transition ti's generated code.
@@ -1067,46 +1136,186 @@ class _CompiledNet:
 
 # --- code cache ------------------------------------------------------------------------
 #
-# The nets of one family differ mostly in their float literals, so generated
-# modules are compiled once per shape: the source with the literals that
+# The nets of one family differ mostly in their float literals, and the cache
+# works at two levels (copy-and-patch compilation, Xu and Kjolstad, OOPSLA
+# 2021).
+#
+# Modules are compiled once per shape: the source with the literals that
 # expr.LITERAL delimits cut out.  The first module of a shape is compiled with
 # a distinct sentinel float in each hole; a plan records the co_consts slot
 # each sentinel landed in, and every module of that shape, the first
-# included, is that code with its own literals patched into those slots
-# (copy-and-patch compilation, Xu and Kjolstad, OOPSLA 2021).  The compiler
-# folds a literal it can combine with another, such as the operands of a
-# weight 1/0 that fold_constants keeps; a sentinel then goes missing, and
+# included, is that code with its own literals patched into those slots.  The
+# compiler folds a literal it can combine with another, such as the operands
+# of a weight 1/0 that fold_constants keeps; a sentinel then goes missing, and
 # modules of that shape compile their real text.
+#
+# Nets are emitted once per structure: the net with each folded constant a
+# hole, and the outcome of each decision emission takes on a value (see
+# _CompiledNet._structure).  The first net of a structure emits its enabling
+# tests and steps over _Hole constants, which learns the recipe of every
+# literal: a constant, a sum of them or a threshold w - EPSILON.  A later net
+# of that structure computes its literals from the recipes with the same float
+# operations, fills them into the shapes' text and builds the modules through
+# the shape cache, with no emission.
 
 # a plan is (code, ((slot, hole), ...), ((slot, nested plan), ...)): the
 # template code and where each hole's literal goes; the empty plan means that
 # a literal was folded and the real text is compiled
 _SHAPES: dict[str, tuple] = {}  # shape -> plan, oldest first
 _SHAPES_MAX = 256
+_STRUCTURES: dict[tuple, _Structure] = {}  # structure key -> how its nets build their modules, oldest first
+_STRUCTURES_MAX = 64
+
+
+class _Hole(float):
+    """A folded constant of a net whose structure is being learned, or a value emission derives from them.
+
+    It is its value in every decision, and in emitted text it is the index
+    i of its recipe, book[i]: None for a constant, ("+", i, j) for a sum
+    expr._sum adds up, ("-", i, c) for a threshold.  An operation that
+    derives a value some other way gives a plain float, whose literal (never
+    an integer) the recipes cannot recompute, so _module fails on it.
+    """
+
+    __slots__ = ("book", "index")
+
+    def __new__(cls, value: float, book: list, recipe: tuple | None) -> _Hole:
+        hole = float.__new__(cls, value)
+        hole.book, hole.index = book, len(book)
+        book.append(recipe)
+        return hole
+
+    def __add__(self, other: object) -> float:
+        if type(other) is not _Hole:
+            return NotImplemented
+        return _Hole(float(self) + other, self.book, ("+", self.index, other.index))
+
+    def __sub__(self, other: object) -> float:
+        if type(other) is not float:
+            return NotImplemented
+        return _Hole(float(self) - other, self.book, ("-", self.index, other))
+
+    def __repr__(self) -> str:
+        return str(self.index) if math.isfinite(self) else float.__repr__(self)
+
+
+def _class(w: float, least: float) -> tuple:
+    """The decisions emission takes on a constant weight w of an arc on a place whose moves count from least.
+
+    The move it makes (_moves: against 0.5 on a counter, else the sign), its
+    sign (a negative weight's term), a zero's sign (_ops' `+ 0.0`) and
+    whether a deposit of it needs an overflow test.
+    """
+    return (w >= least) - (w <= -least), (w > 0.0) - (w < 0.0), math.copysign(1.0, w), abs(w) < _SAFE_DEPOSIT
+
+
+def _skeleton(tree: _expr.WeightExpr, consts: list[float]) -> object:
+    """A folded tree's node types, places and non-finite constants, with each finite constant a hole, None.
+
+    Appends the value of each hole to consts.
+    """
+    if type(tree) is _expr.Constant:
+        if math.isfinite(tree.value):
+            consts.append(tree.value)
+            return None
+        return tree.value
+    if type(tree) is _expr.MarkRef:
+        return tree.place
+    return (type(tree), *(_skeleton(child, consts) for child in vars(tree).values()))
+
+
+def _holed(tree: _expr.WeightExpr, holes: Iterator[_Hole]) -> _expr.WeightExpr:
+    """The tree with each finite constant the next of holes, in _skeleton's order."""
+    if type(tree) is _expr.Constant:
+        return _expr.Constant(next(holes)) if math.isfinite(tree.value) else tree
+    if type(tree) is _expr.MarkRef:
+        return tree
+    return type(tree)(*(_holed(child, holes) for child in vars(tree).values()))
+
+
+def _derive(recipes: list[tuple], consts: list[float]) -> list[float]:
+    """The constants, then the value of each recipe in order: the literals a structure's modules take."""
+    values = list(consts)
+    for op, i, other in recipes:
+        values.append(values[i] + values[other] if op == "+" else values[i] - other)
+    return values
+
+
+def _finite(values: list[float], start: int) -> tuple:
+    """Which derived values are finite, the infinite ones by value: emission writes those as names."""
+    return tuple(math.isfinite(v) or v for v in values[start:])
+
+
+def _source(params: str, bodies: list[list[str]]) -> str:
+    """A module defining _f<i>(params) with the body lines bodies[i]."""
+    lines = []
+    for ti, body in enumerate(bodies):
+        lines += [f"def _f{ti}({params}):", *body]
+    return "\n".join(lines)
+
+
+def _module(source: str) -> tuple[str, list[str], list[int]]:
+    """A module emitted over holes: its shape, its text between the literals, and each literal's recipe index."""
+    parts = source.split(_expr.LITERAL)
+    return _expr.LITERAL.join(parts[::2]), parts[::2], list(map(int, parts[1::2]))
+
+
+@dataclass(frozen=True)
+class _Structure:
+    """How the nets of one structure build their enabling tests and steps.
+
+    ``derived`` are the recipes after the constants (see _Hole) and
+    ``finite`` which of their values are finite: a net whose derived values
+    differ there would be emitted differently.  ``wiring`` is each
+    transition's (touched, reads, recheck, rivals), and ``modules`` are the
+    enabling tests and the steps (see _module).
+    """
+
+    derived: list[tuple]
+    finite: tuple
+    wiring: list[tuple]
+    order: list[int]
+    uniform_rank: bool
+    modules: list[tuple[str, list[str], list[int]]]
+
+    def values(self, consts: list[float]) -> list[float] | None:
+        """The literals of a net with these constants, or None if it would be emitted differently."""
+        values = _derive(self.derived, consts)
+        return values if _finite(values, len(consts)) == self.finite else None
 
 
 def _code(source: str) -> CodeType:
-    """The compiled module of generated source, patched from its shape's plan."""
+    """The compiled module of generated source, its literals delimited by expr.LITERAL."""
     parts = source.split(_expr.LITERAL)  # shape text at even positions, literals at odd
-    shape = _expr.LITERAL.join(parts[::2])
+    return _shaped(_expr.LITERAL.join(parts[::2]), parts[::2], [float(text) for text in parts[1::2]])
+
+
+def _shaped(shape: str, text: list[str], literals: list[float]) -> CodeType:
+    """The module of this shape whose text has these literals between its parts, patched from the shape's plan."""
     plan = _SHAPES.get(shape)
     if plan is None:
-        plan = _new_plan(parts)
+        plan = _new_plan(text)
         _expr._remember(_SHAPES, _SHAPES_MAX, shape, plan)
     if not plan:
-        return compile("".join(parts), "<string>", "exec")
-    return _patch(plan, [float(text) for text in parts[1::2]])
+        return compile(_joined(text, literals), "<string>", "exec")
+    return _patch(plan, literals)
 
 
-def _new_plan(parts: list[str]) -> tuple:
+def _joined(text: list[str], literals: Iterable[float]) -> str:
+    """The source with each literal's repr between consecutive parts of text."""
+    parts = [""] * (2 * len(text) - 1)
+    parts[::2] = text
+    parts[1::2] = map(repr, literals)
+    return "".join(parts)
+
+
+def _new_plan(text: list[str]) -> tuple:
     """Compile the shape with a sentinel in each hole; the empty plan if one went missing."""
-    holes = len(parts) // 2
+    holes = len(text) - 1
     # tiny floats no generated code holds: its fixed literals are 0.0, 1.0 and +-EPSILON
     hole_of = {(i + 1) * 2.0**-1020: i for i in range(holes)}
-    text = list(parts)
-    text[1::2] = map(repr, hole_of)
     found: list[int] = []
-    plan = _plan_of(compile("".join(text), "<string>", "exec"), hole_of, found)
+    plan = _plan_of(compile(_joined(text, hole_of), "<string>", "exec"), hole_of, found)
     return plan if sorted(found) == list(range(holes)) else ()
 
 

@@ -1,13 +1,16 @@
-"""The shape cache of generated code, and eviction from the bounded caches.
+"""The shape and structure caches of generated code, and eviction from the bounded caches.
 
 Generated modules are compiled once per shape and later built by patching
 their float literals into the cached code.  The patched code must be the code
 a fresh compile() of the real text gives, instruction for instruction, with
-float constants equal bit for bit.
+float constants equal bit for bit.  A net whose structure is cached derives
+its literals without emitting code; its functions must equal those a fresh
+emission from its own weights compiles, in the same way.
 """
 
 import contextlib
 import dis
+import math
 import struct
 import sys
 import threading
@@ -23,7 +26,7 @@ from qpn import expr as expr_module
 from qpn import net as net_module
 from qpn import netfile
 from qpn.errors import DivisionByZeroError, QpnError
-from qpn.expr import Add, Constant, MarkRef, evaluate, parse
+from qpn.expr import Add, Constant, Divide, MarkRef, Multiply, evaluate, parse
 from qpn.models import (
     ProtocolParams,
     entanglement_net,
@@ -67,18 +70,18 @@ def _instructions(code):
 
 
 def _checking(counts):
-    """net._code, checking every module it builds against a fresh compile of its text.
+    """net._shaped, checking every module it builds against a fresh compile of its text.
 
-    Counts the modules checked, those patched from a plan, and the hits: those
-    patched from a plan an earlier module made.
+    Every module passes through it: those of net._code and those a structure
+    hit builds.  Counts the modules checked, those patched from a plan, and
+    the hits: those patched from a plan an earlier module made.
     """
-    build = net_module._code
+    build = net_module._shaped
 
-    def code(source):
-        shape = expr_module.LITERAL.join(source.split(expr_module.LITERAL)[::2])
+    def shaped(shape, text, literals):
         known = shape in net_module._SHAPES
-        built = build(source)
-        fresh = compile(source.replace(expr_module.LITERAL, ""), "<string>", "exec")
+        built = build(shape, text, literals)
+        fresh = compile(net_module._joined(text, literals), "<string>", "exec")
         assert _instructions(built) == _instructions(fresh)
         patched = bool(net_module._SHAPES[shape])
         counts["modules"] += 1
@@ -86,14 +89,14 @@ def _checking(counts):
         counts["hits"] += patched and known
         return built
 
-    return code
+    return shaped
 
 
 @pytest.fixture
 def checked(monkeypatch):
     counts = {"modules": 0, "patched": 0, "hits": 0}
     monkeypatch.setattr(net_module, "_SHAPES", {})
-    monkeypatch.setattr(net_module, "_code", _checking(counts))
+    monkeypatch.setattr(net_module, "_shaped", _checking(counts))
     return counts
 
 
@@ -197,7 +200,7 @@ def _net_pair(draw):
 def test_patched_code_equals_a_fresh_compile_on_random_nets(nets):
     counts = {"modules": 0, "patched": 0, "hits": 0}
     # a function-scoped fixture would not be reset between hypothesis examples
-    with mock.patch.object(net_module, "_code", _checking(counts)):
+    with mock.patch.object(net_module, "_shaped", _checking(counts)):
         for net in nets:
             _exercise(net, max_steps=3000)
     assert counts["modules"] >= 4
@@ -258,6 +261,166 @@ def test_shape_cache_is_bounded(monkeypatch):
     assert len(net_module._SHAPES) == net_module._SHAPES_MAX
 
 
+# --- the structure cache ------------------------------------------------------------
+
+
+def _compiled(net):
+    """net's _CompiledNet, and whether it was built from a cached structure, without emission."""
+    generate, emitted = net_module._CompiledNet._generate, []
+
+    def recording(self, consts):
+        emitted.append(self)
+        return generate(self, consts)
+
+    with mock.patch.object(net_module._CompiledNet, "_generate", recording):
+        cnet = net_module._CompiledNet(net)
+    return cnet, not emitted
+
+
+def _assert_emitted_as_fresh(cnet):
+    """Every enabling test and step equals the code a fresh emission from the net's own weights
+    compiles, instruction for instruction, with float constants compared by their bits."""
+    sources = (net_module._source("m", [[f"    return {test}"] for test in cnet._tests]),
+               net_module._source("m, flags", [cnet._step(ti) for ti in range(len(cnet.trans))]))
+    tests, steps = ({c.co_name: c for c in compile(source.replace(expr_module.LITERAL, ""), "<string>", "exec")
+                     .co_consts if isinstance(c, CodeType)} for source in sources)
+    for ti, ct in enumerate(cnet.trans):
+        assert _key(ct.enabled.__code__) == _key(tests[f"_f{ti}"])
+        assert _key(ct.step.__code__) == _key(steps[f"_f{ti}"])
+
+
+@pytest.mark.parametrize("build", [slaz_passing_net, slaz_blocking_net], ids=["passing", "blocking"])
+def test_structure_hits_equal_a_fresh_emission_on_grid_shapes(monkeypatch, build):
+    monkeypatch.setattr(net_module, "_STRUCTURES", {})
+    hits = 0
+    for n, m in ((2, 2), (3, 5), (48, 24), (13, 2), (2500, 25)):
+        cnet, hit = _compiled(build(ProtocolParams(N=n, M=m))[0])
+        _assert_emitted_as_fresh(cnet)
+        hits += hit
+    assert hits == 4 and len(net_module._STRUCTURES) == 1
+
+
+# pairs of constants on the two sides of each value emission decides on: a counter
+# move of 0.5, a zero's sign, a weight's sign, a deposit's overflow bound 2**970 and
+# a sum past the largest float; then pairs that differ only in their value
+_PAIRS = ((0.5, math.nextafter(0.5, 0.0)), (-0.5, math.nextafter(-0.5, 0.0)), (0.0, -0.0), (1e-12, -1e-12),
+          (2.0**970, math.nextafter(2.0**970, 0.0)), (1e308, 9e307), (math.inf, math.nan),
+          (0.5, math.nextafter(0.5, 1.0)), (1.0, 3.0), (-1.0, -2.5))
+
+
+def _weight(form, c, q):
+    """A weight with the constant c in it; 1/c folds to a constant unless c is a zero."""
+    return {"c": Constant(c), "mul": Multiply(MarkRef(q), Constant(c)), "add": Add(Constant(c), MarkRef(q)),
+            "div": Divide(Constant(1.0), Constant(c))}[form]
+
+
+@st.composite
+def _edge_nets(draw):
+    """Two nets of one structure over counters q0, q1 and amplitudes q2, q3.
+
+    Each constant is one of a pair; the second net takes the other one of a
+    single pair, so it differs from the first in one decision or in none.
+    """
+    arcs = []
+    forms = st.sampled_from(["c", "c", "mul", "add", "div"])
+    for t in range(draw(st.integers(min_value=1, max_value=3))):
+        for _ in range(draw(st.integers(min_value=0, max_value=3))):
+            kind = draw(st.sampled_from([ArcKind.CONSUME, ArcKind.CONSUME, ArcKind.GUARD, ArcKind.DRAIN]))
+            arcs.append((f"q{draw(st.integers(0, 3))}", f"t{t}", kind, draw(forms)))
+        for _ in range(draw(st.integers(min_value=0, max_value=3))):
+            arcs.append((f"t{t}", f"q{draw(st.integers(0, 3))}", None, draw(forms)))
+    pairs = [draw(st.sampled_from(_PAIRS)) for _ in arcs]
+    swapped = draw(st.integers(min_value=0, max_value=len(arcs)))
+    places = [PlaceDecl("q0", C, 1), PlaceDecl("q1", C, 2), PlaceDecl("q2", A, 0.5), PlaceDecl("q3", A, -0.25)]
+    transitions = sorted({t for s, t, _, _ in arcs if t.startswith("t")} | {s for s, _, _, _ in arcs if s.startswith("t")})
+    nets = []
+    for net in range(2):
+        constants = [pair[net and i == swapped] for i, pair in enumerate(pairs)]
+        net_arcs = [Arc(s, t, MarkRef(s) if k == ArcKind.DRAIN else _weight(form, c, "q2"), k)
+                    for (s, t, k, form), c in zip(arcs, constants)]
+        nets.append(PetriNet("edges", places, transitions or ["t0"], net_arcs))
+    return nets
+
+
+@settings(max_examples=200, deadline=None)
+@given(_edge_nets())
+def test_structure_hits_equal_a_fresh_emission_across_decision_boundaries(nets):
+    with mock.patch.object(net_module, "_STRUCTURES", {}):
+        for net in nets:
+            cnet, _ = _compiled(net)
+            _assert_emitted_as_fresh(cnet)
+
+
+def _boundary_net(place_kind, kind, c):
+    """t0 consumes the constant c from q0 or deposits it there; t1, guarded on q0, is re-tested."""
+    moved = Arc("q0", "t0", Constant(c)) if kind == ArcKind.CONSUME else Arc("t0", "q0", Constant(c))
+    return PetriNet("boundary", [PlaceDecl("q0", place_kind, 1), PlaceDecl("r", A, 1.0)], ["t0", "t1"],
+                    [moved, Arc("r", "t0", "1") if kind == ArcKind.DEPOSIT else Arc("t0", "r", "1"),
+                     Arc("q0", "t1", "1", ArcKind.GUARD)])
+
+
+@pytest.mark.parametrize("place_kind, kind, a, b", [
+    (C, ArcKind.CONSUME, 0.5, math.nextafter(0.5, 0.0)),  # a counter move of at least 0.5
+    (C, ArcKind.CONSUME, -0.5, math.nextafter(-0.5, 0.0)),
+    (C, ArcKind.DEPOSIT, 0.5, math.nextafter(0.5, 0.0)),
+    (C, ArcKind.CONSUME, 0.0, -0.0),  # whether a -0.0 can survive: the counter's + 0.0
+    (C, ArcKind.DEPOSIT, -0.0, 0.0),
+    (C, ArcKind.CONSUME, 0.0, 0.25),
+    (A, ArcKind.CONSUME, 1e-12, -1e-12),  # a negative weight's term
+    (A, ArcKind.DEPOSIT, 0.0, -1e-12),  # an amplitude move's sign
+    (A, ArcKind.DEPOSIT, 2.0**970, math.nextafter(2.0**970, 0.0)),  # a deposit's overflow test
+], ids=["counter-consume-half", "counter-consume-minus-half", "counter-deposit-half", "consume-zero-sign",
+        "deposit-zero-sign", "consume-zero", "negative", "amplitude-sign", "overflow-bound"])
+def test_constants_across_a_decision_boundary_take_another_structure(monkeypatch, place_kind, kind, a, b):
+    monkeypatch.setattr(net_module, "_STRUCTURES", {})
+    for c, hit in ((a, False), (b, False), (a, True)):
+        cnet, built_from_structure = _compiled(_boundary_net(place_kind, kind, c))
+        assert built_from_structure == hit
+        _assert_emitted_as_fresh(cnet)
+
+
+def test_structure_hit_of_a_faulting_constant_raises_the_reference_error(monkeypatch):
+    """1/0 and 2/-0 fold to no constant and share a structure; the hit compiles its text,
+    since the compiler folds the literals, and raises naming its own arc."""
+    monkeypatch.setattr(net_module, "_STRUCTURES", {})
+
+    def net(numerator, zero):
+        return PetriNet("div", [PlaceDecl("p", A, 1.0), PlaceDecl("out", A)], ["t"],
+                        [Arc("p", "t", Divide(Constant(numerator), Constant(zero))), Arc("t", "out", "1")])
+
+    for numerator, zero, text, hit in ((1.0, 0.0, "1/0", False), (2.0, -0.0, "2/0", True)):
+        cnet, built_from_structure = _compiled(net(numerator, zero))
+        assert built_from_structure == hit
+        _assert_emitted_as_fresh(cnet)
+        with pytest.raises(DivisionByZeroError, match=rf"^arc p->t w={text}: division by zero in {text}$"):
+            cnet.enabled(0, [1.0, 0.0])
+
+
+def test_sum_that_overflows_takes_another_structure(monkeypatch):
+    """Two consumes from one place whose constant sum overflows emit an inf threshold, not a literal:
+    the cached structure serves only nets whose sums overflow as its own did."""
+    monkeypatch.setattr(net_module, "_STRUCTURES", {})
+
+    def net(a, b):
+        return PetriNet("sum", [PlaceDecl("p", A, 1e308)], ["t"], [Arc("p", "t", Constant(a)), Arc("p", "t", Constant(b))])
+
+    for a, b, hit in ((1e308, 1e307, False), (1e300, 2e300, True), (1e308, 1e308, False), (1.5e308, 1e308, True)):
+        cnet, built_from_structure = _compiled(net(a, b))
+        assert built_from_structure == hit
+        _assert_emitted_as_fresh(cnet)
+        assert cnet.enabled(0, [1e308]) == (1e308 >= a + b - 1e-12)
+
+
+def test_structure_cache_is_bounded(monkeypatch):
+    """Nets with ever more places have ever new structures."""
+    monkeypatch.setattr(net_module, "_STRUCTURES", {})
+    for k in range(net_module._STRUCTURES_MAX + 10):
+        places = [PlaceDecl(f"p{i}", C, 1) for i in range(k + 1)]
+        PetriNet("wide", places, ["t"], [Arc(f"p{k}", "t", "2.5")]).compiled()
+        assert len(net_module._STRUCTURES) <= net_module._STRUCTURES_MAX
+    assert len(net_module._STRUCTURES) == net_module._STRUCTURES_MAX
+
+
 # --- eviction from a full cache ------------------------------------------------------
 
 
@@ -287,7 +450,7 @@ def test_shape_eviction_tolerates_a_racing_eviction(monkeypatch):
 
 def test_caches_keep_their_bounds_under_threads(monkeypatch):
     """Threads inserting into full caches at once raise nothing and keep the bounds."""
-    for module, name in ((net_module, "_SHAPES"), (expr_module, "_PARSED")):
+    for module, name in ((net_module, "_SHAPES"), (net_module, "_STRUCTURES"), (expr_module, "_PARSED")):
         monkeypatch.setattr(module, name, {})
         monkeypatch.setattr(module, f"{name}_MAX", 4)
     errors = []
@@ -312,4 +475,4 @@ def test_caches_keep_their_bounds_under_threads(monkeypatch):
         sys.setswitchinterval(interval)
     assert not any(t.is_alive() for t in threads)
     assert errors == []
-    assert len(net_module._SHAPES) <= 4 and len(expr_module._PARSED) <= 4
+    assert len(net_module._SHAPES) <= 4 and len(net_module._STRUCTURES) <= 4 and len(expr_module._PARSED) <= 4

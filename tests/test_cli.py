@@ -12,6 +12,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from qpn.cli import main
+from qpn.reference import DEFAULT_TOL_BLOCKING, DEFAULT_TOL_PASSING
 
 GOLDEN = Path(__file__).parent / "golden"
 
@@ -178,6 +179,15 @@ class TestTables:
         code, out, _ = run_cli(capsys, "tables", "--N", "320", "--M", "25")
         assert code == 0
         assert out == (GOLDEN / "tables_n320_m25.csv").read_text()
+
+    def test_golden_csv_of_a_wide_grid(self, capsys):
+        """96 cells of two net structures: all but the first net of each structure
+        build their code from the cached structure, with their own literals."""
+        code, out, _ = run_cli(
+            capsys, "tables", "--mode", "both", "--N", "2,3,5,8,13,21,34,48", "--M", "2,3,5,8,13,24",
+        )
+        assert code == 0
+        assert out == (GOLDEN / "tables_wide.csv").read_text()
 
     def test_golden_csv_of_a_deep_cell(self, capsys):
         """The same on a cell whose inner cycles run about 5,000 firings in compiled loops."""
@@ -547,3 +557,40 @@ class TestUsage:
 
     def test_help_exits_zero(self, capsys):
         assert main(["--help"]) == 0
+
+
+class TestSharedParser:
+    """main reuses one parser per process: no call sees another call's arguments."""
+
+    def test_seed_flag_does_not_stick(self, capsys, monkeypatch):
+        monkeypatch.delenv("QPN_SEED", raising=False)
+        net = str(GOLDEN / "measurement.qpn")
+        code, seeded, _ = run_cli(capsys, "simulate", net, "--policy", "born", "--seed", "5")
+        assert code == 0 and "seed: 5 " in seeded
+        code, default, _ = run_cli(capsys, "simulate", net, "--policy", "born")
+        assert code == 0 and "seed: 0 " in default
+
+    def test_usage_error_twice(self, capsys):
+        first = run_cli(capsys, "simulate", str(GOLDEN / "zeno_n4.qpn"), "--max-steps", "x")
+        second = run_cli(capsys, "simulate", str(GOLDEN / "zeno_n4.qpn"), "--max-steps", "x")
+        assert first == second
+        code, out, err = first
+        assert (code, out) == (2, "")
+        assert err.splitlines()[-1] == "qpn simulate: error: argument --max-steps: invalid int value: 'x'"
+
+    def test_help_exits_zero_and_leaves_the_parser_working(self, capsys):
+        assert main(["--help"]) == 0
+        assert main(["tables", "--help"]) == 0
+        capsys.readouterr()
+        code, out, _ = run_cli(capsys, "oracle", "zeno", "--n", "4")
+        assert code == 0 and out.startswith("p10 = ")
+
+    def test_tables_after_check_gets_tables_defaults(self, capsys):
+        code, _, _ = run_cli(capsys, "check", str(GOLDEN / "entanglement.qpn"), "--pred", "0==0",
+                             "--max-states", "100")
+        assert code == 0
+        code, out, _ = run_cli(capsys, "tables", "--N", "3", "--M", "2")
+        explicit = run_cli(capsys, "tables", "--N", "3", "--M", "2", "--mode", "both", "--format", "csv",
+                           "--tol-passing", repr(DEFAULT_TOL_PASSING), "--tol-blocking", repr(DEFAULT_TOL_BLOCKING))
+        assert (code, out) == explicit[:2]
+        assert [line.split(",")[0] for line in out.splitlines()[1:]] == ["blocking", "passing"]

@@ -697,8 +697,8 @@ def test_enabling_tolerance_boundary_through_cached_shapes(monkeypatch):
     built, plans = [], []
     new_plan = net_module._new_plan
     monkeypatch.setattr(net_module, "_new_plan", lambda parts: plans.append(parts) or new_plan(parts))
-    code = net_module._code
-    monkeypatch.setattr(net_module, "_code", lambda source: built.append(source) or code(source))
+    shaped = net_module._shaped
+    monkeypatch.setattr(net_module, "_shaped", lambda *module: built.append(module) or shaped(*module))
     for kind, weight, q, value, expected in _boundary_cases():
         test_enabling_tolerance_boundary(kind, weight, q, value, expected)
     assert len(built) - len(plans) >= 1  # hits
