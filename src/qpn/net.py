@@ -19,12 +19,12 @@ threads; each run owns its marking and RNG exclusively.
 
 Runs execute generated Python code (see the compiled engine below); the
 tree-walking :func:`qpn.expr.evaluate` is the reference that names faults.
-A deterministic run compiles each hot period of firings into a loop whose
-fast path is specialized on its entry state: counter places that move by
-constant integers get a trip count instead of per-firing checks, guard terms
-over unwritten places are evaluated once, and blocks of periods run without
-finiteness tests and are replayed through the checked body when a test at
-their end fails, so every result stays bit for bit that of a step() loop.
+A deterministic run compiles each hot period of firings into a loop
+specialized on its entry state: counter places that move by constant
+integers get a trip count instead of per-firing checks, guard terms over
+unwritten places are evaluated once, and blocks of periods run without
+finiteness tests; a block whose test at its end fails is rolled back and
+fired as plain steps, so every result stays bit for bit that of a step() loop.
 """
 
 from __future__ import annotations
@@ -337,24 +337,25 @@ _SAFE_DEPOSIT = 2.0**970
 
 
 # A deterministic run with no on_fire looks for a hot loop every _CHUNK
-# firings.  After a loop exits it looks at the exit state and then after each
-# firing, _CHUNK looks in all, until a cached loop head comes up.  It records
-# the flag states of up to _MAX_PERIOD firings; once a state comes back, the
-# states in between are a period.  A period seen _HOT times (about _HOT *
-# _CHUNK firings, enough to repay its compile cost) is compiled by
-# _CompiledNet.loop and from then on runs whole periods per call, up to
-# _BLOCK of them per speculative block.
+# firings.  After a loop exits, and the plain steps it hands back, it looks at
+# once and then after each firing, _CHUNK looks in all, until a cached loop
+# head comes up.  It records the flag states of up to _MAX_PERIOD firings;
+# once a state comes back, the states in between are a period.  A period seen
+# _HOT times (about _HOT * _CHUNK firings, enough to repay its compile cost)
+# is compiled by _CompiledNet.loop and from then on runs whole periods per
+# call, up to _BLOCK of them per speculative block.
 _CHUNK = 64
 _MAX_PERIOD = 8
 _HOT = 32
 _BLOCK = 64
 
 
-# A compiled loop: the fast path, specialized on the entry state, then the
-# checked body, which replays a failed block and runs the tail (see loop()).
+# A compiled loop (see loop()) returns the firings done and the firings the run
+# fires next as plain steps before it looks for a loop again: a failed block; a
+# block after a trip count of 0, so that a head met again at once is not entered
+# again at once; one after a trip count short of the budget; else none.
 _LOOP = """\
-{load}    done = at = j = 0
-    fix = -1
+{load}    j = 0
     z = 0.0
     try:
 {hoisted}        k, {terms}= _trip(_plan, budget // {n}{args})
@@ -372,17 +373,11 @@ _LOOP = """\
         except _FAULTS:
             pass
         {saved} = {copies}
+        b *= {n}
         break
-    if j:
-        done = j * {n}
-{advance}    try:
-        while done < budget:
-{checked}            done += {n}
-        else:
-            at = 0
-    except _FAULTS:
-        pass
-{store}    return done + at, fix"""
+    else:
+        b = (k < budget // {n}) if k else budget if budget < {span} else {span}
+{advance}{store}    return j * {n}, b"""
 
 
 class _RecheckFault(Exception):
@@ -405,15 +400,16 @@ def _names(net: PetriNet, template: str) -> dict[str, str]:
 
 
 def _trip_count(plan: tuple, periods: int, *values: float) -> tuple:
-    """The whole periods a loop's fast path runs from its entry state, then each counter term's value.
+    """The whole periods a loop runs from its entry state, then each counter term's value at entry.
 
     ``values`` holds the loop's induction counters, the thresholds of its
     counter terms, then the values of the guard terms it computed at entry.
     Each counter must hold an exact non-negative integer, not -0.0.  The
     periods are then cut so that every counter stays non-negative after each
-    firing and exact (at most 2**53 after every move), and so that no counter
-    term changes its value; they are 0 if a guard that these terms decide
-    fails in the first period.
+    firing and exact (at most 2**53 after every move), so that no counter
+    term the loop's code reads changes its value, and so that every guard
+    that these terms decide comes out as in the recorded period.  A term
+    flips at most once, so such a guard holds over one range of periods.
     """
     counters, terms, breaks = plan
     levels = []
@@ -425,22 +421,36 @@ def _trip_count(plan: tuple, periods: int, *values: float) -> tuple:
             periods = min(periods, (2**53 - levels[-1]) // room)
         if d < 0:
             periods = min(periods, (levels[-1] + low) // -d + 1)
-    held = []
-    for c, offset, threshold in terms:  # counter c + offset + j * d >= threshold in period j
+    held, flips = [], []  # each term's value at entry, and the first period in which it differs
+    for c, offset, threshold, read in terms:  # counter c + offset + j * d >= threshold in period j
         d, level, threshold = counters[c][0], levels[c] + offset, values[threshold]
         held.append(level >= threshold)
         if d > 0 and not held[-1]:
-            periods = min(periods, (math.ceil(threshold) - level + d - 1) // d)
+            flips.append((math.ceil(threshold) - level + d - 1) // d)
         elif d < 0 and held[-1]:
-            periods = min(periods, (level - math.ceil(threshold)) // -d + 1)
+            flips.append((level - math.ceil(threshold)) // -d + 1)
+        else:
+            flips.append(math.inf)
+        if read and flips[-1] < periods:
+            periods = flips[-1]
     known = held + list(values)  # term values, then values[i] at len(held) + i
-    if any(all(known[i] for i in names) != want for want, names in breaks):
-        periods = 0
+    flips += [math.inf] * len(values)
+    for want, names in breaks:  # the guard's terms all hold in the periods [lo, hi)
+        lo, hi = 0, math.inf
+        for i in names:
+            if known[i]:
+                hi = flips[i] if flips[i] < hi else hi
+            elif flips[i] > lo:
+                lo = flips[i]
+        if want:
+            periods = min(periods, hi if lo == 0 else 0)
+        elif lo < hi:
+            periods = min(periods, lo)
     return (periods, *held)
 
 
 class _Loop:
-    """A compiled period: run(m, budget) -> (firings done, transition left to finish or -1)."""
+    """A compiled period: run(m, budget) -> (firings done, firings to replay as steps)."""
 
     __slots__ = ("run", "period", "single", "firings")
 
@@ -855,28 +865,22 @@ class _CompiledNet:
         becomes a guard that the flag recorded in states[i + 1] comes out
         again.
 
-        The checked body runs whole periods while they fit in ``budget``
-        firings.  It leaves on a guard miss (after the firing), on a weight
-        fault (before it), or when a result test fails (after the writes,
-        before the checks, whose transition it returns).  It writes the
-        locals back and returns the firings done.
-
-        A fast path runs first, specialized on the entry state (see
-        _trip_count).  Induction counters, the counter places whose every
-        move in the period is a constant integer, drop their counter checks,
-        and their updates unless other code reads them.  Guard terms and
-        weight subtrees over places the loop never writes are computed once
-        at entry; a term m(p) >= threshold on an induction counter becomes
-        the value it keeps over the trip count.  The fast body keeps every
-        other float operation in order but drops the finiteness and overflow
+        The loop is specialized on the entry state (see _trip_count).
+        Induction counters, the counter places whose every move in the
+        period is a constant integer, drop their counter checks, and their
+        updates unless other code reads them.  Guard terms and weight
+        subtrees over places the loop never writes are computed once at
+        entry; a term m(p) >= threshold on an induction counter becomes the
+        value it keeps over the trip count.  The body keeps every other
+        float operation in order but drops the finiteness and overflow
         tests: in blocks of up to _BLOCK periods, it tests every local it
         writes once at the end, having added x - x of each drained value to
-        a sink z.  Every value the checked body tests finite is a weight added
-        to a local or a local, and locals are written only by adding,
-        subtracting or draining, so a non-finite one stays so unless drained.
-        On a break, a fault or a non-finite local it restores the locals of
-        the block's start, and the checked body replays the block and meets
-        the exit as it would have.
+        a sink z.  Every value a step tests finite is a weight added to a
+        local or a local, and locals are written only by adding,
+        subtracting or draining, so a non-finite one stays so unless
+        drained.  On a break, a fault or a non-finite local it restores the
+        locals of the block's start and hands the block to plain steps,
+        which meet the exit or the fault as they would have (see _LOOP).
         """
         n, ids, x = len(states), self._ids, _names(self.net, "x{}")
         period = []  # (transition, operations, guards as (transition re-tested, flag wanted))
@@ -889,19 +893,10 @@ class _CompiledNet:
             period.append((ti, self._ops(ti), guards))
         written = sorted({p for ti, _, _ in period for p in self.trans[ti].touched})
         moving = {ids[p] for p in written}
-        reads = set(moving)
-
-        checked: list[str] = []
-        for i, (ti, ops, guards) in enumerate(period):
-            if i == 0 or not period[i - 1][2]:  # else the last firing's guards set at = i
-                checked.append(f"at = {i}")
-            checked += self._lines(ops, x, ti, f"at = {i}; fix = {ti}; break")
-            reads.update(name for op in ops if op[0] == "bind" for name in _expr.free_places(op[2]))
-            if guards:
-                tests = [self._test(tj, x) for tj, _ in guards]
-                checked += [f"at = {i + 1}", "if " + " or ".join(
-                    f"not ({test})" if want else f"({test})" for test, (_, want) in zip(tests, guards)) + ": break"]
-                reads.update(*(self._term_reads(term) for tj, _ in guards for term in self._terms[tj]))
+        bound = {name for _, ops, _ in period for op in ops if op[0] == "bind" for name in _expr.free_places(op[2])}
+        reads = moving | bound
+        for _, _, guards in period:
+            reads.update(*(self._term_reads(term) for tj, _ in guards for term in self._terms[tj]))
 
         # induction counters: the level after each firing of the period and the sum of |moves|
         level = {p: 0 for p in written if self.net.places[p].kind == PlaceKind.COUNTER}
@@ -934,8 +929,9 @@ class _CompiledNet:
 
         counter_terms: dict[tuple, str] = {}
         plan_terms, args = [], [f"x{p}" for p in induction]  # _trip's values: counters, then as needed
-        tracked: set[str] = set()  # places of induction counters the fast body reads
+        tracked = set(bound)  # places of induction counters the fast body reads
         breaks: dict[tuple, None] = {}  # (flag wanted, decided terms) of guards decided at entry
+        read_terms: set[str] = set()  # decided terms that the body's code reads: the trip count keeps them
         guard_lines: list[list[str]] = []
         for i, (ti, ops, guards) in enumerate(period):
             lines = []
@@ -967,11 +963,10 @@ class _CompiledNet:
                     lines.append(f"if not ({' and '.join(rest)}): break")
                 elif rest:
                     lines.append(f"if {' and '.join(codes)}: break")
+                    read_terms.update(decided)
                 if want or not rest:
                     breaks[bool(want), tuple(decided)] = None
             guard_lines.append(lines)
-        for _, ops, _ in period:
-            tracked.update(name for op in ops if op[0] == "bind" for name in _expr.free_places(op[2]))
         untracked = [p for p in induction if ids[p] not in tracked]
 
         fast, sink = [], False
@@ -1005,20 +1000,21 @@ class _CompiledNet:
             load="".join(f"    x{p} = m[{p}]\n" for p in sorted(self.net.place_index[r] for r in reads)),
             hoisted="".join(f"        {name} = {code}\n" for code, name in hoisted.items()),
             terms="".join(f"{g}, " for g in counter_terms.values()), n=n, args="".join(f", {a}" for a in args),
-            block=_BLOCK, saved=", ".join(saved) or "z", copies=", ".join("s" + v for v in saved) or "z",
+            block=_BLOCK, span=_BLOCK * n, saved=", ".join(saved) or "z",
+            copies=", ".join("s" + v for v in saved) or "z",
             fast="".join(f"                {line}\n" for line in fast or ["pass"]),
             finite=f"not ({_nonfinite(tested)})" if tested else "True",
-            advance="".join(f"        x{p} += j * _d[{counter_of[p]}]\n" for p in untracked),
-            checked="".join(f"            {line}\n" for line in checked),
+            advance="".join(f"    x{p} += j * _d[{counter_of[p]}]\n" for p in untracked),
             store="".join(f"    m[{p}] = x{p}\n" for p in written))
-        plan = ([(after[p][-1], min(after[p]), room[p]) for p in induction], plan_terms,
+        plan = ([(after[p][-1], min(after[p]), room[p]) for p in induction],
+                [(*term, name in read_terms) for term, name in zip(plan_terms, counter_terms.values())],
                 [(want, [terms_at[name] for name in names]) for want, names in breaks])
         single = all(sum(state) == 1 for state in states)
         run = self._define("m, budget", [[text]], _plan=plan, _d=tuple(after[p][-1] for p in induction))[0]
         return _Loop(run, n, single)
 
     def finish(self, ti: int, m: Marking) -> None:
-        """The result checks of a firing of ti a loop wrote but left unchecked."""
+        """The overflow error or counter snap of a firing of ti in the BFS's successors whose test failed."""
         if any(not math.isfinite(m[self.net.place_index[a.target]]) for a in self.trans[ti].out_arcs):
             self._raise_overflow(ti, m)
         self._snap_counters(ti, m)
@@ -1086,13 +1082,10 @@ class _CompiledNet:
     def enabled_ordinals(self, m: Sequence[float], step_index: int | None = None) -> list[int]:
         return [ti for ti in range(len(self.trans)) if self.enabled(ti, m, step_index)]
 
-    def enabled_flags(self, m: Sequence[float], step_index: int) -> tuple[bytearray, int]:
-        """The enabled flag of every transition, and how many are set."""
-        enabled = self.enabled_ordinals(m, step_index)
-        flags = bytearray(len(self.trans))
-        for ti in enabled:
-            flags[ti] = 1
-        return flags, len(enabled)
+    def enabled_flags(self, m: Sequence[float]) -> tuple[bytearray, int]:
+        """The enabled flag of every transition, and how many are set; a fault names step 0."""
+        flags = bytearray(self.enabled(ti, m, 0) for ti in range(len(self.trans)))
+        return flags, sum(flags)
 
     def fire_into(self, ti: int, m: Marking) -> None:
         """Apply one firing of an enabled transition to a finite marking in place.
@@ -1558,7 +1551,7 @@ class BornTable:
         self._cnet = net.compiled()
         self._packing = struct.Struct(f"{len(m0)}d")
         self._entries: dict[bytes, object] = {}
-        flags, _ = self._cnet.enabled_flags(m0, 0)
+        flags, _ = self._cnet.enabled_flags(m0)
         self._first = self._fill(self._packing.pack(*m0), flags)
         self._rng = random.Random()  # reseeded per run: the stream of random.Random(seed)
 
@@ -1633,7 +1626,7 @@ def _execute(
 
     trans = cnet.trans
     n_trans = len(trans)
-    flags, count = cnet.enabled_flags(m, 0)
+    flags, count = cnet.enabled_flags(m)
 
     order = cnet.order
     steps = [ct.step for ct in trans]
@@ -1641,11 +1634,11 @@ def _execute(
     traced = deterministic and on_fire is None  # the next firing depends on flags alone
     path: list[bytes] | None = None  # flag states recorded since the last look
     relook = 0  # firings after a loop exit still to look for a cached loop head at
-    exited = False  # a loop has just run: look at its exit state before the next firing
+    replay = 0  # firings a loop has left to plain steps, after which the run looks at once
     start = 0
     while True:
-        if exited:
-            stop = start
+        if replay:
+            stop, replay = start + replay, 0
         elif traced:
             stop = min(start + (_CHUNK if path is None and not relook else 1), max_steps)
         else:
@@ -1695,27 +1688,14 @@ def _execute(
         start = stop
         state = bytes(flags)
         loop = cnet.loops.get(state)
-        exited = False
         if loop is not None and (loop.single or not require_single_enabled):
             path = None
             budget = (max_steps - start) // loop.period * loop.period
             if not budget:
                 continue
-            fired, pending = loop.run(m, budget)
+            fired, replay = loop.run(m, budget)  # m is back at a period boundary: flags hold
             loop.firings += fired
             start += fired
-            if pending >= 0:
-                try:
-                    cnet.finish(pending, m)
-                except QpnError as e:
-                    e.step_index = start
-                    raise
-                start += 1
-            if start > stop:
-                # every enabling test but the last firing's re-tests reads what
-                # it read last time, so this raises the fault a step would
-                flags, count = cnet.enabled_flags(m, start - 1)
-                exited = True  # a loop that fired nothing would meet its head again
             relook = _CHUNK
         elif relook:
             relook -= 1

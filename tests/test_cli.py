@@ -195,6 +195,12 @@ class TestTables:
         assert code == 0
         assert out == (GOLDEN / "tables_n2500_m25.csv").read_text()
 
+    def test_golden_csv_of_the_cell_with_the_most_loop_exits(self, capsys):
+        """Passing N=320/M=150 leaves its inner loop 148 times, each exit fired as plain steps."""
+        code, out, _ = run_cli(capsys, "tables", "--mode", "passing", "--N", "320", "--M", "150")
+        assert code == 0
+        assert out == (GOLDEN / "tables_passing_n320_m150.csv").read_text()
+
     def test_impossible_tolerance_fails(self, capsys):
         code, out, _ = run_cli(
             capsys,

@@ -288,22 +288,68 @@ _LATE_HAZARDS = {
 }
 
 
-@pytest.mark.parametrize("hazard", sorted(_LATE_HAZARDS))
-def test_late_hazard_inside_a_loop_matches_step_loop(hazard):
+def _late_net(hazard):
+    """A 3-transition ring of 3,000 laps with one of the late hazards."""
     extra_places, extra_arcs = _LATE_HAZARDS[hazard]
     places = [PlaceDecl("r0", C, 1.0), PlaceDecl("r1", C, 0.0), PlaceDecl("r2", C, 0.0),
               PlaceDecl("b", C, 3000.0), PlaceDecl("a", A, 0.5), *extra_places]
     arcs = [Arc("b", "t0"), Arc("r0", "t0"), Arc("t0", "r1"), Arc("r1", "t1"), Arc("t1", "r2"),
             Arc("r2", "t2"), Arc("t2", "r0"), Arc("t1", "a", "m(a)*0.5"), *extra_arcs]
-    net = PetriNet("late", places, ["t0", "t1", "t2"], arcs)
+    return PetriNet("late", places, ["t0", "t1", "t2"], arcs)
+
+
+def _recording_loops(results):
+    """Patch loop compilation so that every run of a compiled loop appends its (fired, replay) to results."""
+    compile_loop = net_module._CompiledNet.loop
+
+    def compiled(cnet, states):
+        loop = compile_loop(cnet, states)
+        run_loop = loop.run
+
+        def recorded(m, budget):
+            results.append(run_loop(m, budget))
+            return results[-1]
+
+        loop.run = recorded
+        return loop
+
+    return mock.patch.object(net_module._CompiledNet, "loop", compiled)
+
+
+@pytest.mark.parametrize("hazard", sorted(_LATE_HAZARDS))
+def test_late_hazard_inside_a_loop_matches_step_loop(hazard):
+    net = _late_net(hazard)
     m0, config = net.initial_marking(), RunConfig()
     expected = _reference(net, m0, config, True)
     assert isinstance(expected, QpnError)
-    with pytest.raises(type(expected)) as raised:
+    results = []
+    with _recording_loops(results), pytest.raises(type(expected)) as raised:
         run_final(net, m0, config, require_single_enabled=True)
     assert (str(raised.value), raised.value.step_index) == (str(expected), expected.step_index)
-    # snapping f leaves the loop after every lap; the other hazards strike inside it
-    assert _loop_firings(net) > (0 if hazard == "fractional" else 1000)
+    if hazard == "fractional":  # snapping f fails every block: the loop is entered and hands it back
+        assert any(replay for _, replay in results)
+    else:  # the other hazards strike inside the loop
+        assert _loop_firings(net) > 1000
+
+
+def test_loop_whose_every_block_fails_is_entered_once_per_replayed_block():
+    """Snapping f fails the first period of every block, which the run then fires as plain steps.
+
+    Each entry does no firing and hands back one block of up to _BLOCK
+    periods, so the run never spins at the loop head.  The budgets end 7
+    firings apart across one block's stretch, so the last block of each run
+    is cut short by the budget.
+    """
+    block = net_module._BLOCK * 3
+    for max_steps in (10**6, *range(3000, 3000 + block + 3, 7)):
+        net = _late_net("fractional")
+        results = []
+        with _recording_loops(results):
+            _check_against_step_loop(net, net.initial_marking(), RunConfig(max_steps=max_steps), True)
+        assert results
+        assert all(fired == 0 and 0 < replay <= block for fired, replay in results)
+        assert all(replay == block for _, replay in results[:-1])
+        assert len(results) <= min(max_steps, 4500) // block
 
 
 def _check_against_step_loop(net, m0, config, single):
@@ -384,6 +430,33 @@ def test_counter_decided_exits_match_step_loop():
     assert any(0 < k < periods for periods, k, _ in calls)
 
 
+def _switched_ring(laps, at):
+    """A metered ring with s, first in ordinal order, enabled once t2 has counted `at` laps in c.
+
+    s also needs m(a) >= 0.3, and t1 moves a towards 1, so the loop's guard
+    that s stays disabled reads the term m(c) >= at, fixed at entry, next to
+    a test of the local a.  s fires once, consuming x.
+    """
+    places = [PlaceDecl("r0", C, 1.0), PlaceDecl("r1", C, 0.0), PlaceDecl("r2", C, 0.0),
+              PlaceDecl("b", C, float(laps)), PlaceDecl("c", C, 0.0), PlaceDecl("a", A, 0.5),
+              PlaceDecl("x", C, 1.0), PlaceDecl("out", A, 0.0)]
+    arcs = [Arc("b", "t2"), Arc("r0", "t2"), Arc("t2", "r1"), Arc("t2", "c"), Arc("r1", "t1"),
+            Arc("t1", "r2"), Arc("t1", "a", "0.5-m(a)*0.5"), Arc("r2", "t0"), Arc("t0", "r0"),
+            Arc("x", "s"), Arc("c", "s", str(at), ArcKind.GUARD), Arc("a", "s", "0.3", ArcKind.GUARD),
+            Arc("s", "out", "m(a)")]
+    return PetriNet("switched", places, ["s", "t0", "t1", "t2"], arcs)
+
+
+def test_counter_term_read_next_to_a_moving_place_cuts_the_trip_count():
+    """The trip count ends where a counter term that the loop's code reads flips, and s fires on time."""
+    with mock.patch.object(net_module, "_CHUNK", 8), mock.patch.object(net_module, "_HOT", 2):
+        for at in range(20, 60, 3):
+            for max_steps in (10**6, 3 * at - 1, 3 * at + 1):
+                net = _switched_ring(80, at)
+                _check_against_step_loop(net, net.initial_marking(), RunConfig(max_steps=max_steps), False)
+                assert _loop_firings(net) > 0
+
+
 @pytest.mark.parametrize("c0", [0.0, -0.0, 7.0000000001, 6.9999999999, 2.0**53 - 40, 2.0**53 - 1, 2.0**53],
                          ids=["zero", "negative-zero", "above-7", "below-7", "2^53-40", "2^53-1", "2^53"])
 def test_counter_entry_states_match_step_loop(c0):
@@ -406,6 +479,22 @@ def test_counter_entry_states_match_step_loop(c0):
                 _check_against_step_loop(net, m0, RunConfig(max_steps=max_steps), False)
             # the loop's induction counters are r0, r1, r2, b and c
             assert _bits(calls[0][2]) == _bits([1.0, 0.0, 0.0, 60.0, c0])
+
+
+def test_loop_with_a_trip_count_of_0_hands_back_a_block():
+    """A period-1 loop whose counter c sits at 2**53 gets a trip count of 0 at every entry.
+
+    Each entry hands a block of _BLOCK periods to plain steps, so the run
+    does not enter the loop again after every firing.
+    """
+    places = [PlaceDecl("r", C, 1.0), PlaceDecl("b", C, 2000.0), PlaceDecl("c", C, 2.0**53)]
+    net = PetriNet("one", places, ["t"], [Arc("r", "t"), Arc("b", "t"), Arc("t", "r"), Arc("t", "c")])
+    results = []
+    with mock.patch.object(net_module, "_CHUNK", 8), mock.patch.object(net_module, "_HOT", 2), \
+            _recording_loops(results):
+        _check_against_step_loop(net, net.initial_marking(), RunConfig(), False)
+    assert results and all(fired == 0 for fired, _ in results)
+    assert len(results) <= 2000 // net_module._BLOCK + 1
 
 
 def _ring_behind_warm_up(warm_laps, ring_laps):
