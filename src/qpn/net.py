@@ -1004,7 +1004,7 @@ class _CompiledNet:
             copies=", ".join("s" + v for v in saved) or "z",
             fast="".join(f"                {line}\n" for line in fast or ["pass"]),
             finite=f"not ({_nonfinite(tested)})" if tested else "True",
-            advance="".join(f"    x{p} += j * _d[{counter_of[p]}]\n" for p in untracked),
+            advance="".join(f"    if j: x{p} += j * _d[{counter_of[p]}]\n" for p in untracked),
             store="".join(f"    m[{p}] = x{p}\n" for p in written))
         plan = ([(after[p][-1], min(after[p]), room[p]) for p in induction],
                 [(*term, name in read_terms) for term, name in zip(plan_terms, counter_terms.values())],

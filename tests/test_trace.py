@@ -481,6 +481,33 @@ def test_counter_entry_states_match_step_loop(c0):
             assert _bits(calls[0][2]) == _bits([1.0, 0.0, 0.0, 60.0, c0])
 
 
+def test_counter_at_negative_zero_that_the_replay_never_moves_keeps_its_sign():
+    """A lap counter c that t1, after the head, needs one token of and puts two back.
+
+    Entered at -0.0, c gets a trip count of 0, so the loop hands back a block
+    without advancing c; t1 stays disabled and the run ends quiescent with c
+    still at -0.0, as in the step loop.
+    """
+    places = [PlaceDecl("r0", C, 1.0), PlaceDecl("r1", C, 0.0), PlaceDecl("r2", C, 0.0),
+              PlaceDecl("b", C, 60.0), PlaceDecl("c", C, 1.0)]
+    arcs = [Arc("b", "t2"), Arc("r0", "t2"), Arc("t2", "r1"), Arc("r1", "t1"), Arc("c", "t1"),
+            Arc("t1", "r2"), Arc("t1", "c", "2"), Arc("r2", "t0"), Arc("t0", "r0")]
+    net = PetriNet("consumed", places, ["t0", "t1", "t2"], arcs)
+    results = []
+    with mock.patch.object(net_module, "_CHUNK", 8), mock.patch.object(net_module, "_HOT", 2), \
+            _recording_loops(results):
+        run_final(net, net.initial_marking(), RunConfig())  # compiles the loop
+        assert results
+        m0 = net.initial_marking()
+        m0[:3] = [0.0, 0.0, 1.0]  # t0 fires first
+        m0[net.place_index["c"]] = -0.0
+        for max_steps in (10**6, 2):
+            del results[:]
+            with mock.patch.object(net_module, "_CHUNK", 1):
+                _check_against_step_loop(net, m0, RunConfig(max_steps=max_steps), False)
+            assert results[:1] == [(0, 3 * net_module._BLOCK)] if max_steps > 2 else not results
+
+
 def test_loop_with_a_trip_count_of_0_hands_back_a_block():
     """A period-1 loop whose counter c sits at 2**53 gets a trip count of 0 at every entry.
 
