@@ -253,8 +253,12 @@ def _write_trace_csv(path: str, net, trace) -> None:
         with open(path, "w", encoding="utf-8") as out:
             out.write("step,transition," + ",".join(net.place_ids()) + "\n")
             out.write("0,," + ",".join(repr(v) for v in trace.initial) + "\n")
-            for i, (tid, marking) in enumerate(trace.steps, start=1):
-                out.write(f"{i},{tid}," + ",".join(repr(v) for v in marking) + "\n")
+            cells = [repr(float(v)) for v in trace.initial]  # the run starts from floats
+            write, join = out.write, ",".join
+            for i, (tid, places, marking) in enumerate(trace.steps.replay(), start=1):
+                for p in places:  # a firing writes no other place
+                    cells[p] = repr(marking[p])
+                write(f"{i},{tid},{join(cells)}\n")
     except OSError as e:
         raise InvalidParamsError(f"cannot write trace {path}: {e.strerror}") from None
 

@@ -34,8 +34,10 @@ import functools
 import math
 import random
 import struct
+from array import array
 from bisect import bisect_right
 from dataclasses import dataclass, fields, replace
+from itertools import islice
 from types import CodeType
 from typing import Callable, Container, Iterable, Iterator, Mapping, Sequence
 
@@ -63,6 +65,7 @@ __all__ = [
     "PetriNet",
     "Marking",
     "RunConfig",
+    "Steps",
     "Trace",
     "FinalState",
     "EPSILON",
@@ -151,18 +154,72 @@ class RunConfig:
             raise ValueError("seed must fit in 64 bits")
 
 
+class Steps(Sequence):
+    """The firings of a run as (transition id, marking after the firing), read-only.
+
+    A run records each firing as its transition's ordinal and the new values
+    of the places the transition touches, the only places a firing writes.
+    Iteration and indexing replay these changes from the initial marking and
+    give each firing a fresh list.  The values are kept as doubles, so every
+    marking is bit for bit the one the run wrote.
+    """
+
+    __slots__ = ("_start", "_ordinals", "_values", "_trans")
+
+    def __init__(self, start: Marking, ordinals: array, values: array, trans: list[tuple[str, list[int]]]):
+        self._start = start  # the marking the first firing starts from
+        self._ordinals = ordinals  # each firing's transition ordinal
+        self._values = values  # the touched places' new values, firing by firing
+        self._trans = trans  # each ordinal's transition id and the places it touches
+
+    def __len__(self) -> int:
+        return len(self._ordinals)
+
+    def replay(self) -> Iterator[tuple[str, list[int], Marking]]:
+        """Each firing's transition id, the places it touched and the marking after it.
+
+        The marking is one list, updated in place from firing to firing.
+        """
+        m = list(self._start)
+        values = iter(self._values)
+        trans = self._trans
+        for ti in self._ordinals:
+            tid, places = trans[ti]
+            for p, v in zip(places, values):  # zip stops at the end of places without taking a value
+                m[p] = v
+            yield tid, places, m
+
+    def __iter__(self) -> Iterator[tuple[str, Marking]]:
+        for tid, _, m in self.replay():
+            yield tid, list(m)
+
+    def __getitem__(self, index):
+        if isinstance(index, slice):
+            return tuple(self)[index]
+        tid, _, m = next(islice(self.replay(), range(len(self))[index], None))
+        return tid, list(m)
+
+    def __reversed__(self) -> Iterator[tuple[str, Marking]]:
+        return reversed(tuple(self))
+
+    def __eq__(self, other: object) -> bool:
+        if not isinstance(other, (Steps, tuple)):
+            return NotImplemented
+        return len(self) == len(other) and all(a == b for a, b in zip(self, other))
+
+    def __repr__(self) -> str:
+        return repr(tuple(self))
+
+
 @dataclass(frozen=True)
 class Trace:
     initial: Marking
-    steps: tuple[tuple[str, Marking], ...]
+    steps: Steps
     status: TerminalStatus
-
-    @property
-    def final(self) -> Marking:
-        return self.steps[-1][1] if self.steps else self.initial
+    final: Marking
 
     def fired(self) -> list[str]:
-        return [tid for tid, _ in self.steps]
+        return [tid for tid, _, _ in self.steps.replay()]
 
 
 @dataclass(frozen=True)
@@ -400,7 +457,7 @@ def _names(net: PetriNet, template: str) -> dict[str, str]:
 
 
 def _trip_count(plan: tuple, periods: int, *values: float) -> tuple:
-    """The whole periods a loop runs from its entry state, then each counter term's value at entry.
+    """The whole periods a loop runs from its entry state, then the entry value of each counter term it reads.
 
     ``values`` holds the loop's induction counters, the thresholds of its
     counter terms, then the values of the guard terms it computed at entry.
@@ -415,13 +472,14 @@ def _trip_count(plan: tuple, periods: int, *values: float) -> tuple:
     levels = []
     for x, (d, low, room) in zip(values, counters):
         if x % 1.0 != 0.0 or math.copysign(1.0, x) < 0.0 or x + low < 0.0:
-            return (0,) + (False,) * len(terms)
+            return (0,) + (False,) * sum(read for *_, read in terms)
         levels.append(int(x))
         if room:
             periods = min(periods, (2**53 - levels[-1]) // room)
         if d < 0:
             periods = min(periods, (levels[-1] + low) // -d + 1)
-    held, flips = [], []  # each term's value at entry, and the first period in which it differs
+    # each term's value at entry and the first period in which it differs; the read terms' values
+    held, flips, reads = [], [], []
     for c, offset, threshold, read in terms:  # counter c + offset + j * d >= threshold in period j
         d, level, threshold = counters[c][0], levels[c] + offset, values[threshold]
         held.append(level >= threshold)
@@ -431,8 +489,10 @@ def _trip_count(plan: tuple, periods: int, *values: float) -> tuple:
             flips.append((level - math.ceil(threshold)) // -d + 1)
         else:
             flips.append(math.inf)
-        if read and flips[-1] < periods:
-            periods = flips[-1]
+        if read:
+            reads.append(held[-1])
+            if flips[-1] < periods:
+                periods = flips[-1]
     known = held + list(values)  # term values, then values[i] at len(held) + i
     flips += [math.inf] * len(values)
     for want, names in breaks:  # the guard's terms all hold in the periods [lo, hi)
@@ -446,7 +506,7 @@ def _trip_count(plan: tuple, periods: int, *values: float) -> tuple:
             periods = min(periods, hi if lo == 0 else 0)
         elif lo < hi:
             periods = min(periods, lo)
-    return (periods, *held)
+    return (periods, *reads)
 
 
 class _Loop:
@@ -999,7 +1059,8 @@ class _CompiledNet:
         text = _LOOP.format(
             load="".join(f"    x{p} = m[{p}]\n" for p in sorted(self.net.place_index[r] for r in reads)),
             hoisted="".join(f"        {name} = {code}\n" for code, name in hoisted.items()),
-            terms="".join(f"{g}, " for g in counter_terms.values()), n=n, args="".join(f", {a}" for a in args),
+            terms="".join(f"{g}, " for g in counter_terms.values() if g in read_terms),
+            n=n, args="".join(f", {a}" for a in args),
             block=_BLOCK, span=_BLOCK * n, saved=", ".join(saved) or "z",
             copies=", ".join("s" + v for v in saved) or "z",
             fast="".join(f"                {line}\n" for line in fast or ["pass"]),
@@ -1479,10 +1540,19 @@ def step(
 
 
 def run(net: PetriNet, m0: Sequence[float], config: RunConfig) -> Trace:
-    """Apply step() until quiescence or max_steps, recording every firing."""
-    steps: list[tuple[str, Marking]] = []
-    final = _execute(net, m0, config, on_fire=lambda tid, m: steps.append((tid, list(m))))
-    return Trace(initial=list(m0), steps=tuple(steps), status=final.status)
+    """Apply step() until quiescence or max_steps, recording every firing (see Steps)."""
+    trans = [(ct.tid, ct.touched) for ct in net.compiled().trans]
+    touched = {tid: (ti, places) for ti, (tid, places) in enumerate(trans)}
+    ordinals, values = array("I"), array("d")
+
+    def record(tid: str, m: Marking) -> None:
+        ti, places = touched[tid]
+        ordinals.append(ti)
+        values.extend([m[p] for p in places])
+
+    final = _execute(net, m0, config, on_fire=record)
+    steps = Steps([float(v) for v in m0], ordinals, values, trans)
+    return Trace(list(m0), steps, final.status, final.marking)
 
 
 def run_final(

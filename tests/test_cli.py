@@ -73,6 +73,30 @@ class TestSimulate:
         assert lines[2].split(",")[1] == "t1"
 
     @pytest.mark.parametrize(
+        "net, flags, golden",
+        [
+            ("passing_n2_m2.qpn", (), "trace_passing_n2_m2.csv"),
+            ("measurement.qpn", ("--policy", "born", "--seed", "7"), "trace_measurement_born_seed7.csv"),
+        ],
+    )
+    def test_golden_trace_csv(self, capsys, tmp_path, net, flags, golden):
+        trace_path = tmp_path / "trace.csv"
+        code, _, _ = run_cli(capsys, "simulate", str(GOLDEN / net), *flags, "--trace", str(trace_path))
+        assert code == 0
+        assert trace_path.read_bytes() == (GOLDEN / golden).read_bytes()
+
+    def test_faulting_traced_run_writes_no_trace(self, capsys, tmp_path):
+        f = tmp_path / "fault.qpn"
+        f.write_text('net fault\nplace c init=3 kind=counter\nplace a init=1e308 kind=amplitude\ntrans t\n'
+                     'arc c -> t w="1"\narc t -> a w="1e308"\n')
+        trace_path = tmp_path / "trace.csv"
+        code, out, err = run_cli(capsys, "simulate", str(f), "--trace", str(trace_path))
+        assert code == 3
+        assert err == "error: firing t left place a at inf (at step 0)\n"
+        assert out == ""
+        assert not trace_path.exists()
+
+    @pytest.mark.parametrize(
         "body, message",
         [
             # the first firing pushes a past the largest float

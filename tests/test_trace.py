@@ -103,7 +103,7 @@ def test_deep_runs_keep_every_bit(build, expected, digest):
 def test_loop_is_entered_again_after_it_exits():
     """After an exit, each firing is looked at until the loop head comes back.
 
-    Passing N=320/M=150 runs 959 of every 980 firings in its inner loop once
+    Passing N=320/M=150 runs 957 of every 980 firings in its inner loop once
     that has compiled, which takes two outer cycles.
     """
     net, _ = slaz_passing_net(ProtocolParams(N=320, M=150))
