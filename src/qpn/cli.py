@@ -251,10 +251,10 @@ def _cmd_simulate(args: argparse.Namespace) -> int:
 def _write_trace_csv(path: str, net, trace) -> None:
     try:
         with open(path, "w", encoding="utf-8") as out:
-            out.write("step,transition," + ",".join(net.place_ids()) + "\n")
-            out.write("0,," + ",".join(repr(v) for v in trace.initial) + "\n")
-            cells = [repr(float(v)) for v in trace.initial]  # the run starts from floats
+            cells = [repr(v) for v in trace.initial]
             write, join = out.write, ",".join
+            write("step,transition," + join(net.place_ids()) + "\n")
+            write(f"0,,{join(cells)}\n")
             for i, (tid, places, marking) in enumerate(trace.steps.replay(), start=1):
                 for p in places:  # a firing writes no other place
                     cells[p] = repr(marking[p])

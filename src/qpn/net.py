@@ -25,6 +25,8 @@ integers get a trip count instead of per-firing checks, guard terms over
 unwritten places are evaluated once, and blocks of periods run without
 finiteness tests; a block whose test at its end fails is rolled back and
 fired as plain steps, so every result stays bit for bit that of a step() loop.
+A recorded run (:func:`run`) runs a recording variant of each such loop,
+which appends every firing to the record as a plain step does.
 """
 
 from __future__ import annotations
@@ -393,14 +395,15 @@ _FAULTS = (ArithmeticError, ValueError)
 _SAFE_DEPOSIT = 2.0**970
 
 
-# A deterministic run with no on_fire looks for a hot loop every _CHUNK
+# A deterministic run, recorded or not, looks for a hot loop every _CHUNK
 # firings.  After a loop exits, and the plain steps it hands back, it looks at
 # once and then after each firing, _CHUNK looks in all, until a cached loop
 # head comes up.  It records the flag states of up to _MAX_PERIOD firings;
 # once a state comes back, the states in between are a period.  A period seen
 # _HOT times (about _HOT * _CHUNK firings, enough to repay its compile cost)
 # is compiled by _CompiledNet.loop and from then on runs whole periods per
-# call, up to _BLOCK of them per speculative block.
+# call, up to _BLOCK of them per speculative block.  A recorded run at a
+# compiled head runs the head's recording variant, compiled on first use.
 _CHUNK = 64
 _MAX_PERIOD = 8
 _HOT = 32
@@ -421,16 +424,16 @@ _LOOP = """\
     while j < k:
         b = k - j if k - j < {block} else {block}
         {copies} = {saved}
-        try:
+{mark}        try:
             for _ in _range(b):
 {fast}            else:
                 if {finite}:
                     j += b
-                    continue
+{emit}                    continue
         except _FAULTS:
             pass
         {saved} = {copies}
-        b *= {n}
+{drop}        b *= {n}
         break
     else:
         b = (k < budget // {n}) if k else budget if budget < {span} else {span}
@@ -510,15 +513,20 @@ def _trip_count(plan: tuple, periods: int, *values: float) -> tuple:
 
 
 class _Loop:
-    """A compiled period: run(m, budget) -> (firings done, firings to replay as steps)."""
+    """A compiled period: run(m, budget) -> (firings done, firings to replay as steps).
 
-    __slots__ = ("run", "period", "single", "firings")
+    A recording loop's run also takes the record arrays: run(m, budget,
+    ordinals, values).
+    """
 
-    def __init__(self, run: Callable[[Marking, int], tuple[int, int]], period: int, single: bool):
+    __slots__ = ("run", "states", "period", "single", "firings")
+
+    def __init__(self, run: Callable[..., tuple[int, int]], states: list[bytes]):
         self.run = run
-        self.period = period
-        self.single = single  # one transition enabled in every state of the period
-        self.firings = 0      # firings done by run, over all runs of the net
+        self.states = states  # the flag state before each firing of the period
+        self.period = len(states)
+        self.single = all(sum(state) == 1 for state in states)  # one transition enabled in every state
+        self.firings = 0  # firings done by run, over all runs of the net
 
 
 class _CompiledTransition:
@@ -570,6 +578,7 @@ class _CompiledNet:
             ct.enabled, ct.step = enabled_fn, step_fn
         self._born: list[Callable[[Sequence[float]], float]] | None = None
         self.loops: dict[bytes, _Loop] = {}  # compiled periods by their head flag state
+        self.recorders: dict[bytes, _Loop] = {}  # their recording variants, compiled when a recorded run meets one
         self._sightings: dict[bytes, int] = {}
 
     def _structure(self) -> tuple[tuple, list[float]]:
@@ -914,9 +923,16 @@ class _CompiledNet:
         seen = self._sightings[head] = self._sightings.get(head, 0) + 1
         if seen >= _HOT:
             start = period.index(head)
-            self.loops[head] = self.loop(period[start:] + period[:start])
+            self.loops[head] = self.loop(period[start:] + period[:start], False)
 
-    def loop(self, states: list[bytes]) -> _Loop:
+    def recorder(self, head: bytes) -> _Loop:
+        """The recording variant of the loop at this head."""
+        loop = self.recorders.get(head)
+        if loop is None:
+            loop = self.recorders[head] = self.loop(self.loops[head].states, True)
+        return loop
+
+    def loop(self, states: list[bytes], recording: bool) -> _Loop:
         """Compile the period through these flag states into one loop over locals.
 
         Firing i is the first enabled transition of states[i] in priority
@@ -941,6 +957,13 @@ class _CompiledNet:
         drained.  On a break, a fault or a non-finite local it restores the
         locals of the block's start and hands the block to plain steps,
         which meet the exit or the fault as they would have (see _LOOP).
+
+        A recording loop also takes a run's record arrays (see Steps).  It
+        keeps every written counter in its local, appends each firing's
+        touched locals to the values after the firing, extends the ordinals
+        by each clean block's periods, and truncates the values back to the
+        start of a failed block, so on return the arrays hold exactly the
+        firings done.
         """
         n, ids, x = len(states), self._ids, _names(self.net, "x{}")
         period = []  # (transition, operations, guards as (transition re-tested, flag wanted))
@@ -1027,7 +1050,7 @@ class _CompiledNet:
                 if want or not rest:
                     breaks[bool(want), tuple(decided)] = None
             guard_lines.append(lines)
-        untracked = [p for p in induction if ids[p] not in tracked]
+        untracked = [] if recording else [p for p in induction if ids[p] not in tracked]
 
         fast, sink = [], False
         for i, (ti, ops, _) in enumerate(period):
@@ -1047,7 +1070,12 @@ class _CompiledNet:
                     fast_ops.append(("sink", op[1]))
                     sink = True
                 fast_ops.append(op)
-            fast += self._lines(fast_ops, x, ti, "break") + guard_lines[i]
+            fast += self._lines(fast_ops, x, ti, "break")
+            if recording:
+                touched = [f"x{p}" for p in self.trans[ti].touched]
+                if touched:
+                    fast.append(f"_append({touched[0]})" if len(touched) == 1 else f"_extend(({', '.join(touched)}))")
+            fast += guard_lines[i]
 
         terms_at = {name: t for t, name in enumerate(counter_terms.values())}  # index into _trip's known
         for name in dict.fromkeys(name for _, names in breaks for name in names):
@@ -1056,13 +1084,17 @@ class _CompiledNet:
                 args.append(name)
         saved = [f"x{p}" for p in written if p not in untracked]
         tested = saved + ["z"] if sink else saved
+        load = "".join(f"    x{p} = m[{p}]\n" for p in sorted(self.net.place_index[r] for r in reads))
         text = _LOOP.format(
-            load="".join(f"    x{p} = m[{p}]\n" for p in sorted(self.net.place_index[r] for r in reads)),
+            load="    _append, _extend = values.append, values.extend\n" + load if recording else load,
             hoisted="".join(f"        {name} = {code}\n" for code, name in hoisted.items()),
             terms="".join(f"{g}, " for g in counter_terms.values() if g in read_terms),
             n=n, args="".join(f", {a}" for a in args),
             block=_BLOCK, span=_BLOCK * n, saved=", ".join(saved) or "z",
             copies=", ".join("s" + v for v in saved) or "z",
+            mark="        w = _len(values)\n" if recording else "",
+            emit="                    ordinals.extend(_ordinals * b)\n" if recording else "",
+            drop="        del values[w:]\n" if recording else "",
             fast="".join(f"                {line}\n" for line in fast or ["pass"]),
             finite=f"not ({_nonfinite(tested)})" if tested else "True",
             advance="".join(f"    if j: x{p} += j * _d[{counter_of[p]}]\n" for p in untracked),
@@ -1070,9 +1102,10 @@ class _CompiledNet:
         plan = ([(after[p][-1], min(after[p]), room[p]) for p in induction],
                 [(*term, name in read_terms) for term, name in zip(plan_terms, counter_terms.values())],
                 [(want, [terms_at[name] for name in names]) for want, names in breaks])
-        single = all(sum(state) == 1 for state in states)
-        run = self._define("m, budget", [[text]], _plan=plan, _d=tuple(after[p][-1] for p in induction))[0]
-        return _Loop(run, n, single)
+        extra = {"_ordinals": array("I", [ti for ti, _, _ in period]), "_len": len} if recording else {}
+        run = self._define("m, budget, ordinals, values" if recording else "m, budget", [[text]], _plan=plan,
+                           _d=tuple(after[p][-1] for p in induction), **extra)[0]
+        return _Loop(run, states)
 
     def finish(self, ti: int, m: Marking) -> None:
         """The overflow error or counter snap of a firing of ti in the BFS's successors whose test failed."""
@@ -1541,18 +1574,11 @@ def step(
 
 def run(net: PetriNet, m0: Sequence[float], config: RunConfig) -> Trace:
     """Apply step() until quiescence or max_steps, recording every firing (see Steps)."""
-    trans = [(ct.tid, ct.touched) for ct in net.compiled().trans]
-    touched = {tid: (ti, places) for ti, (tid, places) in enumerate(trans)}
     ordinals, values = array("I"), array("d")
-
-    def record(tid: str, m: Marking) -> None:
-        ti, places = touched[tid]
-        ordinals.append(ti)
-        values.extend([m[p] for p in places])
-
-    final = _execute(net, m0, config, on_fire=record)
-    steps = Steps([float(v) for v in m0], ordinals, values, trans)
-    return Trace(list(m0), steps, final.status, final.marking)
+    final = _execute(net, m0, config, (ordinals, values))
+    start = [float(v) for v in m0]  # the marking the run starts from
+    steps = Steps(list(start), ordinals, values, [(ct.tid, ct.touched) for ct in net.compiled().trans])
+    return Trace(start, steps, final.status, final.marking)
 
 
 def run_final(
@@ -1684,9 +1710,14 @@ def _execute(
     net: PetriNet,
     m0: Sequence[float],
     config: RunConfig,
-    on_fire: Callable[[str, Marking], None] | None = None,
+    record: tuple[array, array] | None = None,
     require_single_enabled: bool = False,
 ) -> FinalState:
+    """Fire from m0 under config; with ``record``, append each firing to its arrays (see Steps).
+
+    On every return and every raise the arrays hold exactly the firings
+    done, the one whose re-test faulted included.
+    """
     validate_marking(net, m0)
     cnet = net.compiled()
     m = [float(v) for v in m0]
@@ -1701,7 +1732,7 @@ def _execute(
     order = cnet.order
     steps = [ct.step for ct in trans]
     max_steps = config.max_steps
-    traced = deterministic and on_fire is None  # the next firing depends on flags alone
+    ordinals, values = record or (None, None)
     path: list[bytes] | None = None  # flag states recorded since the last look
     relook = 0  # firings after a loop exit still to look for a cached loop head at
     replay = 0  # firings a loop has left to plain steps, after which the run looks at once
@@ -1709,7 +1740,7 @@ def _execute(
     while True:
         if replay:
             stop, replay = start + replay, 0
-        elif traced:
+        elif deterministic:  # the next firing depends on flags alone
             stop = min(start + (_CHUNK if path is None and not relook else 1), max_steps)
         else:
             stop = max_steps
@@ -1744,14 +1775,16 @@ def _execute(
                 cnet.diagnose(ti, m, step_index)
                 raise
             except _RecheckFault as fault:
-                # the firing is written: report it, then name the re-test at fault
-                if on_fire is not None:
-                    on_fire(trans[ti].tid, m)
+                # the firing is written: record it, then name the re-test at fault
+                if record:
+                    ordinals.append(ti)
+                    values.extend([m[p] for p in trans[ti].touched])
                 for tj in trans[ti].recheck:
                     cnet.enabled(tj, m, step_index)
                 raise fault.__context__ from None
-            if on_fire is not None:
-                on_fire(trans[ti].tid, m)
+            if record:
+                ordinals.append(ti)
+                values.extend([m[p] for p in trans[ti].touched])
         if stop == max_steps:
             break
         # a look for a hot loop: run the compiled one, or record the flag states
@@ -1763,7 +1796,9 @@ def _execute(
             budget = (max_steps - start) // loop.period * loop.period
             if not budget:
                 continue
-            fired, replay = loop.run(m, budget)  # m is back at a period boundary: flags hold
+            if record:
+                loop = cnet.recorder(state)
+            fired, replay = loop.run(m, budget, *record or ())  # m is back at a period boundary: flags hold
             loop.firings += fired
             start += fired
             relook = _CHUNK

@@ -44,6 +44,7 @@ from qpn.net import (
     Policy,
     RunConfig,
     is_enabled,
+    run,
     run_final,
 )
 
@@ -101,12 +102,14 @@ def checked(monkeypatch):
 
 
 def _exercise(net, max_steps=5000):
-    """Build every module of a net: tests and steps, loops and the Born code."""
+    """Build every module of a net: tests and steps, loops and their recording variants, and the Born code."""
     cnet = net.compiled()
     m0 = net.initial_marking()
     for config in (RunConfig(max_steps=max_steps), RunConfig(Policy.BORN_RANDOM, 1, 50)):
         with contextlib.suppress(QpnError, ArithmeticError, ValueError):
             run_final(net, m0, config)
+    with contextlib.suppress(QpnError, ArithmeticError, ValueError):
+        run(net, m0, RunConfig(max_steps=max_steps))
     for ti in range(len(cnet.trans)):
         with contextlib.suppress(QpnError, ArithmeticError, ValueError):
             if cnet.enabled(ti, m0):
@@ -139,10 +142,14 @@ def test_patched_code_equals_a_fresh_compile_on_grid_shapes(checked, mode):
     """Grid cells of one mode share shapes, loops included, and differ in their literals."""
     build = slaz_passing_net if mode == "passing" else slaz_blocking_net
     loops = 0
-    for n, m in ((47, 23), (48, 24), (33, 21)):  # the first two run long enough to compile a loop
+    # the first two compile their loop in run_final; the third only in run,
+    # whose sightings add to those run_final left
+    for n, m in ((47, 23), (48, 24), (33, 21)):
         net, _ = build(ProtocolParams(N=n, M=m))
-        loops += len(_exercise(net, max_steps=10**6).loops)
-    assert loops == 2
+        cnet = _exercise(net, max_steps=10**6)
+        loops += len(cnet.loops)
+        assert len(cnet.recorders) == len(cnet.loops)
+    assert loops == 3
     assert checked["patched"] == checked["modules"]  # the Born code included
     assert checked["hits"] >= 4  # the tests and the steps of the last two nets
 

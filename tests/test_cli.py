@@ -1,5 +1,6 @@
 """CLI integration: commands, exit codes, output stability."""
 
+import hashlib
 import io
 import math
 import os
@@ -12,6 +13,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from qpn.cli import main
+from qpn.net import RunConfig, run
+from qpn.netfile import load
 from qpn.reference import DEFAULT_TOL_BLOCKING, DEFAULT_TOL_PASSING
 
 GOLDEN = Path(__file__).parent / "golden"
@@ -84,6 +87,18 @@ class TestSimulate:
         code, _, _ = run_cli(capsys, "simulate", str(GOLDEN / net), *flags, "--trace", str(trace_path))
         assert code == 0
         assert trace_path.read_bytes() == (GOLDEN / golden).read_bytes()
+
+    def test_golden_trace_digest_of_a_run_through_loops(self, capsys, tmp_path):
+        """passing N=40/M=60 records most of its 8,400 firings in loops; its CSV digest predates them."""
+        digest, name = (GOLDEN / "trace_passing_n40_m60.sha256").read_text().split()
+        trace_path = tmp_path / name
+        code, _, _ = run_cli(capsys, "simulate", str(GOLDEN / "passing_n40_m60.qpn"), "--trace", str(trace_path))
+        assert code == 0
+        assert hashlib.sha256(trace_path.read_bytes()).hexdigest() == digest
+        net = load((GOLDEN / "passing_n40_m60.qpn").read_text()).net
+        trace = run(net, net.initial_marking(), RunConfig())
+        assert len(trace.steps) == 8400
+        assert sum(loop.firings for loop in net.compiled().recorders.values()) >= 4000
 
     def test_faulting_traced_run_writes_no_trace(self, capsys, tmp_path):
         f = tmp_path / "fault.qpn"

@@ -4,6 +4,7 @@ import math
 import random
 import struct
 import sys
+from array import array
 
 import pytest
 from hypothesis import given, settings
@@ -1087,11 +1088,13 @@ class TestFusedStep:
         assert str(err.value).endswith("(at step 0)")
 
     def test_recheck_fault_reported_after_the_firing(self):
+        """The record arrays hold t1's firing, written before the re-test of t2 faults."""
         net = self._recheck_fault_net()
-        seen = []
+        ordinals, values = array("I"), array("d")
         with pytest.raises(DivisionByZeroError):
-            _execute(net, net.initial_marking(), RunConfig(), on_fire=lambda tid, m: seen.append((tid, list(m))))
-        assert seen == [("t1", [0.0, 0.0, 1.0])]
+            _execute(net, net.initial_marking(), RunConfig(), (ordinals, values))
+        assert net.compiled().trans[0].touched == [0, 1, 2]  # c, p2, out
+        assert (list(ordinals), list(values)) == ([0], [0.0, 0.0, 1.0])
 
     def test_fire_leaves_a_recheck_fault_to_the_next_enabling_test(self):
         """fire and step run t1's step, whose re-test of t2 faults after the firing."""

@@ -1,9 +1,9 @@
 """The trace tier: hot periods of deterministic runs compiled into one loop.
 
 ``run_final`` runs a recurring period of firings as a generated loop over
-local variables; ``run`` passes ``on_fire`` and a ``step()`` loop calls the
-plain generated code, so both serve as references.  Every comparison is bit
-for bit.
+local variables, and ``run`` runs the recording variant of the same loop.  A
+``step()`` loop calls the plain generated code and is the reference; ``run``
+is compared as well.  Every comparison is bit for bit.
 """
 
 import hashlib
@@ -72,6 +72,9 @@ def test_closed_form_firings_through_loops(build, expected):
     assert final.status == TerminalStatus.QUIESCENT
     assert final.firings == expected
     assert _loop_firings(net) > expected // 4  # the loop did a real share of the run
+    marking, firings, status = _reference(build(), net.initial_marking(), config, True)
+    assert (firings, status) == (expected, TerminalStatus.QUIESCENT)
+    assert _bits(final.marking) == _bits(marking)
     trace = run(build(), net.initial_marking(), config)
     assert len(trace.steps) == expected
     assert _bits(final.marking) == _bits(trace.final)
@@ -110,6 +113,9 @@ def test_loop_is_entered_again_after_it_exits():
     config = RunConfig(max_steps=passing_expected_firings(320, 150))
     final = run_final(net, net.initial_marking(), config)
     assert _loop_firings(net) >= 0.96 * final.firings
+    marking, firings, status = _reference(net, net.initial_marking(), config, False)
+    assert (final.firings, final.status) == (firings, status)
+    assert _bits(final.marking) == _bits(marking)
     assert _bits(final.marking) == _bits(run(net, net.initial_marking(), config).final)
 
 
@@ -121,11 +127,12 @@ def test_loop_is_reused_across_runs_and_budgets():
     [loop] = net.compiled().loops.values()
     for max_steps in (100, 101, 102, 4001, 8997):
         firings = loop.firings
-        expected = run(net, m0, RunConfig(max_steps=max_steps))
+        marking, count, status = _reference(net, m0, RunConfig(max_steps=max_steps), False)
+        recorded = run(net, m0, RunConfig(max_steps=max_steps))
         got = run_final(net, m0, RunConfig(max_steps=max_steps))
         assert loop.firings > firings  # from the first look for a loop, at firing 64, on
-        assert (got.firings, got.status) == (len(expected.steps), expected.status)
-        assert _bits(got.marking) == _bits(expected.final)
+        assert (got.firings, got.status) == (count, status) == (len(recorded.steps), recorded.status)
+        assert _bits(got.marking) == _bits(marking) == _bits(recorded.final)
 
 
 def _switch_net(switch_on):
@@ -299,15 +306,15 @@ def _late_net(hazard):
 
 
 def _recording_loops(results):
-    """Patch loop compilation so that every run of a compiled loop appends its (fired, replay) to results."""
+    """Patch loop compilation so that every run of a compiled loop, recording or not, appends its (fired, replay) to results."""
     compile_loop = net_module._CompiledNet.loop
 
-    def compiled(cnet, states):
-        loop = compile_loop(cnet, states)
+    def compiled(cnet, states, recording):
+        loop = compile_loop(cnet, states, recording)
         run_loop = loop.run
 
-        def recorded(m, budget):
-            results.append(run_loop(m, budget))
+        def recorded(m, budget, *record):
+            results.append(run_loop(m, budget, *record))
             return results[-1]
 
         loop.run = recorded

@@ -3,24 +3,38 @@
 A run records each firing as its transition's ordinal and the new values of
 the places that transition touches.  These tests replay that record against
 a ``step()`` loop, which copies every place, and compare the CSV with rows
-formatted from that loop, ``repr`` of every place, byte for byte.
+formatted from that loop, ``repr`` of every place, byte for byte.  A
+deterministic run records its hot periods through the recording variant of
+their compiled loops, so the record is also checked where those loops run,
+exit, fail a block and hand it back, and stop at a budget.
 """
 
 import os
 import random
 import tempfile
 import tracemalloc
+from array import array
+from unittest import mock
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import qpn.net as net_module
 from qpn.cli import _write_trace_csv
 from qpn.errors import QpnError
-from qpn.models import ProtocolParams, passing_expected_firings, slaz_passing_net
-from qpn.net import Policy, RunConfig, TerminalStatus, run
+from qpn.models import (
+    ProtocolParams,
+    blocking_expected_firings,
+    passing_expected_firings,
+    slaz_blocking_net,
+    slaz_passing_net,
+    zeno_expected_firings,
+    zeno_net,
+)
+from qpn.net import Arc, PetriNet, PlaceDecl, PlaceKind, Policy, RunConfig, Steps, TerminalStatus, _execute, run, run_final
 from test_net import _bits, _counter_net_and_marking, _step_loop
-from test_trace import _ring_case
+from test_trace import _LATE_HAZARDS, _late_net, _metered_ring, _recording_loops, _ring_case
 
 
 def _naive_csv(net, m0, steps):
@@ -29,13 +43,28 @@ def _naive_csv(net, m0, steps):
     return "".join(row + "\n" for row in rows).encode()
 
 
+def _recorded_firings(net):
+    """The firings the recording loops of the net have done, over all its runs."""
+    return sum(loop.firings for loop in net.compiled().recorders.values())
+
+
 def _check_record(net, m0, config):
-    """run() replays the step() loop's markings bit for bit, and writes its rows byte for byte."""
+    """run() replays the step() loop's markings bit for bit, and writes its rows byte for byte.
+
+    A run that faults raises the loop's error class, message and step, and
+    its record arrays then hold the firings the loop did.
+    """
     expected, end = _step_loop(net, m0, config)
     try:
         trace = run(net, m0, config)
     except QpnError as e:
         assert isinstance(end, QpnError) and type(e) is type(end)
+        assert (str(e), e.step_index) == (str(end), end.step_index)
+        ordinals, values = array("I"), array("d")
+        with pytest.raises(type(end)):
+            _execute(net, m0, config, (ordinals, values))
+        steps = Steps([float(v) for v in m0], ordinals, values, [(ct.tid, ct.touched) for ct in net.compiled().trans])
+        assert [(tid, _bits(m)) for tid, m in steps] == [(tid, _bits(m)) for tid, m in expected]
         return
     assert trace.status == end
     steps = trace.steps
@@ -95,3 +124,94 @@ def test_record_takes_at_most_96_bytes_per_firing():
         tracemalloc.stop()
     assert len(trace.steps) == passing_expected_firings(60, 40)
     assert peak <= 96 * len(trace.steps), f"{peak / len(trace.steps):.1f} B per firing"
+
+
+def test_initial_marking_of_ints_prints_as_the_floats_the_run_starts_from(tmp_path):
+    """Row 0 and the later rows print an untouched place alike when m0 holds ints."""
+    C = PlaceKind.COUNTER
+    net = PetriNet("one", [PlaceDecl("a", C, 1), PlaceDecl("b", C), PlaceDecl("c", C)], ["t"],
+                   [Arc("a", "t"), Arc("t", "b")])
+    trace = run(net, [1, 0, 0], RunConfig())
+    assert [(type(v), v) for v in trace.initial] == [(float, 1.0), (float, 0.0), (float, 0.0)]
+    path = tmp_path / "trace.csv"
+    _write_trace_csv(str(path), net, trace)
+    assert path.read_text().splitlines() == ["step,transition,a,b,c", "0,,1.0,0.0,0.0", "1,t,0.0,1.0,0.0"]
+
+
+# --- recording loops ------------------------------------------------------------------
+
+
+def _lowered():
+    """The look interval, sighting threshold and block length lowered, so loops compile within the first laps."""
+    return (mock.patch.object(net_module, "_CHUNK", 8), mock.patch.object(net_module, "_HOT", 2),
+            mock.patch.object(net_module, "_BLOCK", 4))
+
+
+def test_recording_loops_match_step_loop_on_ring_nets():
+    """Loops compile early enough that the hazards strike inside the recording variant, blocks included."""
+    engaged = []
+
+    @settings(max_examples=80, deadline=None)
+    @given(_ring_case())
+    def check(case):
+        net, config, _ = case
+        _check_record(net, net.initial_marking(), config)
+        engaged.append(_recorded_firings(net) > 0)
+
+    chunk, hot, block = _lowered()
+    with chunk, hot, block:
+        check()
+    assert sum(engaged) >= 0.6 * len(engaged), f"recording loops ran on {sum(engaged)} of {len(engaged)} examples"
+
+
+@pytest.mark.parametrize(
+    "build, expected",
+    [
+        (lambda: slaz_passing_net(ProtocolParams(N=60, M=40))[0], passing_expected_firings(60, 40)),
+        (lambda: slaz_blocking_net(ProtocolParams(N=1100, M=2))[0], blocking_expected_firings(1100, 2)),
+        (lambda: zeno_net(ProtocolParams(N=3000))[0], zeno_expected_firings(3000)),
+    ],
+    ids=["passing-60-40", "blocking-1100-2", "zeno-3000"],
+)
+def test_recording_loops_match_step_loop_on_protocol_nets(build, expected):
+    net = build()
+    _check_record(net, net.initial_marking(), RunConfig())
+    assert _recorded_firings(net) > expected // 4  # over the two runs _check_record makes
+
+
+@pytest.mark.parametrize("hazard", sorted(_LATE_HAZARDS))
+def test_recording_loop_hands_a_failed_block_to_plain_steps(hazard):
+    """The hazard fails a block of the recording loop, whose firings are dropped and fired again as steps."""
+    net = _late_net(hazard)
+    results = []
+    with _recording_loops(results):
+        _check_record(net, net.initial_marking(), RunConfig())
+    assert any(replay for _, replay in results)
+    if hazard != "fractional":  # snapping f fails every block, so the loop fires nothing
+        assert _recorded_firings(net) > 1000
+
+
+def test_recording_loop_under_budgets_that_cut_a_block_short():
+    """Budgets that end part way through a block, or a period, of a clean loop and of one whose blocks fail."""
+    chunk, hot, block = _lowered()
+    with chunk, hot, block:
+        for max_steps in range(150, 150 + 3 * 4 * 2 + 2):
+            net = _metered_ring(60)
+            _check_record(net, net.initial_marking(), RunConfig(max_steps=max_steps))
+            assert _recorded_firings(net) > 0
+    for max_steps in (3001, 3050, 3100, 3191):
+        net = _late_net("fractional")
+        results = []
+        with _recording_loops(results):
+            _check_record(net, net.initial_marking(), RunConfig(max_steps=max_steps))
+        assert results and all(fired == 0 and replay > 0 for fired, replay in results)
+
+
+def test_trace_record_net_runs_in_recording_loops():
+    """On the net of the trace-record benchmark, run() fires at least 90% in recording loops, as run_final does."""
+    net, _ = slaz_passing_net(ProtocolParams(N=320, M=100))
+    m0 = net.initial_marking()
+    trace = run(net, m0, RunConfig())
+    assert len(trace.steps) == passing_expected_firings(320, 100)
+    assert _recorded_firings(net) >= 0.9 * len(trace.steps)
+    assert _bits(trace.final) == _bits(run_final(net, m0, RunConfig()).marking)
