@@ -26,11 +26,14 @@ unwritten places are evaluated once, and blocks of periods run without
 finiteness tests; a block whose test at its end fails is rolled back and
 fired as plain steps, so every result stays bit for bit that of a step() loop.
 A recorded run (:func:`run`) runs a recording variant of each such loop,
-which appends every firing to the record as a plain step does.
+which appends every firing to the record as a plain step does.  Each loop is
+compiled once per net structure, and the nets of that structure patch their
+own constants into its code.
 """
 
 from __future__ import annotations
 
+import copy
 import enum
 import functools
 import math
@@ -397,13 +400,14 @@ _SAFE_DEPOSIT = 2.0**970
 
 # A deterministic run, recorded or not, looks for a hot loop every _CHUNK
 # firings.  After a loop exits, and the plain steps it hands back, it looks at
-# once and then after each firing, _CHUNK looks in all, until a cached loop
-# head comes up.  It records the flag states of up to _MAX_PERIOD firings;
-# once a state comes back, the states in between are a period.  A period seen
-# _HOT times (about _HOT * _CHUNK firings, enough to repay its compile cost)
-# is compiled by _CompiledNet.loop and from then on runs whole periods per
-# call, up to _BLOCK of them per speculative block.  A recorded run at a
-# compiled head runs the head's recording variant, compiled on first use.
+# once and then after each firing, _CHUNK looks in all, until a hot loop head
+# comes up.  It records the flag states of up to _MAX_PERIOD firings; once a
+# state comes back, the states in between are a period.  A period seen _HOT
+# times by the nets of one structure (about _HOT * _CHUNK firings, enough to
+# repay its compile cost) is hot, and a run that meets its head builds the
+# loop it enters, plain or recording (_CompiledNet.looped): compiled once per
+# structure, patched into each net.  The loop runs whole periods per call, up
+# to _BLOCK of them per speculative block.
 _CHUNK = 64
 _MAX_PERIOD = 8
 _HOT = 32
@@ -562,24 +566,27 @@ class _CompiledNet:
             else:
                 self.trans[net.transition_index[arc.target]].in_arcs.append(arc)
         self._weights: dict[int, tuple[_expr.WeightExpr, float | None]] = {}  # id(arc) -> _folded(arc)
-        key, consts = self._structure()
-        plan = _STRUCTURES.get(key)
-        values = None if plan is None else plan.values(consts)
-        if values is None:
-            plan, values = self._generate(consts)
-            _expr._remember(_STRUCTURES, _STRUCTURES_MAX, key, plan)
+        key, self._consts = self._structure()
+        entries = _STRUCTURES.get(key, ())
+        for plan in entries:  # one per outcome of the finiteness of the derived values
+            values = plan.values(self._consts)
+            if values is not None:
+                for ct, wiring in zip(self.trans, plan.wiring):
+                    ct.touched, ct.reads, ct.recheck, ct.rivals = wiring
+                self.order, self.uniform_rank = plan.order, plan.uniform_rank
+                break
         else:
-            for ct, wiring in zip(self.trans, plan.wiring):
-                ct.touched, ct.reads, ct.recheck, ct.rivals = wiring
-            self.order, self.uniform_rank = plan.order, plan.uniform_rank
+            plan, values = self._generate()
+            _expr._remember(_STRUCTURES, _STRUCTURES_MAX, key, (*entries, plan))
+        self._entry, self._values = plan, values
         enabled, steps = (self._exec(_shaped(shape, text, [values[i] for i in holes]), len(self.trans))
                           for shape, text, holes in plan.modules)
         for ct, enabled_fn, step_fn in zip(self.trans, enabled, steps):
             ct.enabled, ct.step = enabled_fn, step_fn
         self._born: list[Callable[[Sequence[float]], float]] | None = None
-        self.loops: dict[bytes, _Loop] = {}  # compiled periods by their head flag state
-        self.recorders: dict[bytes, _Loop] = {}  # their recording variants, compiled when a recorded run meets one
-        self._sightings: dict[bytes, int] = {}
+        self.hot = plan.hot  # the structure's hot periods by their head flag state
+        self.loops: dict[bytes, _Loop] = {}  # this net's compiled periods by their head, built when a run enters one
+        self.recorders: dict[bytes, _Loop] = {}  # their recording variants, built when a recorded run enters one
 
     def _structure(self) -> tuple[tuple, list[float]]:
         """The key of the net's structure, and its folded constants in the order of the key's holes.
@@ -593,23 +600,19 @@ class _CompiledNet:
         net, consts, arcs = self.net, [], []
         least = {p.id: 0.5 if p.kind == PlaceKind.COUNTER else 0.0 for p in net.places}  # see _moves
         for arc in net.arcs:
-            tree = _expr.fold_constants(arc.weight)
-            if type(tree) is _expr.Constant and math.isfinite(tree.value):
-                self._weights[id(arc)] = tree, tree.value
-                consts.append(tree.value)
-                shape = _class(tree.value, least[arc.target if arc.kind is ArcKind.DEPOSIT else arc.source])
-            else:
-                self._weights[id(arc)] = tree, None
-                shape = _skeleton(tree, consts)
+            _, tree, value, skeleton, constants = _folding(arc.weight)
+            self._weights[id(arc)] = tree, value
+            consts += constants
+            shape = skeleton if value is None else _class(value, least[arc.target if arc.kind is ArcKind.DEPOSIT else arc.source])
             arcs.append((arc.source, arc.target, arc.kind, shape))
         return (tuple(least.items()), tuple((t.id, t.priority) for t in net.transitions), tuple(arcs)), consts
 
-    def _generate(self, consts: list[float]) -> tuple[_Structure, list[float]]:
+    def _generate(self) -> tuple[_Structure, list[float]]:
         """Wire the net and emit its enabling tests and steps; how a net of its structure builds them, and the literals.
 
-        Emission runs on copies of the folded weights whose constants are
-        _Hole floats, so each literal of its text is the index of the value's
-        recipe; every decision is taken on the real values.
+        Emission runs over holes (see _over_holes), so each literal of its
+        text is the index of the value's recipe; every decision is taken on
+        the real values.
         """
         net, index = self.net, self.net.place_index
         dependents: list[set[int]] = [set() for _ in net.places]  # transitions each place can flip
@@ -642,25 +645,39 @@ class _CompiledNet:
             ct.rivals = frozenset(tj for a in ct.in_arcs if a.kind != ArcKind.GUARD
                                   for tj in consumers[index[a.source]])
 
-        book: list[tuple | None] = []  # each _Hole's recipe, the constants' None first
-        holes = iter([_Hole(value, book, None) for value in consts])
-        real, self._weights = self._weights, {}
-        for arc in net.arcs:
-            tree, value = real[id(arc)]
-            if value is None:
-                self._weights[id(arc)] = _holed(tree, holes), None
-            else:  # emission writes a constant weight from its value
-                self._weights[id(arc)] = tree, next(holes)
-        sources = [_source("m", [[f"    return {test}"] for test in self._tests]),
-                   _source("m, flags", [self._step(ti) for ti in range(len(self.trans))])]
-        self._weights = real
-        for name in ("_terms", "_tests"):  # emitted over the holes: a loop or a predicate emits them again
-            vars(self).pop(name, None)
+        view, book = self._over_holes()
+        sources = [_source("m", [[f"    return {test}"] for test in view._tests]),
+                   _source("m, flags", [view._step(ti) for ti in range(len(self.trans))])]
+        consts = self._consts
         derived = book[len(consts):]
         values = _derive(derived, consts)
         wiring = [(ct.touched, ct.reads, ct.recheck, ct.rivals) for ct in self.trans]
         return _Structure(derived, _finite(values, len(consts)), wiring, self.order, self.uniform_rank,
-                          [_module(source) for source in sources]), values
+                          [_module(source) for source in sources], {}, {}, {}), values
+
+    def _over_holes(self) -> tuple[_CompiledNet, list]:
+        """A copy of this compiled net whose folded constants are _Hole floats, and the book of their recipes.
+
+        Emission on the copy writes each literal as the index of its
+        recipe.  The copy builds the enabling terms of all transitions at
+        once, which derives every value a literal takes, so the recipes, and
+        the indices, are those of the structure.  This net is left as it is,
+        so that its runs and emissions can go on in other threads.
+        """
+        book: list[tuple | None] = []  # each _Hole's recipe, the constants' None first
+        holes = iter([_Hole(value, book, None) for value in self._consts])
+        view = copy.copy(self)
+        view._weights = {}
+        for arc in self.net.arcs:
+            tree, value = self._weights[id(arc)]
+            if value is None:
+                view._weights[id(arc)] = _holed(tree, holes), None
+            else:  # emission writes a constant weight from its value
+                view._weights[id(arc)] = tree, next(holes)
+        for name in ("_terms", "_tests"):
+            vars(view).pop(name, None)
+        view._terms  # noqa: B018 - derives the values in the structure's order
+        return view, book
 
     @functools.cached_property
     def _terms(self) -> list[list[tuple]]:
@@ -916,20 +933,57 @@ class _CompiledNet:
         return [f"    {line}" for line in self._lines(self._ops(ti), names, ti, slow)]
 
     def sighted(self, period: list[bytes]) -> None:
-        """Count a sighting of the period through these flag states; compile it once hot."""
+        """Count a sighting of the period through these flag states, pooled over the nets of the structure.
+
+        Once hot, the period is kept on the structure by its head, the least
+        of its states, and a run of any net of the structure that meets the
+        head builds its loop there (see looped).
+        """
         head = min(period)
-        if head in self.loops:
+        entry = self._entry
+        if head in entry.hot:
             return
-        seen = self._sightings[head] = self._sightings.get(head, 0) + 1
+        seen = entry.sightings[head] = entry.sightings.get(head, 0) + 1
         if seen >= _HOT:
             start = period.index(head)
-            self.loops[head] = self.loop(period[start:] + period[:start], False)
+            entry.hot[head] = self._period(period[start:] + period[:start])
 
-    def recorder(self, head: bytes) -> _Loop:
-        """The recording variant of the loop at this head."""
-        loop = self.recorders.get(head)
-        if loop is None:
-            loop = self.recorders[head] = self.loop(self.loops[head].states, True)
+    def _period(self, states: list[bytes]) -> _Period:
+        """The period through these flag states: the transition each firing fires, and its moves of counter places."""
+        index, places = self.net.place_index, self.net.places
+        slots, k = {}, 0  # id(arc) -> the index of its first folded constant
+        for arc in self.net.arcs:
+            slots[id(arc)] = k
+            k += len(_folding(arc.weight)[4])
+        fired = tuple(next(t for t in self.order if pre[t]) for pre in states)
+        moves = []
+        for ti in fired:
+            firing = []
+            for arc in self.trans[ti].in_arcs + self.trans[ti].out_arcs:
+                p = index[arc.target if arc.kind is ArcKind.DEPOSIT else arc.source]
+                if arc.kind is not ArcKind.GUARD and places[p].kind is PlaceKind.COUNTER:
+                    constant = self._folded(arc)[1] is not None  # never a drain's m(p)
+                    firing.append((p, slots[id(arc)] if constant else None, 1 if arc.kind is ArcKind.DEPOSIT else -1))
+            moves.append(tuple(firing))
+        return _Period(states, fired, tuple(moves))
+
+    def looped(self, head: bytes, recording: bool) -> _Loop:
+        """This net's loop at a hot head of its structure, or the loop's recording variant.
+
+        A net whose loop would be emitted as a cached one of its structure
+        patches its literals into that loop's code and derives its trip
+        plan from its own counter moves, with no emission; any other
+        compiles its own (see loop).
+        """
+        period = self.hot[head]
+        induction, after, room = _levels(period.moves, self._consts)
+        cached = self._entry.loops.get((tuple(period.states), recording, _BLOCK, induction))
+        code = None if cached is None else cached[1].get(_decided(cached[0], self._values, after))
+        if code is None:
+            loop = self.loop(period.states, recording)
+        else:
+            loop = self._install(code, period, induction, after, room)
+        (self.recorders if recording else self.loops)[head] = loop
         return loop
 
     def loop(self, states: list[bytes], recording: bool) -> _Loop:
@@ -964,42 +1018,69 @@ class _CompiledNet:
         by each clean block's periods, and truncates the values back to the
         start of a failed block, so on return the arrays hold exactly the
         firings done.
+
+        The loop is emitted over holes (see _over_holes) and its code kept
+        on the structure.  Besides what the structure's key holds, its
+        emission decides on two things: which counters are induction
+        counters, and which of the code computed once is equal on the
+        net's values and shared (see _decided).  The code is keyed by both.
         """
-        n, ids, x = len(states), self._ids, _names(self.net, "x{}")
-        period = []  # (transition, operations, guards as (transition re-tested, flag wanted))
-        for i, pre in enumerate(states):
+        period = self._period(states)
+        induction, after, room = _levels(period.moves, self._consts)
+        view, _ = self._over_holes()
+        lookups, code = view._emit_loop(period, induction, after, recording)
+        key = (tuple(states), recording, _BLOCK, induction)
+        cached = self._entry.loops.get(key)
+        if cached is None:
+            cached = lookups, {}
+            _expr._remember(self._entry.loops, _LOOPS_MAX, key, cached)
+        _expr._remember(cached[1], _LOOPS_MAX, _decided(lookups, self._values, after), code)
+        return self._install(code, period, induction, after, room)
+
+    def _install(self, code: _LoopCode, period: _Period, induction: tuple, after: dict, room: dict) -> _Loop:
+        """This net's loop from its structure's code: its literals patched in, its trip plan from its counter levels."""
+        plan = ([(after[p][-1], min(after[p]), room[p]) for p in induction],
+                [(c, after[induction[c]][i], arg, read) for c, i, arg, read in code.terms], code.breaks)
+        extra = {"_ordinals": array("I", period.fired), "_len": len} if code.recording else {}
+        module = _shaped(code.shape, code.text, [self._values[i] for i in code.holes])
+        run = self._exec(module, 1, _plan=plan, _d=tuple(after[p][-1] for p in induction), **extra)[0]
+        return _Loop(run, period.states)
+
+    def _emit_loop(self, period: _Period, induction: tuple, after: dict, recording: bool) -> tuple[list, _LoopCode]:
+        """The loop of the period emitted over holes (see loop): the keys of the code it computes once, and its code."""
+        states, n, ids, x = period.states, len(period.states), self._ids, _names(self.net, "x{}")
+        steps = []  # (transition, operations, guards as (transition re-tested, flag wanted))
+        for i, (pre, ti) in enumerate(zip(states, period.fired)):
             post = states[(i + 1) % n]
-            ti = next(t for t in self.order if pre[t])
             moves = self._moves(ti)
             guards = [(tj, post[tj]) for tj in self.trans[ti].recheck  # those _step re-tests
                       if not ((s := self._signs(tj, moves)) == {1} and pre[tj] or s == {-1} and not pre[tj])]
-            period.append((ti, self._ops(ti), guards))
-        written = sorted({p for ti, _, _ in period for p in self.trans[ti].touched})
+            steps.append((ti, self._ops(ti), guards))
+        written = sorted({p for ti in period.fired for p in self.trans[ti].touched})
         moving = {ids[p] for p in written}
-        bound = {name for _, ops, _ in period for op in ops if op[0] == "bind" for name in _expr.free_places(op[2])}
+        bound = {name for _, ops, _ in steps for op in ops if op[0] == "bind" for name in _expr.free_places(op[2])}
         reads = moving | bound
-        for _, _, guards in period:
+        for _, _, guards in steps:
             reads.update(*(self._term_reads(term) for tj, _ in guards for term in self._terms[tj]))
-
-        # induction counters: the level after each firing of the period and the sum of |moves|
-        level = {p: 0 for p in written if self.net.places[p].kind == PlaceKind.COUNTER}
-        room, after, irregular = dict.fromkeys(level, 0), {p: [] for p in level}, set()
-        for _, ops, _ in period:
-            for op in ops:
-                if op[0] in ("consume", "drain", "deposit") and op[1] in level:
-                    c = None if op[0] == "drain" else op[2]
-                    if isinstance(c, float) and c == int(c):
-                        step = int(c) if op[0] == "deposit" else -int(c)
-                        level[op[1]] += step
-                        room[op[1]] += abs(step)
-                    else:
-                        irregular.add(op[1])
-            for p, value in level.items():
-                after[p].append(value)
-        induction = [p for p in level if p not in irregular]
         counter_of = {p: c for c, p in enumerate(induction)}
 
-        hoisted: dict[str, str] = {}  # code computed at entry -> the local holding it
+        lookups: list[tuple] = []  # each key of code computed at entry, over holes (see _decided)
+
+        def key(at: tuple | None, code: str) -> tuple:
+            parts = code.split(_expr.LITERAL)
+            lookups.append((at, _expr.LITERAL.join(parts[::2]), tuple(map(int, parts[1::2]))))
+            return _realized(lookups[-1], self._values, after)
+
+        hoisted: dict[tuple, str] = {}  # the key of code computed at entry -> the local holding it
+        entry_lines: list[str] = []
+
+        def once(code: str) -> str:
+            at_entry = key(None, code)
+            if at_entry not in hoisted:
+                hoisted[at_entry] = f"h{len(hoisted)}"
+                entry_lines.append(f"        {hoisted[at_entry]} = {code}\n")
+            return hoisted[at_entry]
+
         fixed_weights: set[str] = set()  # weight names bound at entry
 
         def hoist(tree):
@@ -1007,7 +1088,7 @@ class _CompiledNet:
                 return tree
             free = _expr.free_places(tree)
             if free and not free & moving:
-                return hoisted.setdefault(_expr._emit(tree, x), f"h{len(hoisted)}")
+                return once(_expr._emit(tree, x))
             return type(tree)(*(hoist(getattr(tree, f.name)) for f in fields(tree)))
 
         counter_terms: dict[tuple, str] = {}
@@ -1016,7 +1097,7 @@ class _CompiledNet:
         breaks: dict[tuple, None] = {}  # (flag wanted, decided terms) of guards decided at entry
         read_terms: set[str] = set()  # decided terms that the body's code reads: the trip count keeps them
         guard_lines: list[list[str]] = []
-        for i, (ti, ops, guards) in enumerate(period):
+        for i, (ti, ops, guards) in enumerate(steps):
             lines = []
             for tj, want in guards:
                 codes, decided = [], []
@@ -1026,15 +1107,14 @@ class _CompiledNet:
                     if fixed and not free & moving:
                         if kind == "weight":
                             fixed_weights.add(term[1])
-                        name = hoisted.setdefault(self._term(term, x, None), f"h{len(hoisted)}")
+                        name = once(self._term(term, x, None))
                     elif fixed and kind == "ge" and term[1] in counter_of:
-                        p = term[1]
-                        key = (p, after[p][i], term[2])
-                        if key not in counter_terms:
-                            counter_terms[key] = f"g{len(counter_terms)}"
-                            plan_terms.append((counter_of[p], after[p][i], len(args)))
+                        p, level = term[1], key((term[1], i), term[2])
+                        if level not in counter_terms:
+                            counter_terms[level] = f"g{len(counter_terms)}"
+                            plan_terms.append((counter_of[p], i, len(args)))
                             args.append(term[2])
-                        name = counter_terms[key]
+                        name = counter_terms[level]
                     else:
                         name = None
                         tracked.update(free)
@@ -1053,7 +1133,7 @@ class _CompiledNet:
         untracked = [] if recording else [p for p in induction if ids[p] not in tracked]
 
         fast, sink = [], False
-        for i, (ti, ops, _) in enumerate(period):
+        for i, (ti, ops, _) in enumerate(steps):
             fast_ops = []
             for op in self._inlined(ops):
                 kind = op[0]
@@ -1087,7 +1167,7 @@ class _CompiledNet:
         load = "".join(f"    x{p} = m[{p}]\n" for p in sorted(self.net.place_index[r] for r in reads))
         text = _LOOP.format(
             load="    _append, _extend = values.append, values.extend\n" + load if recording else load,
-            hoisted="".join(f"        {name} = {code}\n" for code, name in hoisted.items()),
+            hoisted="".join(entry_lines),
             terms="".join(f"{g}, " for g in counter_terms.values() if g in read_terms),
             n=n, args="".join(f", {a}" for a in args),
             block=_BLOCK, span=_BLOCK * n, saved=", ".join(saved) or "z",
@@ -1099,13 +1179,10 @@ class _CompiledNet:
             finite=f"not ({_nonfinite(tested)})" if tested else "True",
             advance="".join(f"    if j: x{p} += j * _d[{counter_of[p]}]\n" for p in untracked),
             store="".join(f"    m[{p}] = x{p}\n" for p in written))
-        plan = ([(after[p][-1], min(after[p]), room[p]) for p in induction],
-                [(*term, name in read_terms) for term, name in zip(plan_terms, counter_terms.values())],
-                [(want, [terms_at[name] for name in names]) for want, names in breaks])
-        extra = {"_ordinals": array("I", [ti for ti, _, _ in period]), "_len": len} if recording else {}
-        run = self._define("m, budget, ordinals, values" if recording else "m, budget", [[text]], _plan=plan,
-                           _d=tuple(after[p][-1] for p in induction), **extra)[0]
-        return _Loop(run, states)
+        shape, parts, holes = _module(_source("m, budget, ordinals, values" if recording else "m, budget", [[text]]))
+        terms = [(*term, name in read_terms) for term, name in zip(plan_terms, counter_terms.values())]
+        return lookups, _LoopCode(recording, shape, parts, holes, terms,
+                                  [(want, [terms_at[name] for name in names]) for want, names in breaks])
 
     def finish(self, ti: int, m: Marking) -> None:
         """The overflow error or counter snap of a firing of ti in the BFS's successors whose test failed."""
@@ -1243,15 +1320,26 @@ class _CompiledNet:
 # literal: a constant, a sum of them or a threshold w - EPSILON.  A later net
 # of that structure computes its literals from the recipes with the same float
 # operations, fills them into the shapes' text and builds the modules through
-# the shape cache, with no emission.
+# the shape cache, with no emission.  A key keeps one entry for each outcome of
+# which derived values are finite, since those are written as names.
+#
+# Loops are emitted once per structure too.  Sightings of a period are pooled
+# over the nets of the structure, and a hot period is kept on the structure by
+# its head.  The first net that enters it emits its loop over _Hole constants;
+# a later net patches its own literals into that code and derives its trip
+# plan from its own constants, unless its emission would decide otherwise
+# (see _CompiledNet.loop).
 
 # a plan is (code, ((slot, hole), ...), ((slot, nested plan), ...)): the
 # template code and where each hole's literal goes; the empty plan means that
 # a literal was folded and the real text is compiled
 _SHAPES: dict[str, tuple] = {}  # shape -> plan, oldest first
 _SHAPES_MAX = 256
-_STRUCTURES: dict[tuple, _Structure] = {}  # structure key -> how its nets build their modules, oldest first
+_STRUCTURES: dict[tuple, tuple[_Structure, ...]] = {}  # structure key -> how its nets build their code, oldest first
 _STRUCTURES_MAX = 64
+_LOOPS_MAX = 64  # loops kept per structure, and variants per loop
+_FOLDS: dict[int, tuple] = {}  # id(parsed weight) -> _folding(weight), oldest first
+_FOLDS_MAX = 4096
 
 
 class _Hole(float):
@@ -1311,6 +1399,24 @@ def _skeleton(tree: _expr.WeightExpr, consts: list[float]) -> object:
     return (type(tree), *(_skeleton(child, consts) for child in vars(tree).values()))
 
 
+def _folding(tree: _expr.WeightExpr) -> tuple:
+    """(tree, folded tree, its value if a finite constant else None, its skeleton, its constants in hole order).
+
+    Memoized per parsed tree: the nets of a grid share a few hundred trees
+    over thousands of arcs.  The entry holds the tree, so its id is not
+    reused while the entry lives, and a lookup does not walk the tree.
+    """
+    entry = _FOLDS.get(id(tree))
+    if entry is None or entry[0] is not tree:
+        folded, consts = _expr.fold_constants(tree), []
+        if type(folded) is _expr.Constant and math.isfinite(folded.value):
+            entry = tree, folded, folded.value, None, (folded.value,)
+        else:
+            entry = tree, folded, None, _skeleton(folded, consts), tuple(consts)
+        _expr._remember(_FOLDS, _FOLDS_MAX, id(tree), entry)
+    return entry
+
+
 def _holed(tree: _expr.WeightExpr, holes: Iterator[_Hole]) -> _expr.WeightExpr:
     """The tree with each finite constant the next of holes, in _skeleton's order."""
     if type(tree) is _expr.Constant:
@@ -1355,7 +1461,9 @@ class _Structure:
     ``finite`` which of their values are finite: a net whose derived values
     differ there would be emitted differently.  ``wiring`` is each
     transition's (touched, reads, recheck, rivals), and ``modules`` are the
-    enabling tests and the steps (see _module).
+    enabling tests and the steps (see _module).  The loops of the
+    structure's nets are built from ``hot`` and ``loops``, which hold no net
+    and no function: flag states, code, text and recipes.
     """
 
     derived: list[tuple]
@@ -1364,11 +1472,81 @@ class _Structure:
     order: list[int]
     uniform_rank: bool
     modules: list[tuple[str, list[str], list[int]]]
+    hot: dict[bytes, _Period]  # hot periods by head, sighted by any net of the structure
+    sightings: dict[bytes, int]  # sightings of each period by its head, until it is hot
+    loops: dict[tuple, tuple[list, dict]]  # see _CompiledNet.loop
 
     def values(self, consts: list[float]) -> list[float] | None:
         """The literals of a net with these constants, or None if it would be emitted differently."""
         values = _derive(self.derived, consts)
         return values if _finite(values, len(consts)) == self.finite else None
+
+
+@dataclass(frozen=True)
+class _Period:
+    """A hot period: the flag states from its head, the transition each firing fires, and its counter moves.
+
+    ``moves`` holds, per firing, (place, index of the constant moved or
+    None, sign) for each consume, drain or deposit on a counter place.
+    """
+
+    states: list[bytes]
+    fired: tuple[int, ...]
+    moves: tuple[tuple[tuple[int, int | None, int], ...], ...]
+
+
+@dataclass(frozen=True)
+class _LoopCode:
+    """A loop as the nets of its structure build it (see _CompiledNet.loop).
+
+    ``shape``, ``text`` and ``holes`` are its module (see _module), each
+    literal the index of a structure value.  ``terms`` and ``breaks`` build
+    the trip plan from a net's counter levels (see _trip_count); a term is
+    (counter, firing, threshold's argument, read), where the net's plan
+    holds the counter's level after that firing.
+    """
+
+    recording: bool
+    shape: str
+    text: list[str]
+    holes: list[int]
+    terms: list[tuple]
+    breaks: list[tuple]
+
+
+def _levels(moves: tuple, consts: list[float]) -> tuple[tuple, dict[int, list[int]], dict[int, int]]:
+    """The induction counters of a period with these counter moves, and each counter's levels and room.
+
+    An induction counter is one that every firing moves by constant
+    integers only.  A counter's levels are its changes since the head after
+    each firing; its room is the sum of the sizes of its moves.
+    """
+    places = sorted({p for firing in moves for p, _, _ in firing})
+    level, room, irregular = dict.fromkeys(places, 0), dict.fromkeys(places, 0), set()
+    after: dict[int, list[int]] = {p: [] for p in places}
+    for firing in moves:
+        for p, k, sign in firing:
+            if k is not None and consts[k] == int(consts[k]):
+                level[p] += sign * int(consts[k])
+                room[p] += abs(int(consts[k]))
+            else:
+                irregular.add(p)
+        for p in places:
+            after[p].append(level[p])
+    return tuple(p for p in places if p not in irregular), after, room
+
+
+def _realized(lookup: tuple, values: list[float], after: dict[int, list[int]]) -> tuple:
+    """A key of code a loop computes at entry, with a net's values: the counter level it tests, its text, its literals."""
+    at, shape, holes = lookup  # at: None, or the counter place and the firing after which it is tested
+    level = None if at is None else (at[0], after[at[0]][at[1]])
+    return level, shape, tuple(repr(values[i]) for i in holes)
+
+
+def _decided(lookups: list[tuple], values: list[float], after: dict[int, list[int]]) -> tuple:
+    """Which earlier key each key of a loop's emission equals with a net's values: the code it shares."""
+    first: dict[tuple, int] = {}
+    return tuple(first.setdefault(_realized(lookup, values, after), i) for i, lookup in enumerate(lookups))
 
 
 def _code(source: str) -> CodeType:
@@ -1733,6 +1911,8 @@ def _execute(
     steps = [ct.step for ct in trans]
     max_steps = config.max_steps
     ordinals, values = record or (None, None)
+    loops = cnet.recorders if record else cnet.loops  # the variant this run enters
+    hot = cnet.hot
     path: list[bytes] | None = None  # flag states recorded since the last look
     relook = 0  # firings after a loop exit still to look for a cached loop head at
     replay = 0  # firings a loop has left to plain steps, after which the run looks at once
@@ -1790,14 +1970,14 @@ def _execute(
         # a look for a hot loop: run the compiled one, or record the flag states
         start = stop
         state = bytes(flags)
-        loop = cnet.loops.get(state)
+        loop = loops.get(state)
+        if loop is None and state in hot:
+            loop = cnet.looped(state, record is not None)
         if loop is not None and (loop.single or not require_single_enabled):
             path = None
             budget = (max_steps - start) // loop.period * loop.period
             if not budget:
                 continue
-            if record:
-                loop = cnet.recorder(state)
             fired, replay = loop.run(m, budget, *record or ())  # m is back at a period boundary: flags hold
             loop.firings += fired
             start += fired

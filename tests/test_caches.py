@@ -10,10 +10,12 @@ emission from its own weights compiles, in the same way.
 
 import contextlib
 import dis
+import gc
 import math
 import struct
 import sys
 import threading
+import weakref
 from pathlib import Path
 from types import CodeType
 from unittest import mock
@@ -43,6 +45,7 @@ from qpn.net import (
     PlaceKind,
     Policy,
     RunConfig,
+    TransitionDecl,
     is_enabled,
     run,
     run_final,
@@ -97,6 +100,7 @@ def _checking(counts):
 def checked(monkeypatch):
     counts = {"modules": 0, "patched": 0, "hits": 0}
     monkeypatch.setattr(net_module, "_SHAPES", {})
+    monkeypatch.setattr(net_module, "_STRUCTURES", {})
     monkeypatch.setattr(net_module, "_shaped", _checking(counts))
     return counts
 
@@ -141,15 +145,15 @@ def test_patched_code_equals_a_fresh_compile_on_bundled_nets(checked):
 def test_patched_code_equals_a_fresh_compile_on_grid_shapes(checked, mode):
     """Grid cells of one mode share shapes, loops included, and differ in their literals."""
     build = slaz_passing_net if mode == "passing" else slaz_blocking_net
-    loops = 0
-    # the first two compile their loop in run_final; the third only in run,
-    # whose sightings add to those run_final left
+    built = []
+    # the first net's period turns hot in run_final (passing) or only in run
+    # (blocking), which builds just the variant it enters; the others patch
+    # their literals into the code of both variants
     for n, m in ((47, 23), (48, 24), (33, 21)):
         net, _ = build(ProtocolParams(N=n, M=m))
         cnet = _exercise(net, max_steps=10**6)
-        loops += len(cnet.loops)
-        assert len(cnet.recorders) == len(cnet.loops)
-    assert loops == 3
+        built.append((len(cnet.loops), len(cnet.recorders)))
+    assert built == [(mode == "passing", 1), (1, 1), (1, 1)]
     assert checked["patched"] == checked["modules"]  # the Born code included
     assert checked["hits"] >= 4  # the tests and the steps of the last two nets
 
@@ -275,9 +279,9 @@ def _compiled(net):
     """net's _CompiledNet, and whether it was built from a cached structure, without emission."""
     generate, emitted = net_module._CompiledNet._generate, []
 
-    def recording(self, consts):
+    def recording(self):
         emitted.append(self)
-        return generate(self, consts)
+        return generate(self)
 
     with mock.patch.object(net_module._CompiledNet, "_generate", recording):
         cnet = net_module._CompiledNet(net)
@@ -405,13 +409,14 @@ def test_structure_hit_of_a_faulting_constant_raises_the_reference_error(monkeyp
 
 def test_sum_that_overflows_takes_another_structure(monkeypatch):
     """Two consumes from one place whose constant sum overflows emit an inf threshold, not a literal:
-    the cached structure serves only nets whose sums overflow as its own did."""
+    a cached structure serves only nets whose sums overflow as its own did, and the key keeps both."""
     monkeypatch.setattr(net_module, "_STRUCTURES", {})
 
     def net(a, b):
         return PetriNet("sum", [PlaceDecl("p", A, 1e308)], ["t"], [Arc("p", "t", Constant(a)), Arc("p", "t", Constant(b))])
 
-    for a, b, hit in ((1e308, 1e307, False), (1e300, 2e300, True), (1e308, 1e308, False), (1.5e308, 1e308, True)):
+    for a, b, hit in ((1e308, 1e307, False), (1e300, 2e300, True), (1e308, 1e308, False), (1.5e308, 1e308, True),
+                      (1e300, 1e300, True)):
         cnet, built_from_structure = _compiled(net(a, b))
         assert built_from_structure == hit
         _assert_emitted_as_fresh(cnet)
@@ -426,6 +431,171 @@ def test_structure_cache_is_bounded(monkeypatch):
         PetriNet("wide", places, ["t"], [Arc(f"p{k}", "t", "2.5")]).compiled()
         assert len(net_module._STRUCTURES) <= net_module._STRUCTURES_MAX
     assert len(net_module._STRUCTURES) == net_module._STRUCTURES_MAX
+
+
+def test_folds_are_memoized_per_parsed_tree(monkeypatch):
+    """A parsed weight is folded once per tree object: the memo gives what a fresh fold gives,
+    a faulting subtree stays unfolded, and an entry left by a dead tree of the same id is not used."""
+    monkeypatch.setattr(net_module, "_FOLDS", {})
+    folds = []
+    fold = expr_module.fold_constants
+    monkeypatch.setattr(expr_module, "fold_constants", lambda tree: folds.append(tree) or fold(tree))
+    for text in ("cos(pi/(2*2500))*m(p21)", "1/0", "m(a)+1/0*2", "2*3", "m(a)*-0", "1/(1e308*10)", "m(a)"):
+        tree = parse(text)
+        entry = net_module._folding(tree)
+        assert net_module._folding(tree) is entry and folds == [tree]
+        del folds[:]
+        folded, consts = fold(tree), []
+        value = folded.value if type(folded) is Constant and math.isfinite(folded.value) else None
+        skeleton = None if value is not None else net_module._skeleton(folded, consts)
+        assert repr(entry) == repr((tree, folded, value, skeleton, (value,) if value is not None else tuple(consts)))
+    assert net_module._folding(parse("1/0"))[1:3] == (Divide(Constant(1.0), Constant(0.0)), None)
+    stale = parse("m(b)*7")
+    net_module._FOLDS[id(stale)] = (parse("m(c)*8"), *net_module._folding(parse("m(c)*8"))[1:])
+    assert net_module._folding(stale)[1] == Multiply(MarkRef("b"), Constant(7.0))
+
+
+# --- loops cached on the structure ------------------------------------------------------
+
+
+def _emissions(counts):
+    """Patch _CompiledNet.loop so that each emission of a loop is counted."""
+    loop = net_module._CompiledNet.loop
+
+    def counted(cnet, states, recording):
+        counts.append(recording)
+        return loop(cnet, states, recording)
+
+    return mock.patch.object(net_module._CompiledNet, "loop", counted)
+
+
+def _loop_key(loop):
+    """A loop's code, instruction for instruction with floats by their bits, and the globals it is specialized on."""
+    scope = loop.run.__globals__
+    return _key(loop.run.__code__), scope["_plan"], scope["_d"], list(scope.get("_ordinals", ()))
+
+
+def _assert_loops_as_fresh(cnet):
+    """Every loop and recording loop of the net equals a fresh loop() compile of its period."""
+    for loops, recording in ((cnet.loops, False), (cnet.recorders, True)):
+        for loop in loops.values():
+            assert _loop_key(loop) == _loop_key(cnet.loop(loop.states, recording))
+
+
+@pytest.mark.parametrize("build", [slaz_passing_net, slaz_blocking_net], ids=["passing", "blocking"])
+def test_patched_loops_equal_a_fresh_compile_on_grid_shapes(monkeypatch, build):
+    """Cells of one structure patch their literals and trip plans into the code of the first cell's loops."""
+    monkeypatch.setattr(net_module, "_STRUCTURES", {})
+    patched = 0
+    for n, m in ((47, 23), (12, 5), (320, 25), (7, 3), (321, 25), (33, 21)):
+        net = build(ProtocolParams(N=n, M=m))[0]
+        m0, emitted = net.initial_marking(), []
+        with _emissions(emitted):
+            final = run_final(net, m0, RunConfig())
+            trace = run(net, m0, RunConfig())
+        cnet = net.compiled()
+        assert final.marking == trace.final
+        patched += len(cnet.loops) + len(cnet.recorders) - len(emitted)
+        _assert_loops_as_fresh(cnet)
+    assert len(net_module._STRUCTURES) == 1
+    assert patched >= 8
+
+
+def _guarded_ring(k1, k2, d1, d2):
+    """A 3-transition ring of 300 laps; t2 deposits d1 and d2 into the lap counter c.
+
+    s1 and s2 need c to reach k1 and k2: the loop's guards that they stay
+    disabled share one term when k1 and k2 are equal, and c is an induction
+    counter only when d1 and d2 are integers.
+    """
+    places = [PlaceDecl("r0", C, 1.0), PlaceDecl("r1", C, 0.0), PlaceDecl("r2", C, 0.0), PlaceDecl("b", C, 300.0),
+              PlaceDecl("c", C, 0.0), PlaceDecl("x", C, 1.0), PlaceDecl("y", C, 1.0), PlaceDecl("out", A, 0.0)]
+    arcs = [Arc("b", "t0"), Arc("r0", "t0"), Arc("t0", "r1"), Arc("r1", "t1"), Arc("t1", "r2"), Arc("r2", "t2"),
+            Arc("t2", "r0"), Arc("t2", "c", Constant(d1)), Arc("t2", "c", Constant(d2)), Arc("t1", "out", "m(out)*0.5+0.25"),
+            Arc("x", "s1"), Arc("c", "s1", Constant(k1), ArcKind.GUARD), Arc("s1", "out", "1"),
+            Arc("y", "s2"), Arc("c", "s2", Constant(k2), ArcKind.GUARD), Arc("s2", "out", "2")]
+    return PetriNet("guarded", places, [TransitionDecl(t) for t in ("t0", "t1", "t2", "s1", "s2")], arcs)
+
+
+def test_loops_whose_emission_decides_otherwise_are_emitted_afresh(monkeypatch):
+    """A net of a cached structure gets the cached loop only where its emission would decide as that loop's did:
+    on which thresholds are equal and share a term, and on which counters move by integers."""
+    monkeypatch.setattr(net_module, "_STRUCTURES", {})
+    monkeypatch.setattr(net_module, "_CHUNK", 8)
+    monkeypatch.setattr(net_module, "_HOT", 2)
+    # c never reaches the thresholds, so the run keeps to one period
+    cases = [((2000.0, 2000.0, 1.0, 2.0), 1), ((2000.0, 2010.0, 1.0, 2.0), 1), ((2500.0, 2500.0, 2.0, 1.0), 0),
+             ((2050.0, 2070.0, 3.0, 1.0), 0), ((2000.0, 2000.0, 0.5, 1.5), 1), ((2700.0, 2700.0, 1.5, 0.5), 0)]
+    for constants, emissions in cases:
+        net, emitted = _guarded_ring(*constants), []
+        with _emissions(emitted):
+            final = run_final(net, net.initial_marking(), RunConfig())
+        cnet = net.compiled()
+        assert (len(emitted), len(cnet.loops)) == (emissions, 1), constants
+        assert sum(loop.firings for loop in cnet.loops.values()) > 600
+        _assert_loops_as_fresh(cnet)
+        assert final.marking[net.place_index["c"]] == 300 * (constants[2] + constants[3])
+    assert len(net_module._STRUCTURES) == 1
+
+
+def test_a_net_that_patched_a_cached_loop_is_freed(monkeypatch):
+    """The structure keeps only code and recipes: the loops a net built are freed with the net."""
+    monkeypatch.setattr(net_module, "_STRUCTURES", {})
+    first = slaz_passing_net(ProtocolParams(N=40, M=25))[0]
+    run_final(first, first.initial_marking(), RunConfig())
+    net = slaz_passing_net(ProtocolParams(N=41, M=25))[0]
+    emitted = []
+    with _emissions(emitted):
+        run_final(net, net.initial_marking(), RunConfig())
+        run(net, net.initial_marking(), RunConfig())
+    assert net.compiled().loops and net.compiled().recorders and emitted == [True]
+    gone = weakref.ref(net)
+    del net
+    gc.collect()
+    assert gone() is None
+
+
+def test_threads_that_meet_one_hot_head_each_get_a_correct_loop(monkeypatch):
+    """Threads build the plain loop of one hot period at once, on their own nets and on a shared one:
+    every run equals a run of the same net on a cache of its own, bit for bit."""
+    cells = [(n, 25) for n in range(40, 46)]
+
+    def final(n, m):
+        net = slaz_passing_net(ProtocolParams(N=n, M=m))[0]
+        return struct.pack(f"{len(net.places)}d", *run_final(net, net.initial_marking(), RunConfig()).marking)
+
+    expected = {}
+    for n, m in cells:
+        with mock.patch.object(net_module, "_STRUCTURES", {}):
+            expected[n] = final(n, m)
+    monkeypatch.setattr(net_module, "_STRUCTURES", {})
+    warm = slaz_passing_net(ProtocolParams(N=39, M=25))[0]
+    run(warm, warm.initial_marking(), RunConfig())  # the period turns hot; only its recording loop is built
+    shared = slaz_passing_net(ProtocolParams(N=40, M=25))[0]
+    got, errors = [], []
+
+    def work(n, m):
+        try:
+            got.append((n, final(n, m)))
+            got.append((40, struct.pack(f"{len(shared.places)}d",
+                                        *run_final(shared, shared.initial_marking(), RunConfig()).marking)))
+        except Exception as e:  # noqa: BLE001 - any failure in a worker fails the test
+            errors.append(e)
+
+    threads = [threading.Thread(target=work, args=cell) for cell in cells]
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        for t in threads:
+            t.start()
+        for t in threads:
+            t.join(timeout=60)
+    finally:
+        sys.setswitchinterval(interval)
+    assert not any(t.is_alive() for t in threads)
+    assert errors == []
+    assert len(got) == 2 * len(cells) and all(bits == expected[n] for n, bits in got)
+    assert shared.compiled().loops
 
 
 # --- eviction from a full cache ------------------------------------------------------

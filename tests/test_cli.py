@@ -228,6 +228,12 @@ class TestTables:
         assert code == 0
         assert out == (GOLDEN / "tables_wide.csv").read_text()
 
+    def test_golden_csv_of_cells_that_share_their_loops(self, capsys):
+        """The loops of N=320 serve N=321, patched: each cell's inner cycle runs in the loop the first compiled."""
+        code, out, _ = run_cli(capsys, "tables", "--mode", "both", "--N", "320,321", "--M", "25")
+        assert code == 0
+        assert out == (GOLDEN / "tables_n320_321_m25.csv").read_text()
+
     def test_golden_csv_of_a_deep_cell(self, capsys):
         """The same on a cell whose inner cycles run about 5,000 firings in compiled loops."""
         code, out, _ = run_cli(capsys, "tables", "--mode", "both", "--N", "2500", "--M", "25")

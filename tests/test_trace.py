@@ -6,9 +6,12 @@ local variables, and ``run`` runs the recording variant of the same loop.  A
 is compared as well.  Every comparison is bit for bit.
 """
 
+import contextlib
 import hashlib
+import math
 import random
 import struct
+from dataclasses import fields, replace
 from unittest import mock
 
 import pytest
@@ -17,6 +20,7 @@ from hypothesis import strategies as st
 
 import qpn.net as net_module
 from qpn.errors import DeterminismViolationError, QpnError
+from qpn.expr import Constant, MarkRef, Pi
 from qpn.models import (
     ProtocolParams,
     blocking_expected_firings,
@@ -40,6 +44,7 @@ from qpn.net import (
     run_final,
     step,
 )
+from test_caches import _emissions
 
 C, A = PlaceKind.COUNTER, PlaceKind.AMPLITUDE
 
@@ -157,7 +162,7 @@ def test_cached_loop_with_two_enabled_respects_require_single_enabled():
         m0 = net.initial_marking()
         first = run_final(net, m0, RunConfig())
         assert (first.firings, first.status) == (5001, TerminalStatus.QUIESCENT)
-        [loop] = net.compiled().loops.values()
+        loop = net.compiled().loops[b"\x01\x01"]
         assert not loop.single and loop.firings > 0
         message = rf"after {switch_on} firings: \['t0', 's'\]"
         with pytest.raises(DeterminismViolationError, match=message):
@@ -305,12 +310,20 @@ def _late_net(hazard):
     return PetriNet("late", places, ["t0", "t1", "t2"], arcs)
 
 
-def _recording_loops(results):
-    """Patch loop compilation so that every run of a compiled loop, recording or not, appends its (fired, replay) to results."""
-    compile_loop = net_module._CompiledNet.loop
+def _alone():
+    """An empty structure cache: a net warms up its loops alone, as the first net of its structure does."""
+    return mock.patch.object(net_module, "_STRUCTURES", {})
 
-    def compiled(cnet, states, recording):
-        loop = compile_loop(cnet, states, recording)
+
+def _recording_loops(results):
+    """Patch loop building so that every run of a compiled loop, recording or not, appends its (fired, replay) to results.
+
+    Every loop of a net is built by _install, from a fresh emission or from its structure's cached code.
+    """
+    install = net_module._CompiledNet._install
+
+    def compiled(cnet, *args):
+        loop = install(cnet, *args)
         run_loop = loop.run
 
         def recorded(m, budget, *record):
@@ -320,7 +333,7 @@ def _recording_loops(results):
         loop.run = recorded
         return loop
 
-    return mock.patch.object(net_module._CompiledNet, "loop", compiled)
+    return mock.patch.object(net_module._CompiledNet, "_install", compiled)
 
 
 @pytest.mark.parametrize("hazard", sorted(_LATE_HAZARDS))
@@ -349,9 +362,9 @@ def test_loop_whose_every_block_fails_is_entered_once_per_replayed_block():
     """
     block = net_module._BLOCK * 3
     for max_steps in (10**6, *range(3000, 3000 + block + 3, 7)):
-        net = _late_net("fractional")
         results = []
-        with _recording_loops(results):
+        with _alone(), _recording_loops(results):
+            net = _late_net("fractional")
             _check_against_step_loop(net, net.initial_marking(), RunConfig(max_steps=max_steps), True)
         assert results
         assert all(fired == 0 and 0 < replay <= block for fired, replay in results)
@@ -429,8 +442,9 @@ def test_counter_decided_exits_match_step_loop():
         for laps in range(8, 30):
             for max_steps in (10**6, 3 * laps - 7, 3 * laps - 1, 3 * laps, 3 * laps + 1):
                 for single in (False, True):
-                    net = _metered_ring(laps)
-                    _check_against_step_loop(net, net.initial_marking(), RunConfig(max_steps=max_steps), single)
+                    with _alone():  # its loop is entered first after a warm-up, with fewer laps left
+                        net = _metered_ring(laps)
+                        _check_against_step_loop(net, net.initial_marking(), RunConfig(max_steps=max_steps), single)
     trips = {k for _, k, _ in calls}
     assert {0, 1} <= trips
     assert any(0 < k == periods for periods, k, _ in calls)
@@ -573,3 +587,91 @@ def test_loop_whose_head_is_another_loops_exit_state_is_entered_at_once():
             del laps_at_entry[:]
             _check_against_step_loop(net, m0, RunConfig(max_steps=max_steps), False)
             assert laps_at_entry[:1] == ([0.0] if max_steps >= 2 * warm + 3 else [])
+
+
+# --- nets that take a sibling net's cached loops -------------------------------------
+
+
+def _scaled(tree, factor):
+    """The weight tree with each finite constant times factor."""
+    if isinstance(tree, Constant):
+        return Constant(tree.value * factor) if math.isfinite(tree.value) else tree
+    if isinstance(tree, (MarkRef, Pi)):
+        return tree
+    return type(tree)(*(_scaled(getattr(tree, f.name), factor) for f in fields(tree)))
+
+
+def _sibling(net, factor=0.75):
+    """A net of the same structure whose arcs on amplitude places have their constants scaled by factor.
+
+    Scaling keeps the sign of every constant, so each decision the
+    structure's key holds comes out the same.
+    """
+    arcs = []
+    for arc in net.arcs:
+        place = net.places[net.place_index[arc.target if arc.kind is ArcKind.DEPOSIT else arc.source]]
+        arcs.append(replace(arc, weight=_scaled(arc.weight, factor)) if place.kind is A else arc)
+    return PetriNet(net.name, net.places, net.transitions, arcs)
+
+
+def _warmed_sibling(net, config):
+    """A sibling of net, after a plain and a recorded run of net have left their loops on the structure."""
+    for runner in (run_final, run):
+        with contextlib.suppress(QpnError):
+            runner(net, net.initial_marking(), config)
+    return _sibling(net)
+
+
+def _check_sibling(net, config, single):
+    """The sibling of net against a step() loop; whether it ran loops built from the cache with no emission."""
+    sibling, emitted = _warmed_sibling(net, config), []
+    with _emissions(emitted):
+        _check_against_step_loop(sibling, sibling.initial_marking(), config, single)
+    return _loop_firings(sibling) > 0 and not emitted
+
+
+def test_grid_cells_that_patch_a_siblings_loops_match_step_loop():
+    """Cells of several N and M run the loops of the first cell of their structure, patched."""
+    for build in (slaz_passing_net, slaz_blocking_net):
+        emitted = []
+        with _alone(), _emissions(emitted):
+            for n, m in ((60, 25), (41, 24), (7, 3), (12, 9)):
+                net = build(ProtocolParams(N=n, M=m))[0]
+                _check_against_step_loop(net, net.initial_marking(), RunConfig(), True)
+                assert _loop_firings(net) > 0
+        assert emitted == [False]
+
+
+@pytest.mark.parametrize("hazard", sorted(_LATE_HAZARDS))
+def test_late_hazard_in_a_loop_patched_from_a_sibling_matches_step_loop(hazard):
+    with _alone():
+        assert _check_sibling(_late_net(hazard), RunConfig(), True) or hazard == "fractional"
+
+
+def test_loops_patched_from_a_sibling_match_step_loop_on_ring_nets():
+    """Ring nets run the loops their sibling left on the structure, with the look interval,
+    the sighting threshold and the block length lowered."""
+    patched = []
+
+    @settings(max_examples=100, deadline=None)
+    @given(_ring_case())
+    def check(case):
+        net, config, single = case
+        patched.append(_check_sibling(net, config, single))
+
+    with mock.patch.object(net_module, "_CHUNK", 8), mock.patch.object(net_module, "_HOT", 2), \
+            mock.patch.object(net_module, "_BLOCK", 4):
+        check()
+    assert sum(patched) >= 0.5 * len(patched), f"patched loops ran on {sum(patched)} of {len(patched)} examples"
+
+
+def test_recorded_run_on_a_fresh_structure_builds_one_loop_per_head():
+    """A run builds only the variant of a loop it enters: a recorded run, the recording one."""
+    with _alone():
+        net, _ = slaz_passing_net(ProtocolParams(N=320, M=100))
+        emitted = []
+        with _emissions(emitted):
+            run(net, net.initial_marking(), RunConfig())
+        cnet = net.compiled()
+        assert cnet.recorders and not cnet.loops
+        assert emitted == [True] * len(cnet.recorders)

@@ -34,7 +34,9 @@ from qpn.models import (
 )
 from qpn.net import Arc, PetriNet, PlaceDecl, PlaceKind, Policy, RunConfig, Steps, TerminalStatus, _execute, run, run_final
 from test_net import _bits, _counter_net_and_marking, _step_loop
-from test_trace import _LATE_HAZARDS, _late_net, _metered_ring, _recording_loops, _ring_case
+from test_caches import _emissions
+from test_trace import (_LATE_HAZARDS, _alone, _late_net, _metered_ring, _recording_loops, _ring_case,
+                        _warmed_sibling)
 
 
 def _naive_csv(net, m0, steps):
@@ -215,3 +217,47 @@ def test_trace_record_net_runs_in_recording_loops():
     assert len(trace.steps) == passing_expected_firings(320, 100)
     assert _recorded_firings(net) >= 0.9 * len(trace.steps)
     assert _bits(trace.final) == _bits(run_final(net, m0, RunConfig()).marking)
+
+
+def test_recording_loops_patched_from_a_sibling_match_step_loop():
+    """Grid cells record through the recording loops of the first cell of their structure, patched."""
+    for build in (slaz_passing_net, slaz_blocking_net):
+        emitted = []
+        with _alone(), _emissions(emitted):
+            for n, m in ((60, 25), (41, 24), (12, 9)):
+                net = build(ProtocolParams(N=n, M=m))[0]
+                _check_record(net, net.initial_marking(), RunConfig())
+                assert _recorded_firings(net) > 0
+        assert emitted == [True]
+
+
+@pytest.mark.parametrize("hazard", sorted(_LATE_HAZARDS))
+def test_recording_loop_patched_from_a_sibling_hands_a_failed_block_to_plain_steps(hazard):
+    with _alone():
+        sibling = _warmed_sibling(_late_net(hazard), RunConfig())
+        emitted, results = [], []
+        with _emissions(emitted), _recording_loops(results):
+            _check_record(sibling, sibling.initial_marking(), RunConfig())
+    assert not emitted and any(replay for _, replay in results)
+
+
+def test_recording_loops_patched_from_a_sibling_match_step_loop_on_ring_nets():
+    """Ring nets, recorded under both policies after their sibling left its loops on the structure."""
+    patched = []
+
+    @settings(max_examples=60, deadline=None)
+    @given(_ring_case(), st.integers(min_value=0, max_value=2**16), st.booleans())
+    def check(case, seed, born):
+        net, config, _ = case
+        sibling, emitted = _warmed_sibling(net, config), []
+        policy = Policy.BORN_RANDOM if born else Policy.DETERMINISTIC_PRIORITY
+        with _emissions(emitted):
+            _check_record(sibling, sibling.initial_marking(), RunConfig(policy=policy, seed=seed,
+                                                                        max_steps=config.max_steps))
+        if not born:  # a Born run enters no loop
+            patched.append(_recorded_firings(sibling) > 0 and not emitted)
+
+    chunk, hot, block = _lowered()
+    with chunk, hot, block:
+        check()
+    assert sum(patched) >= 0.4 * len(patched), f"patched loops ran on {sum(patched)} of {len(patched)} deterministic examples"
