@@ -42,9 +42,9 @@ import struct
 from array import array
 from bisect import bisect_right
 from dataclasses import dataclass, fields, replace
-from itertools import islice
+from itertools import accumulate, islice
 from types import CodeType
-from typing import Callable, Container, Iterable, Iterator, Mapping, Sequence
+from typing import Callable, Container, Iterable, Iterator, Mapping, NamedTuple, Sequence
 
 from . import expr as _expr
 from .errors import (
@@ -277,14 +277,26 @@ class PetriNet:
         )
         self.place_index: dict[str, int] = {p.id: i for i, p in enumerate(self.places)}
         self.transition_index: dict[str, int] = {t.id: i for i, t in enumerate(self.transitions)}
-        self.arcs: tuple[Arc, ...] = tuple(self._normalize(a) for a in arcs)
+        # an id of both kinds takes every arc through _normalize_arc, which may
+        # read an arc the memo keeps as an output arc as an input arc
+        memo = {} if self.place_index.keys() & self.transition_index.keys() else _ARCS
+        self._entries = [self._entry(arc, memo) for arc in arcs]
+        self.arcs: tuple[Arc, ...] = tuple([entry.arc for entry in self._entries])
         self._validate()
         self._compiled: _CompiledNet | None = None
 
     # -- construction helpers --------------------------------------------------
 
-    def _normalize(self, arc: Arc) -> Arc:
-        return _normalize_arc(arc, self.place_index, self.transition_index)
+    def _entry(self, arc: Arc, memo: dict) -> _ArcEntry:
+        """The arc's entry in memo; a miss, or an endpoint this net declares otherwise, is normalized afresh."""
+        weight = arc.weight
+        key = (arc.source, arc.target, arc.kind, weight if type(weight) is str else id(weight))
+        entry = memo.get(key)
+        if (entry is None or entry.place not in self.place_index or entry.transition not in self.transition_index
+                or entry.weight is not weight and type(weight) is not str):
+            entry = _arc_entry(weight, _normalize_arc(arc, self.place_index, self.transition_index))
+            _expr._remember(memo, _ARCS_MAX, key, entry)
+        return entry
 
     def _validate(self) -> None:
         if not self.places and not self.transitions:
@@ -304,11 +316,11 @@ class PetriNet:
                     raise NetDefinitionError(
                         f"counter place {p.id} must start at a non-negative integer, got {p.initial}"
                     )
-        for arc in self.arcs:
-            for ref in _expr.free_places(arc.parsed_weight()):
+        for entry in self._entries:
+            for ref in entry.free:
                 if ref not in self.place_index:
                     raise NetDefinitionError(
-                        f"arc {arc.source}->{arc.target} references undeclared place {ref}"
+                        f"arc {entry.arc.source}->{entry.arc.target} references undeclared place {ref}"
                     )
 
     # -- views -------------------------------------------------------------------
@@ -540,8 +552,8 @@ class _CompiledTransition:
     def __init__(self, tid: str, rank: int):
         self.tid = tid
         self.rank = rank
-        self.in_arcs: list[Arc] = []
-        self.out_arcs: list[Arc] = []
+        self.in_arcs: list[int] = []            # its input arcs by position in net.arcs, in arc order
+        self.out_arcs: list[int] = []           # its output arcs likewise
         self.touched: list[int] = []            # places this transition may modify
         self.rivals: frozenset[int] = frozenset()  # transitions sharing a consume/drain input
         # places the enabling test reads -> whether the test is non-decreasing in
@@ -558,21 +570,16 @@ class _CompiledNet:
     def __init__(self, net: PetriNet):
         self.net = net
         self._ids = list(net.place_index)
-        self._m = _names(net, "m[{}]")
         self.trans = [_CompiledTransition(t.id, t.priority) for t in net.transitions]
-        for arc in net.arcs:
-            if arc.kind == ArcKind.DEPOSIT:
-                self.trans[net.transition_index[arc.source]].out_arcs.append(arc)
-            else:
-                self.trans[net.transition_index[arc.target]].in_arcs.append(arc)
-        self._weights: dict[int, tuple[_expr.WeightExpr, float | None]] = {}  # id(arc) -> _folded(arc)
+        # each arc's weight with its place-free subtrees folded, and its value when that is a finite constant
+        self._weights: list[tuple[_expr.WeightExpr, float | None]] = [entry.folded for entry in net._entries]
         key, self._consts = self._structure()
         entries = _STRUCTURES.get(key, ())
         for plan in entries:  # one per outcome of the finiteness of the derived values
             values = plan.values(self._consts)
             if values is not None:
                 for ct, wiring in zip(self.trans, plan.wiring):
-                    ct.touched, ct.reads, ct.recheck, ct.rivals = wiring
+                    ct.in_arcs, ct.out_arcs, ct.touched, ct.reads, ct.recheck, ct.rivals = wiring
                 self.order, self.uniform_rank = plan.order, plan.uniform_rank
                 break
         else:
@@ -591,21 +598,14 @@ class _CompiledNet:
     def _structure(self) -> tuple[tuple, list[float]]:
         """The key of the net's structure, and its folded constants in the order of the key's holes.
 
-        Folds every weight into _folded's cache.  The key holds the places'
-        ids and kinds, the transitions, and each arc's endpoints, kind and
-        folded weight with each finite constant a hole (see _skeleton); a
-        weight that folds to a finite constant is keyed by _class, the
-        outcome of every decision emission takes on its value.
+        The key holds the places' ids and whether each is a counter, the
+        transitions, and each arc's part on its place (see _arc_entry).
         """
-        net, consts, arcs = self.net, [], []
-        least = {p.id: 0.5 if p.kind == PlaceKind.COUNTER else 0.0 for p in net.places}  # see _moves
-        for arc in net.arcs:
-            _, tree, value, skeleton, constants = _folding(arc.weight)
-            self._weights[id(arc)] = tree, value
-            consts += constants
-            shape = skeleton if value is None else _class(value, least[arc.target if arc.kind is ArcKind.DEPOSIT else arc.source])
-            arcs.append((arc.source, arc.target, arc.kind, shape))
-        return (tuple(least.items()), tuple((t.id, t.priority) for t in net.transitions), tuple(arcs)), consts
+        net, entries = self.net, self.net._entries
+        counter = {p.id: p.kind is PlaceKind.COUNTER for p in net.places}
+        return ((tuple(counter.items()), tuple([(t.id, t.priority) for t in net.transitions]),
+                 tuple([entry.parts[counter[entry.place]] for entry in entries])),
+                [c for entry in entries for c in entry.consts])
 
     def _generate(self) -> tuple[_Structure, list[float]]:
         """Wire the net and emit its enabling tests and steps; how a net of its structure builds them, and the literals.
@@ -614,16 +614,18 @@ class _CompiledNet:
         text is the index of the value's recipe; every decision is taken on
         the real values.
         """
-        net, index = self.net, self.net.place_index
+        net, arcs, index = self.net, self.net.arcs, self.net.place_index
         dependents: list[set[int]] = [set() for _ in net.places]  # transitions each place can flip
         consumers: list[set[int]] = [set() for _ in net.places]  # transitions consuming or draining it
-        for arc in net.arcs:
+        for j, arc in enumerate(arcs):
             if arc.kind == ArcKind.DEPOSIT:
                 ct = self.trans[net.transition_index[arc.source]]
+                ct.out_arcs.append(j)
                 p = index[arc.target]
             else:
                 ti = net.transition_index[arc.target]
                 ct = self.trans[ti]
+                ct.in_arcs.append(j)
                 p = index[arc.source]
                 free = [index[r] for r in _expr.free_places(arc.weight)]
                 ct.reads.setdefault(p, True)
@@ -642,8 +644,8 @@ class _CompiledNet:
         for ct in self.trans:
             # in ordinal order, so a run reports the fault a step() loop meets first
             ct.recheck = tuple(sorted({tj for p in ct.touched for tj in dependents[p]}))
-            ct.rivals = frozenset(tj for a in ct.in_arcs if a.kind != ArcKind.GUARD
-                                  for tj in consumers[index[a.source]])
+            ct.rivals = frozenset(tj for j in ct.in_arcs if arcs[j].kind != ArcKind.GUARD
+                                  for tj in consumers[index[arcs[j].source]])
 
         view, book = self._over_holes()
         sources = [_source("m", [[f"    return {test}"] for test in view._tests]),
@@ -651,7 +653,7 @@ class _CompiledNet:
         consts = self._consts
         derived = book[len(consts):]
         values = _derive(derived, consts)
-        wiring = [(ct.touched, ct.reads, ct.recheck, ct.rivals) for ct in self.trans]
+        wiring = [(ct.in_arcs, ct.out_arcs, ct.touched, ct.reads, ct.recheck, ct.rivals) for ct in self.trans]
         return _Structure(derived, _finite(values, len(consts)), wiring, self.order, self.uniform_rank,
                           [_module(source) for source in sources], {}, {}, {}), values
 
@@ -667,17 +669,18 @@ class _CompiledNet:
         book: list[tuple | None] = []  # each _Hole's recipe, the constants' None first
         holes = iter([_Hole(value, book, None) for value in self._consts])
         view = copy.copy(self)
-        view._weights = {}
-        for arc in self.net.arcs:
-            tree, value = self._weights[id(arc)]
-            if value is None:
-                view._weights[id(arc)] = _holed(tree, holes), None
-            else:  # emission writes a constant weight from its value
-                view._weights[id(arc)] = tree, next(holes)
+        # emission writes a constant weight from its value
+        view._weights = [(_holed(tree, holes), None) if value is None else (tree, next(holes))
+                         for tree, value in self._weights]
         for name in ("_terms", "_tests"):
             vars(view).pop(name, None)
         view._terms  # noqa: B018 - derives the values in the structure's order
         return view, book
+
+    @functools.cached_property
+    def _m(self) -> dict[str, str]:
+        """Each place id -> the code that reads it in a generated test or step; emission alone needs it."""
+        return _names(self.net, "m[{}]")
 
     @functools.cached_property
     def _terms(self) -> list[list[tuple]]:
@@ -720,24 +723,20 @@ class _CompiledNet:
         return self._firing(ti, self._m) + ["    d = 0", "    try:", *retests, "    except _FAULTS:",
                                    "        raise _RecheckFault from None", "    return d"]
 
-    def _folded(self, arc: Arc) -> tuple[_expr.WeightExpr, float | None]:
-        """The arc weight with its place-free subtrees folded, and its value when that is a finite constant."""
-        return self._weights[id(arc)]
-
     def _moves(self, ti: int) -> dict[int, int]:
         """Each place ti touches: 1 if a firing can only raise it, -1 if only lower it, else 0.
 
         Only constant weights count, and on a counter place only those of at
         least 0.5, since the counter check moves a value by up to EPSILON_INT.
         """
-        ct = self.trans[ti]
+        ct, arcs = self.trans[ti], self.net.arcs
         index = self.net.place_index
         changes: list[tuple[str, float | None]] = []  # (place, constant added or None)
-        for arc in ct.in_arcs:
-            if arc.kind != ArcKind.GUARD:
-                w = None if arc.kind == ArcKind.DRAIN else self._folded(arc)[1]
-                changes.append((arc.source, None if w is None else -w))
-        changes += [(arc.target, self._folded(arc)[1]) for arc in ct.out_arcs]
+        for j in ct.in_arcs:
+            if arcs[j].kind != ArcKind.GUARD:
+                w = None if arcs[j].kind == ArcKind.DRAIN else self._weights[j][1]
+                changes.append((arcs[j].source, None if w is None else -w))
+        changes += [(arcs[j].target, self._weights[j][1]) for j in ct.out_arcs]
         moves: dict[int, int] = {}
         for place_id, change in changes:
             p = index[place_id]
@@ -749,17 +748,17 @@ class _CompiledNet:
             moves[p] = sign if moves.get(p, sign) == sign else 0
         return moves
 
-    def _bind(self, prefix: str, arcs: list[Arc]) -> tuple[list[str | float], list[tuple]]:
-        """The weights of arcs as firing operands, and the operations that bind them.
+    def _bind(self, prefix: str, arcs: list[int]) -> tuple[list[str | float], list[tuple]]:
+        """The weights of the arcs at these positions as firing operands, and the operations that bind them.
 
         A finite constant is its own operand; any other weight is bound to
-        prefix + its position, and the bound ones are tested finite together.
+        prefix + its position in arcs, and the bound ones are tested finite together.
         """
         values, ops = [], []
-        for j, arc in enumerate(arcs):
-            tree, value = self._folded(arc)
+        for i, j in enumerate(arcs):
+            tree, value = self._weights[j]
             if value is None:
-                value = f"{prefix}{j}"
+                value = f"{prefix}{i}"
                 ops.append(("bind", value, tree))
             values.append(value)
         if ops:
@@ -779,16 +778,17 @@ class _CompiledNet:
         threshold, names), m(p) >= threshold, code reading the weights
         bound to names.
         """
-        index = self.net.place_index
-        consumed = [index[a.source] for a in ct.in_arcs if a.kind == ArcKind.CONSUME]
+        index, arcs = self.net.place_index, self.net.arcs
+        consumed = [index[arcs[j].source] for j in ct.in_arcs if arcs[j].kind == ArcKind.CONSUME]
         parts: dict[int, list] = {p: [] for p in consumed if consumed.count(p) > 1}  # repeated places
         terms: list[tuple] = []
-        for i, arc in enumerate(ct.in_arcs):
+        for i, j in enumerate(ct.in_arcs):
+            arc = arcs[j]
             p = index[arc.source]
             if arc.kind == ArcKind.DRAIN:
                 terms.append(("drain", p))
                 continue
-            tree, value = self._folded(arc)
+            tree, value = self._weights[j]
             if value is None:
                 w, bound = f"e{ti}_{i}", (f"e{ti}_{i}",)
                 terms.append(("weight", w, tree))
@@ -844,19 +844,19 @@ class _CompiledNet:
         are finite, or non-negative integers; and ("zero", p), which adds
         0.0 to turn -0.0 into 0.0.
         """
-        ct = self.trans[ti]
+        ct, arcs = self.trans[ti], self.net.arcs
         index = self.net.place_index
         binds, consumes, drains = [], [], []
         # whether a -0.0 in the place can survive the firing: x - w is -0.0 only
         # for x = -0.0, w = +0.0, and x + v only for x = v = -0.0
         keeps_zero_sign: dict[int, bool] = {}
-        for i, arc in enumerate(ct.in_arcs):
-            p = index[arc.source]
-            if arc.kind == ArcKind.DRAIN:
+        for i, j in enumerate(ct.in_arcs):
+            p = index[arcs[j].source]
+            if arcs[j].kind == ArcKind.DRAIN:
                 drains.append(("drain", p))
                 keeps_zero_sign[p] = False
-            elif arc.kind == ArcKind.CONSUME:
-                tree, value = self._folded(arc)
+            elif arcs[j].kind == ArcKind.CONSUME:
+                tree, value = self._weights[j]
                 keeps = value is None or (value == 0.0 and math.copysign(1.0, value) > 0.0)
                 if value is None:  # the enabling test read the same weight, finite
                     value = f"w{i}"
@@ -866,8 +866,8 @@ class _CompiledNet:
         values, ops = self._bind("v", ct.out_arcs)
         deposits = []
         checked: list[int] = []  # deposit targets that may overflow
-        for v, arc in zip(values, ct.out_arcs):
-            p = index[arc.target]
+        for v, j in zip(values, ct.out_arcs):
+            p = index[arcs[j].target]
             deposits.append(("deposit", p, v))
             bound = isinstance(v, str)
             if (bound or not abs(v) < _SAFE_DEPOSIT) and p not in checked:
@@ -950,20 +950,19 @@ class _CompiledNet:
 
     def _period(self, states: list[bytes]) -> _Period:
         """The period through these flag states: the transition each firing fires, and its moves of counter places."""
-        index, places = self.net.place_index, self.net.places
-        slots, k = {}, 0  # id(arc) -> the index of its first folded constant
-        for arc in self.net.arcs:
-            slots[id(arc)] = k
-            k += len(_folding(arc.weight)[4])
+        index, places, arcs = self.net.place_index, self.net.places, self.net.arcs
+        # the index of each arc's first folded constant
+        slots = list(accumulate([len(entry.consts) for entry in self.net._entries], initial=0))
         fired = tuple(next(t for t in self.order if pre[t]) for pre in states)
         moves = []
         for ti in fired:
             firing = []
-            for arc in self.trans[ti].in_arcs + self.trans[ti].out_arcs:
+            for j in self.trans[ti].in_arcs + self.trans[ti].out_arcs:
+                arc = arcs[j]
                 p = index[arc.target if arc.kind is ArcKind.DEPOSIT else arc.source]
                 if arc.kind is not ArcKind.GUARD and places[p].kind is PlaceKind.COUNTER:
-                    constant = self._folded(arc)[1] is not None  # never a drain's m(p)
-                    firing.append((p, slots[id(arc)] if constant else None, 1 if arc.kind is ArcKind.DEPOSIT else -1))
+                    constant = self._weights[j][1] is not None  # never a drain's m(p)
+                    firing.append((p, slots[j] if constant else None, 1 if arc.kind is ArcKind.DEPOSIT else -1))
             moves.append(tuple(firing))
         return _Period(states, fired, tuple(moves))
 
@@ -1186,14 +1185,14 @@ class _CompiledNet:
 
     def finish(self, ti: int, m: Marking) -> None:
         """The overflow error or counter snap of a firing of ti in the BFS's successors whose test failed."""
-        if any(not math.isfinite(m[self.net.place_index[a.target]]) for a in self.trans[ti].out_arcs):
+        if any(not math.isfinite(m[self.net.place_index[self.net.arcs[j].target]]) for j in self.trans[ti].out_arcs):
             self._raise_overflow(ti, m)
         self._snap_counters(ti, m)
 
     def _raise_overflow(self, ti: int, m: Marking) -> None:
         """Name the first deposit target of ti that is no longer finite."""
         ct = self.trans[ti]
-        p = next(p for p in map(self.net.place_index.get, (a.target for a in ct.out_arcs))
+        p = next(p for p in map(self.net.place_index.get, (self.net.arcs[j].target for j in ct.out_arcs))
                  if not math.isfinite(m[p]))
         raise NonFiniteResultError(f"firing {ct.tid} left place {self.net.places[p].id} at {m[p]!r}")
 
@@ -1232,7 +1231,7 @@ class _CompiledNet:
         the given marking; the first that fails raises, naming its arc.
         """
         env = marking_env(self.net, m)
-        for arc in self.trans[ti].in_arcs + self.trans[ti].out_arcs:
+        for arc in map(self.net.arcs.__getitem__, self.trans[ti].in_arcs + self.trans[ti].out_arcs):
             if arc.kind == ArcKind.DRAIN:
                 continue
             try:
@@ -1338,8 +1337,8 @@ _SHAPES_MAX = 256
 _STRUCTURES: dict[tuple, tuple[_Structure, ...]] = {}  # structure key -> how its nets build their code, oldest first
 _STRUCTURES_MAX = 64
 _LOOPS_MAX = 64  # loops kept per structure, and variants per loop
-_FOLDS: dict[int, tuple] = {}  # id(parsed weight) -> _folding(weight), oldest first
-_FOLDS_MAX = 4096
+_ARCS: dict[tuple, _ArcEntry] = {}  # (source, target, kind, weight text or id(tree)) -> _arc_entry, oldest first
+_ARCS_MAX = 1024
 
 
 class _Hole(float):
@@ -1399,22 +1398,44 @@ def _skeleton(tree: _expr.WeightExpr, consts: list[float]) -> object:
     return (type(tree), *(_skeleton(child, consts) for child in vars(tree).values()))
 
 
-def _folding(tree: _expr.WeightExpr) -> tuple:
-    """(tree, folded tree, its value if a finite constant else None, its skeleton, its constants in hole order).
+class _ArcEntry(NamedTuple):
+    """What the nets that have an arc share of it, kept in _ARCS (see PetriNet._entry).
 
-    Memoized per parsed tree: the nets of a grid share a few hundred trees
-    over thousands of arcs.  The entry holds the tree, so its id is not
-    reused while the entry lives, and a lookup does not walk the tree.
+    The nets of a grid have a few hundred distinct arcs over thousands of
+    arcs.  ``weight`` is the weight as the arc gave it: the entry holds a
+    tree keyed by its id, so the id is not reused while the entry lives, and
+    a lookup does not hash the tree.
     """
-    entry = _FOLDS.get(id(tree))
-    if entry is None or entry[0] is not tree:
-        folded, consts = _expr.fold_constants(tree), []
-        if type(folded) is _expr.Constant and math.isfinite(folded.value):
-            entry = tree, folded, folded.value, None, (folded.value,)
-        else:
-            entry = tree, folded, None, _skeleton(folded, consts), tuple(consts)
-        _expr._remember(_FOLDS, _FOLDS_MAX, id(tree), entry)
-    return entry
+
+    weight: WeightExpr | str
+    arc: Arc  # normalized
+    place: str  # the endpoint a net must declare as a place
+    transition: str  # and the one it must declare as a transition
+    free: frozenset[str]  # the places the weight reads
+    folded: tuple[WeightExpr, float | None]  # the folded weight, and its value if a finite constant
+    consts: tuple[float, ...]  # the folded weight's finite constants, in the order of its holes
+    parts: tuple[tuple, tuple]  # the arc's part of a structure key on an amplitude place, on a counter place
+
+
+def _arc_entry(weight: WeightExpr | str, arc: Arc) -> _ArcEntry:
+    """The entry of a normalized arc whose weight was given as weight.
+
+    Its part of a structure key holds its endpoints, its kind's value (a
+    string, whose hash is cached) and its folded weight with each finite
+    constant a hole (see _skeleton); a weight that folds to a finite
+    constant is keyed by _class, the outcome of every decision emission
+    takes on its value, which counts moves of at least 0.5 on a counter
+    place (see _moves).
+    """
+    folded, consts = _expr.fold_constants(arc.weight), []
+    if type(folded) is _expr.Constant and math.isfinite(folded.value):
+        value, consts = folded.value, [folded.value]
+        shapes = [_class(value, least) for least in (0.0, 0.5)]
+    else:
+        value, shapes = None, [_skeleton(folded, consts)] * 2
+    place, transition = (arc.target, arc.source) if arc.kind is ArcKind.DEPOSIT else (arc.source, arc.target)
+    return _ArcEntry(weight, arc, place, transition, _expr.free_places(arc.weight), (folded, value), tuple(consts),
+                     tuple([(arc.source, arc.target, arc.kind.value, shape) for shape in shapes]))
 
 
 def _holed(tree: _expr.WeightExpr, holes: Iterator[_Hole]) -> _expr.WeightExpr:
@@ -1460,10 +1481,10 @@ class _Structure:
     ``derived`` are the recipes after the constants (see _Hole) and
     ``finite`` which of their values are finite: a net whose derived values
     differ there would be emitted differently.  ``wiring`` is each
-    transition's (touched, reads, recheck, rivals), and ``modules`` are the
-    enabling tests and the steps (see _module).  The loops of the
-    structure's nets are built from ``hot`` and ``loops``, which hold no net
-    and no function: flag states, code, text and recipes.
+    transition's (in_arcs, out_arcs, touched, reads, recheck, rivals), and
+    ``modules`` are the enabling tests and the steps (see _module).  The
+    loops of the structure's nets are built from ``hot`` and ``loops``,
+    which hold no net and no function: flag states, code, text and recipes.
     """
 
     derived: list[tuple]

@@ -423,6 +423,19 @@ def test_sum_that_overflows_takes_another_structure(monkeypatch):
         assert cnet.enabled(0, [1e308]) == (1e308 >= a + b - 1e-12)
 
 
+def test_a_repeated_arc_keeps_a_literal_per_occurrence(monkeypatch):
+    """A net that gives one arc twice has one arc entry for both; a net of its structure whose two arcs
+    differ there still sums its own two weights."""
+    monkeypatch.setattr(net_module, "_STRUCTURES", {})
+    arc = Arc("p", "t", "0.3")
+    for arcs, hit in (([arc, arc], False), ([Arc("p", "t", "0.4"), Arc("p", "t", "0.3")], True)):
+        net = PetriNet("twice", [PlaceDecl("p", A, 0.65)], ["t"], arcs)
+        cnet, built_from_structure = _compiled(net)
+        assert built_from_structure == hit
+        _assert_emitted_as_fresh(cnet)
+        assert cnet.enabled(0, [0.65]) == (not hit)  # 0.3 + 0.3 <= 0.65 < 0.4 + 0.3
+
+
 def test_structure_cache_is_bounded(monkeypatch):
     """Nets with ever more places have ever new structures."""
     monkeypatch.setattr(net_module, "_STRUCTURES", {})
@@ -433,26 +446,76 @@ def test_structure_cache_is_bounded(monkeypatch):
     assert len(net_module._STRUCTURES) == net_module._STRUCTURES_MAX
 
 
-def test_folds_are_memoized_per_parsed_tree(monkeypatch):
-    """A parsed weight is folded once per tree object: the memo gives what a fresh fold gives,
+def test_arcs_are_memoized_per_arc(monkeypatch):
+    """An arc is normalized and folded once while its entry lives: the entry holds what a fresh fold gives,
     a faulting subtree stays unfolded, and an entry left by a dead tree of the same id is not used."""
-    monkeypatch.setattr(net_module, "_FOLDS", {})
+    monkeypatch.setattr(net_module, "_ARCS", {})
     folds = []
     fold = expr_module.fold_constants
     monkeypatch.setattr(expr_module, "fold_constants", lambda tree: folds.append(tree) or fold(tree))
-    for text in ("cos(pi/(2*2500))*m(p21)", "1/0", "m(a)+1/0*2", "2*3", "m(a)*-0", "1/(1e308*10)", "m(a)"):
-        tree = parse(text)
-        entry = net_module._folding(tree)
-        assert net_module._folding(tree) is entry and folds == [tree]
-        del folds[:]
-        folded, consts = fold(tree), []
-        value = folded.value if type(folded) is Constant and math.isfinite(folded.value) else None
-        skeleton = None if value is not None else net_module._skeleton(folded, consts)
-        assert repr(entry) == repr((tree, folded, value, skeleton, (value,) if value is not None else tuple(consts)))
-    assert net_module._folding(parse("1/0"))[1:3] == (Divide(Constant(1.0), Constant(0.0)), None)
+    places = [PlaceDecl("a", A, 1.0), PlaceDecl("b", C, 1)]
+    for text in ("cos(pi/(2*2500))*m(a)", "1/0", "m(a)+1/0*2", "2*3", "m(a)*-0", "1/(1e308*10)", "m(a)", "0.25"):
+        for weight in (text, parse(text)):  # keyed by the text, and by the tree
+            arc = Arc("t", "a", weight)
+            (entry,) = PetriNet("one", places, ["t"], [arc])._entries
+            assert PetriNet("one", places, ["t"], [Arc("t", "a", weight)])._entries[0] is entry
+            assert folds == [parse(text)]
+            del folds[:]
+            folded, consts = fold(parse(text)), []
+            value = folded.value if type(folded) is Constant and math.isfinite(folded.value) else None
+            shapes = ([net_module._skeleton(folded, consts)] * 2 if value is None
+                      else [net_module._class(value, least) for least in (0.0, 0.5)])
+            assert repr(entry[2:]) == repr(("a", "t", expr_module.free_places(parse(text)), (folded, value),
+                                            (value,) if value is not None else tuple(consts),
+                                            tuple(("t", "a", "deposit", shape) for shape in shapes)))
+    assert net_module._ARCS[("t", "a", None, "1/0")].folded == (Divide(Constant(1.0), Constant(0.0)), None)
     stale = parse("m(b)*7")
-    net_module._FOLDS[id(stale)] = (parse("m(c)*8"), *net_module._folding(parse("m(c)*8"))[1:])
-    assert net_module._folding(stale)[1] == Multiply(MarkRef("b"), Constant(7.0))
+    other = PetriNet("one", places, ["t"], [Arc("t", "a", parse("m(a)*8"))])._entries[0]
+    net_module._ARCS[("t", "a", None, id(stale))] = other
+    (entry,) = PetriNet("one", places, ["t"], [Arc("t", "a", stale)])._entries
+    assert entry.folded[0] == Multiply(MarkRef("b"), Constant(7.0))
+
+
+def test_arc_memo_is_bounded(monkeypatch):
+    """Nets with ever new weights have ever new arcs."""
+    monkeypatch.setattr(net_module, "_ARCS", {})
+    for k in range(net_module._ARCS_MAX + 10):
+        PetriNet("wide", [PlaceDecl("p", C, 1)], ["t"], [Arc("p", "t", f"{k}.5")])
+        assert len(net_module._ARCS) <= net_module._ARCS_MAX
+    assert len(net_module._ARCS) == net_module._ARCS_MAX
+
+
+def _assert_built_as_cold(build, fresh=True):
+    """A net built through a warm arc memo equals the net built with the memo cleared: its arcs,
+    its structure key and constants, and, if fresh, its compiled code equals a fresh emission."""
+    with mock.patch.object(net_module, "_ARCS", {}):
+        cold = build()
+    first, warm = build(), build()
+    assert all(a is b for a, b in zip(warm._entries, first._entries))  # every arc of the second build is a hit
+    assert warm == cold
+    assert _key(warm.compiled()._structure()) == _key(cold.compiled()._structure())
+    if fresh:
+        _assert_emitted_as_fresh(warm.compiled())
+
+
+@pytest.mark.parametrize("build", [slaz_passing_net, slaz_blocking_net], ids=["passing", "blocking"])
+def test_memo_builds_grid_cells_as_cold(build):
+    """Over the N range [2, 48] and M range [2, 24]; every twelfth cell is compared with a fresh emission."""
+    cells = [(n, m) for n in (*range(2, 48, 3), 48) for m in (*range(2, 24, 2), 24)]
+    for i, (n, m) in enumerate(cells):
+        _assert_built_as_cold(lambda: build(ProtocolParams(N=n, M=m))[0], fresh=i % 12 == 0)
+
+
+@pytest.mark.parametrize("path", sorted(GOLDEN.glob("*.qpn")), ids=lambda path: path.stem)
+def test_memo_builds_golden_nets_as_cold(path):
+    _assert_built_as_cold(lambda: netfile.load(path.read_text()).net)
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.one_of(_net_pair(), _edge_nets()))
+def test_memo_builds_random_nets_as_cold(nets):
+    for net in nets:
+        _assert_built_as_cold(lambda: PetriNet(net.name, net.places, net.transitions, net.arcs))
 
 
 # --- loops cached on the structure ------------------------------------------------------
@@ -627,7 +690,8 @@ def test_shape_eviction_tolerates_a_racing_eviction(monkeypatch):
 
 def test_caches_keep_their_bounds_under_threads(monkeypatch):
     """Threads inserting into full caches at once raise nothing and keep the bounds."""
-    for module, name in ((net_module, "_SHAPES"), (net_module, "_STRUCTURES"), (expr_module, "_PARSED")):
+    for module, name in ((net_module, "_SHAPES"), (net_module, "_STRUCTURES"), (net_module, "_ARCS"),
+                         (expr_module, "_PARSED")):
         monkeypatch.setattr(module, name, {})
         monkeypatch.setattr(module, f"{name}_MAX", 4)
     errors = []
@@ -653,3 +717,4 @@ def test_caches_keep_their_bounds_under_threads(monkeypatch):
     assert not any(t.is_alive() for t in threads)
     assert errors == []
     assert len(net_module._SHAPES) <= 4 and len(net_module._STRUCTURES) <= 4 and len(expr_module._PARSED) <= 4
+    assert len(net_module._ARCS) <= 4

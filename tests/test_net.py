@@ -66,25 +66,26 @@ def manual_fire(net, m, tid):
 
 class TestValidation:
     def test_empty_net_rejected(self):
-        with pytest.raises(NetDefinitionError):
+        with pytest.raises(NetDefinitionError, match=r"^net is empty$"):
             PetriNet("empty", [], [], [])
 
     def test_duplicate_place(self):
-        with pytest.raises(NetDefinitionError):
+        with pytest.raises(NetDefinitionError, match=r"^duplicate place ids$"):
             PetriNet("dup", [PlaceDecl("p1"), PlaceDecl("p1")], [], [])
 
     def test_place_transition_overlap(self):
-        with pytest.raises(NetDefinitionError):
+        with pytest.raises(NetDefinitionError, match=r"^ids used for both places and transitions: \['x'\]$"):
             PetriNet("overlap", [PlaceDecl("x")], ["x"], [])
 
     def test_dangling_arc(self):
-        with pytest.raises(NetDefinitionError):
+        with pytest.raises(NetDefinitionError, match=r"^arc p1->t9 does not connect a declared place and transition$"):
             PetriNet("dangling", [PlaceDecl("p1")], ["t1"], [Arc("p1", "t9")])
 
     def test_counter_initial_must_be_nonnegative_integer(self):
-        with pytest.raises(NetDefinitionError):
+        message = r"^counter place p1 must start at a non-negative integer, got {}$"
+        with pytest.raises(NetDefinitionError, match=message.format("-1")):
             PetriNet("bad", [PlaceDecl("p1", C, -1)], [], [])
-        with pytest.raises(NetDefinitionError):
+        with pytest.raises(NetDefinitionError, match=message.format(r"0\.5")):
             PetriNet("bad", [PlaceDecl("p1", C, 0.5)], [], [])
 
     def test_amplitude_initial_may_be_fractional(self):
@@ -92,7 +93,7 @@ class TestValidation:
         assert net.initial_marking() == [-0.25]
 
     def test_weight_referencing_undeclared_place(self):
-        with pytest.raises(NetDefinitionError):
+        with pytest.raises(NetDefinitionError, match=r"^arc p1->t1 references undeclared place p99$"):
             PetriNet(
                 "ref",
                 [PlaceDecl("p1", C, 1)],
@@ -101,7 +102,7 @@ class TestValidation:
             )
 
     def test_drain_weight_must_read_source(self):
-        with pytest.raises(NetDefinitionError):
+        with pytest.raises(NetDefinitionError, match=r"^drain arc p1->t1 must have weight m\(p1\)$"):
             PetriNet(
                 "drain",
                 [PlaceDecl("p1", A, 1)],
@@ -110,13 +111,41 @@ class TestValidation:
             )
 
     def test_output_arc_cannot_be_guard(self):
-        with pytest.raises(NetDefinitionError):
+        with pytest.raises(NetDefinitionError, match=r"^output arc t1->p1 must be a deposit, got guard$"):
             PetriNet(
                 "out",
                 [PlaceDecl("p1", C, 1)],
                 ["t1"],
                 [Arc("t1", "p1", "1", ArcKind.GUARD)],
             )
+
+    # the arcs of a valid net, reused in broken ones once the arc memo holds them
+    _WARM = (Arc("p1", "t1", "m(p2)"), Arc("t1", "p2", Constant(0.5), ArcKind.DEPOSIT))
+
+    @pytest.mark.parametrize("places, transitions, arcs, message, hit", [
+        (["p1", "p2"], ["t2"], _WARM, r"^arc p1->t1 does not connect a declared place and transition$", False),
+        (["p2"], ["t1"], _WARM, r"^arc p1->t1 does not connect a declared place and transition$", False),
+        # t1 and p2 are also a place and a transition, so the deposit reads as an input arc
+        (["p1", "p2", "t1"], ["t1", "p2"], _WARM[1:], r"^input arc t1->p2 cannot be a deposit$", False),
+        (["p1"], ["t1"], _WARM[:1], r"^arc p1->t1 references undeclared place p2$", True),
+        (["p1", "p1"], ["t1"], _WARM[:1], r"^duplicate place ids$", True),
+    ], ids=["missing-transition", "missing-place", "both-kinds-deposit", "undeclared-weight-place",
+            "duplicate-and-undeclared"])
+    def test_messages_with_a_warm_memo(self, monkeypatch, places, transitions, arcs, message, hit):
+        """A net that reuses the arcs of a valid net raises what it raises with the memo cleared;
+        an arc whose endpoints it declares as the entry's is not normalized again."""
+        monkeypatch.setattr(net_module, "_ARCS", {})
+        decls = [PlaceDecl(p) for p in places]
+        with pytest.raises(NetDefinitionError, match=message):
+            PetriNet("cold", decls, transitions, arcs)
+        monkeypatch.setattr(net_module, "_ARCS", {})
+        PetriNet("ok", [PlaceDecl("p1"), PlaceDecl("p2")], ["t1"], self._WARM)
+        normalized = []
+        normalize = net_module._normalize_arc
+        monkeypatch.setattr(net_module, "_normalize_arc", lambda *a: normalized.append(a[0]) or normalize(*a))
+        with pytest.raises(NetDefinitionError, match=message):
+            PetriNet("warm", decls, transitions, arcs)
+        assert (normalized == []) == hit
 
 
 class TestIsEnabled:
@@ -774,12 +803,13 @@ def test_repeated_consume_of_a_counter_place_is_disabled_below_the_sum():
 def _per_arc_test(cnet, ti):
     """The enabling test as it was generated when every input arc was compared alone."""
     terms = []
-    for i, arc in enumerate(cnet.trans[ti].in_arcs):
+    for i, j in enumerate(cnet.trans[ti].in_arcs):
+        arc = cnet.net.arcs[j]
         p = cnet.net.place_index[arc.source]
         if arc.kind == ArcKind.DRAIN:
             terms.append(f"(m[{p}] > 1e-12 or m[{p}] < -1e-12)")
             continue
-        tree, value = cnet._folded(arc)
+        tree, value = cnet._weights[j]
         w = _expr._emit(tree, cnet._m)
         if value is None:
             name = f"e{ti}_{i}"
@@ -808,7 +838,7 @@ def test_enabling_tests_without_repeated_consume_places_are_generated_as_before(
     for net in nets:
         cnet = net.compiled()
         for ti, ct in enumerate(cnet.trans):
-            sources = [a.source for a in ct.in_arcs if a.kind == ArcKind.CONSUME]
+            sources = [net.arcs[j].source for j in ct.in_arcs if net.arcs[j].kind == ArcKind.CONSUME]
             if len(sources) == len(set(sources)):
                 assert cnet._tests[ti] == _per_arc_test(cnet, ti)
                 compared += 1
