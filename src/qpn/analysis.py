@@ -371,8 +371,9 @@ def _emit_predicate(pred: MarkingPredicate, places: Mapping[str, str], names: It
 
     Each comparison binds its two sides to fresh names, tests them finite as
     an enabling test tests a weight, then compares them as
-    evaluate_predicate does, with CMP_EPSILON as a literal; abs(a - b) <= e
-    is written -e <= a - b <= e.  AND, OR and NOT keep Python's
+    evaluate_predicate does, with CMP_EPSILON as a plain constant of the
+    code, not a net's literal (see expr.LITERAL); abs(a - b) <= e is written
+    -e <= a - b <= e.  AND, OR and NOT keep Python's
     short-circuit.  A comparison naming an undeclared place, or anything
     else that cannot be emitted, becomes _fault(): if it is reached, the
     reference raises its error.
@@ -385,8 +386,8 @@ def _emit_predicate(pred: MarkingPredicate, places: Mapping[str, str], names: It
     if not (isinstance(pred, Compare) and pred.op in _CMP_OPS and predicate_places(pred) <= places.keys()):
         return "_fault()"
     i = next(names)
-    a, b, eps = f"a{i}", f"b{i}", _expr._literal(CMP_EPSILON)
-    within = f"{_expr._literal(-CMP_EPSILON)} <= {a} - {b} <= {eps}"
+    a, b, eps = f"a{i}", f"b{i}", repr(CMP_EPSILON)
+    within = f"{-CMP_EPSILON!r} <= {a} - {b} <= {eps}"
     compare = {"==": within, "!=": f"not ({within})", "<=": f"{a} <= {b} + {eps}",
                ">=": f"{a} >= {b} - {eps}", "<": f"{a} < {b} - {eps}", ">": f"{a} > {b} + {eps}"}
     sides = [f"(({x} := {_expr._emit(_expr.fold_constants(side), places)}) - {x} == 0.0 or _fault())"

@@ -562,7 +562,9 @@ _COMPILE_GLOBALS = {
 
 # Emitted code wraps each finite float literal in this delimiter, which it
 # uses nowhere else, so qpn.net can split a generated module into its shape
-# and its literals with one str.split; strip it before compiling the text.
+# and its literals with one str.split: it compiles each shape once, with the
+# literals as arguments, and calls that code with each module's literals.
+# Strip the delimiter before compiling the text itself.
 LITERAL = "`"
 
 
@@ -614,8 +616,9 @@ def _sum(terms: list[tuple[str, float | None]]) -> tuple[str, float | None]:
     """Generated code adding (code, value if constant) terms in order; the sum's value if constant.
 
     The leading run of constants is added here, with the same float
-    operations, into one literal: left to the compiler, literals would be
-    folded with their sentinels, and the shape could not be patched.
+    operations, into one literal, so each run of the code does fewer
+    operations: qpn.net passes literals to compiled code as arguments, which
+    the compiler cannot fold.
     """
     lead, rest = None, []
     for code, value in terms:

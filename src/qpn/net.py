@@ -27,8 +27,8 @@ finiteness tests; a block whose test at its end fails is rolled back and
 fired as plain steps, so every result stays bit for bit that of a step() loop.
 A recorded run (:func:`run`) runs a recording variant of each such loop,
 which appends every firing to the record as a plain step does.  Each loop is
-compiled once per net structure, and the nets of that structure patch their
-own constants into its code.
+compiled once per net structure, and the nets of that structure call its
+code with their own constants.
 """
 
 from __future__ import annotations
@@ -418,8 +418,8 @@ _SAFE_DEPOSIT = 2.0**970
 # times by the nets of one structure (about _HOT * _CHUNK firings, enough to
 # repay its compile cost) is hot, and a run that meets its head builds the
 # loop it enters, plain or recording (_CompiledNet.looped): compiled once per
-# structure, patched into each net.  The loop runs whole periods per call, up
-# to _BLOCK of them per speculative block.
+# structure, called with each net's literals.  The loop runs whole periods
+# per call, up to _BLOCK of them per speculative block.
 _CHUNK = 64
 _MAX_PERIOD = 8
 _HOT = 32
@@ -586,8 +586,7 @@ class _CompiledNet:
             plan, values = self._generate()
             _expr._remember(_STRUCTURES, _STRUCTURES_MAX, key, (*entries, plan))
         self._entry, self._values = plan, values
-        enabled, steps = (self._exec(_shaped(shape, text, [values[i] for i in holes]), len(self.trans))
-                          for shape, text, holes in plan.modules)
+        enabled, steps = (self._exec(shape, text, [values[i] for i in holes]) for shape, text, holes in plan.modules)
         for ct, enabled_fn, step_fn in zip(self.trans, enabled, steps):
             ct.enabled, ct.step = enabled_fn, step_fn
         self._born: list[Callable[[Sequence[float]], float]] | None = None
@@ -970,7 +969,7 @@ class _CompiledNet:
         """This net's loop at a hot head of its structure, or the loop's recording variant.
 
         A net whose loop would be emitted as a cached one of its structure
-        patches its literals into that loop's code and derives its trip
+        calls that loop's code with its literals and derives its trip
         plan from its own counter moves, with no emission; any other
         compiles its own (see loop).
         """
@@ -1037,12 +1036,12 @@ class _CompiledNet:
         return self._install(code, period, induction, after, room)
 
     def _install(self, code: _LoopCode, period: _Period, induction: tuple, after: dict, room: dict) -> _Loop:
-        """This net's loop from its structure's code: its literals patched in, its trip plan from its counter levels."""
+        """This net's loop: its structure's code called with its literals, its trip plan from its counter levels."""
         plan = ([(after[p][-1], min(after[p]), room[p]) for p in induction],
                 [(c, after[induction[c]][i], arg, read) for c, i, arg, read in code.terms], code.breaks)
         extra = {"_ordinals": array("I", period.fired), "_len": len} if code.recording else {}
-        module = _shaped(code.shape, code.text, [self._values[i] for i in code.holes])
-        run = self._exec(module, 1, _plan=plan, _d=tuple(after[p][-1] for p in induction), **extra)[0]
+        run = self._exec(code.shape, code.text, [self._values[i] for i in code.holes],
+                         _plan=plan, _d=tuple(after[p][-1] for p in induction), **extra)[0]
         return _Loop(run, period.states)
 
     def _emit_loop(self, period: _Period, induction: tuple, after: dict, recording: bool) -> tuple[list, _LoopCode]:
@@ -1211,18 +1210,22 @@ class _CompiledNet:
                     )
                 m[p] = r + 0.0
 
-    def _define(self, params: str, bodies: list[list[str]], **extra: object) -> list[Callable]:
-        """One generated function per transition from its body lines, in one exec; extra adds globals."""
-        return self._exec(_code(_source(params, bodies)), len(bodies), **extra)
+    def _define(self, params: str, bodies: list[list[str]]) -> list[Callable]:
+        """One generated function per transition from its body lines, in one module."""
+        parts = _source(params, bodies).split(_expr.LITERAL)  # shape text at even positions, literals at odd
+        return self._exec(_expr.LITERAL.join(parts[::2]), parts[::2], [float(text) for text in parts[1::2]])
 
-    def _exec(self, code: CodeType, count: int, **extra: object) -> list[Callable]:
-        """The functions _f0 .. _f<count - 1> a generated module defines."""
+    def _exec(self, shape: str, text: list[str], literals: list[float], **extra: object) -> list[Callable]:
+        """The functions _f0, _f1, .. a generated module defines: its shape's factory called with its literals.
+
+        The factory runs in a namespace of the net's own; extra adds globals.
+        """
         namespace = dict(_expr._COMPILE_GLOBALS)
         namespace.update(_fault=_raise_fault, _overflow=self._raise_overflow, _snap=self._snap_counters,
                          _finish=self.finish, _FAULTS=_FAULTS, _RecheckFault=_RecheckFault,
                          _trip=_trip_count, _range=range, **extra)
-        exec(code, namespace)  # noqa: S102 - source built from our own AST
-        return [namespace[f"_f{ti}"] for ti in range(count)]
+        exec(_shaped(shape, text), namespace)  # noqa: S102 - source built from our own AST
+        return namespace["_make"](*literals)
 
     def diagnose(self, ti: int, m: Sequence[float], step_index: int | None = None) -> None:
         """Raise the reference error for a fault in transition ti's generated code.
@@ -1300,17 +1303,17 @@ class _CompiledNet:
 # --- code cache ------------------------------------------------------------------------
 #
 # The nets of one family differ mostly in their float literals, and the cache
-# works at two levels (copy-and-patch compilation, Xu and Kjolstad, OOPSLA
-# 2021).
+# works at two levels.
 #
 # Modules are compiled once per shape: the source with the literals that
-# expr.LITERAL delimits cut out.  The first module of a shape is compiled with
-# a distinct sentinel float in each hole; a plan records the co_consts slot
-# each sentinel landed in, and every module of that shape, the first
-# included, is that code with its own literals patched into those slots.  The
-# compiler folds a literal it can combine with another, such as the operands
-# of a weight 1/0 that fold_constants keeps; a sentinel then goes missing, and
-# modules of that shape compile their real text.
+# expr.LITERAL delimits cut out.  A shape compiles to a factory whose body is
+# the module with literal i read as its argument _k<i> (see _shaped).  Every
+# module of that shape, the first included, is the factory called in the
+# net's own namespace with the net's literals: its functions read them from
+# closure cells, and every net of the shape shares their code objects.  Where
+# the compiler would fold literals of the real text, such as 1e308*10 in a
+# weight fold_constants keeps because it is not finite, the function does
+# that float operation when it runs, with the same result.
 #
 # Nets are emitted once per structure: the net with each folded constant a
 # hole, and the outcome of each decision emission takes on a value (see
@@ -1318,21 +1321,18 @@ class _CompiledNet:
 # tests and steps over _Hole constants, which learns the recipe of every
 # literal: a constant, a sum of them or a threshold w - EPSILON.  A later net
 # of that structure computes its literals from the recipes with the same float
-# operations, fills them into the shapes' text and builds the modules through
-# the shape cache, with no emission.  A key keeps one entry for each outcome of
-# which derived values are finite, since those are written as names.
+# operations and calls the shapes' factories with them, with no emission.  A
+# key keeps one entry for each outcome of which derived values are finite,
+# since those are written as names.
 #
 # Loops are emitted once per structure too.  Sightings of a period are pooled
 # over the nets of the structure, and a hot period is kept on the structure by
 # its head.  The first net that enters it emits its loop over _Hole constants;
-# a later net patches its own literals into that code and derives its trip
-# plan from its own constants, unless its emission would decide otherwise
-# (see _CompiledNet.loop).
+# a later net calls the factory of that code with its own literals and derives
+# its trip plan from its own constants, unless its emission would decide
+# otherwise (see _CompiledNet.loop).
 
-# a plan is (code, ((slot, hole), ...), ((slot, nested plan), ...)): the
-# template code and where each hole's literal goes; the empty plan means that
-# a literal was folded and the real text is compiled
-_SHAPES: dict[str, tuple] = {}  # shape -> plan, oldest first
+_SHAPES: dict[str, CodeType] = {}  # shape -> its factory (see _shaped), oldest first
 _SHAPES_MAX = 256
 _STRUCTURES: dict[tuple, tuple[_Structure, ...]] = {}  # structure key -> how its nets build their code, oldest first
 _STRUCTURES_MAX = 64
@@ -1570,62 +1570,21 @@ def _decided(lookups: list[tuple], values: list[float], after: dict[int, list[in
     return tuple(first.setdefault(_realized(lookup, values, after), i) for i, lookup in enumerate(lookups))
 
 
-def _code(source: str) -> CodeType:
-    """The compiled module of generated source, its literals delimited by expr.LITERAL."""
-    parts = source.split(_expr.LITERAL)  # shape text at even positions, literals at odd
-    return _shaped(_expr.LITERAL.join(parts[::2]), parts[::2], [float(text) for text in parts[1::2]])
+def _shaped(shape: str, text: list[str]) -> CodeType:
+    """The factory of this shape, text its parts between literals, compiled on the shape's first module.
 
-
-def _shaped(shape: str, text: list[str], literals: list[float]) -> CodeType:
-    """The module of this shape whose text has these literals between its parts, patched from the shape's plan."""
-    plan = _SHAPES.get(shape)
-    if plan is None:
-        plan = _new_plan(text)
-        _expr._remember(_SHAPES, _SHAPES_MAX, shape, plan)
-    if not plan:
-        return compile(_joined(text, literals), "<string>", "exec")
-    return _patch(plan, literals)
-
-
-def _joined(text: list[str], literals: Iterable[float]) -> str:
-    """The source with each literal's repr between consecutive parts of text."""
-    parts = [""] * (2 * len(text) - 1)
-    parts[::2] = text
-    parts[1::2] = map(repr, literals)
-    return "".join(parts)
-
-
-def _new_plan(text: list[str]) -> tuple:
-    """Compile the shape with a sentinel in each hole; the empty plan if one went missing."""
-    holes = len(text) - 1
-    # tiny floats no generated code holds: its fixed literals are 0.0, 1.0 and +-EPSILON
-    hole_of = {(i + 1) * 2.0**-1020: i for i in range(holes)}
-    found: list[int] = []
-    plan = _plan_of(compile(_joined(text, hole_of), "<string>", "exec"), hole_of, found)
-    return plan if sorted(found) == list(range(holes)) else ()
-
-
-def _plan_of(code: CodeType, hole_of: dict[float, int], found: list[int]) -> tuple:
-    slots, nested = [], []
-    for slot, const in enumerate(code.co_consts):
-        if type(const) is float and const in hole_of:
-            slots.append((slot, hole_of[const]))
-            found.append(hole_of[const])
-        elif isinstance(const, CodeType):
-            sub = _plan_of(const, hole_of, found)
-            if sub[1] or sub[2]:
-                nested.append((slot, sub))
-    return code, tuple(slots), tuple(nested)
-
-
-def _patch(plan: tuple, values: list[float]) -> CodeType:
-    code, slots, nested = plan
-    consts = list(code.co_consts)
-    for slot, hole in slots:
-        consts[slot] = values[hole]
-    for slot, sub in nested:
-        consts[slot] = _patch(sub, values)
-    return code.replace(co_consts=tuple(consts))
+    It is a module defining _make(_k0, ..): the shape's module with literal
+    i read as _k<i>, whose call returns the module's functions.
+    """
+    code = _SHAPES.get(shape)
+    if code is None:
+        holes = [f"_k{i}" for i in range(len(text) - 1)]
+        lines = ("".join(part + hole for part, hole in zip(text, holes)) + text[-1]).split("\n")
+        functions = [line[4:line.index("(")] for line in lines if line.startswith("def ")]
+        source = "\n    ".join([f"def _make({', '.join(holes)}):", *lines, f"return [{', '.join(functions)}]"])
+        code = compile(source, "<string>", "exec")
+        _expr._remember(_SHAPES, _SHAPES_MAX, shape, code)
+    return code
 
 
 def _running_sums(weights: Sequence[float]) -> list[float]:

@@ -1,17 +1,21 @@
 """The shape and structure caches of generated code, and eviction from the bounded caches.
 
-Generated modules are compiled once per shape and later built by patching
-their float literals into the cached code.  The patched code must be the code
-a fresh compile() of the real text gives, instruction for instruction, with
-float constants equal bit for bit.  A net whose structure is cached derives
-its literals without emitting code; its functions must equal those a fresh
-emission from its own weights compiles, in the same way.
+Generated modules are compiled once per shape, as a factory that takes the
+module's float literals as arguments, and each net calls it with its own.
+Every function built so must be the code a fresh compile() of the module's
+real text gives, instruction for instruction, with each literal it reads
+from a cell equal bit for bit to the constant the fresh code loads.  A net
+whose structure is cached derives its literals without emitting code; its
+functions must equal those a fresh emission from its own weights compiles,
+in the same way.
 """
 
 import contextlib
 import dis
+import functools
 import gc
 import math
+import operator
 import struct
 import sys
 import threading
@@ -61,47 +65,92 @@ def _key(value):
     if isinstance(value, float):
         return ("float", struct.pack("<d", value))
     if isinstance(value, CodeType):
-        return ("code", value.co_name, value.co_varnames, _instructions(value))
+        return ("code", value.co_name, value.co_varnames, _instructions(value, {}))
     if isinstance(value, tuple):
         return tuple(_key(v) for v in value)
     return value
 
 
-def _instructions(code):
-    # argval, not arg: the compiler shares one co_consts slot among equal
-    # literals, where the template holds one slot per hole
-    return [(ins.opname, _key(ins.argval)) for ins in dis.get_instructions(code)]
+_JUMPS = frozenset(dis.hasjrel + dis.hasjabs)
+
+
+def _instructions(code, cells):
+    """code's instructions as (name, argument), the same for a function built from a factory and a fresh compile.
+
+    A read of a cell that cells maps to its value is the load of that
+    constant; RETURN_CONST is a load and RETURN_VALUE; the closure's
+    COPY_FREE_VARS and EXTENDED_ARG are skipped, so jumps and the exception
+    table name their targets by index.  Arguments are compared by argval,
+    not arg: the compiler shares one co_consts slot among equal literals.
+    """
+    out, at, jumps = [], {}, []
+    for ins in dis.get_instructions(code):
+        at[ins.offset] = len(out)
+        if ins.opname in ("COPY_FREE_VARS", "EXTENDED_ARG"):
+            continue
+        if ins.opname == "LOAD_DEREF" and ins.argval in cells:
+            out.append(("LOAD_CONST", _key(cells[ins.argval])))
+        elif ins.opname == "RETURN_CONST":
+            out += [("LOAD_CONST", _key(ins.argval)), ("RETURN_VALUE", None)]
+        else:
+            if ins.opcode in _JUMPS:
+                jumps.append(len(out))
+            out.append((ins.opname, _key(ins.argval)))
+    at[len(code.co_code)] = len(out)
+    for i in jumps:
+        out[i] = (out[i][0], at[out[i][1]])
+    table = getattr(dis.Bytecode(code), "exception_entries", ())  # Python 3.11 on
+    return out, [(at[e.start], at[e.end], at[e.target], e.depth, e.lasti) for e in table]
+
+
+def _function_key(fn):
+    """A generated function's code, with the literals it reads from its cells taken as constants."""
+    code = fn.__code__
+    cells = dict(zip(code.co_freevars, [cell.cell_contents for cell in fn.__closure__ or ()]))
+    return code.co_name, code.co_varnames, _instructions(code, cells)
+
+
+def _literal_text(text, literals):
+    """A module's real text: each literal's repr between consecutive parts of text."""
+    return "".join(part + repr(value) for part, value in zip(text, literals)) + text[-1]
+
+
+def _fresh(source):
+    """The functions a fresh compile of a module's real text defines, by name."""
+    namespace = {}
+    exec(compile(source, "<string>", "exec"), namespace)  # noqa: S102 - generated source under test
+    return {name: fn for name, fn in namespace.items() if name.startswith("_f")}
 
 
 def _checking(counts):
-    """net._shaped, checking every module it builds against a fresh compile of its text.
+    """_CompiledNet._exec, checking every module it builds against a fresh compile of its real text.
 
-    Every module passes through it: those of net._code and those a structure
-    hit builds.  Counts the modules checked, those patched from a plan, and
-    the hits: those patched from a plan an earlier module made.
+    Every module passes through it: the enabling tests and steps, of a
+    structure hit too, the loops and the code of _define.  Counts the modules
+    checked and the hits: those built from a factory an earlier module
+    compiled.
     """
-    build = net_module._shaped
+    build = net_module._CompiledNet._exec
 
-    def shaped(shape, text, literals):
+    def exec_(cnet, shape, text, literals, **extra):
         known = shape in net_module._SHAPES
-        built = build(shape, text, literals)
-        fresh = compile(net_module._joined(text, literals), "<string>", "exec")
-        assert _instructions(built) == _instructions(fresh)
-        patched = bool(net_module._SHAPES[shape])
+        built = build(cnet, shape, text, literals, **extra)
+        fresh = _fresh(_literal_text(text, literals))
+        assert [fn.__name__ for fn in built] == list(fresh)
+        assert [_function_key(fn) for fn in built] == [_function_key(fn) for fn in fresh.values()]
         counts["modules"] += 1
-        counts["patched"] += patched
-        counts["hits"] += patched and known
+        counts["hits"] += known
         return built
 
-    return shaped
+    return exec_
 
 
 @pytest.fixture
 def checked(monkeypatch):
-    counts = {"modules": 0, "patched": 0, "hits": 0}
+    counts = {"modules": 0, "hits": 0}
     monkeypatch.setattr(net_module, "_SHAPES", {})
     monkeypatch.setattr(net_module, "_STRUCTURES", {})
-    monkeypatch.setattr(net_module, "_shaped", _checking(counts))
+    monkeypatch.setattr(net_module._CompiledNet, "_exec", _checking(counts))
     return counts
 
 
@@ -147,19 +196,19 @@ def test_patched_code_equals_a_fresh_compile_on_grid_shapes(checked, mode):
     build = slaz_passing_net if mode == "passing" else slaz_blocking_net
     built = []
     # the first net's period turns hot in run_final (passing) or only in run
-    # (blocking), which builds just the variant it enters; the others patch
-    # their literals into the code of both variants
+    # (blocking), which builds just the variant it enters; the others call
+    # the factories of both variants with their literals
     for n, m in ((47, 23), (48, 24), (33, 21)):
         net, _ = build(ProtocolParams(N=n, M=m))
         cnet = _exercise(net, max_steps=10**6)
         built.append((len(cnet.loops), len(cnet.recorders)))
     assert built == [(mode == "passing", 1), (1, 1), (1, 1)]
-    assert checked["patched"] == checked["modules"]  # the Born code included
+    assert checked["modules"] >= 12  # the tests, steps, Born code and loops of three nets
     assert checked["hits"] >= 4  # the tests and the steps of the last two nets
 
 
 def test_patched_code_equals_a_fresh_compile_for_successors_and_predicates(checked):
-    """The BFS successor function and the generated predicates patch like any module;
+    """The BFS successor function and the generated predicates build like any module;
     two product nets of one structure share the successors shape."""
     from qpn.analysis import check_invariant, reachability_graph
 
@@ -176,7 +225,6 @@ def test_patched_code_equals_a_fresh_compile_for_successors_and_predicates(check
                      "m(s0)!=m(s1) AND m(x0)>=2 AND m(y0)<1"):
             with contextlib.suppress(QpnError):
                 check_invariant(graph, text)
-    assert checked["patched"] == checked["modules"]
     assert checked["hits"] >= 4  # the second product net: its successors and its three predicates
 
 
@@ -209,9 +257,9 @@ def _net_pair(draw):
 @settings(max_examples=60, deadline=None)
 @given(_net_pair())
 def test_patched_code_equals_a_fresh_compile_on_random_nets(nets):
-    counts = {"modules": 0, "patched": 0, "hits": 0}
+    counts = {"modules": 0, "hits": 0}
     # a function-scoped fixture would not be reset between hypothesis examples
-    with mock.patch.object(net_module, "_shaped", _checking(counts)):
+    with mock.patch.object(net_module._CompiledNet, "_exec", _checking(counts)):
         for net in nets:
             _exercise(net, max_steps=3000)
     assert counts["modules"] >= 4
@@ -233,8 +281,8 @@ arc t2 -> a w="0.3"
 @pytest.mark.parametrize("text", [(GOLDEN / "measurement.qpn").read_text(), _LEADING_CONSTANTS],
                          ids=["measurement", "leading-constants"])
 def test_born_code_of_constant_weights_is_patched(monkeypatch, text):
-    """Constant squares, and the sum of the leading run of them, are literals the
-    compiler cannot fold, so the Born code patches like the rest and gives each
+    """Constant squares, and the sum of the leading run of them, are literals computed at
+    generation, which the Born code reads from its cells like any other, and it gives each
     transition's squared output weights summed in arc order."""
     monkeypatch.setattr(net_module, "_SHAPES", {})
     net = netfile.load(text).net
@@ -243,22 +291,70 @@ def test_born_code_of_constant_weights_is_patched(monkeypatch, text):
     before = set(net_module._SHAPES)
     weights = cnet.born_weights(list(range(len(cnet.trans))), m0)
     (born,) = set(net_module._SHAPES) - before
-    assert net_module._SHAPES[born]
+    literals = [cell.cell_contents for fn in cnet._born for cell in fn.__closure__ or ()]
+    assert born.count(expr_module.LITERAL) == len(literals) > 0
+    assert all(type(literal) is float for literal in literals)
     env = dict(zip(net.place_ids(), m0))
     for tid, got in zip(net.transition_ids(), weights):
-        expected = sum(w * w for w in (evaluate(a.weight, env) for a in net.output_arcs(tid)))
+        # added in arc order: sum() compensates its rounding from Python 3.12 on
+        squares = [w * w for w in (evaluate(a.weight, env) for a in net.output_arcs(tid))]
+        expected = functools.reduce(operator.add, squares, 0.0)
         assert struct.pack("d", got) == struct.pack("d", expected)
 
 
 def test_folded_literals_compile_the_real_text(monkeypatch):
-    """The compiler folds the operands of 1/0 that fold_constants keeps, so the shape
-    takes the fallback; the run raises the reference error as before."""
+    """fold_constants keeps 1/0, whose operands reach the code as the factory's arguments;
+    the run raises the reference error as before."""
     monkeypatch.setattr(net_module, "_SHAPES", {})
     net = PetriNet("div", [PlaceDecl("p", A, 1.0), PlaceDecl("out", A)], ["t"],
                    [Arc("p", "t", "1/0"), Arc("t", "out", "1")])
     with pytest.raises(DivisionByZeroError, match=r"arc p->t w=1/0: division by zero in 1/0"):
         is_enabled(net, net.initial_marking(), "t")
-    assert () in net_module._SHAPES.values()
+
+
+def test_cells_of_one_structure_share_their_code_and_differ_in_their_literals(monkeypatch):
+    """Each enabling test, step and loop of two grid cells of one structure is the very same code
+    object, run in each net's own namespace on each net's literals."""
+    monkeypatch.setattr(net_module, "_SHAPES", {})
+    monkeypatch.setattr(net_module, "_STRUCTURES", {})
+    functions = []
+    for n, m in ((47, 23), (48, 24)):
+        net = slaz_passing_net(ProtocolParams(N=n, M=m))[0]
+        run_final(net, net.initial_marking(), RunConfig())
+        run(net, net.initial_marking(), RunConfig())
+        cnet = net.compiled()
+        assert (len(cnet.loops), len(cnet.recorders)) == (1, 1)
+        functions.append([fn for ct in cnet.trans for fn in (ct.enabled, ct.step)]
+                         + [loop.run for loop in (*cnet.loops.values(), *cnet.recorders.values())])
+    cells = lambda fn: [cell.cell_contents for cell in fn.__closure__ or ()]  # noqa: E731
+    pairs = list(zip(*functions))
+    assert len(pairs) == len(functions[0]) == len(functions[1])
+    assert all(a.__code__ is b.__code__ and a.__globals__ is not b.__globals__ for a, b in pairs)
+    assert all(len(cells(a)) == len(cells(b)) for a, b in pairs)
+    assert any(cells(a) != cells(b) for a, b in pairs)
+
+
+def test_a_weight_the_compiler_would_fold_builds_through_its_factory(monkeypatch):
+    """1/0 compiles like any other weight: once per shape, never as its own text, and a net of its
+    structure calls the same code with its own operands."""
+    monkeypatch.setattr(net_module, "_SHAPES", {})
+    monkeypatch.setattr(net_module, "_STRUCTURES", {})
+    sources = []
+    monkeypatch.setattr(net_module, "compile", lambda source, *args: sources.append(source) or compile(source, *args),
+                        raising=False)
+    built = []
+    for numerator in (1.0, 2.0):
+        net = PetriNet("div", [PlaceDecl("p", A, 1.0), PlaceDecl("out", A)], ["t"],
+                       [Arc("p", "t", Divide(Constant(numerator), Constant(0.0))), Arc("t", "out", "1")])
+        ct = net.compiled().trans[0]
+        text = f"{numerator:g}/0"
+        with pytest.raises(DivisionByZeroError, match=rf"^arc p->t w={text}: division by zero in {text}$"):
+            is_enabled(net, net.initial_marking(), "t")
+        built.append(ct)
+    assert len(sources) == 2 and all(source.startswith("def _make(_k0, _k1") for source in sources)
+    first, second = built
+    assert first.enabled.__code__ is second.enabled.__code__ and first.step.__code__ is second.step.__code__
+    assert [cell.cell_contents for cell in second.enabled.__closure__] == [2.0, 0.0]
 
 
 def test_shape_cache_is_bounded(monkeypatch):
@@ -290,14 +386,14 @@ def _compiled(net):
 
 def _assert_emitted_as_fresh(cnet):
     """Every enabling test and step equals the code a fresh emission from the net's own weights
-    compiles, instruction for instruction, with float constants compared by their bits."""
+    compiles, instruction for instruction, with the literals it reads from its cells compared by
+    their bits with the constants of the fresh code."""
     sources = (net_module._source("m", [[f"    return {test}"] for test in cnet._tests]),
                net_module._source("m, flags", [cnet._step(ti) for ti in range(len(cnet.trans))]))
-    tests, steps = ({c.co_name: c for c in compile(source.replace(expr_module.LITERAL, ""), "<string>", "exec")
-                     .co_consts if isinstance(c, CodeType)} for source in sources)
+    tests, steps = (_fresh(source.replace(expr_module.LITERAL, "")) for source in sources)
     for ti, ct in enumerate(cnet.trans):
-        assert _key(ct.enabled.__code__) == _key(tests[f"_f{ti}"])
-        assert _key(ct.step.__code__) == _key(steps[f"_f{ti}"])
+        assert _function_key(ct.enabled) == _function_key(tests[f"_f{ti}"])
+        assert _function_key(ct.step) == _function_key(steps[f"_f{ti}"])
 
 
 @pytest.mark.parametrize("build", [slaz_passing_net, slaz_blocking_net], ids=["passing", "blocking"])
@@ -391,8 +487,8 @@ def test_constants_across_a_decision_boundary_take_another_structure(monkeypatch
 
 
 def test_structure_hit_of_a_faulting_constant_raises_the_reference_error(monkeypatch):
-    """1/0 and 2/-0 fold to no constant and share a structure; the hit compiles its text,
-    since the compiler folds the literals, and raises naming its own arc."""
+    """1/0 and 2/-0 fold to no constant and share a structure; the hit passes its own
+    operands to the factory, and raises naming its own arc."""
     monkeypatch.setattr(net_module, "_STRUCTURES", {})
 
     def net(numerator, zero):
@@ -533,9 +629,9 @@ def _emissions(counts):
 
 
 def _loop_key(loop):
-    """A loop's code, instruction for instruction with floats by their bits, and the globals it is specialized on."""
+    """A loop's code, instruction for instruction with literals by their bits, and the globals it is specialized on."""
     scope = loop.run.__globals__
-    return _key(loop.run.__code__), scope["_plan"], scope["_d"], list(scope.get("_ordinals", ()))
+    return _function_key(loop.run), scope["_plan"], scope["_d"], list(scope.get("_ordinals", ()))
 
 
 def _assert_loops_as_fresh(cnet):
@@ -546,9 +642,9 @@ def _assert_loops_as_fresh(cnet):
 
 
 @pytest.mark.parametrize("build", [slaz_passing_net, slaz_blocking_net], ids=["passing", "blocking"])
-def test_patched_loops_equal_a_fresh_compile_on_grid_shapes(monkeypatch, build):
-    """Cells of one structure patch their literals and trip plans into the code of the first cell's loops."""
-    monkeypatch.setattr(net_module, "_STRUCTURES", {})
+def test_patched_loops_equal_a_fresh_compile_on_grid_shapes(checked, build):
+    """Cells of one structure call the factories of the first cell's loops with their literals and
+    trip plans; every loop is checked against a fresh compile of its real text as it is built."""
     patched = 0
     for n, m in ((47, 23), (12, 5), (320, 25), (7, 3), (321, 25), (33, 21)):
         net = build(ProtocolParams(N=n, M=m))[0]
@@ -561,7 +657,7 @@ def test_patched_loops_equal_a_fresh_compile_on_grid_shapes(monkeypatch, build):
         patched += len(cnet.loops) + len(cnet.recorders) - len(emitted)
         _assert_loops_as_fresh(cnet)
     assert len(net_module._STRUCTURES) == 1
-    assert patched >= 8
+    assert patched >= 8 and checked["hits"] >= patched
 
 
 def _guarded_ring(k1, k2, d1, d2):

@@ -1,6 +1,8 @@
 """Net structure and execution semantics."""
 
+import functools
 import math
+import operator
 import random
 import struct
 import sys
@@ -721,18 +723,17 @@ def test_enabling_tolerance_boundary(kind, weight, q, value, expected):
 
 
 def test_enabling_tolerance_boundary_through_cached_shapes(monkeypatch):
-    """From an empty shape cache, later weights reuse the code of an earlier one,
-    patched with their own threshold w - 1e-12, and keep the boundary exactly."""
+    """From an empty shape cache, later weights reuse the factory of an earlier one,
+    called with their own threshold w - 1e-12, and keep the boundary exactly."""
     monkeypatch.setattr(net_module, "_SHAPES", {})
-    built, plans = [], []
-    new_plan = net_module._new_plan
-    monkeypatch.setattr(net_module, "_new_plan", lambda parts: plans.append(parts) or new_plan(parts))
+    known = []  # per module built: whether its shape's factory was compiled already
     shaped = net_module._shaped
-    monkeypatch.setattr(net_module, "_shaped", lambda *module: built.append(module) or shaped(*module))
+    monkeypatch.setattr(net_module, "_shaped", lambda shape, text: known.append(shape in net_module._SHAPES)
+                        or shaped(shape, text))
     for kind, weight, q, value, expected in _boundary_cases():
         test_enabling_tolerance_boundary(kind, weight, q, value, expected)
-    assert len(built) - len(plans) >= 1  # hits
-    assert all(net_module._SHAPES.values())  # each shape patched, none compiled as text
+    assert sum(known) >= 1  # hits
+    assert known.count(False) == len(net_module._SHAPES)  # each shape compiled once
 
 
 # --- the consume arcs of one place are tested against their sum --------------------
@@ -1315,8 +1316,9 @@ def test_conflict_groups_match_transitive_closure(net_and_marking, seed):
         return
     members = sorted(groups[0], key=rank.get)
     env = dict(zip(net.place_ids(), m))
-    weights = [sum(w * w for w in (evaluate(a.parsed_weight(), env) for a in net.output_arcs(t)))
-               for t in members]
+    # added in arc order: sum() compensates its rounding from Python 3.12 on
+    squares = [[w * w for w in (evaluate(a.parsed_weight(), env) for a in net.output_arcs(t))] for t in members]
+    weights = [functools.reduce(operator.add, terms, 0.0) for terms in squares]
     got = net.compiled().born_weights([net.transition_index[t] for t in members], m)
     assert [struct.pack("d", w) for w in got] == [struct.pack("d", w) for w in weights]
     total = sum(weights)
