@@ -25,10 +25,10 @@ integers get a trip count instead of per-firing checks, guard terms over
 unwritten places are evaluated once, and blocks of periods run without
 finiteness tests; a block whose test at its end fails is rolled back and
 fired as plain steps, so every result stays bit for bit that of a step() loop.
-A recorded run (:func:`run`) runs a recording variant of each such loop,
-which appends every firing to the record as a plain step does.  Each loop is
-compiled once per net structure, and the nets of that structure call its
-code with their own constants.
+A recorded run (:func:`run`) enters the same loops and records only which
+transitions fired; its markings are rebuilt by firing the generated steps
+again (see :class:`Steps`).  Each loop is compiled once per net structure,
+and the nets of that structure call its code with their own constants.
 """
 
 from __future__ import annotations
@@ -162,20 +162,20 @@ class RunConfig:
 class Steps(Sequence):
     """The firings of a run as (transition id, marking after the firing), read-only.
 
-    A run records each firing as its transition's ordinal and the new values
-    of the places the transition touches, the only places a firing writes.
-    Iteration and indexing replay these changes from the initial marking and
-    give each firing a fresh list.  The values are kept as doubles, so every
-    marking is bit for bit the one the run wrote.
+    A run records each firing as its transition's ordinal alone.  Iteration
+    and indexing replay the record: from the initial marking and the flags
+    the run began with, they fire each transition's generated step, the
+    calls a step() loop makes, and give each firing a fresh list.  The run's
+    loops are bit for bit those steps, so every marking is the one the run
+    wrote.
     """
 
-    __slots__ = ("_start", "_ordinals", "_values", "_trans")
+    __slots__ = ("_start", "_ordinals", "_cnet")
 
-    def __init__(self, start: Marking, ordinals: array, values: array, trans: list[tuple[str, list[int]]]):
+    def __init__(self, start: Marking, ordinals: array, cnet: _CompiledNet):
         self._start = start  # the marking the first firing starts from
         self._ordinals = ordinals  # each firing's transition ordinal
-        self._values = values  # the touched places' new values, firing by firing
-        self._trans = trans  # each ordinal's transition id and the places it touches
+        self._cnet = cnet
 
     def __len__(self) -> int:
         return len(self._ordinals)
@@ -183,16 +183,24 @@ class Steps(Sequence):
     def replay(self) -> Iterator[tuple[str, list[int], Marking]]:
         """Each firing's transition id, the places it touched and the marking after it.
 
-        The marking is one list, updated in place from firing to firing.
+        The marking is one list, updated in place from firing to firing.  A
+        run that recorded no firing may have faulted in its first enabling
+        tests, so its replay tests nothing.  Only a run's last firing can
+        have a re-test that faulted: it is replayed, and its fault left to
+        the run that raised it.
         """
+        if not self._ordinals:
+            return
         m = list(self._start)
-        values = iter(self._values)
-        trans = self._trans
+        flags, _ = self._cnet.enabled_flags(m)
+        trans = [(ct.step, ct.tid, ct.touched) for ct in self._cnet.trans]
         for ti in self._ordinals:
-            tid, places = trans[ti]
-            for p, v in zip(places, values):  # zip stops at the end of places without taking a value
-                m[p] = v
-            yield tid, places, m
+            step, tid, touched = trans[ti]
+            try:
+                step(m, flags)
+            except _RecheckFault:
+                pass
+            yield tid, touched, m
 
     def __iter__(self) -> Iterator[tuple[str, Marking]]:
         for tid, _, m in self.replay():
@@ -224,7 +232,9 @@ class Trace:
     final: Marking
 
     def fired(self) -> list[str]:
-        return [tid for tid, _, _ in self.steps.replay()]
+        """The transition ids the run fired, read from its record with no replay."""
+        trans = self.steps._cnet.trans
+        return [trans[ti].tid for ti in self.steps._ordinals]
 
 
 @dataclass(frozen=True)
@@ -417,9 +427,9 @@ _SAFE_DEPOSIT = 2.0**970
 # state comes back, the states in between are a period.  A period seen _HOT
 # times by the nets of one structure (about _HOT * _CHUNK firings, enough to
 # repay its compile cost) is hot, and a run that meets its head builds the
-# loop it enters, plain or recording (_CompiledNet.looped): compiled once per
-# structure, called with each net's literals.  The loop runs whole periods
-# per call, up to _BLOCK of them per speculative block.
+# loop it enters (_CompiledNet.looped): compiled once per structure, called
+# with each net's literals.  The loop runs whole periods per call, up to
+# _BLOCK of them per speculative block.
 _CHUNK = 64
 _MAX_PERIOD = 8
 _HOT = 32
@@ -440,16 +450,16 @@ _LOOP = """\
     while j < k:
         b = k - j if k - j < {block} else {block}
         {copies} = {saved}
-{mark}        try:
+        try:
             for _ in _range(b):
 {fast}            else:
                 if {finite}:
                     j += b
-{emit}                    continue
+                    continue
         except _FAULTS:
             pass
         {saved} = {copies}
-{drop}        b *= {n}
+        b *= {n}
         break
     else:
         b = (k < budget // {n}) if k else budget if budget < {span} else {span}
@@ -531,15 +541,16 @@ def _trip_count(plan: tuple, periods: int, *values: float) -> tuple:
 class _Loop:
     """A compiled period: run(m, budget) -> (firings done, firings to replay as steps).
 
-    A recording loop's run also takes the record arrays: run(m, budget,
-    ordinals, values).
+    Its calls run whole periods, so a recorded run appends ``fired`` once per
+    period done.
     """
 
-    __slots__ = ("run", "states", "period", "single", "firings")
+    __slots__ = ("run", "states", "fired", "period", "single", "firings")
 
-    def __init__(self, run: Callable[..., tuple[int, int]], states: list[bytes]):
+    def __init__(self, run: Callable[[Marking, int], tuple[int, int]], period: _Period):
         self.run = run
-        self.states = states  # the flag state before each firing of the period
+        self.states = states = period.states  # the flag state before each firing of the period
+        self.fired = array("I", period.fired)  # the transition each firing of the period fires
         self.period = len(states)
         self.single = all(sum(state) == 1 for state in states)  # one transition enabled in every state
         self.firings = 0  # firings done by run, over all runs of the net
@@ -592,7 +603,6 @@ class _CompiledNet:
         self._born: list[Callable[[Sequence[float]], float]] | None = None
         self.hot = plan.hot  # the structure's hot periods by their head flag state
         self.loops: dict[bytes, _Loop] = {}  # this net's compiled periods by their head, built when a run enters one
-        self.recorders: dict[bytes, _Loop] = {}  # their recording variants, built when a recorded run enters one
 
     def _structure(self) -> tuple[tuple, list[float]]:
         """The key of the net's structure, and its folded constants in the order of the key's holes.
@@ -965,8 +975,8 @@ class _CompiledNet:
             moves.append(tuple(firing))
         return _Period(states, fired, tuple(moves))
 
-    def looped(self, head: bytes, recording: bool) -> _Loop:
-        """This net's loop at a hot head of its structure, or the loop's recording variant.
+    def looped(self, head: bytes) -> _Loop:
+        """This net's loop at a hot head of its structure.
 
         A net whose loop would be emitted as a cached one of its structure
         calls that loop's code with its literals and derives its trip
@@ -975,16 +985,16 @@ class _CompiledNet:
         """
         period = self.hot[head]
         induction, after, room = _levels(period.moves, self._consts)
-        cached = self._entry.loops.get((tuple(period.states), recording, _BLOCK, induction))
+        cached = self._entry.loops.get((tuple(period.states), _BLOCK, induction))
         code = None if cached is None else cached[1].get(_decided(cached[0], self._values, after))
         if code is None:
-            loop = self.loop(period.states, recording)
+            loop = self.loop(period.states)
         else:
             loop = self._install(code, period, induction, after, room)
-        (self.recorders if recording else self.loops)[head] = loop
+        self.loops[head] = loop
         return loop
 
-    def loop(self, states: list[bytes], recording: bool) -> _Loop:
+    def loop(self, states: list[bytes]) -> _Loop:
         """Compile the period through these flag states into one loop over locals.
 
         Firing i is the first enabled transition of states[i] in priority
@@ -1009,13 +1019,7 @@ class _CompiledNet:
         drained.  On a break, a fault or a non-finite local it restores the
         locals of the block's start and hands the block to plain steps,
         which meet the exit or the fault as they would have (see _LOOP).
-
-        A recording loop also takes a run's record arrays (see Steps).  It
-        keeps every written counter in its local, appends each firing's
-        touched locals to the values after the firing, extends the ordinals
-        by each clean block's periods, and truncates the values back to the
-        start of a failed block, so on return the arrays hold exactly the
-        firings done.
+        A recorded run and run_final enter the same loop.
 
         The loop is emitted over holes (see _over_holes) and its code kept
         on the structure.  Besides what the structure's key holds, its
@@ -1026,8 +1030,8 @@ class _CompiledNet:
         period = self._period(states)
         induction, after, room = _levels(period.moves, self._consts)
         view, _ = self._over_holes()
-        lookups, code = view._emit_loop(period, induction, after, recording)
-        key = (tuple(states), recording, _BLOCK, induction)
+        lookups, code = view._emit_loop(period, induction, after)
+        key = (tuple(states), _BLOCK, induction)
         cached = self._entry.loops.get(key)
         if cached is None:
             cached = lookups, {}
@@ -1039,12 +1043,11 @@ class _CompiledNet:
         """This net's loop: its structure's code called with its literals, its trip plan from its counter levels."""
         plan = ([(after[p][-1], min(after[p]), room[p]) for p in induction],
                 [(c, after[induction[c]][i], arg, read) for c, i, arg, read in code.terms], code.breaks)
-        extra = {"_ordinals": array("I", period.fired), "_len": len} if code.recording else {}
         run = self._exec(code.shape, code.text, [self._values[i] for i in code.holes],
-                         _plan=plan, _d=tuple(after[p][-1] for p in induction), **extra)[0]
-        return _Loop(run, period.states)
+                         _plan=plan, _d=tuple(after[p][-1] for p in induction))[0]
+        return _Loop(run, period)
 
-    def _emit_loop(self, period: _Period, induction: tuple, after: dict, recording: bool) -> tuple[list, _LoopCode]:
+    def _emit_loop(self, period: _Period, induction: tuple, after: dict) -> tuple[list, _LoopCode]:
         """The loop of the period emitted over holes (see loop): the keys of the code it computes once, and its code."""
         states, n, ids, x = period.states, len(period.states), self._ids, _names(self.net, "x{}")
         steps = []  # (transition, operations, guards as (transition re-tested, flag wanted))
@@ -1128,7 +1131,7 @@ class _CompiledNet:
                 if want or not rest:
                     breaks[bool(want), tuple(decided)] = None
             guard_lines.append(lines)
-        untracked = [] if recording else [p for p in induction if ids[p] not in tracked]
+        untracked = [p for p in induction if ids[p] not in tracked]
 
         fast, sink = [], False
         for i, (ti, ops, _) in enumerate(steps):
@@ -1149,10 +1152,6 @@ class _CompiledNet:
                     sink = True
                 fast_ops.append(op)
             fast += self._lines(fast_ops, x, ti, "break")
-            if recording:
-                touched = [f"x{p}" for p in self.trans[ti].touched]
-                if touched:
-                    fast.append(f"_append({touched[0]})" if len(touched) == 1 else f"_extend(({', '.join(touched)}))")
             fast += guard_lines[i]
 
         terms_at = {name: t for t, name in enumerate(counter_terms.values())}  # index into _trip's known
@@ -1162,24 +1161,20 @@ class _CompiledNet:
                 args.append(name)
         saved = [f"x{p}" for p in written if p not in untracked]
         tested = saved + ["z"] if sink else saved
-        load = "".join(f"    x{p} = m[{p}]\n" for p in sorted(self.net.place_index[r] for r in reads))
         text = _LOOP.format(
-            load="    _append, _extend = values.append, values.extend\n" + load if recording else load,
+            load="".join(f"    x{p} = m[{p}]\n" for p in sorted(self.net.place_index[r] for r in reads)),
             hoisted="".join(entry_lines),
             terms="".join(f"{g}, " for g in counter_terms.values() if g in read_terms),
             n=n, args="".join(f", {a}" for a in args),
             block=_BLOCK, span=_BLOCK * n, saved=", ".join(saved) or "z",
             copies=", ".join("s" + v for v in saved) or "z",
-            mark="        w = _len(values)\n" if recording else "",
-            emit="                    ordinals.extend(_ordinals * b)\n" if recording else "",
-            drop="        del values[w:]\n" if recording else "",
             fast="".join(f"                {line}\n" for line in fast or ["pass"]),
             finite=f"not ({_nonfinite(tested)})" if tested else "True",
             advance="".join(f"    if j: x{p} += j * _d[{counter_of[p]}]\n" for p in untracked),
             store="".join(f"    m[{p}] = x{p}\n" for p in written))
-        shape, parts, holes = _module(_source("m, budget, ordinals, values" if recording else "m, budget", [[text]]))
+        shape, parts, holes = _module(_source("m, budget", [[text]]))
         terms = [(*term, name in read_terms) for term, name in zip(plan_terms, counter_terms.values())]
-        return lookups, _LoopCode(recording, shape, parts, holes, terms,
+        return lookups, _LoopCode(shape, parts, holes, terms,
                                   [(want, [terms_at[name] for name in names]) for want, names in breaks])
 
     def finish(self, ti: int, m: Marking) -> None:
@@ -1527,7 +1522,6 @@ class _LoopCode:
     holds the counter's level after that firing.
     """
 
-    recording: bool
     shape: str
     text: list[str]
     holes: list[int]
@@ -1684,28 +1678,32 @@ def _group(cnet: _CompiledNet, lead: int, enabled: set[int]) -> set[int]:
     return group
 
 
-def _born_group(cnet: _CompiledNet, m: Sequence[float], enabled: list[int]) -> tuple[list[int], list[float], float]:
-    """The lead group of a Born step, its members' weights and their total.
+def _born_group(cnet: _CompiledNet, m: Sequence[float], enabled: list[int]) -> tuple[list[int], list[float]]:
+    """The lead group of a Born step and the running sums of its members' weights.
 
     ``enabled`` lists the enabled transitions in priority order; the first
-    leads, and the members keep that order.  A zero total raises: no member
-    could be drawn.
+    leads, and the members keep that order.  The total is the last running
+    sum, the weights added in order on every Python version (the builtin
+    sum() compensates its rounding from 3.12 on).  A total that is zero or
+    not finite raises: no member could be drawn.
     """
     group = _group(cnet, enabled[0], set(enabled))
     members = [t for t in enabled if t in group]
-    weights = cnet.born_weights(members, m)
-    total = sum(weights)
+    sums = _running_sums(cnet.born_weights(members, m))
+    total = sums[-1]
     if total <= 0.0:
         raise ZeroWeightGroupError(
             f"conflict group {[cnet.trans[t].tid for t in members]} has zero total squared output weight"
         )
-    return members, weights, total
+    if not math.isfinite(total):
+        raise NonFiniteResultError(f"the weights of a Born draw sum to {total!r}")
+    return members, sums
 
 
 def _born_choice(cnet: _CompiledNet, m: Sequence[float], enabled: list[int], rng: random.Random) -> int:
     """The member of the lead group that one Born draw picks; enabled is in priority order."""
-    members, weights, total = _born_group(cnet, m, enabled)
-    return members[_cumulative_draw(weights, total, rng)]
+    members, sums = _born_group(cnet, m, enabled)
+    return members[_draw(sums, sums[-1], rng)]
 
 
 def step(
@@ -1732,11 +1730,10 @@ def step(
 
 def run(net: PetriNet, m0: Sequence[float], config: RunConfig) -> Trace:
     """Apply step() until quiescence or max_steps, recording every firing (see Steps)."""
-    ordinals, values = array("I"), array("d")
-    final = _execute(net, m0, config, (ordinals, values))
+    ordinals = array("I")
+    final = _execute(net, m0, config, ordinals)
     start = [float(v) for v in m0]  # the marking the run starts from
-    steps = Steps(list(start), ordinals, values, [(ct.tid, ct.touched) for ct in net.compiled().trans])
-    return Trace(start, steps, final.status, final.marking)
+    return Trace(start, Steps(list(start), ordinals, net.compiled()), final.status, final.marking)
 
 
 def run_final(
@@ -1773,13 +1770,11 @@ class _Branch:
     """A Born step from a marking: one draw over the lead group, then a member's successor.
 
     ``sums`` are the running sums of the members' weights in priority order,
-    ``total`` is their sum, and each successor is the (key, enabled flags)
-    of the marking the member's firing leaves, or None when that firing
-    faults.
+    the last their total, and each successor is the (key, enabled flags) of
+    the marking the member's firing leaves, or None when that firing faults.
     """
 
     sums: list[float]
-    total: float
     successors: list[tuple[bytes, bytearray] | None]
 
 
@@ -1820,16 +1815,14 @@ class BornTable:
     def _step(self, m: Marking, flags: bytearray) -> _Branch | str:
         """The Born step from a finite marking with these enabled flags, as a run takes it.
 
-        The lead group, its weights and their total come from _born_group,
-        which Born runs draw with, and each member's successor from its step
-        on a copy of the marking and the flags.
+        The lead group and its running sums come from _born_group, which
+        Born runs draw with, and each member's successor from its step on a
+        copy of the marking and the flags.
         """
         cnet = self._cnet
         try:
-            members, weights, total = _born_group(cnet, m, [t for t in cnet.order if flags[t]])
+            members, sums = _born_group(cnet, m, [t for t in cnet.order if flags[t]])
         except (QpnError, *_FAULTS):
-            return _REFERENCE
-        if not math.isfinite(total):
             return _REFERENCE
         successors: list[tuple[bytes, bytearray] | None] = []
         for t in members:
@@ -1840,7 +1833,7 @@ class BornTable:
                 successors.append(None)
             else:
                 successors.append((self._packing.pack(*out), out_flags))
-        return _Branch(_running_sums(weights), total, successors)
+        return _Branch(sums, successors)
 
     def walk(self, config: RunConfig) -> FinalState | None:
         """The Born run with this config, or None where it meets a fault or max_steps."""
@@ -1852,7 +1845,7 @@ class BornTable:
         while entry.__class__ is _Branch:
             if firings == config.max_steps:
                 return None
-            successor = entry.successors[_draw(entry.sums, entry.total, rng)]
+            successor = entry.successors[_draw(entry.sums, entry.sums[-1], rng)]
             if successor is None:
                 return None
             firings += 1
@@ -1868,12 +1861,13 @@ def _execute(
     net: PetriNet,
     m0: Sequence[float],
     config: RunConfig,
-    record: tuple[array, array] | None = None,
+    ordinals: array | None = None,
     require_single_enabled: bool = False,
 ) -> FinalState:
-    """Fire from m0 under config; with ``record``, append each firing to its arrays (see Steps).
+    """Fire from m0 under config; with ``ordinals``, append each firing's transition ordinal (see Steps).
 
-    On every return and every raise the arrays hold exactly the firings
+    A loop call that runs k periods appends its period's ordinals k times.
+    On every return and every raise the record holds exactly the firings
     done, the one whose re-test faulted included.
     """
     validate_marking(net, m0)
@@ -1890,8 +1884,7 @@ def _execute(
     order = cnet.order
     steps = [ct.step for ct in trans]
     max_steps = config.max_steps
-    ordinals, values = record or (None, None)
-    loops = cnet.recorders if record else cnet.loops  # the variant this run enters
+    record = ordinals is not None
     hot = cnet.hot
     path: list[bytes] | None = None  # flag states recorded since the last look
     relook = 0  # firings after a loop exit still to look for a cached loop head at
@@ -1938,29 +1931,29 @@ def _execute(
                 # the firing is written: record it, then name the re-test at fault
                 if record:
                     ordinals.append(ti)
-                    values.extend([m[p] for p in trans[ti].touched])
                 for tj in trans[ti].recheck:
                     cnet.enabled(tj, m, step_index)
                 raise fault.__context__ from None
             if record:
                 ordinals.append(ti)
-                values.extend([m[p] for p in trans[ti].touched])
         if stop == max_steps:
             break
         # a look for a hot loop: run the compiled one, or record the flag states
         start = stop
         state = bytes(flags)
-        loop = loops.get(state)
+        loop = cnet.loops.get(state)
         if loop is None and state in hot:
-            loop = cnet.looped(state, record is not None)
+            loop = cnet.looped(state)
         if loop is not None and (loop.single or not require_single_enabled):
             path = None
             budget = (max_steps - start) // loop.period * loop.period
             if not budget:
                 continue
-            fired, replay = loop.run(m, budget, *record or ())  # m is back at a period boundary: flags hold
-            loop.firings += fired
-            start += fired
+            done, replay = loop.run(m, budget)  # m is back at a period boundary: flags hold
+            if record:
+                ordinals.extend(loop.fired * (done // loop.period))
+            loop.firings += done
+            start += done
             relook = _CHUNK
         elif relook:
             relook -= 1

@@ -127,14 +127,14 @@ def exact_measurement_dist(net: PetriNet) -> list[tuple[str, float]]:
             f"initial marking has {len(groups)} conflict groups, need exactly 1"
         )
     env = marking_env(net, m0)
-    weights = []
+    weights, total = [], 0.0
     for tid in groups[0]:
-        total = 0.0
+        weight = 0.0
         for arc in net.output_arcs(tid):
             w = _expr.evaluate(arc.parsed_weight(), env)
-            total += w * w
-        weights.append(total)
-    total = sum(weights)
+            weight += w * w
+        weights.append(weight)
+        total += weight  # in order, as a Born draw totals them
     if not math.isfinite(total):
         raise NonFiniteResultError(f"conflict group's squared output weights sum to {total!r}")
     if total <= 0.0:

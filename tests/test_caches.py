@@ -155,7 +155,7 @@ def checked(monkeypatch):
 
 
 def _exercise(net, max_steps=5000):
-    """Build every module of a net: tests and steps, loops and their recording variants, and the Born code."""
+    """Build every module of a net: tests and steps, loops and the Born code."""
     cnet = net.compiled()
     m0 = net.initial_marking()
     for config in (RunConfig(max_steps=max_steps), RunConfig(Policy.BORN_RANDOM, 1, 50)):
@@ -196,13 +196,13 @@ def test_patched_code_equals_a_fresh_compile_on_grid_shapes(checked, mode):
     build = slaz_passing_net if mode == "passing" else slaz_blocking_net
     built = []
     # the first net's period turns hot in run_final (passing) or only in run
-    # (blocking), which builds just the variant it enters; the others call
-    # the factories of both variants with their literals
+    # (blocking), which enters the same loop; the others call its factory
+    # with their literals
     for n, m in ((47, 23), (48, 24), (33, 21)):
         net, _ = build(ProtocolParams(N=n, M=m))
         cnet = _exercise(net, max_steps=10**6)
-        built.append((len(cnet.loops), len(cnet.recorders)))
-    assert built == [(mode == "passing", 1), (1, 1), (1, 1)]
+        built.append(len(cnet.loops))
+    assert built == [1, 1, 1]
     assert checked["modules"] >= 12  # the tests, steps, Born code and loops of three nets
     assert checked["hits"] >= 4  # the tests and the steps of the last two nets
 
@@ -323,9 +323,9 @@ def test_cells_of_one_structure_share_their_code_and_differ_in_their_literals(mo
         run_final(net, net.initial_marking(), RunConfig())
         run(net, net.initial_marking(), RunConfig())
         cnet = net.compiled()
-        assert (len(cnet.loops), len(cnet.recorders)) == (1, 1)
+        assert len(cnet.loops) == 1
         functions.append([fn for ct in cnet.trans for fn in (ct.enabled, ct.step)]
-                         + [loop.run for loop in (*cnet.loops.values(), *cnet.recorders.values())])
+                         + [loop.run for loop in cnet.loops.values()])
     cells = lambda fn: [cell.cell_contents for cell in fn.__closure__ or ()]  # noqa: E731
     pairs = list(zip(*functions))
     assert len(pairs) == len(functions[0]) == len(functions[1])
@@ -618,27 +618,27 @@ def test_memo_builds_random_nets_as_cold(nets):
 
 
 def _emissions(counts):
-    """Patch _CompiledNet.loop so that each emission of a loop is counted."""
+    """Patch _CompiledNet.loop so that each emission of a loop appends its flag states to counts."""
     loop = net_module._CompiledNet.loop
 
-    def counted(cnet, states, recording):
-        counts.append(recording)
-        return loop(cnet, states, recording)
+    def counted(cnet, states):
+        counts.append(states)
+        return loop(cnet, states)
 
     return mock.patch.object(net_module._CompiledNet, "loop", counted)
 
 
 def _loop_key(loop):
-    """A loop's code, instruction for instruction with literals by their bits, and the globals it is specialized on."""
+    """A loop's code, instruction for instruction with literals by their bits, the globals it is specialized on,
+    and the ordinals a recorded run appends per period."""
     scope = loop.run.__globals__
-    return _function_key(loop.run), scope["_plan"], scope["_d"], list(scope.get("_ordinals", ()))
+    return _function_key(loop.run), scope["_plan"], scope["_d"], list(loop.fired)
 
 
 def _assert_loops_as_fresh(cnet):
-    """Every loop and recording loop of the net equals a fresh loop() compile of its period."""
-    for loops, recording in ((cnet.loops, False), (cnet.recorders, True)):
-        for loop in loops.values():
-            assert _loop_key(loop) == _loop_key(cnet.loop(loop.states, recording))
+    """Every loop of the net equals a fresh loop() compile of its period."""
+    for loop in cnet.loops.values():
+        assert _loop_key(loop) == _loop_key(cnet.loop(loop.states))
 
 
 @pytest.mark.parametrize("build", [slaz_passing_net, slaz_blocking_net], ids=["passing", "blocking"])
@@ -654,10 +654,10 @@ def test_patched_loops_equal_a_fresh_compile_on_grid_shapes(checked, build):
             trace = run(net, m0, RunConfig())
         cnet = net.compiled()
         assert final.marking == trace.final
-        patched += len(cnet.loops) + len(cnet.recorders) - len(emitted)
+        patched += len(cnet.loops) - len(emitted)
         _assert_loops_as_fresh(cnet)
     assert len(net_module._STRUCTURES) == 1
-    assert patched >= 8 and checked["hits"] >= patched
+    assert patched >= 5 and checked["hits"] >= patched  # every cell after the first patches its loop
 
 
 def _guarded_ring(k1, k2, d1, d2):
@@ -707,7 +707,7 @@ def test_a_net_that_patched_a_cached_loop_is_freed(monkeypatch):
     with _emissions(emitted):
         run_final(net, net.initial_marking(), RunConfig())
         run(net, net.initial_marking(), RunConfig())
-    assert net.compiled().loops and net.compiled().recorders and emitted == [True]
+    assert net.compiled().loops and emitted == []
     gone = weakref.ref(net)
     del net
     gc.collect()
@@ -729,7 +729,10 @@ def test_threads_that_meet_one_hot_head_each_get_a_correct_loop(monkeypatch):
             expected[n] = final(n, m)
     monkeypatch.setattr(net_module, "_STRUCTURES", {})
     warm = slaz_passing_net(ProtocolParams(N=39, M=25))[0]
-    run(warm, warm.initial_marking(), RunConfig())  # the period turns hot; only its recording loop is built
+    run(warm, warm.initial_marking(), RunConfig())  # the period turns hot and its loop is built
+    for entries in net_module._STRUCTURES.values():  # drop the loop's code, so that the threads emit it
+        for entry in entries:
+            entry.loops.clear()
     shared = slaz_passing_net(ProtocolParams(N=40, M=25))[0]
     got, errors = [], []
 

@@ -26,6 +26,7 @@ from qpn.errors import (
 )
 from qpn.expr import Constant, Divide, evaluate
 from qpn.models import ProtocolParams, entanglement_net, measurement_net, zeno_net
+from qpn.oracle import exact_measurement_dist
 from qpn.net import (
     Arc,
     ArcKind,
@@ -1119,13 +1120,12 @@ class TestFusedStep:
         assert str(err.value).endswith("(at step 0)")
 
     def test_recheck_fault_reported_after_the_firing(self):
-        """The record arrays hold t1's firing, written before the re-test of t2 faults."""
+        """The record holds t1's firing, written before the re-test of t2 faults."""
         net = self._recheck_fault_net()
-        ordinals, values = array("I"), array("d")
+        ordinals = array("I")
         with pytest.raises(DivisionByZeroError):
-            _execute(net, net.initial_marking(), RunConfig(), (ordinals, values))
-        assert net.compiled().trans[0].touched == [0, 1, 2]  # c, p2, out
-        assert (list(ordinals), list(values)) == ([0], [0.0, 0.0, 1.0])
+            _execute(net, net.initial_marking(), RunConfig(), ordinals)
+        assert list(ordinals) == [0]
 
     def test_fire_leaves_a_recheck_fault_to_the_next_enabling_test(self):
         """fire and step run t1's step, whose re-test of t2 faults after the firing."""
@@ -1321,7 +1321,7 @@ def test_conflict_groups_match_transitive_closure(net_and_marking, seed):
     weights = [functools.reduce(operator.add, terms, 0.0) for terms in squares]
     got = net.compiled().born_weights([net.transition_index[t] for t in members], m)
     assert [struct.pack("d", w) for w in got] == [struct.pack("d", w) for w in weights]
-    total = sum(weights)
+    total = functools.reduce(operator.add, weights, 0.0)
     config = RunConfig(Policy.BORN_RANDOM, seed)
     if total <= 0.0:
         with pytest.raises(ZeroWeightGroupError):
@@ -1334,3 +1334,27 @@ def test_conflict_groups_match_transitive_closure(net_and_marking, seed):
             chosen = t
             break
     assert step(net, m, config, random.Random(seed)) == (chosen, fire(net, m, chosen))
+
+
+def test_born_total_adds_the_weights_in_order():
+    """The squared weights 1, 1e-16, 1e-16 total 1.0 added in order, an ulp below math.fsum (and below
+    sum() from Python 3.12 on): a Born draw and the oracle both scale by the in-order total."""
+    net = PetriNet("ulp", [PlaceDecl("p", C, 1), PlaceDecl("a", A), PlaceDecl("b", A), PlaceDecl("c", A)],
+                   ["t0", "t1", "t2"],
+                   [Arc("p", "t0"), Arc("p", "t1"), Arc("p", "t2"),
+                    Arc("t0", "a", "1"), Arc("t1", "b", "1e-8"), Arc("t2", "c", "1e-8")])
+    m0, cnet = net.initial_marking(), net.compiled()
+    weights = cnet.born_weights([0, 1, 2], m0)
+    total = functools.reduce(operator.add, weights, 0.0)
+    assert total == 1.0 and math.fsum(weights) == 1.0000000000000002
+    members, sums = net_module._born_group(cnet, m0, [0, 1, 2])
+    assert members == [0, 1, 2] and struct.pack("d", sums[-1]) == struct.pack("d", total)
+    assert exact_measurement_dist(net) == [(t.id, w / total) for t, w in zip(net.transitions, weights)]
+    for seed in range(50):
+        draw, acc, chosen = random.Random(seed).random() * total, 0.0, "t2"
+        for tid, w in zip(("t0", "t1", "t2"), weights):
+            acc += w
+            if draw < acc:
+                chosen = tid
+                break
+        assert step(net, m0, RunConfig(Policy.BORN_RANDOM, seed), random.Random(seed))[0] == chosen

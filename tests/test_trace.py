@@ -1,9 +1,9 @@
 """The trace tier: hot periods of deterministic runs compiled into one loop.
 
 ``run_final`` runs a recurring period of firings as a generated loop over
-local variables, and ``run`` runs the recording variant of the same loop.  A
-``step()`` loop calls the plain generated code and is the reference; ``run``
-is compared as well.  Every comparison is bit for bit.
+local variables, and ``run`` enters the same loop and records its periods.
+A ``step()`` loop calls the plain generated code and is the reference;
+``run`` is compared as well.  Every comparison is bit for bit.
 """
 
 import contextlib
@@ -316,7 +316,7 @@ def _alone():
 
 
 def _recording_loops(results):
-    """Patch loop building so that every run of a compiled loop, recording or not, appends its (fired, replay) to results.
+    """Patch loop building so that every run of a compiled loop appends its (fired, replay) to results.
 
     Every loop of a net is built by _install, from a fresh emission or from its structure's cached code.
     """
@@ -326,8 +326,8 @@ def _recording_loops(results):
         loop = install(cnet, *args)
         run_loop = loop.run
 
-        def recorded(m, budget, *record):
-            results.append(run_loop(m, budget, *record))
+        def recorded(m, budget):
+            results.append(run_loop(m, budget))
             return results[-1]
 
         loop.run = recorded
@@ -639,7 +639,7 @@ def test_grid_cells_that_patch_a_siblings_loops_match_step_loop():
                 net = build(ProtocolParams(N=n, M=m))[0]
                 _check_against_step_loop(net, net.initial_marking(), RunConfig(), True)
                 assert _loop_firings(net) > 0
-        assert emitted == [False]
+        assert len(emitted) == 1
 
 
 @pytest.mark.parametrize("hazard", sorted(_LATE_HAZARDS))
@@ -666,12 +666,16 @@ def test_loops_patched_from_a_sibling_match_step_loop_on_ring_nets():
 
 
 def test_recorded_run_on_a_fresh_structure_builds_one_loop_per_head():
-    """A run builds only the variant of a loop it enters: a recorded run, the recording one."""
+    """A recorded run builds the loops run_final enters, one per head, and run_final then builds none."""
     with _alone():
         net, _ = slaz_passing_net(ProtocolParams(N=320, M=100))
         emitted = []
         with _emissions(emitted):
             run(net, net.initial_marking(), RunConfig())
         cnet = net.compiled()
-        assert cnet.recorders and not cnet.loops
-        assert emitted == [True] * len(cnet.recorders)
+        assert cnet.loops
+        assert emitted == [loop.states for loop in cnet.loops.values()]
+        loops = dict(cnet.loops)
+        with _emissions(emitted):
+            run_final(net, net.initial_marking(), RunConfig())
+        assert cnet.loops == loops and len(emitted) == len(loops)

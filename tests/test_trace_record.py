@@ -1,12 +1,13 @@
-"""The compact trace record of ``run()`` and the CSV ``simulate --trace`` writes from it.
+"""The trace record of ``run()`` and the CSV ``simulate --trace`` writes from it.
 
-A run records each firing as its transition's ordinal and the new values of
-the places that transition touches.  These tests replay that record against
-a ``step()`` loop, which copies every place, and compare the CSV with rows
-formatted from that loop, ``repr`` of every place, byte for byte.  A
-deterministic run records its hot periods through the recording variant of
-their compiled loops, so the record is also checked where those loops run,
-exit, fail a block and hand it back, and stop at a budget.
+A run records each firing as its transition's ordinal alone, and its
+markings are rebuilt by firing the generated steps again from the initial
+marking.  These tests replay that record against a ``step()`` loop, which
+copies every place, and compare the CSV with rows formatted from that loop,
+``repr`` of every place, byte for byte.  A deterministic run enters the
+compiled loops ``run_final`` enters and records each period they run as its
+ordinals, so the record is also checked where those loops run, exit, fail a
+block and hand it back, and stop at a budget.
 """
 
 import os
@@ -22,7 +23,7 @@ from hypothesis import strategies as st
 
 import qpn.net as net_module
 from qpn.cli import _write_trace_csv
-from qpn.errors import QpnError
+from qpn.errors import DivisionByZeroError, QpnError
 from qpn.models import (
     ProtocolParams,
     blocking_expected_firings,
@@ -33,10 +34,10 @@ from qpn.models import (
     zeno_net,
 )
 from qpn.net import Arc, PetriNet, PlaceDecl, PlaceKind, Policy, RunConfig, Steps, TerminalStatus, _execute, run, run_final
-from test_net import _bits, _counter_net_and_marking, _step_loop
+from test_net import TestFusedStep, _bits, _counter_net_and_marking, _step_loop
 from test_caches import _emissions
-from test_trace import (_LATE_HAZARDS, _alone, _late_net, _metered_ring, _recording_loops, _ring_case,
-                        _warmed_sibling)
+from test_trace import (_LATE_HAZARDS, _alone, _late_net, _loop_firings, _metered_ring, _recording_loops,
+                        _ring_case, _warmed_sibling)
 
 
 def _naive_csv(net, m0, steps):
@@ -45,16 +46,11 @@ def _naive_csv(net, m0, steps):
     return "".join(row + "\n" for row in rows).encode()
 
 
-def _recorded_firings(net):
-    """The firings the recording loops of the net have done, over all its runs."""
-    return sum(loop.firings for loop in net.compiled().recorders.values())
-
-
 def _check_record(net, m0, config):
     """run() replays the step() loop's markings bit for bit, and writes its rows byte for byte.
 
     A run that faults raises the loop's error class, message and step, and
-    its record arrays then hold the firings the loop did.
+    its record then replays the firings the loop did.
     """
     expected, end = _step_loop(net, m0, config)
     try:
@@ -62,10 +58,10 @@ def _check_record(net, m0, config):
     except QpnError as e:
         assert isinstance(end, QpnError) and type(e) is type(end)
         assert (str(e), e.step_index) == (str(end), end.step_index)
-        ordinals, values = array("I"), array("d")
+        ordinals = array("I")
         with pytest.raises(type(end)):
-            _execute(net, m0, config, (ordinals, values))
-        steps = Steps([float(v) for v in m0], ordinals, values, [(ct.tid, ct.touched) for ct in net.compiled().trans])
+            _execute(net, m0, config, ordinals)
+        steps = Steps([float(v) for v in m0], ordinals, net.compiled())
         assert [(tid, _bits(m)) for tid, m in steps] == [(tid, _bits(m)) for tid, m in expected]
         return
     assert trace.status == end
@@ -113,11 +109,12 @@ def test_record_of_a_run_that_fires_nothing():
         trace.steps[0]
 
 
-def test_record_takes_at_most_96_bytes_per_firing():
-    """A run keeps no marking copies: about 45 B a firing on the passing net, 520 B with copies."""
+def test_record_takes_at_most_8_bytes_per_firing():
+    """A run keeps its ordinals alone: about 4.5 B a firing on the passing net, 45 B with the touched
+    values, 520 B with marking copies."""
     net, _ = slaz_passing_net(ProtocolParams(N=60, M=40))
     m0 = net.initial_marking()
-    run(net, m0, RunConfig(max_steps=10))  # the net's code is generated before the count
+    run(net, m0, RunConfig())  # the net's code, its loops included, is generated before the count
     tracemalloc.start()
     try:
         trace = run(net, m0, RunConfig())
@@ -125,7 +122,7 @@ def test_record_takes_at_most_96_bytes_per_firing():
     finally:
         tracemalloc.stop()
     assert len(trace.steps) == passing_expected_firings(60, 40)
-    assert peak <= 96 * len(trace.steps), f"{peak / len(trace.steps):.1f} B per firing"
+    assert peak <= 8 * len(trace.steps), f"{peak / len(trace.steps):.1f} B per firing"
 
 
 def test_initial_marking_of_ints_prints_as_the_floats_the_run_starts_from(tmp_path):
@@ -140,7 +137,67 @@ def test_initial_marking_of_ints_prints_as_the_floats_the_run_starts_from(tmp_pa
     assert path.read_text().splitlines() == ["step,transition,a,b,c", "0,,1.0,0.0,0.0", "1,t,0.0,1.0,0.0"]
 
 
-# --- recording loops ------------------------------------------------------------------
+def _enabling_tests_counted(calls):
+    """Patch _CompiledNet.enabled so that each enabling test a caller makes appends its transition to calls."""
+    enabled = net_module._CompiledNet.enabled
+
+    def counted(cnet, ti, *args):
+        calls.append(ti)
+        return enabled(cnet, ti, *args)
+
+    return mock.patch.object(net_module._CompiledNet, "enabled", counted)
+
+
+def test_replay_of_a_run_that_faulted_in_its_first_enabling_tests_tests_nothing():
+    """The record of a run whose enabling tests fault before its first firing is empty, and so is its replay."""
+    C = PlaceKind.COUNTER
+    net = PetriNet("zero", [PlaceDecl("p", C), PlaceDecl("q", C)], ["t"], [Arc("p", "t", "1/m(p)"), Arc("t", "q")])
+    m0 = net.initial_marking()
+    expected, end = _step_loop(net, m0, RunConfig())
+    assert expected == [] and isinstance(end, DivisionByZeroError) and end.step_index == 0
+    ordinals = array("I")
+    with pytest.raises(DivisionByZeroError):
+        _execute(net, m0, RunConfig(), ordinals)
+    steps, calls = Steps(m0, ordinals, net.compiled()), []
+    with _enabling_tests_counted(calls):
+        assert (len(steps), list(steps), list(steps.replay())) == (0, [], [])
+    assert calls == []
+
+
+def test_replay_of_a_record_ending_in_a_faulted_re_test_fires_that_firing():
+    """t1's re-test of t2 faults after the firing is written: the replay fires t1 and swallows the fault."""
+    net = TestFusedStep()._recheck_fault_net()
+    m0 = net.initial_marking()
+    expected, end = _step_loop(net, m0, RunConfig())
+    assert isinstance(end, DivisionByZeroError) and [tid for tid, _ in expected] == ["t1"]
+    ordinals = array("I")
+    with pytest.raises(DivisionByZeroError):
+        _execute(net, m0, RunConfig(), ordinals)
+    steps = Steps(m0, ordinals, net.compiled())
+    assert [(tid, _bits(m)) for tid, m in steps] == [(tid, _bits(m)) for tid, m in expected]
+    assert [(tid, _bits(m)) for tid, _, m in steps.replay()] == [(tid, _bits(m)) for tid, m in expected]
+
+
+def test_fired_reads_the_record_without_replaying_it():
+    """Trace.fired() lists the step() loop's ids and calls no generated step or enabling test."""
+    net, _ = slaz_passing_net(ProtocolParams(N=12, M=5))
+    m0 = net.initial_marking()
+    trace = run(net, m0, RunConfig())
+    expected, _ = _step_loop(net, m0, RunConfig(max_steps=10**6))
+    called, calls = [], []
+
+    def refuse(m, flags):
+        called.append(True)
+        raise AssertionError("a generated step was called")
+
+    for ct in net.compiled().trans:
+        ct.step = refuse  # the compiled net is this net's alone
+    with _enabling_tests_counted(calls):
+        assert trace.fired() == [tid for tid, _ in expected]
+    assert called == [] and calls == [] and len(expected) == passing_expected_firings(12, 5)
+
+
+# --- recorded runs through compiled loops ---------------------------------------------
 
 
 def _lowered():
@@ -158,7 +215,7 @@ def test_recording_loops_match_step_loop_on_ring_nets():
     def check(case):
         net, config, _ = case
         _check_record(net, net.initial_marking(), config)
-        engaged.append(_recorded_firings(net) > 0)
+        engaged.append(_loop_firings(net) > 0)
 
     chunk, hot, block = _lowered()
     with chunk, hot, block:
@@ -178,7 +235,7 @@ def test_recording_loops_match_step_loop_on_ring_nets():
 def test_recording_loops_match_step_loop_on_protocol_nets(build, expected):
     net = build()
     _check_record(net, net.initial_marking(), RunConfig())
-    assert _recorded_firings(net) > expected // 4  # over the two runs _check_record makes
+    assert _loop_firings(net) > expected // 4  # over the two runs _check_record makes
 
 
 @pytest.mark.parametrize("hazard", sorted(_LATE_HAZARDS))
@@ -190,7 +247,7 @@ def test_recording_loop_hands_a_failed_block_to_plain_steps(hazard):
         _check_record(net, net.initial_marking(), RunConfig())
     assert any(replay for _, replay in results)
     if hazard != "fractional":  # snapping f fails every block, so the loop fires nothing
-        assert _recorded_firings(net) > 1000
+        assert _loop_firings(net) > 1000
 
 
 def test_recording_loop_under_budgets_that_cut_a_block_short():
@@ -200,7 +257,7 @@ def test_recording_loop_under_budgets_that_cut_a_block_short():
         for max_steps in range(150, 150 + 3 * 4 * 2 + 2):
             net = _metered_ring(60)
             _check_record(net, net.initial_marking(), RunConfig(max_steps=max_steps))
-            assert _recorded_firings(net) > 0
+            assert _loop_firings(net) > 0
     for max_steps in (3001, 3050, 3100, 3191):
         net = _late_net("fractional")
         results = []
@@ -215,7 +272,7 @@ def test_trace_record_net_runs_in_recording_loops():
     m0 = net.initial_marking()
     trace = run(net, m0, RunConfig())
     assert len(trace.steps) == passing_expected_firings(320, 100)
-    assert _recorded_firings(net) >= 0.9 * len(trace.steps)
+    assert _loop_firings(net) >= 0.9 * len(trace.steps)
     assert _bits(trace.final) == _bits(run_final(net, m0, RunConfig()).marking)
 
 
@@ -227,8 +284,8 @@ def test_recording_loops_patched_from_a_sibling_match_step_loop():
             for n, m in ((60, 25), (41, 24), (12, 9)):
                 net = build(ProtocolParams(N=n, M=m))[0]
                 _check_record(net, net.initial_marking(), RunConfig())
-                assert _recorded_firings(net) > 0
-        assert emitted == [True]
+                assert _loop_firings(net) > 0
+        assert len(emitted) == 1
 
 
 @pytest.mark.parametrize("hazard", sorted(_LATE_HAZARDS))
@@ -255,7 +312,7 @@ def test_recording_loops_patched_from_a_sibling_match_step_loop_on_ring_nets():
             _check_record(sibling, sibling.initial_marking(), RunConfig(policy=policy, seed=seed,
                                                                         max_steps=config.max_steps))
         if not born:  # a Born run enters no loop
-            patched.append(_recorded_firings(sibling) > 0 and not emitted)
+            patched.append(_loop_firings(sibling) > 0 and not emitted)
 
     chunk, hot, block = _lowered()
     with chunk, hot, block:
