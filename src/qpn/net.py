@@ -436,7 +436,7 @@ _HOT = 32
 _BLOCK = 64
 
 
-# A compiled loop (see loop()) returns the firings done and the firings the run
+# A compiled loop (see _emit_loop) returns the firings done and the firings the run
 # fires next as plain steps before it looks for a loop again: a failed block; a
 # block after a trip count of 0, so that a head met again at once is not entered
 # again at once; one after a trip count short of the budget; else none.
@@ -978,24 +978,31 @@ class _CompiledNet:
     def looped(self, head: bytes) -> _Loop:
         """This net's loop at a hot head of its structure.
 
-        A net whose loop would be emitted as a cached one of its structure
-        calls that loop's code with its literals and derives its trip
-        plan from its own counter moves, with no emission; any other
-        compiles its own (see loop).
+        The loop's code is its structure's for the period and the set of
+        induction counters, emitted by the first net to enter it (see
+        _emit_loop).  Every net calls that code with its literals and
+        derives its trip plan from its own counter moves.
         """
         period = self.hot[head]
         induction, after, room = _levels(period.moves, self._consts)
-        cached = self._entry.loops.get((tuple(period.states), _BLOCK, induction))
-        code = None if cached is None else cached[1].get(_decided(cached[0], self._values, after))
+        key = (tuple(period.states), _BLOCK, induction)
+        code = self._entry.loops.get(key)
         if code is None:
-            loop = self.loop(period.states)
-        else:
-            loop = self._install(code, period, induction, after, room)
-        self.loops[head] = loop
+            code = self._over_holes()[0]._emit_loop(period, induction)
+            _expr._remember(self._entry.loops, _LOOPS_MAX, key, code)
+        loop = self.loops[head] = self._install(code, period, induction, after, room)
         return loop
 
-    def loop(self, states: list[bytes]) -> _Loop:
-        """Compile the period through these flag states into one loop over locals.
+    def _install(self, code: _LoopCode, period: _Period, induction: tuple, after: dict, room: dict) -> _Loop:
+        """This net's loop: its structure's code called with its literals, its trip plan from its counter levels."""
+        plan = ([(after[p][-1], min(after[p]), room[p]) for p in induction],
+                [(c, after[induction[c]][i], arg, read) for c, i, arg, read in code.terms], code.breaks)
+        run = self._exec(code.shape, code.text, [self._values[i] for i in code.holes],
+                         _plan=plan, _d=tuple(after[p][-1] for p in induction))[0]
+        return _Loop(run, period)
+
+    def _emit_loop(self, period: _Period, induction: tuple) -> _LoopCode:
+        """The period's loop as the nets of the structure build it, emitted over holes (see _over_holes).
 
         Firing i is the first enabled transition of states[i] in priority
         order.  Its operations run on locals x<p>, so every float operation
@@ -1021,34 +1028,11 @@ class _CompiledNet:
         which meet the exit or the fault as they would have (see _LOOP).
         A recorded run and run_final enter the same loop.
 
-        The loop is emitted over holes (see _over_holes) and its code kept
-        on the structure.  Besides what the structure's key holds, its
-        emission decides on two things: which counters are induction
-        counters, and which of the code computed once is equal on the
-        net's values and shared (see _decided).  The code is keyed by both.
+        Code computed once is shared by its text over holes, and a counter
+        term by its place, its firing and its threshold's text, so the code
+        depends on the structure, the period and the induction counters
+        alone: never on which values coincide on one net.
         """
-        period = self._period(states)
-        induction, after, room = _levels(period.moves, self._consts)
-        view, _ = self._over_holes()
-        lookups, code = view._emit_loop(period, induction, after)
-        key = (tuple(states), _BLOCK, induction)
-        cached = self._entry.loops.get(key)
-        if cached is None:
-            cached = lookups, {}
-            _expr._remember(self._entry.loops, _LOOPS_MAX, key, cached)
-        _expr._remember(cached[1], _LOOPS_MAX, _decided(lookups, self._values, after), code)
-        return self._install(code, period, induction, after, room)
-
-    def _install(self, code: _LoopCode, period: _Period, induction: tuple, after: dict, room: dict) -> _Loop:
-        """This net's loop: its structure's code called with its literals, its trip plan from its counter levels."""
-        plan = ([(after[p][-1], min(after[p]), room[p]) for p in induction],
-                [(c, after[induction[c]][i], arg, read) for c, i, arg, read in code.terms], code.breaks)
-        run = self._exec(code.shape, code.text, [self._values[i] for i in code.holes],
-                         _plan=plan, _d=tuple(after[p][-1] for p in induction))[0]
-        return _Loop(run, period)
-
-    def _emit_loop(self, period: _Period, induction: tuple, after: dict) -> tuple[list, _LoopCode]:
-        """The loop of the period emitted over holes (see loop): the keys of the code it computes once, and its code."""
         states, n, ids, x = period.states, len(period.states), self._ids, _names(self.net, "x{}")
         steps = []  # (transition, operations, guards as (transition re-tested, flag wanted))
         for i, (pre, ti) in enumerate(zip(states, period.fired)):
@@ -1064,23 +1048,14 @@ class _CompiledNet:
         for _, _, guards in steps:
             reads.update(*(self._term_reads(term) for tj, _ in guards for term in self._terms[tj]))
         counter_of = {p: c for c, p in enumerate(induction)}
-
-        lookups: list[tuple] = []  # each key of code computed at entry, over holes (see _decided)
-
-        def key(at: tuple | None, code: str) -> tuple:
-            parts = code.split(_expr.LITERAL)
-            lookups.append((at, _expr.LITERAL.join(parts[::2]), tuple(map(int, parts[1::2]))))
-            return _realized(lookups[-1], self._values, after)
-
-        hoisted: dict[tuple, str] = {}  # the key of code computed at entry -> the local holding it
+        hoisted: dict[str, str] = {}  # code computed at entry -> the local holding it
         entry_lines: list[str] = []
 
         def once(code: str) -> str:
-            at_entry = key(None, code)
-            if at_entry not in hoisted:
-                hoisted[at_entry] = f"h{len(hoisted)}"
-                entry_lines.append(f"        {hoisted[at_entry]} = {code}\n")
-            return hoisted[at_entry]
+            if code not in hoisted:
+                hoisted[code] = f"h{len(hoisted)}"
+                entry_lines.append(f"        {hoisted[code]} = {code}\n")
+            return hoisted[code]
 
         fixed_weights: set[str] = set()  # weight names bound at entry
 
@@ -1110,12 +1085,12 @@ class _CompiledNet:
                             fixed_weights.add(term[1])
                         name = once(self._term(term, x, None))
                     elif fixed and kind == "ge" and term[1] in counter_of:
-                        p, level = term[1], key((term[1], i), term[2])
-                        if level not in counter_terms:
-                            counter_terms[level] = f"g{len(counter_terms)}"
-                            plan_terms.append((counter_of[p], i, len(args)))
+                        at = term[1], i, term[2]
+                        if at not in counter_terms:
+                            counter_terms[at] = f"g{len(counter_terms)}"
+                            plan_terms.append((counter_of[term[1]], i, len(args)))
                             args.append(term[2])
-                        name = counter_terms[level]
+                        name = counter_terms[at]
                     else:
                         name = None
                         tracked.update(free)
@@ -1174,8 +1149,8 @@ class _CompiledNet:
             store="".join(f"    m[{p}] = x{p}\n" for p in written))
         shape, parts, holes = _module(_source("m, budget", [[text]]))
         terms = [(*term, name in read_terms) for term, name in zip(plan_terms, counter_terms.values())]
-        return lookups, _LoopCode(shape, parts, holes, terms,
-                                  [(want, [terms_at[name] for name in names]) for want, names in breaks])
+        return _LoopCode(shape, parts, holes, terms,
+                         [(want, [terms_at[name] for name in names]) for want, names in breaks])
 
     def finish(self, ti: int, m: Marking) -> None:
         """The overflow error or counter snap of a firing of ti in the BFS's successors whose test failed."""
@@ -1322,16 +1297,16 @@ class _CompiledNet:
 #
 # Loops are emitted once per structure too.  Sightings of a period are pooled
 # over the nets of the structure, and a hot period is kept on the structure by
-# its head.  The first net that enters it emits its loop over _Hole constants;
-# a later net calls the factory of that code with its own literals and derives
-# its trip plan from its own constants, unless its emission would decide
-# otherwise (see _CompiledNet.loop).
+# its head.  The first net that enters it emits its loop over _Hole constants,
+# once for each set of induction counters; every net calls the factory of that
+# code with its own literals and derives its trip plan from its own constants
+# (see _CompiledNet.looped).
 
 _SHAPES: dict[str, CodeType] = {}  # shape -> its factory (see _shaped), oldest first
 _SHAPES_MAX = 256
 _STRUCTURES: dict[tuple, tuple[_Structure, ...]] = {}  # structure key -> how its nets build their code, oldest first
 _STRUCTURES_MAX = 64
-_LOOPS_MAX = 64  # loops kept per structure, and variants per loop
+_LOOPS_MAX = 64  # loops kept per structure
 _ARCS: dict[tuple, _ArcEntry] = {}  # (source, target, kind, weight text or id(tree)) -> _arc_entry, oldest first
 _ARCS_MAX = 1024
 
@@ -1490,7 +1465,7 @@ class _Structure:
     modules: list[tuple[str, list[str], list[int]]]
     hot: dict[bytes, _Period]  # hot periods by head, sighted by any net of the structure
     sightings: dict[bytes, int]  # sightings of each period by its head, until it is hot
-    loops: dict[tuple, tuple[list, dict]]  # see _CompiledNet.loop
+    loops: dict[tuple, _LoopCode]  # (states, _BLOCK, induction counters) -> code; see _CompiledNet.looped
 
     def values(self, consts: list[float]) -> list[float] | None:
         """The literals of a net with these constants, or None if it would be emitted differently."""
@@ -1513,7 +1488,7 @@ class _Period:
 
 @dataclass(frozen=True)
 class _LoopCode:
-    """A loop as the nets of its structure build it (see _CompiledNet.loop).
+    """A loop as the nets of its structure build it (see _CompiledNet._emit_loop).
 
     ``shape``, ``text`` and ``holes`` are its module (see _module), each
     literal the index of a structure value.  ``terms`` and ``breaks`` build
@@ -1549,19 +1524,6 @@ def _levels(moves: tuple, consts: list[float]) -> tuple[tuple, dict[int, list[in
         for p in places:
             after[p].append(level[p])
     return tuple(p for p in places if p not in irregular), after, room
-
-
-def _realized(lookup: tuple, values: list[float], after: dict[int, list[int]]) -> tuple:
-    """A key of code a loop computes at entry, with a net's values: the counter level it tests, its text, its literals."""
-    at, shape, holes = lookup  # at: None, or the counter place and the firing after which it is tested
-    level = None if at is None else (at[0], after[at[0]][at[1]])
-    return level, shape, tuple(repr(values[i]) for i in holes)
-
-
-def _decided(lookups: list[tuple], values: list[float], after: dict[int, list[int]]) -> tuple:
-    """Which earlier key each key of a loop's emission equals with a net's values: the code it shares."""
-    first: dict[tuple, int] = {}
-    return tuple(first.setdefault(_realized(lookup, values, after), i) for i, lookup in enumerate(lookups))
 
 
 def _shaped(shape: str, text: list[str]) -> CodeType:
@@ -1790,8 +1752,8 @@ class BornTable:
     are different keys).  A quiescent marking's entry is the marking; any
     other marking's entry is the Born step from it (see _Branch), filled on
     the first visit from what a run computes there: the same flags, group,
-    weights, total and firings.  A run then costs its seeding, one draw per
-    firing and lookups.  m0 is validated once, when the table is built.
+    weights, total and firings.  A run then costs its seeding, and a draw
+    and a dict lookup per firing.  m0 is validated once, when the table is built.
     """
 
     def __init__(self, net: PetriNet, m0: Sequence[float]) -> None:

@@ -155,7 +155,6 @@ def load(text: str) -> NetDocument:
     trans_lines: dict[str, int] = {}
     raw_arcs: list[tuple[Arc, int]] = []
     k_value: float | None = None
-    k_line: int | None = None
     assignments: list[tuple[str, str]] = []
     map_lines: dict[str, int] = {}
     labels_seen: dict[str, int] = {}
@@ -234,7 +233,6 @@ def load(text: str) -> NetDocument:
             if k_value is not None:
                 raise DuplicateIdError("k already set", lineno)
             k_value = _number(value_text, lineno, "k")
-            k_line = lineno
             if not k_value > 0:
                 raise NetFileSyntaxError(f"k must be positive, got {k_value}", lineno)
         elif keyword == "map":
@@ -273,6 +271,27 @@ def load(text: str) -> NetDocument:
     if name is None:
         raise NetFileSyntaxError("missing net header", 1)
 
+    try:
+        net = PetriNet(name, places, transitions, [arc for arc, _ in raw_arcs])
+    except NetDefinitionError as e:
+        net, error = None, e
+        _locate(raw_arcs, place_lines, trans_lines)
+    for pid, lineno in map_lines.items():
+        if pid not in place_lines:
+            raise UndeclaredReferenceError(f"mapped place {pid} is not declared", lineno)
+    if net is None:
+        raise NetFileSyntaxError(str(error)) from error
+
+    mapping = None
+    if k_value is not None or assignments:
+        mapping = QuantumMapping(
+            k=k_value if k_value is not None else 1.0, assignments=tuple(assignments)
+        )
+    return NetDocument(net=net, mapping=mapping, config=config)
+
+
+def _locate(raw_arcs: list[tuple[Arc, int]], place_lines: dict[str, int], trans_lines: dict[str, int]) -> None:
+    """Raise the error of the first id or arc at fault with its line, for a net that PetriNet rejected."""
     declared = place_lines.keys() | trans_lines.keys()
     overlap = place_lines.keys() & trans_lines.keys()
     if overlap:
@@ -291,21 +310,6 @@ def load(text: str) -> NetDocument:
             _normalize_arc(arc, place_lines, trans_lines)
         except NetDefinitionError as e:
             raise NetFileSyntaxError(str(e), lineno) from None
-    for pid, lineno in map_lines.items():
-        if pid not in place_lines:
-            raise UndeclaredReferenceError(f"mapped place {pid} is not declared", lineno)
-
-    try:
-        net = PetriNet(name, places, transitions, [arc for arc, _ in raw_arcs])
-    except NetDefinitionError as e:
-        raise NetFileSyntaxError(str(e)) from e
-
-    mapping = None
-    if k_value is not None or assignments:
-        mapping = QuantumMapping(
-            k=k_value if k_value is not None else 1.0, assignments=tuple(assignments)
-        )
-    return NetDocument(net=net, mapping=mapping, config=config)
 
 
 # --- save -------------------------------------------------------------------------

@@ -618,14 +618,14 @@ def test_memo_builds_random_nets_as_cold(nets):
 
 
 def _emissions(counts):
-    """Patch _CompiledNet.loop so that each emission of a loop appends its flag states to counts."""
-    loop = net_module._CompiledNet.loop
+    """Patch _CompiledNet._emit_loop so that each emission of a loop appends its flag states to counts."""
+    emit = net_module._CompiledNet._emit_loop
 
-    def counted(cnet, states):
-        counts.append(states)
-        return loop(cnet, states)
+    def counted(cnet, period, induction):
+        counts.append(period.states)
+        return emit(cnet, period, induction)
 
-    return mock.patch.object(net_module._CompiledNet, "loop", counted)
+    return mock.patch.object(net_module._CompiledNet, "_emit_loop", counted)
 
 
 def _loop_key(loop):
@@ -636,9 +636,10 @@ def _loop_key(loop):
 
 
 def _assert_loops_as_fresh(cnet):
-    """Every loop of the net equals a fresh loop() compile of its period."""
-    for loop in cnet.loops.values():
-        assert _loop_key(loop) == _loop_key(cnet.loop(loop.states))
+    """Every loop of the net equals the loop it builds once its structure's loop code is dropped: a fresh emission."""
+    for head, loop in list(cnet.loops.items()):
+        with mock.patch.dict(cnet._entry.loops, clear=True), mock.patch.dict(cnet.loops):
+            assert _loop_key(loop) == _loop_key(cnet.looped(head))
 
 
 @pytest.mark.parametrize("build", [slaz_passing_net, slaz_blocking_net], ids=["passing", "blocking"])
@@ -677,24 +678,44 @@ def _guarded_ring(k1, k2, d1, d2):
 
 
 def test_loops_whose_emission_decides_otherwise_are_emitted_afresh(monkeypatch):
-    """A net of a cached structure gets the cached loop only where its emission would decide as that loop's did:
-    on which thresholds are equal and share a term, and on which counters move by integers."""
+    """A net of a cached structure emits a loop afresh only where its set of induction counters differs.
+
+    Equal or different thresholds, and counter moves of other integers, take
+    the cached loop; half-integer moves, which leave c no induction counter,
+    emit once, and their sibling takes that loop.  Sibling nets share one
+    _LoopCode object.
+    """
     monkeypatch.setattr(net_module, "_STRUCTURES", {})
     monkeypatch.setattr(net_module, "_CHUNK", 8)
     monkeypatch.setattr(net_module, "_HOT", 2)
+    install, installed = net_module._CompiledNet._install, []
+
+    def recorded(cnet, code, *args):
+        installed.append(code)
+        return install(cnet, code, *args)
+
+    monkeypatch.setattr(net_module._CompiledNet, "_install", recorded)
     # c never reaches the thresholds, so the run keeps to one period
-    cases = [((2000.0, 2000.0, 1.0, 2.0), 1), ((2000.0, 2010.0, 1.0, 2.0), 1), ((2500.0, 2500.0, 2.0, 1.0), 0),
+    cases = [((2000.0, 2000.0, 1.0, 2.0), 1), ((2000.0, 2010.0, 1.0, 2.0), 0), ((2500.0, 2500.0, 2.0, 1.0), 0),
              ((2050.0, 2070.0, 3.0, 1.0), 0), ((2000.0, 2000.0, 0.5, 1.5), 1), ((2700.0, 2700.0, 1.5, 0.5), 0)]
+    codes = []  # the code each net's loop was installed from
     for constants, emissions in cases:
         net, emitted = _guarded_ring(*constants), []
+        del installed[:]
         with _emissions(emitted):
             final = run_final(net, net.initial_marking(), RunConfig())
+        codes += installed
         cnet = net.compiled()
         assert (len(emitted), len(cnet.loops)) == (emissions, 1), constants
         assert sum(loop.firings for loop in cnet.loops.values()) > 600
         _assert_loops_as_fresh(cnet)
         assert final.marking[net.place_index["c"]] == 300 * (constants[2] + constants[3])
     assert len(net_module._STRUCTURES) == 1
+    integral, halves = codes[0], codes[4]
+    assert len(codes) == 6 and integral is not halves
+    assert all(code is integral for code in codes[:4]) and codes[5] is halves
+    [entry] = next(iter(net_module._STRUCTURES.values()))
+    assert [id(code) for code in entry.loops.values()] == [id(integral), id(halves)]
 
 
 def test_a_net_that_patched_a_cached_loop_is_freed(monkeypatch):

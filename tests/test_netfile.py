@@ -1,11 +1,14 @@
 """The .qpn format: golden files, round trips, error positions."""
 
 from pathlib import Path
+from unittest import mock
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import qpn.net as net_module
+import qpn.netfile as netfile_module
 from qpn.errors import (
     DuplicateIdError,
     InvalidInitialMarkingError,
@@ -50,6 +53,21 @@ class TestGoldenFiles:
     @pytest.mark.parametrize("filename,doc", list(_builder_docs()))
     def test_save_matches_golden_text(self, filename, doc):
         assert save(doc) == (GOLDEN / filename).read_text()
+
+    @pytest.mark.parametrize("path", sorted(GOLDEN.glob("*.qpn")), ids=lambda path: path.stem)
+    def test_warm_load_normalizes_no_arc(self, path):
+        """A load validates each arc once, in PetriNet: a second load hits the arc memo and normalizes none."""
+        text = path.read_text()
+        first, calls, normalize = load(text), [], net_module._normalize_arc
+
+        def counted(*args):
+            calls.append(args)
+            return normalize(*args)
+
+        with mock.patch.object(net_module, "_normalize_arc", counted), \
+                mock.patch.object(netfile_module, "_normalize_arc", counted):
+            assert load(text).net == first.net
+        assert calls == []
 
     def test_mapped_entanglement_golden(self):
         doc = load((GOLDEN / "entanglement_mapped.qpn").read_text())

@@ -202,46 +202,51 @@ def _ring_case(draw):
 
     for hazard in draw(st.sets(st.sampled_from(_HAZARDS), min_size=1, max_size=2)):
         at_lap = draw(st.integers(min_value=30, max_value=laps + 20))
-        if hazard == "div_firing":  # 1/m(q) as q counts down to 0, in a deposit
-            places.append(PlaceDecl("q", A, float(at_lap)))
-            arcs += [Arc(ring(), "q", "0-1"), Arc(ring(), "a0", "1/m(q)")]
-        elif hazard == "div_retest":  # the same in a guard, so a re-test faults
-            places += [PlaceDecl("u", A, float(at_lap)), PlaceDecl("z", A, 1e9)]
-            arcs += [Arc(ring(), "u", "0-1"), Arc("z", ring(), "1/m(u)", ArcKind.GUARD)]
-        elif hazard == "negative":  # a counter driven below zero
-            places.append(PlaceDecl("c", C, float(at_lap)))
-            arcs.append(Arc(ring(), "c", "0-1"))
-        elif hazard == "fractional":  # snapped while within 1e-9, then a violation
-            places += [PlaceDecl("f", C, 0.0), PlaceDecl("h", A, 0.0)]
-            source = ring()
-            arcs += [Arc(source, "h", f"1/{at_lap}000000000"), Arc(source, "f", "m(h)")]
-        elif hazard == "overflow":  # a deposit that grows until it is not finite
-            places.append(PlaceDecl("g", A, 1.0))
-            arcs.append(Arc(ring(), "g", f"m(g)*{draw(st.sampled_from([3, 15, 255]))}"))
-        elif hazard == "switch_on":  # a second transition enabled mid-loop
-            places += [PlaceDecl("w", C, 0.0), PlaceDecl("s_out", A, 0.0)]
-            transitions.append(TransitionDecl("s", draw(st.integers(0, 2))))
-            arcs += [Arc(ring(), "w"), Arc("w", "s", str(at_lap)), Arc("s", "s_out", "m(a0)")]
-        elif hazard == "drain":  # a drain that stops the ring once the drained place reaches zero
-            places.append(PlaceDecl("d", A, 1.0))
-            arcs += [Arc("d", ring(), "m(d)", ArcKind.DRAIN), Arc(ring(), "d", "m(a0)*m(a0)")]
-        elif hazard == "trig_of_inf":  # sin or cos of a place after it overflows
-            places.append(PlaceDecl("o", A, 2.0 ** max(1000 - 8 * at_lap, -1000)))
-            arcs += [Arc(ring(), "o", "m(o)*255"), Arc(ring(), "a1", f"{draw(st.sampled_from(['sin', 'cos']))}(m(o))")]
-        elif hazard == "nan_drain":  # inf - inf into a drained place, whose drain test a nan fails
-            places += [PlaceDecl("n", A, 2.0 ** max(1000 - 8 * at_lap, -1000)), PlaceDecl("nd", A, 1.0)]
-            arcs += [Arc(ring(), "n", "m(n)*255"), Arc(ring(), "nd", "m(n)-m(n)+1"),
-                     Arc("nd", ring(), "m(nd)", ArcKind.DRAIN)]
-        elif hazard == "drained_overflow":  # a deposit that overflows on some laps, into a drained place
-            places += [PlaceDecl("sc", C, 0.0), PlaceDecl("se", A, 0.8 - 0.01 * at_lap), PlaceDecl("sd", A, 1.0)]
-            arcs += [Arc(ring(), "sc"), Arc(ring(), "se", "0.01"), Arc(ring(), "sd", _spike("sc", "se")),
-                     Arc("sd", ring(), "m(sd)", ArcKind.DRAIN)]
-        else:  # m(g)^2 added to g: 1/g falls by about 1 a lap, then g overflows within 12 laps
-            places.append(PlaceDecl("pw", A, 1.0 / at_lap))
-            arcs.append(Arc(ring(), "pw", "m(pw)^2"))
+        _add_hazard(draw, hazard, at_lap, ring, places, transitions, arcs)
     max_steps = draw(st.one_of(st.just(1_000_000), st.integers(min_value=k * 30, max_value=k * (laps + 10))))
     net = PetriNet("ring", places, transitions, arcs)
     return net, RunConfig(max_steps=max_steps), draw(st.booleans())
+
+
+def _add_hazard(draw, hazard, at_lap, ring, places, transitions, arcs):
+    """Add one of _HAZARDS, set to strike near firing at_lap of the transitions ring() draws, to the net's lists."""
+    if hazard == "div_firing":  # 1/m(q) as q counts down to 0, in a deposit
+        places.append(PlaceDecl("q", A, float(at_lap)))
+        arcs += [Arc(ring(), "q", "0-1"), Arc(ring(), "a0", "1/m(q)")]
+    elif hazard == "div_retest":  # the same in a guard, so a re-test faults
+        places += [PlaceDecl("u", A, float(at_lap)), PlaceDecl("z", A, 1e9)]
+        arcs += [Arc(ring(), "u", "0-1"), Arc("z", ring(), "1/m(u)", ArcKind.GUARD)]
+    elif hazard == "negative":  # a counter driven below zero
+        places.append(PlaceDecl("c", C, float(at_lap)))
+        arcs.append(Arc(ring(), "c", "0-1"))
+    elif hazard == "fractional":  # snapped while within 1e-9, then a violation
+        places += [PlaceDecl("f", C, 0.0), PlaceDecl("h", A, 0.0)]
+        source = ring()
+        arcs += [Arc(source, "h", f"1/{at_lap}000000000"), Arc(source, "f", "m(h)")]
+    elif hazard == "overflow":  # a deposit that grows until it is not finite
+        places.append(PlaceDecl("g", A, 1.0))
+        arcs.append(Arc(ring(), "g", f"m(g)*{draw(st.sampled_from([3, 15, 255]))}"))
+    elif hazard == "switch_on":  # a second transition enabled mid-loop
+        places += [PlaceDecl("w", C, 0.0), PlaceDecl("s_out", A, 0.0)]
+        transitions.append(TransitionDecl("s", draw(st.integers(0, 2))))
+        arcs += [Arc(ring(), "w"), Arc("w", "s", str(at_lap)), Arc("s", "s_out", "m(a0)")]
+    elif hazard == "drain":  # a drain that stops the ring once the drained place reaches zero
+        places.append(PlaceDecl("d", A, 1.0))
+        arcs += [Arc("d", ring(), "m(d)", ArcKind.DRAIN), Arc(ring(), "d", "m(a0)*m(a0)")]
+    elif hazard == "trig_of_inf":  # sin or cos of a place after it overflows
+        places.append(PlaceDecl("o", A, 2.0 ** max(1000 - 8 * at_lap, -1000)))
+        arcs += [Arc(ring(), "o", "m(o)*255"), Arc(ring(), "a1", f"{draw(st.sampled_from(['sin', 'cos']))}(m(o))")]
+    elif hazard == "nan_drain":  # inf - inf into a drained place, whose drain test a nan fails
+        places += [PlaceDecl("n", A, 2.0 ** max(1000 - 8 * at_lap, -1000)), PlaceDecl("nd", A, 1.0)]
+        arcs += [Arc(ring(), "n", "m(n)*255"), Arc(ring(), "nd", "m(n)-m(n)+1"),
+                 Arc("nd", ring(), "m(nd)", ArcKind.DRAIN)]
+    elif hazard == "drained_overflow":  # a deposit that overflows on some laps, into a drained place
+        places += [PlaceDecl("sc", C, 0.0), PlaceDecl("se", A, 0.8 - 0.01 * at_lap), PlaceDecl("sd", A, 1.0)]
+        arcs += [Arc(ring(), "sc"), Arc(ring(), "se", "0.01"), Arc(ring(), "sd", _spike("sc", "se")),
+                 Arc("sd", ring(), "m(sd)", ArcKind.DRAIN)]
+    else:  # m(g)^2 added to g: 1/g falls by about 1 a lap, then g overflows within 12 laps
+        places.append(PlaceDecl("pw", A, 1.0 / at_lap))
+        arcs.append(Arc(ring(), "pw", "m(pw)^2"))
 
 
 def _reference(net, m0, config, require_single_enabled):
