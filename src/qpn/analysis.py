@@ -231,23 +231,31 @@ def predicate_places(pred: MarkingPredicate) -> frozenset[str]:
 class ReachabilityGraph:
     """Bounded reachability graph: nodes in BFS discovery order, root first.
 
-    ``edges`` holds (source node index, transition id, target node index);
     ``parents[i]`` is the (parent index, transition id) that first discovered
-    node i, None for the root.
+    node i, None for the root; ``quiescent`` lists the nodes with no enabled
+    transition.  The BFS keeps no edges: ``edges`` derives them on each read.
     """
 
     net: PetriNet
     nodes: tuple[tuple[float, ...], ...]
-    edges: tuple[tuple[int, str, int], ...]
     parents: tuple[tuple[int, str] | None, ...]
+    quiescent: tuple[int, ...]
 
     @property
     def root(self) -> tuple[float, ...]:
         return self.nodes[0]
 
+    @property
+    def edges(self) -> tuple[tuple[int, str, int], ...]:
+        """(source node index, transition id, target node index) in BFS order; successors runs on each node again."""
+        cnet = self.net.compiled()
+        successors, tids = _successors(cnet), [ct.tid for ct in cnet.trans]
+        index = {node: i for i, node in enumerate(self.nodes)}
+        return tuple((src, tids[ti], index[key]) for src, node in enumerate(self.nodes)
+                     for ti, key in successors(node))
+
     def quiescent_nodes(self) -> list[int]:
-        with_successors = {src for src, _, _ in self.edges}
-        return [i for i in range(len(self.nodes)) if i not in with_successors]
+        return list(self.quiescent)
 
     def path_to(self, node_index: int) -> list[str]:
         """Transition ids from the root to the given node."""
@@ -286,6 +294,7 @@ def reachability_graph(net: PetriNet, max_states: int = 10_000) -> ReachabilityG
     Requires a counter-only net with constant integer weights; raises
     StateExplosionError past ``max_states`` distinct markings.  One generated
     function gives the successors of each node, which is the whole search.
+    It keeps the nodes, their parents and the quiescent nodes, not the edges.
     """
     _require_integer_net(net)
     cnet = net.compiled()
@@ -295,20 +304,21 @@ def reachability_graph(net: PetriNet, max_states: int = 10_000) -> ReachabilityG
     index: dict[tuple[float, ...], int] = {root: 0}
     nodes: list[tuple[float, ...]] = [root]
     parents: list[tuple[int, str] | None] = [None]
-    edges: list[tuple[int, str, int]] = []
+    quiescent: list[int] = []
     for state in nodes:  # visits the nodes appended on the way
         src = index[state]  # the int the dict holds: a new one per node would cost memory
-        for ti, key in successors(state):
-            dst = index.get(key)
-            if dst is None:
+        fired = successors(state)
+        if not fired:
+            quiescent.append(src)
+        for ti, key in fired:
+            if key not in index:
                 if len(nodes) >= max_states:
                     raise StateExplosionError(f"more than {max_states} reachable markings")
-                dst = index[key] = len(nodes)
+                index[key] = len(nodes)
                 nodes.append(key)
                 parents.append((src, tids[ti]))
-            edges.append((src, tids[ti], dst))
     del index  # freed before the tuples are built, which lowers the peak
-    return ReachabilityGraph(net, tuple(nodes), tuple(edges), tuple(parents))
+    return ReachabilityGraph(net, tuple(nodes), tuple(parents), tuple(quiescent))
 
 
 def _successors(cnet: _CompiledNet) -> Callable[[tuple[float, ...]], list[tuple[int, tuple[float, ...]]]]:

@@ -4,6 +4,7 @@ import dataclasses
 import math
 import re
 import struct
+import tracemalloc
 from collections import deque
 from pathlib import Path
 
@@ -63,6 +64,7 @@ from qpn.net import (
     is_enabled,
     run_final,
 )
+from qpn.oracle import bfs_reach
 from qpn.quantum import QuantumMapping
 
 A = PlaceKind.AMPLITUDE
@@ -497,6 +499,12 @@ class TestDotExport:
         assert '[label="t1"]' in dot
         assert dot.endswith("}\n")
 
+    def test_golden_entanglement_dot(self):
+        """Byte for byte the DOT text written when the BFS still stored its edges."""
+        doc = netfile.load((GOLDEN / "entanglement.qpn").read_text(encoding="utf-8"))
+        dot = to_dot(reachability_graph(doc.net)).encode("utf-8")
+        assert dot == (GOLDEN / "entanglement.dot").read_bytes()
+
 
 # --- the BFS against one written from enabled_transitions and fire ------------------
 
@@ -547,6 +555,16 @@ def _reference_graph(net):
     return tuple(nodes), tuple(edges), tuple(parents)
 
 
+def _assert_derived_views(graph, nodes, edges):
+    """The quiescent record, a second read of the derived edges and oracle.bfs_reach
+    agree with the reference BFS's edges."""
+    with_successors = {src for src, _, _ in edges}
+    quiescent = [i for i in range(len(nodes)) if i not in with_successors]
+    assert graph.quiescent_nodes() == quiescent
+    assert graph.edges == edges
+    assert bfs_reach(graph.net, max_states=len(nodes)) == (list(nodes), {nodes[i] for i in quiescent})
+
+
 @settings(max_examples=300, deadline=None)
 @given(_counter_net())
 def test_graph_matches_a_bfs_of_enabled_transitions_and_fire(net):
@@ -558,6 +576,7 @@ def test_graph_matches_a_bfs_of_enabled_transitions_and_fire(net):
         return
     graph = reachability_graph(net)
     assert (graph.nodes, graph.edges, graph.parents) == expected
+    _assert_derived_views(graph, expected[0], expected[1])
 
 
 # --- the reachability graph against that BFS, node for node to the bit --------------
@@ -588,9 +607,34 @@ def test_successors_match_a_bfs_of_enabled_transitions_and_fire_to_the_bit(net, 
     graph = reachability_graph(net, max_states=len(nodes))
     assert [_bits(node) for node in graph.nodes] == [_bits(node) for node in nodes]
     assert (graph.edges, graph.parents) == (edges, parents)
+    _assert_derived_views(graph, nodes, edges)
     if len(nodes) > 1:
         with pytest.raises(StateExplosionError, match=f"^more than {len(nodes) - 1} reachable markings$"):
             reachability_graph(net, max_states=len(nodes) - 1)
+
+
+def _product_net(k):
+    """k sources; s_i fires a_i into x_i or b_i into y_i, so 3^k markings are reachable."""
+    places, transitions, arcs = [], [], []
+    for i in range(k):
+        places += [PlaceDecl(f"s{i}", C, 1), PlaceDecl(f"x{i}", C), PlaceDecl(f"y{i}", C)]
+        transitions += [f"a{i}", f"b{i}"]
+        arcs += [Arc(f"s{i}", f"a{i}"), Arc(f"a{i}", f"x{i}"), Arc(f"s{i}", f"b{i}"), Arc(f"b{i}", f"y{i}")]
+    return PetriNet("product", places, transitions, arcs)
+
+
+def test_bfs_peak_memory_is_at_most_600_bytes_a_node():
+    """The BFS keeps nodes, parents and the quiescent record, not the 2k*3^(k-1) edges."""
+    net = _product_net(8)
+    reachability_graph(net, max_states=3**8)  # the successors code is generated before the count
+    tracemalloc.start()
+    try:
+        graph = reachability_graph(net, max_states=3**8)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert (len(graph.nodes), len(graph.quiescent_nodes())) == (3**8, 2**8)
+    assert peak <= 600 * len(graph.nodes), f"{peak / len(graph.nodes):.1f} B per node"
 
 
 def test_state_budget_binds_at_exactly_the_number_of_markings():
@@ -630,7 +674,7 @@ _OPS = ("==", "!=", "<=", ">=", "<", ">")
 
 def _one_node_graph(marking):
     net = PetriNet("env", [PlaceDecl(p, A) for p in _ENV_PLACES], [], [])
-    return ReachabilityGraph(net, (tuple(marking),), (), (None,))
+    return ReachabilityGraph(net, (tuple(marking),), (None,), (0,))
 
 
 def _outcome(fn):
