@@ -25,10 +25,11 @@ integers get a trip count instead of per-firing checks, guard terms over
 unwritten places are evaluated once, and blocks of periods run without
 finiteness tests; a block whose test at its end fails is rolled back and
 fired as plain steps, so every result stays bit for bit that of a step() loop.
-A recorded run (:func:`run`) enters the same loops and records only which
-transitions fired; its markings are rebuilt by firing the generated steps
-again (see :class:`Steps`).  Each loop is compiled once per net structure,
-and the nets of that structure call its code with their own constants.
+A traced run (:func:`run`) is that same run, and keeps only its config and
+firing count: its firings and markings are replayed as a step() loop
+through the generated steps (see :class:`Steps`).  Each loop is compiled
+once per net structure, and the nets of that structure call its code with
+their own constants.
 """
 
 from __future__ import annotations
@@ -39,10 +40,9 @@ import functools
 import math
 import random
 import struct
-from array import array
 from bisect import bisect_right
 from dataclasses import dataclass, fields, replace
-from itertools import accumulate, islice
+from itertools import accumulate
 from types import CodeType
 from typing import Callable, Container, Iterable, Iterator, Mapping, NamedTuple, Sequence
 
@@ -159,61 +159,57 @@ class RunConfig:
             raise ValueError("seed must fit in 64 bits")
 
 
-class Steps(Sequence):
+class Steps:
     """The firings of a run as (transition id, marking after the firing), read-only.
 
-    A run records each firing as its transition's ordinal alone.  Iteration
-    and indexing replay the record: from the initial marking and the flags
-    the run began with, they fire each transition's generated step, the
-    calls a step() loop makes, and give each firing a fresh list.  The run's
-    loops are bit for bit those steps, so every marking is the one the run
-    wrote.
+    A run keeps no record of its firings: its start, its config and its
+    firing count determine them, since a seeded run reproduces bit for bit
+    and the run's loops are bit for bit its steps.  Iteration replays the
+    run as a step() loop from the start, firing each transition's generated
+    step, and gives each firing a fresh list.
     """
 
-    __slots__ = ("_start", "_ordinals", "_cnet")
+    __slots__ = ("_start", "_config", "_firings", "_cnet")
 
-    def __init__(self, start: Marking, ordinals: array, cnet: _CompiledNet):
+    def __init__(self, start: Marking, config: RunConfig, firings: int, cnet: _CompiledNet):
         self._start = start  # the marking the first firing starts from
-        self._ordinals = ordinals  # each firing's transition ordinal
+        self._config = config
+        self._firings = firings
         self._cnet = cnet
 
     def __len__(self) -> int:
-        return len(self._ordinals)
+        return self._firings
 
     def replay(self) -> Iterator[tuple[str, list[int], Marking]]:
         """Each firing's transition id, the places it touched and the marking after it.
 
-        The marking is one list, updated in place from firing to firing.  A
-        run that recorded no firing may have faulted in its first enabling
-        tests, so its replay tests nothing.  Only a run's last firing can
-        have a re-test that faulted: it is replayed, and its fault left to
-        the run that raised it.
+        The marking is one list, updated in place from firing to firing.  Each
+        firing is chosen as the run chose it: the first enabled transition in
+        priority order, or a Born draw from random.Random(seed).  A trace of
+        no firings replays without testing anything.
         """
-        if not self._ordinals:
+        if not self._firings:
             return
+        cnet = self._cnet
         m = list(self._start)
-        flags, _ = self._cnet.enabled_flags(m)
-        trans = [(ct.step, ct.tid, ct.touched) for ct in self._cnet.trans]
-        for ti in self._ordinals:
-            step, tid, touched = trans[ti]
-            try:
-                step(m, flags)
-            except _RecheckFault:
-                pass
+        flags, _ = cnet.enabled_flags(m)
+        trans = [(ct.step, ct.tid, ct.touched) for ct in cnet.trans]
+        order = cnet.order
+        if self._config.policy == Policy.BORN_RANDOM:
+            rng = random.Random(self._config.seed)
+            choose = lambda: _born_choice(cnet, m, [i for i in order if flags[i]], rng)
+        elif cnet.uniform_rank:  # priority order == ordinal order
+            choose = functools.partial(flags.find, 1)
+        else:
+            choose = lambda: next(i for i in order if flags[i])
+        for _ in range(self._firings):
+            step, tid, touched = trans[choose()]
+            step(m, flags)
             yield tid, touched, m
 
     def __iter__(self) -> Iterator[tuple[str, Marking]]:
         for tid, _, m in self.replay():
             yield tid, list(m)
-
-    def __getitem__(self, index):
-        if isinstance(index, slice):
-            return tuple(self)[index]
-        tid, _, m = next(islice(self.replay(), range(len(self))[index], None))
-        return tid, list(m)
-
-    def __reversed__(self) -> Iterator[tuple[str, Marking]]:
-        return reversed(tuple(self))
 
     def __eq__(self, other: object) -> bool:
         if not isinstance(other, (Steps, tuple)):
@@ -232,14 +228,13 @@ class Trace:
     final: Marking
 
     def fired(self) -> list[str]:
-        """The transition ids the run fired, read from its record with no replay."""
-        trans = self.steps._cnet.trans
-        return [trans[ti].tid for ti in self.steps._ordinals]
+        """The transition ids the run fired, in order, from a replay of its steps."""
+        return [tid for tid, _, _ in self.steps.replay()]
 
 
 @dataclass(frozen=True)
 class FinalState:
-    """Result of a run that does not record intermediate markings."""
+    """The final marking of a run, the number of its firings and why it stopped."""
 
     marking: Marking
     firings: int
@@ -420,7 +415,7 @@ _FAULTS = (ArithmeticError, ValueError)
 _SAFE_DEPOSIT = 2.0**970
 
 
-# A deterministic run, recorded or not, looks for a hot loop every _CHUNK
+# A deterministic run, traced or not, looks for a hot loop every _CHUNK
 # firings.  After a loop exits, and the plain steps it hands back, it looks at
 # once and then after each firing, _CHUNK looks in all, until a hot loop head
 # comes up.  It records the flag states of up to _MAX_PERIOD firings; once a
@@ -541,16 +536,14 @@ def _trip_count(plan: tuple, periods: int, *values: float) -> tuple:
 class _Loop:
     """A compiled period: run(m, budget) -> (firings done, firings to replay as steps).
 
-    Its calls run whole periods, so a recorded run appends ``fired`` once per
-    period done.
+    Its calls run whole periods, so a run leaves it at a period boundary.
     """
 
-    __slots__ = ("run", "states", "fired", "period", "single", "firings")
+    __slots__ = ("run", "states", "period", "single", "firings")
 
     def __init__(self, run: Callable[[Marking, int], tuple[int, int]], period: _Period):
         self.run = run
         self.states = states = period.states  # the flag state before each firing of the period
-        self.fired = array("I", period.fired)  # the transition each firing of the period fires
         self.period = len(states)
         self.single = all(sum(state) == 1 for state in states)  # one transition enabled in every state
         self.firings = 0  # firings done by run, over all runs of the net
@@ -1026,7 +1019,7 @@ class _CompiledNet:
         drained.  On a break, a fault or a non-finite local it restores the
         locals of the block's start and hands the block to plain steps,
         which meet the exit or the fault as they would have (see _LOOP).
-        A recorded run and run_final enter the same loop.
+        Traced and untraced runs enter the same loop.
 
         Code computed once is shared by its text over holes, and a counter
         term by its place, its firing and its threshold's text, so the code
@@ -1691,11 +1684,10 @@ def step(
 
 
 def run(net: PetriNet, m0: Sequence[float], config: RunConfig) -> Trace:
-    """Apply step() until quiescence or max_steps, recording every firing (see Steps)."""
-    ordinals = array("I")
-    final = _execute(net, m0, config, ordinals)
+    """Apply step() until quiescence or max_steps; its steps replay the run (see Steps)."""
+    final = _execute(net, m0, config)
     start = [float(v) for v in m0]  # the marking the run starts from
-    return Trace(start, Steps(list(start), ordinals, net.compiled()), final.status, final.marking)
+    return Trace(start, Steps(list(start), config, final.firings, net.compiled()), final.status, final.marking)
 
 
 def run_final(
@@ -1706,7 +1698,7 @@ def run_final(
     *,
     table: BornTable | None = None,
 ) -> FinalState:
-    """Memory-lean run: final marking and firing count, no per-step record.
+    """The run's final marking, firing count and status, with no Trace to replay it.
 
     With ``require_single_enabled`` the run asserts that at most one
     transition is enabled before every firing (conflict-free execution).
@@ -1823,14 +1815,13 @@ def _execute(
     net: PetriNet,
     m0: Sequence[float],
     config: RunConfig,
-    ordinals: array | None = None,
     require_single_enabled: bool = False,
 ) -> FinalState:
-    """Fire from m0 under config; with ``ordinals``, append each firing's transition ordinal (see Steps).
+    """Fire from m0 under config: the final marking, the firings done and why the run stopped.
 
-    A loop call that runs k periods appends its period's ordinals k times.
-    On every return and every raise the record holds exactly the firings
-    done, the one whose re-test faulted included.
+    Deterministic runs enter the compiled loops of their hot periods; each
+    call leaves the marking at a period boundary, so the run goes on with
+    the flags it had there.
     """
     validate_marking(net, m0)
     cnet = net.compiled()
@@ -1846,7 +1837,6 @@ def _execute(
     order = cnet.order
     steps = [ct.step for ct in trans]
     max_steps = config.max_steps
-    record = ordinals is not None
     hot = cnet.hot
     path: list[bytes] | None = None  # flag states recorded since the last look
     relook = 0  # firings after a loop exit still to look for a cached loop head at
@@ -1890,14 +1880,10 @@ def _execute(
                 cnet.diagnose(ti, m, step_index)
                 raise
             except _RecheckFault as fault:
-                # the firing is written: record it, then name the re-test at fault
-                if record:
-                    ordinals.append(ti)
+                # the firing is written: name the re-test at fault
                 for tj in trans[ti].recheck:
                     cnet.enabled(tj, m, step_index)
                 raise fault.__context__ from None
-            if record:
-                ordinals.append(ti)
         if stop == max_steps:
             break
         # a look for a hot loop: run the compiled one, or record the flag states
@@ -1912,8 +1898,6 @@ def _execute(
             if not budget:
                 continue
             done, replay = loop.run(m, budget)  # m is back at a period boundary: flags hold
-            if record:
-                ordinals.extend(loop.fired * (done // loop.period))
             loop.firings += done
             start += done
             relook = _CHUNK

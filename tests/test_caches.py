@@ -628,18 +628,19 @@ def _emissions(counts):
     return mock.patch.object(net_module._CompiledNet, "_emit_loop", counted)
 
 
-def _loop_key(loop):
+def _loop_key(cnet, loop):
     """A loop's code, instruction for instruction with literals by their bits, the globals it is specialized on,
-    and the ordinals a recorded run appends per period."""
+    and the ordinals of its period: the first enabled transition of each state in priority order."""
     scope = loop.run.__globals__
-    return _function_key(loop.run), scope["_plan"], scope["_d"], list(loop.fired)
+    fired = [next(t for t in cnet.order if state[t]) for state in loop.states]
+    return _function_key(loop.run), scope["_plan"], scope["_d"], fired
 
 
 def _assert_loops_as_fresh(cnet):
     """Every loop of the net equals the loop it builds once its structure's loop code is dropped: a fresh emission."""
     for head, loop in list(cnet.loops.items()):
         with mock.patch.dict(cnet._entry.loops, clear=True), mock.patch.dict(cnet.loops):
-            assert _loop_key(loop) == _loop_key(cnet.looped(head))
+            assert _loop_key(cnet, loop) == _loop_key(cnet, cnet.looped(head))
 
 
 @pytest.mark.parametrize("build", [slaz_passing_net, slaz_blocking_net], ids=["passing", "blocking"])

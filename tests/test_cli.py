@@ -80,6 +80,7 @@ class TestSimulate:
         [
             ("passing_n2_m2.qpn", (), "trace_passing_n2_m2.csv"),
             ("measurement.qpn", ("--policy", "born", "--seed", "7"), "trace_measurement_born_seed7.csv"),
+            ("priority.qpn", (), "trace_priority.csv"),
         ],
     )
     def test_golden_trace_csv(self, capsys, tmp_path, net, flags, golden):
@@ -95,7 +96,7 @@ class TestSimulate:
         self._check_digest(capsys, tmp_path, "blocking_n60_m60", 7980)
 
     def _check_digest(self, capsys, tmp_path, net, firings):
-        """The net records at least half of its firings in loops, and its CSV matches a digest that an
+        """The net runs at least half of its firings in loops, and its CSV matches a digest that an
         earlier engine wrote."""
         digest, name = (GOLDEN / f"trace_{net}.sha256").read_text().split()
         trace_path = tmp_path / name

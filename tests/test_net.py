@@ -6,7 +6,6 @@ import operator
 import random
 import struct
 import sys
-from array import array
 
 import pytest
 from hypothesis import given, settings
@@ -37,7 +36,6 @@ from qpn.net import (
     RunConfig,
     TerminalStatus,
     TransitionDecl,
-    _execute,
     conflict_groups,
     enabled_transitions,
     fire,
@@ -1118,14 +1116,6 @@ class TestFusedStep:
         assert err.value.step_index == 0
         assert str(err.value).startswith("arc out->t2 w=1/m(p2): ")
         assert str(err.value).endswith("(at step 0)")
-
-    def test_recheck_fault_reported_after_the_firing(self):
-        """The record holds t1's firing, written before the re-test of t2 faults."""
-        net = self._recheck_fault_net()
-        ordinals = array("I")
-        with pytest.raises(DivisionByZeroError):
-            _execute(net, net.initial_marking(), RunConfig(), ordinals)
-        assert list(ordinals) == [0]
 
     def test_fire_leaves_a_recheck_fault_to_the_next_enabling_test(self):
         """fire and step run t1's step, whose re-test of t2 faults after the firing."""

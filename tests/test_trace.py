@@ -1,7 +1,7 @@
 """The trace tier: hot periods of deterministic runs compiled into one loop.
 
 ``run_final`` runs a recurring period of firings as a generated loop over
-local variables, and ``run`` enters the same loop and records its periods.
+local variables, and ``run``, the same run kept for its trace, enters it too.
 A ``step()`` loop calls the plain generated code and is the reference;
 ``run`` is compared as well.  Every comparison is bit for bit.
 """
@@ -620,7 +620,7 @@ def _sibling(net, factor=0.75):
 
 
 def _warmed_sibling(net, config):
-    """A sibling of net, after a plain and a recorded run of net have left their loops on the structure."""
+    """A sibling of net, after a plain and a traced run of net have left their loops on the structure."""
     for runner in (run_final, run):
         with contextlib.suppress(QpnError):
             runner(net, net.initial_marking(), config)
@@ -671,7 +671,7 @@ def test_loops_patched_from_a_sibling_match_step_loop_on_ring_nets():
 
 
 def test_recorded_run_on_a_fresh_structure_builds_one_loop_per_head():
-    """A recorded run builds the loops run_final enters, one per head, and run_final then builds none."""
+    """A traced run builds the loops run_final enters, one per head, and run_final then builds none."""
     with _alone():
         net, _ = slaz_passing_net(ProtocolParams(N=320, M=100))
         emitted = []

@@ -1,20 +1,19 @@
-"""The trace record of ``run()`` and the CSV ``simulate --trace`` writes from it.
+"""The trace of ``run()`` and the CSV ``simulate --trace`` writes from it.
 
-A run records each firing as its transition's ordinal alone, and its
-markings are rebuilt by firing the generated steps again from the initial
-marking.  These tests replay that record against a ``step()`` loop, which
-copies every place, and compare the CSV with rows formatted from that loop,
+A run keeps its start, its config and its firing count, nothing per firing:
+its firings and markings are replayed as a step() loop through the
+generated steps.  These tests compare that replay with a ``step()`` loop,
+which copies every place, and the CSV with rows formatted from that loop,
 ``repr`` of every place, byte for byte.  A deterministic run enters the
-compiled loops ``run_final`` enters and records each period they run as its
-ordinals, so the record is also checked where those loops run, exit, fail a
-block and hand it back, and stop at a budget.
+compiled loops ``run_final`` enters, so the replay is also checked against
+runs where those loops run, exit, fail a block and hand it back, and stop
+at a budget.
 """
 
 import os
 import random
 import tempfile
 import tracemalloc
-from array import array
 from unittest import mock
 
 import pytest
@@ -33,7 +32,8 @@ from qpn.models import (
     zeno_expected_firings,
     zeno_net,
 )
-from qpn.net import Arc, PetriNet, PlaceDecl, PlaceKind, Policy, RunConfig, Steps, TerminalStatus, _execute, run, run_final
+from qpn.net import (Arc, ArcKind, PetriNet, PlaceDecl, PlaceKind, Policy, RunConfig, Steps, TerminalStatus, TransitionDecl,
+                     run, run_final)
 from test_net import TestFusedStep, _bits, _counter_net_and_marking, _step_loop
 from test_caches import _emissions
 from test_trace import (_LATE_HAZARDS, _alone, _late_net, _loop_firings, _metered_ring, _recording_loops,
@@ -50,7 +50,7 @@ def _check_record(net, m0, config):
     """run() replays the step() loop's markings bit for bit, and writes its rows byte for byte.
 
     A run that faults raises the loop's error class, message and step, and
-    its record then replays the firings the loop did.
+    returns no trace.
     """
     expected, end = _step_loop(net, m0, config)
     try:
@@ -58,17 +58,12 @@ def _check_record(net, m0, config):
     except QpnError as e:
         assert isinstance(end, QpnError) and type(e) is type(end)
         assert (str(e), e.step_index) == (str(end), end.step_index)
-        ordinals = array("I")
-        with pytest.raises(type(end)):
-            _execute(net, m0, config, ordinals)
-        steps = Steps([float(v) for v in m0], ordinals, net.compiled())
-        assert [(tid, _bits(m)) for tid, m in steps] == [(tid, _bits(m)) for tid, m in expected]
         return
     assert trace.status == end
-    steps = trace.steps
-    assert len(steps) == len(expected)
+    assert len(trace.steps) == len(expected)
+    steps = list(trace.steps)
     assert [(tid, _bits(m)) for tid, m in steps] == [(tid, _bits(m)) for tid, m in expected]
-    assert steps == tuple(expected) and tuple(expected) == steps and steps == run(net, m0, config).steps
+    assert trace.steps == tuple(expected) and tuple(expected) == trace.steps and trace.steps == run(net, m0, config).steps
     assert trace.fired() == [tid for tid, _ in expected]
     assert _bits(trace.final) == _bits(expected[-1][1] if expected else m0)
     if expected:
@@ -105,24 +100,77 @@ def test_record_of_a_run_that_fires_nothing():
     trace = run(net, m0, RunConfig())
     assert (len(trace.steps), trace.status, trace.final) == (0, TerminalStatus.QUIESCENT, m0)
     assert trace.steps == () and list(trace.steps) == [] and trace.fired() == []
-    with pytest.raises(IndexError):
-        trace.steps[0]
 
 
-def test_record_takes_at_most_8_bytes_per_firing():
-    """A run keeps its ordinals alone: about 4.5 B a firing on the passing net, 45 B with the touched
-    values, 520 B with marking copies."""
-    net, _ = slaz_passing_net(ProtocolParams(N=60, M=40))
+def _coin_net(tokens):
+    """A Born net of counters: each firing consumes one token and draws a or b."""
+    C = PlaceKind.COUNTER
+    return PetriNet("coin", [PlaceDecl("c", C, tokens), PlaceDecl("h", C), PlaceDecl("t", C)], ["a", "b"],
+                    [Arc("c", "a"), Arc("a", "h"), Arc("c", "b"), Arc("b", "t")])
+
+
+def _peaks(net, config, path):
+    """The firings of run(), and the tracemalloc peaks of run() and of the CSV writer, on a net whose code is built."""
     m0 = net.initial_marking()
-    run(net, m0, RunConfig())  # the net's code, its loops included, is generated before the count
+    # a deterministic run's loops turn hot in the first run and are built in the second; a Born run enters none
+    warm = config if config.policy == Policy.DETERMINISTIC_PRIORITY else RunConfig(config.policy, max_steps=1)
+    for _ in range(2):
+        run_final(net, m0, warm)
     tracemalloc.start()
     try:
-        trace = run(net, m0, RunConfig())
-        _, peak = tracemalloc.get_traced_memory()
+        trace = run(net, m0, config)
+        _, ran = tracemalloc.get_traced_memory()
+        tracemalloc.reset_peak()
+        _write_trace_csv(str(path), net, trace)
+        _, wrote = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
-    assert len(trace.steps) == passing_expected_firings(60, 40)
-    assert peak <= 8 * len(trace.steps), f"{peak / len(trace.steps):.1f} B per firing"
+    return len(trace.steps), ran, wrote
+
+
+@pytest.mark.parametrize(
+    "small, large, config",
+    [
+        (_coin_net(10_000), _coin_net(200_000), RunConfig(policy=Policy.BORN_RANDOM, seed=3)),
+        (slaz_passing_net(ProtocolParams(N=320, M=10))[0], slaz_passing_net(ProtocolParams(N=320, M=205))[0],
+         RunConfig()),
+    ],
+    ids=["born", "passing"],
+)
+def test_trace_memory_is_flat_in_the_firings(small, large, config, tmp_path):
+    """run() and the writer keep nothing per firing: one bound holds at about 10k and at over 200k firings.
+
+    The writer's peak, about 46 KB, is its file buffers and one row; a record of 4 B a firing would add 800 KB.
+    """
+    for net, least in ((small, 9_800), (large, 200_000)):
+        firings, ran, wrote = _peaks(net, config, tmp_path / "trace.csv")
+        assert firings >= least
+        assert max(ran, wrote) <= 96 * 1024, f"{firings} firings: run() {ran} B, writer {wrote} B"
+
+
+def test_replay_picks_by_priority_where_it_differs_from_ordinal_order():
+    """t2 outranks t1, declared first, whenever both are enabled: a replay that picked by ordinal would fire t1."""
+    C = PlaceKind.COUNTER
+    net = PetriNet("priority", [PlaceDecl("a", C, 3), PlaceDecl("b", C), PlaceDecl("c", C)],
+                   [TransitionDecl("t1", 2), TransitionDecl("t2", 1), TransitionDecl("t3", 0)],
+                   [Arc("a", "t1"), Arc("t1", "c"), Arc("a", "t2"), Arc("t2", "b"), Arc("b", "t3"), Arc("t3", "c", "2")])
+    assert not net.compiled().uniform_rank
+    assert run(net, net.initial_marking(), RunConfig()).fired() == ["t2", "t3"] * 3
+    _check_record(net, net.initial_marking(), RunConfig())
+
+
+def test_born_trace_at_max_steps_matches_step_loop_draw_for_draw():
+    """A Born ring that never quiesces: the replay draws from random.Random(seed) as the step() loop does."""
+    A = PlaceKind.AMPLITUDE
+    net = PetriNet("ring", [PlaceDecl("p", A, 1.0), PlaceDecl("q", A), PlaceDecl("r", A)], ["a", "b", "c", "d"],
+                   [Arc("p", "a", "m(p)", ArcKind.DRAIN), Arc("a", "q", "m(p)*0.6"),
+                    Arc("p", "b", "m(p)", ArcKind.DRAIN), Arc("b", "r", "m(p)*0.8"),
+                    Arc("q", "c", "m(q)", ArcKind.DRAIN), Arc("c", "p", "m(q)/0.6"),
+                    Arc("r", "d", "m(r)", ArcKind.DRAIN), Arc("d", "p", "m(r)/0.8")])
+    config = RunConfig(policy=Policy.BORN_RANDOM, seed=11, max_steps=301)
+    expected, end = _step_loop(net, net.initial_marking(), config)
+    assert end == TerminalStatus.STEP_LIMIT and len(expected) == 301 and {"a", "b"} <= {tid for tid, _ in expected}
+    _check_record(net, net.initial_marking(), config)
 
 
 def test_initial_marking_of_ints_prints_as_the_floats_the_run_starts_from(tmp_path):
@@ -149,55 +197,29 @@ def _enabling_tests_counted(calls):
 
 
 def test_replay_of_a_run_that_faulted_in_its_first_enabling_tests_tests_nothing():
-    """The record of a run whose enabling tests fault before its first firing is empty, and so is its replay."""
+    """A run whose enabling tests fault before its first firing raises; its empty steps replay without a test."""
     C = PlaceKind.COUNTER
     net = PetriNet("zero", [PlaceDecl("p", C), PlaceDecl("q", C)], ["t"], [Arc("p", "t", "1/m(p)"), Arc("t", "q")])
     m0 = net.initial_marking()
     expected, end = _step_loop(net, m0, RunConfig())
     assert expected == [] and isinstance(end, DivisionByZeroError) and end.step_index == 0
-    ordinals = array("I")
     with pytest.raises(DivisionByZeroError):
-        _execute(net, m0, RunConfig(), ordinals)
-    steps, calls = Steps(m0, ordinals, net.compiled()), []
+        run(net, m0, RunConfig())
+    steps, calls = Steps(m0, RunConfig(), 0, net.compiled()), []
     with _enabling_tests_counted(calls):
         assert (len(steps), list(steps), list(steps.replay())) == (0, [], [])
     assert calls == []
 
 
-def test_replay_of_a_record_ending_in_a_faulted_re_test_fires_that_firing():
-    """t1's re-test of t2 faults after the firing is written: the replay fires t1 and swallows the fault."""
+def test_run_whose_re_test_faults_after_the_firing_returns_no_trace():
+    """t1's re-test of t2 faults once t1's firing is written: run() raises as the step() loop does, with no trace."""
     net = TestFusedStep()._recheck_fault_net()
-    m0 = net.initial_marking()
-    expected, end = _step_loop(net, m0, RunConfig())
+    expected, end = _step_loop(net, net.initial_marking(), RunConfig())
     assert isinstance(end, DivisionByZeroError) and [tid for tid, _ in expected] == ["t1"]
-    ordinals = array("I")
-    with pytest.raises(DivisionByZeroError):
-        _execute(net, m0, RunConfig(), ordinals)
-    steps = Steps(m0, ordinals, net.compiled())
-    assert [(tid, _bits(m)) for tid, m in steps] == [(tid, _bits(m)) for tid, m in expected]
-    assert [(tid, _bits(m)) for tid, _, m in steps.replay()] == [(tid, _bits(m)) for tid, m in expected]
+    _check_record(net, net.initial_marking(), RunConfig())
 
 
-def test_fired_reads_the_record_without_replaying_it():
-    """Trace.fired() lists the step() loop's ids and calls no generated step or enabling test."""
-    net, _ = slaz_passing_net(ProtocolParams(N=12, M=5))
-    m0 = net.initial_marking()
-    trace = run(net, m0, RunConfig())
-    expected, _ = _step_loop(net, m0, RunConfig(max_steps=10**6))
-    called, calls = [], []
-
-    def refuse(m, flags):
-        called.append(True)
-        raise AssertionError("a generated step was called")
-
-    for ct in net.compiled().trans:
-        ct.step = refuse  # the compiled net is this net's alone
-    with _enabling_tests_counted(calls):
-        assert trace.fired() == [tid for tid, _ in expected]
-    assert called == [] and calls == [] and len(expected) == passing_expected_firings(12, 5)
-
-
-# --- recorded runs through compiled loops ---------------------------------------------
+# --- traced runs through compiled loops ---------------------------------------------
 
 
 def _lowered():
@@ -207,7 +229,7 @@ def _lowered():
 
 
 def test_recording_loops_match_step_loop_on_ring_nets():
-    """Loops compile early enough that the hazards strike inside the recording variant, blocks included."""
+    """Loops compile early enough that the hazards strike inside the loops of traced runs, blocks included."""
     engaged = []
 
     @settings(max_examples=80, deadline=None)
@@ -240,7 +262,7 @@ def test_recording_loops_match_step_loop_on_protocol_nets(build, expected):
 
 @pytest.mark.parametrize("hazard", sorted(_LATE_HAZARDS))
 def test_recording_loop_hands_a_failed_block_to_plain_steps(hazard):
-    """The hazard fails a block of the recording loop, whose firings are dropped and fired again as steps."""
+    """The hazard fails a block of a traced run's loop, whose firings are dropped and fired again as steps."""
     net = _late_net(hazard)
     results = []
     with _recording_loops(results):
@@ -267,7 +289,7 @@ def test_recording_loop_under_budgets_that_cut_a_block_short():
 
 
 def test_trace_record_net_runs_in_recording_loops():
-    """On the net of the trace-record benchmark, run() fires at least 90% in recording loops, as run_final does."""
+    """On the net of the trace-record benchmark, run() fires at least 90% in loops, as run_final does."""
     net, _ = slaz_passing_net(ProtocolParams(N=320, M=100))
     m0 = net.initial_marking()
     trace = run(net, m0, RunConfig())
@@ -277,7 +299,7 @@ def test_trace_record_net_runs_in_recording_loops():
 
 
 def test_recording_loops_patched_from_a_sibling_match_step_loop():
-    """Grid cells record through the recording loops of the first cell of their structure, patched."""
+    """Traced grid cells run through the loops of the first cell of their structure, patched."""
     for build in (slaz_passing_net, slaz_blocking_net):
         emitted = []
         with _alone(), _emissions(emitted):
@@ -299,7 +321,7 @@ def test_recording_loop_patched_from_a_sibling_hands_a_failed_block_to_plain_ste
 
 
 def test_recording_loops_patched_from_a_sibling_match_step_loop_on_ring_nets():
-    """Ring nets, recorded under both policies after their sibling left its loops on the structure."""
+    """Ring nets, traced under both policies after their sibling left its loops on the structure."""
     patched = []
 
     @settings(max_examples=60, deadline=None)
