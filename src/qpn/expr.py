@@ -554,22 +554,21 @@ _COMPILE_GLOBALS = {
     "_sqrt": math.sqrt,
     "_pow": math.pow,
     "_pi": math.pi,
-    "inf": math.inf,  # the repr of a non-finite Constant built through the API
-    "nan": math.nan,
     "__builtins__": {},
 }
 
 
-# Emitted code wraps each finite float literal in this delimiter, which it
-# uses nowhere else, so qpn.net can split a generated module into its shape
-# and its literals with one str.split: it compiles each shape once, with the
-# literals as arguments, and calls that code with each module's literals.
-# Strip the delimiter before compiling the text itself.
+# Emitted code wraps each float literal, finite or not, in this delimiter,
+# which it uses nowhere else, so qpn.net can split a generated module into
+# its shape and its literals with one str.split: it compiles each shape once,
+# with the literals as arguments, and calls that code with each module's
+# literals.  The text between delimiters is the value's repr, which float()
+# reads back; it is never compiled as it stands.
 LITERAL = "`"
 
 
 def _literal(value: float) -> str:
-    """A finite float as a delimited literal of emitted code."""
+    """A float as a delimited literal of emitted code."""
     return f"{LITERAL}{value!r}{LITERAL}"
 
 
@@ -582,8 +581,7 @@ def _emit(expr: WeightExpr | str, names: Mapping[str, str]) -> str:
     if isinstance(expr, str):
         return expr
     if isinstance(expr, Constant):
-        # inf and nan are names in _COMPILE_GLOBALS, not literals
-        return _literal(expr.value) if math.isfinite(expr.value) else repr(expr.value)
+        return _literal(expr.value)
     if isinstance(expr, Pi):
         return "_pi"
     if isinstance(expr, MarkRef):

@@ -578,19 +578,16 @@ class _CompiledNet:
         # each arc's weight with its place-free subtrees folded, and its value when that is a finite constant
         self._weights: list[tuple[_expr.WeightExpr, float | None]] = [entry.folded for entry in net._entries]
         key, self._consts = self._structure()
-        entries = _STRUCTURES.get(key, ())
-        for plan in entries:  # one per outcome of the finiteness of the derived values
-            values = plan.values(self._consts)
-            if values is not None:
-                for ct, wiring in zip(self.trans, plan.wiring):
-                    ct.in_arcs, ct.out_arcs, ct.touched, ct.reads, ct.recheck, ct.rivals = wiring
-                self.order, self.uniform_rank = plan.order, plan.uniform_rank
-                break
+        plan = _STRUCTURES.get(key)
+        if plan is None:
+            plan = self._generate()
+            _expr._remember(_STRUCTURES, _STRUCTURES_MAX, key, plan)
         else:
-            plan, values = self._generate()
-            _expr._remember(_STRUCTURES, _STRUCTURES_MAX, key, (*entries, plan))
-        self._entry, self._values = plan, values
-        enabled, steps = (self._exec(shape, text, [values[i] for i in holes]) for shape, text, holes in plan.modules)
+            for ct, wiring in zip(self.trans, plan.wiring):
+                ct.in_arcs, ct.out_arcs, ct.touched, ct.reads, ct.recheck, ct.rivals = wiring
+            self.order, self.uniform_rank = plan.order, plan.uniform_rank
+        self._entry, self._values = plan, _derive(plan.derived, self._consts)
+        enabled, steps = (self._exec(shape, text, [self._values[i] for i in holes]) for shape, text, holes in plan.modules)
         for ct, enabled_fn, step_fn in zip(self.trans, enabled, steps):
             ct.enabled, ct.step = enabled_fn, step_fn
         self._born: list[Callable[[Sequence[float]], float]] | None = None
@@ -609,8 +606,8 @@ class _CompiledNet:
                  tuple([entry.parts[counter[entry.place]] for entry in entries])),
                 [c for entry in entries for c in entry.consts])
 
-    def _generate(self) -> tuple[_Structure, list[float]]:
-        """Wire the net and emit its enabling tests and steps; how a net of its structure builds them, and the literals.
+    def _generate(self) -> _Structure:
+        """Wire the net and emit its enabling tests and steps: how a net of its structure builds them.
 
         Emission runs over holes (see _over_holes), so each literal of its
         text is the index of the value's recipe; every decision is taken on
@@ -652,12 +649,9 @@ class _CompiledNet:
         view, book = self._over_holes()
         sources = [_source("m", [[f"    return {test}"] for test in view._tests]),
                    _source("m, flags", [view._step(ti) for ti in range(len(self.trans))])]
-        consts = self._consts
-        derived = book[len(consts):]
-        values = _derive(derived, consts)
         wiring = [(ct.in_arcs, ct.out_arcs, ct.touched, ct.reads, ct.recheck, ct.rivals) for ct in self.trans]
-        return _Structure(derived, _finite(values, len(consts)), wiring, self.order, self.uniform_rank,
-                          [_module(source) for source in sources], {}, {}, {}), values
+        return _Structure(book[len(self._consts):], wiring, self.order, self.uniform_rank,
+                          [_module(source) for source in sources], {}, {}, {})
 
     def _over_holes(self) -> tuple[_CompiledNet, list]:
         """A copy of this compiled net whose folded constants are _Hole floats, and the book of their recipes.
@@ -920,10 +914,10 @@ class _CompiledNet:
             elif kind == "fault":
                 lines.append(f"if {_nonfinite(op[1])}: _fault()")
             elif kind == "overflow":
-                lines.append(f"if {_nonfinite([names[ids[p]] for p in op[1]])}: {slow or f'_overflow({ti}, m)'}")
+                lines.append(f"if {_nonfinite([names[ids[p]] for p in op[1]])}: {slow or f'_finish({ti}, m)'}")
             elif kind == "counters":
                 test = " or ".join(f"{x} < 0.0 or {x} % 1.0" for x in (names[ids[p]] for p in op[1]))
-                lines.append(f"if {test}: {slow or f'_snap({ti}, m)'}")
+                lines.append(f"if {test}: {slow or f'_finish({ti}, m)'}")
             elif kind == "sink":
                 lines.append(f"z += {names[ids[op[1]]]} - {names[ids[op[1]]]}")
             else:
@@ -1146,21 +1140,18 @@ class _CompiledNet:
                          [(want, [terms_at[name] for name in names]) for want, names in breaks])
 
     def finish(self, ti: int, m: Marking) -> None:
-        """The overflow error or counter snap of a firing of ti in the BFS's successors whose test failed."""
-        if any(not math.isfinite(m[self.net.place_index[self.net.arcs[j].target]]) for j in self.trans[ti].out_arcs):
-            self._raise_overflow(ti, m)
-        self._snap_counters(ti, m)
+        """The slow path of a firing of ti whose overflow or counter test failed, in a step or a successor.
 
-    def _raise_overflow(self, ti: int, m: Marking) -> None:
-        """Name the first deposit target of ti that is no longer finite."""
+        Names the first deposit target that is no longer finite; else snaps
+        each counter place ti touches to the integer within EPSILON_INT, or
+        raises.  A deposit target without an overflow test receives only a
+        finite constant below _SAFE_DEPOSIT on a finite place, so a failed
+        counter test never finds one here.
+        """
         ct = self.trans[ti]
-        p = next(p for p in map(self.net.place_index.get, (self.net.arcs[j].target for j in ct.out_arcs))
-                 if not math.isfinite(m[p]))
-        raise NonFiniteResultError(f"firing {ct.tid} left place {self.net.places[p].id} at {m[p]!r}")
-
-    def _snap_counters(self, ti: int, m: Marking) -> None:
-        """Snap each counter place ti touches to the integer within EPSILON_INT, else raise."""
-        ct = self.trans[ti]
+        for p in (self.net.place_index[self.net.arcs[j].target] for j in ct.out_arcs):
+            if not math.isfinite(m[p]):
+                raise NonFiniteResultError(f"firing {ct.tid} left place {self.net.places[p].id} at {m[p]!r}")
         for p in ct.touched:
             place = self.net.places[p]
             if place.kind == PlaceKind.COUNTER:
@@ -1184,8 +1175,7 @@ class _CompiledNet:
         The factory runs in a namespace of the net's own; extra adds globals.
         """
         namespace = dict(_expr._COMPILE_GLOBALS)
-        namespace.update(_fault=_raise_fault, _overflow=self._raise_overflow, _snap=self._snap_counters,
-                         _finish=self.finish, _FAULTS=_FAULTS, _RecheckFault=_RecheckFault,
+        namespace.update(_fault=_raise_fault, _finish=self.finish, _FAULTS=_FAULTS, _RecheckFault=_RecheckFault,
                          _trip=_trip_count, _range=range, **extra)
         exec(_shaped(shape, text), namespace)  # noqa: S102 - source built from our own AST
         return namespace["_make"](*literals)
@@ -1215,8 +1205,8 @@ class _CompiledNet:
             self.diagnose(ti, m, step_index)
             raise
 
-    def enabled_ordinals(self, m: Sequence[float], step_index: int | None = None) -> list[int]:
-        return [ti for ti in range(len(self.trans)) if self.enabled(ti, m, step_index)]
+    def enabled_ordinals(self, m: Sequence[float]) -> list[int]:
+        return [ti for ti in range(len(self.trans)) if self.enabled(ti, m)]
 
     def enabled_flags(self, m: Sequence[float]) -> tuple[bytearray, int]:
         """The enabled flag of every transition, and how many are set; a fault names step 0."""
@@ -1284,9 +1274,8 @@ class _CompiledNet:
 # tests and steps over _Hole constants, which learns the recipe of every
 # literal: a constant, a sum of them or a threshold w - EPSILON.  A later net
 # of that structure computes its literals from the recipes with the same float
-# operations and calls the shapes' factories with them, with no emission.  A
-# key keeps one entry for each outcome of which derived values are finite,
-# since those are written as names.
+# operations and calls the shapes' factories with them, with no emission.
+# Every value is written as a literal, finite or not, so a key keeps one entry.
 #
 # Loops are emitted once per structure too.  Sightings of a period are pooled
 # over the nets of the structure, and a hot period is kept on the structure by
@@ -1297,7 +1286,7 @@ class _CompiledNet:
 
 _SHAPES: dict[str, CodeType] = {}  # shape -> its factory (see _shaped), oldest first
 _SHAPES_MAX = 256
-_STRUCTURES: dict[tuple, tuple[_Structure, ...]] = {}  # structure key -> how its nets build their code, oldest first
+_STRUCTURES: dict[tuple, _Structure] = {}  # structure key -> how its nets build their code, oldest first
 _STRUCTURES_MAX = 64
 _LOOPS_MAX = 64  # loops kept per structure
 _ARCS: dict[tuple, _ArcEntry] = {}  # (source, target, kind, weight text or id(tree)) -> _arc_entry, oldest first
@@ -1308,10 +1297,11 @@ class _Hole(float):
     """A folded constant of a net whose structure is being learned, or a value emission derives from them.
 
     It is its value in every decision, and in emitted text it is the index
-    i of its recipe, book[i]: None for a constant, ("+", i, j) for a sum
-    expr._sum adds up, ("-", i, c) for a threshold.  An operation that
-    derives a value some other way gives a plain float, whose literal (never
-    an integer) the recipes cannot recompute, so _module fails on it.
+    i of its recipe, book[i], whether the value is finite or not: None for a
+    constant, ("+", i, j) for a sum expr._sum adds up, ("-", i, c) for a
+    threshold.  An operation that derives a value some other way gives a
+    plain float, whose literal (a float's repr, never an integer) the
+    recipes cannot recompute, so _module fails on it.
     """
 
     __slots__ = ("book", "index")
@@ -1333,7 +1323,7 @@ class _Hole(float):
         return _Hole(float(self) - other, self.book, ("-", self.index, other))
 
     def __repr__(self) -> str:
-        return str(self.index) if math.isfinite(self) else float.__repr__(self)
+        return str(self.index)
 
 
 def _class(w: float, least: float) -> tuple:
@@ -1347,15 +1337,13 @@ def _class(w: float, least: float) -> tuple:
 
 
 def _skeleton(tree: _expr.WeightExpr, consts: list[float]) -> object:
-    """A folded tree's node types, places and non-finite constants, with each finite constant a hole, None.
+    """A folded tree's node types and places, with each constant a hole, None.
 
     Appends the value of each hole to consts.
     """
     if type(tree) is _expr.Constant:
-        if math.isfinite(tree.value):
-            consts.append(tree.value)
-            return None
-        return tree.value
+        consts.append(tree.value)
+        return None
     if type(tree) is _expr.MarkRef:
         return tree.place
     return (type(tree), *(_skeleton(child, consts) for child in vars(tree).values()))
@@ -1376,7 +1364,7 @@ class _ArcEntry(NamedTuple):
     transition: str  # and the one it must declare as a transition
     free: frozenset[str]  # the places the weight reads
     folded: tuple[WeightExpr, float | None]  # the folded weight, and its value if a finite constant
-    consts: tuple[float, ...]  # the folded weight's finite constants, in the order of its holes
+    consts: tuple[float, ...]  # the folded weight's constants, in the order of its holes
     parts: tuple[tuple, tuple]  # the arc's part of a structure key on an amplitude place, on a counter place
 
 
@@ -1384,8 +1372,8 @@ def _arc_entry(weight: WeightExpr | str, arc: Arc) -> _ArcEntry:
     """The entry of a normalized arc whose weight was given as weight.
 
     Its part of a structure key holds its endpoints, its kind's value (a
-    string, whose hash is cached) and its folded weight with each finite
-    constant a hole (see _skeleton); a weight that folds to a finite
+    string, whose hash is cached) and its folded weight with each constant a
+    hole (see _skeleton); a weight that folds to a finite
     constant is keyed by _class, the outcome of every decision emission
     takes on its value, which counts moves of at least 0.5 on a counter
     place (see _moves).
@@ -1402,9 +1390,9 @@ def _arc_entry(weight: WeightExpr | str, arc: Arc) -> _ArcEntry:
 
 
 def _holed(tree: _expr.WeightExpr, holes: Iterator[_Hole]) -> _expr.WeightExpr:
-    """The tree with each finite constant the next of holes, in _skeleton's order."""
+    """The tree with each constant the next of holes, in _skeleton's order."""
     if type(tree) is _expr.Constant:
-        return _expr.Constant(next(holes)) if math.isfinite(tree.value) else tree
+        return _expr.Constant(next(holes))
     if type(tree) is _expr.MarkRef:
         return tree
     return type(tree)(*(_holed(child, holes) for child in vars(tree).values()))
@@ -1416,11 +1404,6 @@ def _derive(recipes: list[tuple], consts: list[float]) -> list[float]:
     for op, i, other in recipes:
         values.append(values[i] + values[other] if op == "+" else values[i] - other)
     return values
-
-
-def _finite(values: list[float], start: int) -> tuple:
-    """Which derived values are finite, the infinite ones by value: emission writes those as names."""
-    return tuple(math.isfinite(v) or v for v in values[start:])
 
 
 def _source(params: str, bodies: list[list[str]]) -> str:
@@ -1441,9 +1424,8 @@ def _module(source: str) -> tuple[str, list[str], list[int]]:
 class _Structure:
     """How the nets of one structure build their enabling tests and steps.
 
-    ``derived`` are the recipes after the constants (see _Hole) and
-    ``finite`` which of their values are finite: a net whose derived values
-    differ there would be emitted differently.  ``wiring`` is each
+    ``derived`` are the recipes after the constants (see _Hole), from
+    which _derive computes a net's literals.  ``wiring`` is each
     transition's (in_arcs, out_arcs, touched, reads, recheck, rivals), and
     ``modules`` are the enabling tests and the steps (see _module).  The
     loops of the structure's nets are built from ``hot`` and ``loops``,
@@ -1451,7 +1433,6 @@ class _Structure:
     """
 
     derived: list[tuple]
-    finite: tuple
     wiring: list[tuple]
     order: list[int]
     uniform_rank: bool
@@ -1459,11 +1440,6 @@ class _Structure:
     hot: dict[bytes, _Period]  # hot periods by head, sighted by any net of the structure
     sightings: dict[bytes, int]  # sightings of each period by its head, until it is hot
     loops: dict[tuple, _LoopCode]  # (states, _BLOCK, induction counters) -> code; see _CompiledNet.looped
-
-    def values(self, consts: list[float]) -> list[float] | None:
-        """The literals of a net with these constants, or None if it would be emitted differently."""
-        values = _derive(self.derived, consts)
-        return values if _finite(values, len(consts)) == self.finite else None
 
 
 @dataclass(frozen=True)

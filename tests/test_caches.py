@@ -72,15 +72,16 @@ def _key(value):
 
 
 _JUMPS = frozenset(dis.hasjrel + dis.hasjabs)
+_NONFINITE = "_nonfinite_"  # a non-finite literal's name in a fresh compile's text, followed by its bits in hex
 
 
 def _instructions(code, cells):
     """code's instructions as (name, argument), the same for a function built from a factory and a fresh compile.
 
-    A read of a cell that cells maps to its value is the load of that
-    constant; RETURN_CONST is a load and RETURN_VALUE; the closure's
-    COPY_FREE_VARS and EXTENDED_ARG are skipped, so jumps and the exception
-    table name their targets by index.  Arguments are compared by argval,
+    A read of a cell that cells maps to its value, or of a global that
+    _literal_source names, is the load of that constant; RETURN_CONST is a
+    load and RETURN_VALUE; the closure's COPY_FREE_VARS and EXTENDED_ARG are
+    skipped, so jumps and the exception table name their targets by index.  Arguments are compared by argval,
     not arg: the compiler shares one co_consts slot among equal literals.
     """
     out, at, jumps = [], {}, []
@@ -90,6 +91,9 @@ def _instructions(code, cells):
             continue
         if ins.opname == "LOAD_DEREF" and ins.argval in cells:
             out.append(("LOAD_CONST", _key(cells[ins.argval])))
+        elif ins.opname == "LOAD_GLOBAL" and ins.argval.startswith(_NONFINITE):
+            value = struct.unpack("<d", bytes.fromhex(ins.argval[len(_NONFINITE):]))[0]
+            out.append(("LOAD_CONST", _key(value)))
         elif ins.opname == "RETURN_CONST":
             out += [("LOAD_CONST", _key(ins.argval)), ("RETURN_VALUE", None)]
         else:
@@ -110,9 +114,24 @@ def _function_key(fn):
     return code.co_name, code.co_varnames, _instructions(code, cells)
 
 
+def _literal_source(value):
+    """A literal as a fresh compile reads it as one constant: its repr, or a name for a non-finite value.
+
+    The repr inf would be a plain global, and text such as 1e999 a constant
+    the compiler folds with its neighbours, as in 1.0/(1e999-1e999).
+    """
+    return repr(value) if math.isfinite(value) else f"{_NONFINITE}{struct.pack('<d', value).hex()}"
+
+
 def _literal_text(text, literals):
-    """A module's real text: each literal's repr between consecutive parts of text."""
-    return "".join(part + repr(value) for part, value in zip(text, literals)) + text[-1]
+    """A module's real text: each literal (see _literal_source) between consecutive parts of text."""
+    return "".join(part + _literal_source(value) for part, value in zip(text, literals)) + text[-1]
+
+
+def _real_text(source):
+    """The real text of emitted source, whose literals expr.LITERAL delimits."""
+    parts = source.split(expr_module.LITERAL)
+    return _literal_text(parts[::2], [float(text) for text in parts[1::2]])
 
 
 def _fresh(source):
@@ -390,7 +409,7 @@ def _assert_emitted_as_fresh(cnet):
     their bits with the constants of the fresh code."""
     sources = (net_module._source("m", [[f"    return {test}"] for test in cnet._tests]),
                net_module._source("m, flags", [cnet._step(ti) for ti in range(len(cnet.trans))]))
-    tests, steps = (_fresh(source.replace(expr_module.LITERAL, "")) for source in sources)
+    tests, steps = (_fresh(_real_text(source)) for source in sources)
     for ti, ct in enumerate(cnet.trans):
         assert _function_key(ct.enabled) == _function_key(tests[f"_f{ti}"])
         assert _function_key(ct.step) == _function_key(steps[f"_f{ti}"])
@@ -504,19 +523,35 @@ def test_structure_hit_of_a_faulting_constant_raises_the_reference_error(monkeyp
 
 
 def test_sum_that_overflows_takes_another_structure(monkeypatch):
-    """Two consumes from one place whose constant sum overflows emit an inf threshold, not a literal:
-    a cached structure serves only nets whose sums overflow as its own did, and the key keeps both."""
+    """Two consumes from one place whose constant sum overflows emit an inf threshold as a literal like
+    any other: nets whose sums overflow and nets whose sums stay finite share one structure."""
     monkeypatch.setattr(net_module, "_STRUCTURES", {})
 
     def net(a, b):
         return PetriNet("sum", [PlaceDecl("p", A, 1e308)], ["t"], [Arc("p", "t", Constant(a)), Arc("p", "t", Constant(b))])
 
-    for a, b, hit in ((1e308, 1e307, False), (1e300, 2e300, True), (1e308, 1e308, False), (1.5e308, 1e308, True),
+    for a, b, hit in ((1e308, 1e307, False), (1e300, 2e300, True), (1e308, 1e308, True), (1.5e308, 1e308, True),
                       (1e300, 1e300, True)):
         cnet, built_from_structure = _compiled(net(a, b))
         assert built_from_structure == hit
         _assert_emitted_as_fresh(cnet)
         assert cnet.enabled(0, [1e308]) == (1e308 >= a + b - 1e-12)
+    assert len(net_module._STRUCTURES) == 1
+
+
+def test_nets_with_a_nan_constant_share_one_structure(monkeypatch):
+    """A NaN constant is a hole like any other: nets that each hold their own NaN object key alike,
+    and each raises the reference error for its weight."""
+    monkeypatch.setattr(net_module, "_STRUCTURES", {})
+    for hit in (False, True, True):
+        weight = Multiply(MarkRef("p"), Constant(float("nan")))
+        net = PetriNet("nan", [PlaceDecl("p", A, 1.0), PlaceDecl("out", A)], ["t"], [Arc("p", "t", weight), Arc("t", "out", "1")])
+        cnet, built_from_structure = _compiled(net)
+        assert built_from_structure == hit
+        _assert_emitted_as_fresh(cnet)
+        with pytest.raises(QpnError, match=r"^arc p->t w=m\(p\)\*nan: "):
+            cnet.enabled(0, [1.0, 0.0])
+    assert len(net_module._STRUCTURES) == 1
 
 
 def test_a_repeated_arc_keeps_a_literal_per_occurrence(monkeypatch):
@@ -715,7 +750,7 @@ def test_loops_whose_emission_decides_otherwise_are_emitted_afresh(monkeypatch):
     integral, halves = codes[0], codes[4]
     assert len(codes) == 6 and integral is not halves
     assert all(code is integral for code in codes[:4]) and codes[5] is halves
-    [entry] = next(iter(net_module._STRUCTURES.values()))
+    entry = next(iter(net_module._STRUCTURES.values()))
     assert [id(code) for code in entry.loops.values()] == [id(integral), id(halves)]
 
 
@@ -752,9 +787,8 @@ def test_threads_that_meet_one_hot_head_each_get_a_correct_loop(monkeypatch):
     monkeypatch.setattr(net_module, "_STRUCTURES", {})
     warm = slaz_passing_net(ProtocolParams(N=39, M=25))[0]
     run(warm, warm.initial_marking(), RunConfig())  # the period turns hot and its loop is built
-    for entries in net_module._STRUCTURES.values():  # drop the loop's code, so that the threads emit it
-        for entry in entries:
-            entry.loops.clear()
+    for entry in net_module._STRUCTURES.values():  # drop the loop's code, so that the threads emit it
+        entry.loops.clear()
     shared = slaz_passing_net(ProtocolParams(N=40, M=25))[0]
     got, errors = [], []
 

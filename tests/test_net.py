@@ -1090,27 +1090,28 @@ def test_fire_matches_reference_on_counter_nets(net_and_marking):
         assert _bits(fire(net, marking, tid)) == _bits(expected)
 
 
-class TestFusedStep:
-    def _recheck_fault_net(self):
-        # t1 drains p2 and deposits 1/m(p2), read pre-fire; the re-test of t2,
-        # whose guard weight is 1/m(p2), then divides by zero.  t1's own
-        # weight faults on the post-fire marking too, so diagnosing t1 there
-        # would name the wrong arc.
-        return PetriNet(
-            "recheck",
-            [PlaceDecl("c", C, 1), PlaceDecl("p2", A, 1.0), PlaceDecl("out", A, 0.0)],
-            ["t1", "t2"],
-            [
-                Arc("c", "t1"),
-                Arc("p2", "t1", "m(p2)", ArcKind.DRAIN),
-                Arc("t1", "out", "1/m(p2)"),
-                Arc("out", "t2", "1/m(p2)", ArcKind.GUARD),
-            ],
-        )
+def _recheck_fault_net():
+    # t1 drains p2 and deposits 1/m(p2), read pre-fire; the re-test of t2,
+    # whose guard weight is 1/m(p2), then divides by zero.  t1's own
+    # weight faults on the post-fire marking too, so diagnosing t1 there
+    # would name the wrong arc.
+    return PetriNet(
+        "recheck",
+        [PlaceDecl("c", C, 1), PlaceDecl("p2", A, 1.0), PlaceDecl("out", A, 0.0)],
+        ["t1", "t2"],
+        [
+            Arc("c", "t1"),
+            Arc("p2", "t1", "m(p2)", ArcKind.DRAIN),
+            Arc("t1", "out", "1/m(p2)"),
+            Arc("out", "t2", "1/m(p2)", ArcKind.GUARD),
+        ],
+    )
 
+
+class TestFusedStep:
     @pytest.mark.parametrize("runner", [run, run_final])
     def test_recheck_fault_names_retested_arc(self, runner):
-        net = self._recheck_fault_net()
+        net = _recheck_fault_net()
         with pytest.raises(DivisionByZeroError) as err:
             runner(net, net.initial_marking(), RunConfig())
         assert err.value.step_index == 0
@@ -1119,7 +1120,7 @@ class TestFusedStep:
 
     def test_fire_leaves_a_recheck_fault_to_the_next_enabling_test(self):
         """fire and step run t1's step, whose re-test of t2 faults after the firing."""
-        net = self._recheck_fault_net()
+        net = _recheck_fault_net()
         m0 = net.initial_marking()
         assert fire(net, m0, "t1") == [0.0, 0.0, 1.0]
         assert step(net, m0, RunConfig(), random.Random(0)) == ("t1", [0.0, 0.0, 1.0])

@@ -91,6 +91,15 @@ class TestProbabilities:
         q = QuantumMapping(assignments=(("p", "a"), ("q", "b")))
         assert probabilities(q, net, [0.5, 0.5]).total == pytest.approx(0.5)
 
+    def test_total_adds_in_order(self):
+        """The total is the last running sum measure() draws against, on every Python version:
+        the builtin sum() would give 1.0000000000000002 here from 3.12 on."""
+        net = _net({"p": 1.0, "q": 1e-8, "r": 1e-8})
+        q = QuantumMapping(assignments=(("p", "a"), ("q", "b"), ("r", "c")))
+        m = net.initial_marking()
+        assert probabilities(q, net, m).total == 1.0
+        assert amplitudes(q, net, m).norm_squared() == 1.0
+
 
 class TestSuperpose:
     def test_entrywise_sum(self):

@@ -34,7 +34,7 @@ from qpn.models import (
 )
 from qpn.net import (Arc, ArcKind, PetriNet, PlaceDecl, PlaceKind, Policy, RunConfig, Steps, TerminalStatus, TransitionDecl,
                      run, run_final)
-from test_net import TestFusedStep, _bits, _counter_net_and_marking, _step_loop
+from test_net import _bits, _counter_net_and_marking, _recheck_fault_net, _step_loop
 from test_caches import _emissions
 from test_trace import (_LATE_HAZARDS, _alone, _late_net, _loop_firings, _metered_ring, _recording_loops,
                         _ring_case, _warmed_sibling)
@@ -213,7 +213,7 @@ def test_replay_of_a_run_that_faulted_in_its_first_enabling_tests_tests_nothing(
 
 def test_run_whose_re_test_faults_after_the_firing_returns_no_trace():
     """t1's re-test of t2 faults once t1's firing is written: run() raises as the step() loop does, with no trace."""
-    net = TestFusedStep()._recheck_fault_net()
+    net = _recheck_fault_net()
     expected, end = _step_loop(net, net.initial_marking(), RunConfig())
     assert isinstance(end, DivisionByZeroError) and [tid for tid, _ in expected] == ["t1"]
     _check_record(net, net.initial_marking(), RunConfig())
