@@ -98,28 +98,19 @@ class Not:
 MarkingPredicate = Union[Compare, And, Or, Not]
 
 
-class _PredicateParser:
+class _PredicateParser(_expr._Parser):
     """Comparisons of weight expressions glued with AND/OR/NOT.
 
     Grammar: pred := conj ("OR" conj)* ; conj := unit ("AND" unit)* ;
     unit := "NOT" unit | "(" pred ")" | expr CMP expr.  A leading "(" is
     ambiguous (grouped predicate vs parenthesized expression), resolved by
-    trying the comparison first and backtracking.
+    trying the comparison first and backtracking.  A predicate's depth adds
+    its AND, OR and NOT levels to the depth of its weights, and its groups
+    count with theirs, against expr.MAX_DEPTH.
     """
 
-    def __init__(self, tokens: list[_expr._Token]):
-        self.tokens = tokens
-        self.pos = 0
-
-    def peek(self) -> _expr._Token:
-        return self.tokens[self.pos]
-
-    def _is_keyword(self, word: str) -> bool:
-        tok = self.peek()
-        return tok.kind == "ident" and tok.text.upper() == word
-
     def parse(self) -> MarkingPredicate:
-        node = self.parse_or()
+        node, _ = self.parse_or()
         tok = self.peek()
         if tok.kind != "end":
             raise ExprSyntaxError(
@@ -127,40 +118,37 @@ class _PredicateParser:
             )
         return node
 
-    def parse_or(self) -> MarkingPredicate:
-        node = self.parse_and()
-        while self._is_keyword("OR"):
-            self.pos += 1
-            node = Or(node, self.parse_and())
-        return node
+    def parse_or(self) -> tuple[MarkingPredicate, int]:
+        return self.chain(self.parse_and, {"OR": Or})
 
-    def parse_and(self) -> MarkingPredicate:
-        node = self.parse_unit()
-        while self._is_keyword("AND"):
-            self.pos += 1
-            node = And(node, self.parse_unit())
-        return node
+    def parse_and(self) -> tuple[MarkingPredicate, int]:
+        return self.chain(self.parse_unit, {"AND": And})
 
-    def parse_unit(self) -> MarkingPredicate:
-        if self._is_keyword("NOT"):
-            self.pos += 1
-            return Not(self.parse_unit())
-        saved = self.pos
+    def parse_unit(self) -> tuple[MarkingPredicate, int]:
+        if self.peek().text.upper() == "NOT":
+            tok = self.advance()
+            self.enter(tok)
+            node, depth = self.parse_unit()
+            self.groups -= 1
+            return Not(node), self.nested(tok, depth + 1)
+        saved = self.pos, self.groups
         try:
             return self.parse_comparison()
         except ExprSyntaxError:
-            if self.tokens[saved].kind != "(":
+            if self.tokens[saved[0]].kind != "(":
                 raise
-            self.pos = saved + 1
-            node = self.parse_or()
+            self.pos, self.groups = saved
+            self.enter(self.advance())
+            parsed = self.parse_or()
             tok = self.peek()
             if tok.kind != ")":
                 raise ExprSyntaxError("expected ')'", tok.line, tok.column, ("')'",)) from None
             self.pos += 1
-            return node
+            self.groups -= 1
+            return parsed
 
-    def parse_comparison(self) -> Compare:
-        left = self._parse_expr()
+    def parse_comparison(self) -> tuple[Compare, int]:
+        left, left_depth = self.parse_expr()
         tok = self.peek()
         if tok.kind not in _CMP_OPS:
             raise ExprSyntaxError(
@@ -171,15 +159,8 @@ class _PredicateParser:
                 _CMP_OPS,
             )
         self.pos += 1
-        right = self._parse_expr()
-        return Compare(left, tok.kind, right)
-
-    def _parse_expr(self) -> _expr.WeightExpr:
-        sub = _expr._Parser(self.tokens)
-        sub.pos = self.pos
-        node = sub.parse_expr()
-        self.pos = sub.pos
-        return node
+        right, right_depth = self.parse_expr()
+        return Compare(left, tok.kind, right), max(left_depth, right_depth)
 
 
 def parse_predicate(text: str) -> MarkingPredicate:

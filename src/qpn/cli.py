@@ -76,7 +76,7 @@ def _load_file(path: str) -> netfile.NetDocument:
     try:
         with open(path, "r", encoding="utf-8-sig") as handle:
             text = handle.read()
-    except OSError as e:
+    except (OSError, UnicodeDecodeError) as e:
         raise NetFileError(f"cannot read {path}: {e}") from None
     return netfile.load(text)
 

@@ -13,13 +13,15 @@ current token counts, written in ASCII:
 `m(p9)` reads the token count of place p9 from the marking the expression is
 evaluated against.  There is no implicit multiplication; `^` is
 right-associative; scientific-notation literals (`1e-28`) are accepted.
+Text nests at most MAX_DEPTH levels.
 
 :func:`evaluate` walks the tree and is the reference semantics.  The net
 engine executes weights as Python source emitted from the tree, inside the
 code :mod:`qpn.net` generates for each net; tests fire nets and assert the
 two agree bit for bit, and the engine diagnoses a fault in emitted code by
 re-evaluating with :func:`evaluate`, so every evaluation error it reports is
-the reference's.
+the reference's.  :func:`format_expr` and the emitter render a tree from one
+operator table.
 """
 
 from __future__ import annotations
@@ -28,7 +30,7 @@ import math
 import re
 import threading
 from dataclasses import dataclass
-from typing import Mapping, Union
+from typing import Callable, Mapping, Union
 
 from .errors import (
     DivisionByZeroError,
@@ -212,11 +214,20 @@ def _tokenize(text: str, operators: tuple[str, ...] = ()) -> list[_Token]:
 
 # --- parser ---------------------------------------------------------------------
 
+# The deepest a weight or predicate may nest: in operators along any path of
+# its tree, and in groups (parentheses, calls, unary minuses, exponents) the
+# parser is inside at once.  Every recursive walk of a tree stays far from
+# Python's recursion limit, and generated code from its parenthesis limit.
+MAX_DEPTH = 100
+
 
 class _Parser:
+    """Recursive descent over a token stream; each parse method returns a tree and its depth."""
+
     def __init__(self, tokens: list[_Token]):
         self.tokens = tokens
         self.pos = 0
+        self.groups = 0  # groups the parser is inside
 
     def peek(self) -> _Token:
         return self.tokens[self.pos]
@@ -237,36 +248,51 @@ class _Parser:
             )
         return self.advance()
 
-    def parse_expr(self) -> WeightExpr:
-        node = self.parse_term()
-        while self.peek().kind in ("+", "-"):
-            op = self.advance().kind
-            right = self.parse_term()
-            node = Add(node, right) if op == "+" else Subtract(node, right)
-        return node
+    def nested(self, tok: _Token, depth: int) -> int:
+        """depth, which the text reaches at tok, if it is within MAX_DEPTH."""
+        if depth > MAX_DEPTH:
+            raise ExprSyntaxError(f"nested deeper than {MAX_DEPTH} levels", tok.line, tok.column)
+        return depth
 
-    def parse_term(self) -> WeightExpr:
-        node = self.parse_factor()
-        while self.peek().kind in ("*", "/"):
-            op = self.advance().kind
-            right = self.parse_factor()
-            node = Multiply(node, right) if op == "*" else Divide(node, right)
-        return node
+    def enter(self, tok: _Token) -> None:
+        """Enter the group that opens at tok; the caller leaves it, or a backtrack resets the count."""
+        self.groups = self.nested(tok, self.groups + 1)
 
-    def parse_factor(self) -> WeightExpr:
+    def chain(self, operand: Callable[[], tuple], nodes: dict[str, type]) -> tuple:
+        """Operands joined left to right by operators; nodes maps an operator's upper-case text to its node."""
+        node, depth = operand()
+        while (node_type := nodes.get(self.peek().text.upper())) is not None:
+            tok = self.advance()
+            right, right_depth = operand()
+            node, depth = node_type(node, right), self.nested(tok, max(depth, right_depth) + 1)
+        return node, depth
+
+    def parse_expr(self) -> tuple[WeightExpr, int]:
+        return self.chain(self.parse_term, {"+": Add, "-": Subtract})
+
+    def parse_term(self) -> tuple[WeightExpr, int]:
+        return self.chain(self.parse_factor, {"*": Multiply, "/": Divide})
+
+    def parse_factor(self) -> tuple[WeightExpr, int]:
         if self.peek().kind == "-":
-            self.advance()
-            return Negate(self.parse_factor())
+            tok = self.advance()
+            self.enter(tok)
+            node, depth = self.parse_factor()
+            self.groups -= 1
+            return Negate(node), self.nested(tok, depth + 1)
         return self.parse_power()
 
-    def parse_power(self) -> WeightExpr:
-        base = self.parse_atom()
+    def parse_power(self) -> tuple[WeightExpr, int]:
+        base, depth = self.parse_atom()
         if self.peek().kind == "^":
-            self.advance()
-            return Power(base, self.parse_factor())
-        return base
+            tok = self.advance()
+            self.enter(tok)
+            exponent, exponent_depth = self.parse_factor()
+            self.groups -= 1
+            return Power(base, exponent), self.nested(tok, max(depth, exponent_depth) + 1)
+        return base, depth
 
-    def parse_atom(self) -> WeightExpr:
+    def parse_atom(self) -> tuple[WeightExpr, int]:
         tok = self.peek()
         if tok.kind == "num":
             self.advance()
@@ -276,27 +302,31 @@ class _Parser:
                 raise MalformedNumberError(f"malformed number {tok.text!r}", tok.line, tok.column)
             if not math.isfinite(value):
                 raise MalformedNumberError(f"non-finite literal {tok.text!r}", tok.line, tok.column)
-            return Constant(value)
+            return Constant(value), 0
         if tok.kind == "(":
             self.advance()
-            node = self.parse_expr()
+            self.enter(tok)
+            parsed = self.parse_expr()
             self.expect(")", ("')'",))
-            return node
+            self.groups -= 1
+            return parsed
         if tok.kind == "ident":
             self.advance()
             name = tok.text
             if name == "pi":
-                return Pi()
+                return Pi(), 0
             if name == "m":
                 self.expect("(", ("'('",))
                 ident = self.expect("ident", ("place identifier",))
                 self.expect(")", ("')'",))
-                return MarkRef(ident.text)
+                return MarkRef(ident.text), 0
             if name in _FUNCTIONS:
                 self.expect("(", ("'('",))
-                node = self.parse_expr()
+                self.enter(tok)
+                node, depth = self.parse_expr()
                 self.expect(")", ("')'",))
-                return _FUNCTIONS[name](node)
+                self.groups -= 1
+                return _FUNCTIONS[name](node), self.nested(tok, depth + 1)
             if self.peek().kind == "(":
                 raise UnknownFunctionError(
                     f"unknown function {name!r}", tok.line, tok.column, ("cos", "sin", "sqrt", "m")
@@ -328,7 +358,7 @@ def parse(text: str) -> WeightExpr:
     if node is not None:
         return node
     parser = _Parser(_tokenize(text))
-    node = parser.parse_expr()
+    node, _ = parser.parse_expr()
     tok = parser.peek()
     if tok.kind != "end":
         raise ExprSyntaxError(f"trailing input {tok.text!r}", tok.line, tok.column, ("end of input",))
@@ -430,23 +460,12 @@ def fold_constants(expr: WeightExpr) -> WeightExpr:
 
 def _fold(expr: WeightExpr) -> tuple[WeightExpr, bool]:
     """The folded tree, and whether it reads no place."""
-    if isinstance(expr, MarkRef):
-        return expr, False
-    if isinstance(expr, Constant):
-        return expr, True
-    if isinstance(expr, Pi):
+    if type(expr) is Pi:
         return Constant(math.pi), True
-    if isinstance(expr, (Negate, Cos, Sin, Sqrt)):
-        operand, constant = _fold(expr.operand)
-        expr = type(expr)(operand)
-    elif isinstance(expr, Power):
-        (base, c1), (exponent, c2) = _fold(expr.base), _fold(expr.exponent)
-        expr, constant = Power(base, exponent), c1 and c2
-    elif isinstance(expr, (Add, Subtract, Multiply, Divide)):
-        (left, c1), (right, c2) = _fold(expr.left), _fold(expr.right)
-        expr, constant = type(expr)(left, right), c1 and c2
-    else:
-        raise TypeError(f"not a WeightExpr: {expr!r}")
+    if type(expr) in (Constant, MarkRef):
+        return expr, type(expr) is Constant
+    folded = [_fold(child) for child in vars(expr).values()]
+    expr, constant = type(expr)(*[node for node, _ in folded]), all(c for _, c in folded)
     if constant:
         try:
             value = _eval(expr, {})
@@ -457,6 +476,13 @@ def _fold(expr: WeightExpr) -> tuple[WeightExpr, bool]:
     return expr, constant
 
 
+def _too_deep(expr: WeightExpr, levels: int) -> bool:
+    """Whether expr nests more than levels operators along some path."""
+    if type(expr) not in _OPERATORS:
+        return False
+    return levels == 0 or any(_too_deep(child, levels - 1) for child in vars(expr).values())
+
+
 def free_places(expr: WeightExpr) -> frozenset[str]:
     """Exactly the place ids referenced via m(...) anywhere in the tree."""
     out: set[str] = set()
@@ -465,35 +491,71 @@ def free_places(expr: WeightExpr) -> frozenset[str]:
 
 
 def _collect(expr: WeightExpr, out: set[str]) -> None:
-    if isinstance(expr, MarkRef):
+    if type(expr) is MarkRef:
         out.add(expr.place)
-    elif isinstance(expr, (Negate, Cos, Sin, Sqrt)):
-        _collect(expr.operand, out)
-    elif isinstance(expr, (Add, Subtract, Multiply, Divide)):
-        _collect(expr.left, out)
-        _collect(expr.right, out)
-    elif isinstance(expr, Power):
-        _collect(expr.base, out)
-        _collect(expr.exponent, out)
+    elif type(expr) in _OPERATORS:
+        for child in vars(expr).values():
+            _collect(child, out)
 
 
-# --- formatting ---------------------------------------------------------------
+# --- rendering ----------------------------------------------------------------
 
-# precedence: +,- = 1; *,/ = 2; unary - = 3; ^ = 4; atoms = 5
-_PREC = {
-    Add: 1,
-    Subtract: 1,
-    Multiply: 2,
-    Divide: 2,
-    Negate: 3,
-    Power: 4,
-    Constant: 5,
-    Pi: 5,
-    MarkRef: 5,
-    Cos: 5,
-    Sin: 5,
-    Sqrt: 5,
+# Each operator's precedence, the context each operand is rendered in, and its
+# written and emitted spelling.  Precedence runs +,- 1; *,/ 2; unary - 3; ^ 4;
+# leaves 5, and Python orders the emitted infix and prefix operators the same
+# way.  A node whose precedence is below its context is parenthesized.  A
+# spelling that is a call delimits its operands itself: it renders as a leaf,
+# with its operands in context 0.
+_OPERATORS = {
+    Add: (1, (1, 2), "{}+{}", "{}+{}"),
+    Subtract: (1, (1, 2), "{}-{}", "{}-{}"),
+    Multiply: (2, (2, 3), "{}*{}", "{}*{}"),
+    Divide: (2, (2, 3), "{}/{}", "{}/{}"),
+    Negate: (3, (3,), "-{}", "-{}"),
+    Power: (4, (5, 3), "{}^{}", "_pow({},{})"),
+    Cos: (5, (0,), "cos({})", "_cos({})"),
+    Sin: (5, (0,), "sin({})", "_sin({})"),
+    Sqrt: (5, (0,), "sqrt({})", "_sqrt({})"),
 }
+_LEAF = 5
+
+
+def _render(expr: WeightExpr | str, names: Mapping[str, str] | None, context: int) -> str:
+    """expr in context, with only the parentheses precedence needs.
+
+    Written when names is None, else emitted as Python source with names
+    mapping each place id to the code that reads it.  The two differ only
+    in their spellings and their leaves.
+    """
+    operator = _OPERATORS.get(type(expr))
+    if operator is None:
+        return _leaf(expr, names, context)
+    precedence, contexts, spelling = operator[0], operator[1], operator[2 if names is None else 3]
+    if spelling[-1] == ")":
+        precedence, contexts = _LEAF, (0, 0)
+    text = spelling.format(*[_render(child, names, c) for child, c in zip(vars(expr).values(), contexts)])
+    return f"({text})" if precedence < context else text
+
+
+def _leaf(expr: WeightExpr | str, names: Mapping[str, str] | None, context: int) -> str:
+    if type(expr) is Constant:
+        if names is not None:
+            return _literal(expr.value)
+        text = _fmt_number(expr.value)
+        # a non-canonical negative constant is written as a negation
+        return _render(Negate(Constant(-expr.value)), None, context) if text[0] == "-" else text
+    if type(expr) is Pi:
+        return "pi" if names is None else "_pi"
+    if type(expr) is MarkRef:
+        if names is None:
+            return f"m({expr.place})"
+        try:
+            return names[expr.place]
+        except KeyError:
+            raise UnknownPlaceError(f"unknown place {expr.place!r}") from None
+    if type(expr) is str and names is not None:
+        return expr
+    raise TypeError(f"not a WeightExpr: {expr!r}")
 
 
 def format_expr(expr: WeightExpr) -> str:
@@ -502,42 +564,7 @@ def format_expr(expr: WeightExpr) -> str:
     Canonical trees carry non-negative constants (the parser never produces a
     negative Constant; negation is a Negate node).
     """
-    return _fmt(expr, 0)
-
-
-def _fmt(expr: WeightExpr, context: int) -> str:
-    prec = _PREC[type(expr)]
-    if isinstance(expr, Constant):
-        text = _fmt_number(expr.value)
-        if text.startswith("-"):
-            # non-canonical negative constant: render as a negation
-            return _fmt(Negate(Constant(-expr.value)), context)
-        return text
-    if isinstance(expr, Pi):
-        return "pi"
-    if isinstance(expr, MarkRef):
-        return f"m({expr.place})"
-    if isinstance(expr, Cos):
-        return f"cos({_fmt(expr.operand, 0)})"
-    if isinstance(expr, Sin):
-        return f"sin({_fmt(expr.operand, 0)})"
-    if isinstance(expr, Sqrt):
-        return f"sqrt({_fmt(expr.operand, 0)})"
-    if isinstance(expr, Negate):
-        text = "-" + _fmt(expr.operand, 3)
-    elif isinstance(expr, Add):
-        text = f"{_fmt(expr.left, 1)}+{_fmt(expr.right, 2)}"
-    elif isinstance(expr, Subtract):
-        text = f"{_fmt(expr.left, 1)}-{_fmt(expr.right, 2)}"
-    elif isinstance(expr, Multiply):
-        text = f"{_fmt(expr.left, 2)}*{_fmt(expr.right, 3)}"
-    elif isinstance(expr, Divide):
-        text = f"{_fmt(expr.left, 2)}/{_fmt(expr.right, 3)}"
-    elif isinstance(expr, Power):
-        text = f"{_fmt(expr.base, 5)}^{_fmt(expr.exponent, 3)}"
-    else:
-        raise TypeError(f"not a WeightExpr: {expr!r}")
-    return f"({text})" if prec < context else text
+    return _render(expr, None, 0)
 
 
 def _fmt_number(value: float) -> str:
@@ -576,38 +603,10 @@ def _emit(expr: WeightExpr | str, names: Mapping[str, str]) -> str:
     """Python source for expr; names maps each place id to the code that reads it.
 
     A str leaf is code already emitted, such as a local that holds a hoisted
-    subtree's value.
+    subtree's value.  The source is parenthesized as a whole unless it is a
+    leaf or a call, so it reads the same wherever it is placed.
     """
-    if isinstance(expr, str):
-        return expr
-    if isinstance(expr, Constant):
-        return _literal(expr.value)
-    if isinstance(expr, Pi):
-        return "_pi"
-    if isinstance(expr, MarkRef):
-        try:
-            return names[expr.place]
-        except KeyError:
-            raise UnknownPlaceError(f"unknown place {expr.place!r}") from None
-    if isinstance(expr, Negate):
-        return f"(-{_emit(expr.operand, names)})"
-    if isinstance(expr, Add):
-        return f"({_emit(expr.left, names)}+{_emit(expr.right, names)})"
-    if isinstance(expr, Subtract):
-        return f"({_emit(expr.left, names)}-{_emit(expr.right, names)})"
-    if isinstance(expr, Multiply):
-        return f"({_emit(expr.left, names)}*{_emit(expr.right, names)})"
-    if isinstance(expr, Divide):
-        return f"({_emit(expr.left, names)}/{_emit(expr.right, names)})"
-    if isinstance(expr, Power):
-        return f"_pow({_emit(expr.base, names)},{_emit(expr.exponent, names)})"
-    if isinstance(expr, Cos):
-        return f"_cos({_emit(expr.operand, names)})"
-    if isinstance(expr, Sin):
-        return f"_sin({_emit(expr.operand, names)})"
-    if isinstance(expr, Sqrt):
-        return f"_sqrt({_emit(expr.operand, names)})"
-    raise TypeError(f"not a WeightExpr: {expr!r}")
+    return _render(expr, names, _LEAF)
 
 
 def _sum(terms: list[tuple[str, float | None]]) -> tuple[str, float | None]:

@@ -41,7 +41,7 @@ import math
 import random
 import struct
 from bisect import bisect_right
-from dataclasses import dataclass, fields, replace
+from dataclasses import dataclass, replace
 from itertools import accumulate
 from types import CodeType
 from typing import Callable, Container, Iterable, Iterator, Mapping, NamedTuple, Sequence
@@ -194,14 +194,7 @@ class Steps:
         m = list(self._start)
         flags, _ = cnet.enabled_flags(m)
         trans = [(ct.step, ct.tid, ct.touched) for ct in cnet.trans]
-        order = cnet.order
-        if self._config.policy == Policy.BORN_RANDOM:
-            rng = random.Random(self._config.seed)
-            choose = lambda: _born_choice(cnet, m, [i for i in order if flags[i]], rng)
-        elif cnet.uniform_rank:  # priority order == ordinal order
-            choose = functools.partial(flags.find, 1)
-        else:
-            choose = lambda: next(i for i in order if flags[i])
+        choose = _chooser(cnet, self._config, m, flags)
         for _ in range(self._firings):
             step, tid, touched = trans[choose()]
             step(m, flags)
@@ -244,6 +237,10 @@ class FinalState:
 def _normalize_arc(arc: Arc, places: Container[str], transitions: Container[str]) -> Arc:
     """The arc with a parsed weight and its kind; raises NetDefinitionError if it is malformed."""
     weight = arc.parsed_weight()
+    if _expr._too_deep(weight, _expr.MAX_DEPTH):
+        raise NetDefinitionError(
+            f"arc {arc.source}->{arc.target} weight nests deeper than {_expr.MAX_DEPTH} operators"
+        )
     if arc.source in places and arc.target in transitions:
         kind = arc.kind or ArcKind.CONSUME
         if kind == ArcKind.DEPOSIT:
@@ -1047,12 +1044,12 @@ class _CompiledNet:
         fixed_weights: set[str] = set()  # weight names bound at entry
 
         def hoist(tree):
-            if isinstance(tree, (str, float, _expr.Constant, _expr.Pi, _expr.MarkRef)):
+            if type(tree) not in _expr._OPERATORS:  # a leaf, a literal or code
                 return tree
             free = _expr.free_places(tree)
             if free and not free & moving:
                 return once(_expr._emit(tree, x))
-            return type(tree)(*(hoist(getattr(tree, f.name)) for f in fields(tree)))
+            return type(tree)(*map(hoist, vars(tree).values()))
 
         counter_terms: dict[tuple, str] = {}
         plan_terms, args = [], [f"x{p}" for p in induction]  # _trip's values: counters, then as needed
@@ -1180,7 +1177,7 @@ class _CompiledNet:
         exec(_shaped(shape, text), namespace)  # noqa: S102 - source built from our own AST
         return namespace["_make"](*literals)
 
-    def diagnose(self, ti: int, m: Sequence[float], step_index: int | None = None) -> None:
+    def diagnose(self, ti: int, m: Sequence[float]) -> None:
         """Raise the reference error for a fault in transition ti's generated code.
 
         Evaluates the non-drain input weights, then the output weights, over
@@ -1194,23 +1191,21 @@ class _CompiledNet:
                 _expr.evaluate(arc.weight, env)
             except EvaluationError as e:
                 label = f"{arc.source}->{arc.target} w={_expr.format_expr(arc.weight)}"
-                error = type(e)(f"arc {label}: {e}")
-                error.step_index = step_index
-                raise error from None
+                raise type(e)(f"arc {label}: {e}") from None
 
-    def enabled(self, ti: int, m: Sequence[float], step_index: int | None = None) -> bool:
+    def enabled(self, ti: int, m: Sequence[float]) -> bool:
         try:
             return self.trans[ti].enabled(m)
         except _FAULTS:
-            self.diagnose(ti, m, step_index)
+            self.diagnose(ti, m)
             raise
 
     def enabled_ordinals(self, m: Sequence[float]) -> list[int]:
         return [ti for ti in range(len(self.trans)) if self.enabled(ti, m)]
 
     def enabled_flags(self, m: Sequence[float]) -> tuple[bytearray, int]:
-        """The enabled flag of every transition, and how many are set; a fault names step 0."""
-        flags = bytearray(self.enabled(ti, m, 0) for ti in range(len(self.trans)))
+        """The enabled flag of every transition, and how many are set."""
+        flags = bytearray(self.enabled(ti, m) for ti in range(len(self.trans)))
         return flags, sum(flags)
 
     def fire_into(self, ti: int, m: Marking) -> None:
@@ -1637,6 +1632,22 @@ def _born_choice(cnet: _CompiledNet, m: Sequence[float], enabled: list[int], rng
     return members[_draw(sums, sums[-1], rng)]
 
 
+def _chooser(cnet: _CompiledNet, config: RunConfig, m: Marking, flags: bytearray) -> Callable[[], int]:
+    """How a run picks each firing: the first enabled transition in priority order, or a Born draw.
+
+    The choice reads m and flags as the run updates them in place.  Under
+    BornRandom a run draws from random.Random(seed) once per step, also for
+    a singleton group, so that it matches a step() loop draw for draw.
+    """
+    order = cnet.order
+    if config.policy == Policy.BORN_RANDOM:
+        rng = random.Random(config.seed)
+        return lambda: _born_choice(cnet, m, [i for i in order if flags[i]], rng)
+    if cnet.uniform_rank:  # priority order == ordinal order
+        return functools.partial(flags.find, 1)
+    return lambda: next(i for i in order if flags[i])
+
+
 def step(
     net: PetriNet,
     m: Sequence[float],
@@ -1730,7 +1741,11 @@ class BornTable:
         self._cnet = net.compiled()
         self._packing = struct.Struct(f"{len(m0)}d")
         self._entries: dict[bytes, object] = {}
-        flags, _ = self._cnet.enabled_flags(m0)
+        try:
+            flags, _ = self._cnet.enabled_flags(m0)
+        except QpnError as e:
+            e.step_index = 0
+            raise
         self._first = self._fill(self._packing.pack(*m0), flags)
         self._rng = random.Random()  # reseeded per run: the stream of random.Random(seed)
 
@@ -1802,15 +1817,16 @@ def _execute(
     validate_marking(net, m0)
     cnet = net.compiled()
     m = [float(v) for v in m0]
-    rng = random.Random(config.seed)
     deterministic = config.policy == Policy.DETERMINISTIC_PRIORITY
-    simple_order = cnet.uniform_rank  # priority order == ordinal order
 
     trans = cnet.trans
     n_trans = len(trans)
-    flags, count = cnet.enabled_flags(m)
-
-    order = cnet.order
+    try:
+        flags, count = cnet.enabled_flags(m)
+    except QpnError as e:
+        e.step_index = 0
+        raise
+    choose = _chooser(cnet, config, m, flags)
     steps = [ct.step for ct in trans]
     max_steps = config.max_steps
     hot = cnet.hot
@@ -1833,33 +1849,21 @@ def _execute(
                 raise DeterminismViolationError(
                     f"{len(names)} transitions enabled simultaneously after {step_index} firings: {names}"
                 )
-            if deterministic:
-                if simple_order:
-                    ti = flags.find(1)
-                else:
-                    ti = next(i for i in order if flags[i])
-            else:
-                # BornRandom draws once per step, also for singleton groups,
-                # so run() matches a manual step() loop draw for draw
-                enabled = [i for i in order if flags[i]]
-                try:
-                    ti = _born_choice(cnet, m, enabled, rng)
-                except QpnError as e:
-                    e.step_index = step_index
-                    raise
             try:
-                count += steps[ti](m, flags)
-            except QpnError as e:  # the generated result checks
+                ti = choose()
+                try:
+                    count += steps[ti](m, flags)
+                except _FAULTS:
+                    cnet.diagnose(ti, m)
+                    raise
+                except _RecheckFault as fault:
+                    # the firing is written: name the re-test at fault
+                    for tj in trans[ti].recheck:
+                        cnet.enabled(tj, m)
+                    raise fault.__context__ from None
+            except QpnError as e:  # from a Born draw, the generated result checks or a diagnosis
                 e.step_index = step_index
                 raise
-            except _FAULTS:
-                cnet.diagnose(ti, m, step_index)
-                raise
-            except _RecheckFault as fault:
-                # the firing is written: name the re-test at fault
-                for tj in trans[ti].recheck:
-                    cnet.enabled(tj, m, step_index)
-                raise fault.__context__ from None
         if stop == max_steps:
             break
         # a look for a hot loop: run the compiled one, or record the flag states

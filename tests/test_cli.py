@@ -4,6 +4,7 @@ import hashlib
 import io
 import math
 import os
+import struct
 from contextlib import redirect_stderr, redirect_stdout
 from pathlib import Path
 from unittest import mock
@@ -13,6 +14,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from qpn.cli import main
+from qpn.expr import evaluate, parse
 from qpn.net import RunConfig, run
 from qpn.netfile import load
 from qpn.reference import DEFAULT_TOL_BLOCKING, DEFAULT_TOL_PASSING
@@ -606,6 +608,63 @@ class TestValidate:
             code, out, err = run_cli(capsys, argv[0], str(bom), *argv[1:])
             assert (code, err) == (0, "")
             assert out.replace("bom.qpn", "plain.qpn") == run_cli(capsys, argv[0], str(plain), *argv[1:])[1]
+
+
+@pytest.mark.parametrize("argv", [("simulate",), ("check", "--pred", "m(p)==0"), ("measure", "--runs", "1"),
+                                  ("validate",)])
+def test_non_utf8_file_exits_2(capsys, argv):
+    path = str(GOLDEN / "bad" / "not_utf8.qpn")
+    code, out, err = run_cli(capsys, argv[0], path, *argv[1:])
+    assert (code, out) == (2, "")
+    assert err == f"error: cannot read {path}: 'utf-8' codec can't decode byte 0xff in position 0: invalid start byte\n"
+
+
+def _weighted_net(tmp_path, weight):
+    """A net whose one firing deposits weight, read over p = 0.7, into q."""
+    path = tmp_path / "weighted.qpn"
+    path.write_text("net weighted\nplace s init=1 kind=counter\nplace p init=0.7 kind=amplitude\n"
+                    f'place q init=0 kind=amplitude\ntrans t\narc s -> t w="1"\narc t -> q w="{weight}"\n')
+    return str(path)
+
+
+class TestDepthBound:
+    """Weights and predicates deeper than expr.MAX_DEPTH are usage errors, never a traceback."""
+
+    @pytest.mark.parametrize("command", ["validate", "simulate"])
+    @pytest.mark.parametrize("weight, column", [
+        ("(" * 300 + "m(p)" + ")" * 300, 101),
+        ("-" * 3000 + "m(p)", 101),
+        ("+".join(["m(p)"] * 300), 505),
+    ])
+    def test_too_deep_weight_exits_2(self, capsys, tmp_path, command, weight, column):
+        code, out, err = run_cli(capsys, command, _weighted_net(tmp_path, weight))
+        assert (code, out) == (2, "")
+        assert err == ("error: line 7: bad weight expression: nested deeper than 100 levels"
+                       f" at line 1, column {column}\n")
+
+    @pytest.mark.parametrize("pred, column", [(" AND ".join(["m(p1)>=0"] * 300), 1310),
+                                           ("NOT " * 1200 + "m(p1)>=0", 401)])
+    def test_too_deep_predicate_exits_2(self, capsys, pred, column):
+        code, out, err = run_cli(capsys, "check", str(GOLDEN / "entanglement.qpn"), "--pred", pred)
+        assert (code, out) == (2, "")
+        assert err == f"error: nested deeper than 100 levels at line 1, column {column}\n"
+
+    @pytest.mark.parametrize("weight", [
+        "(" * 100 + "m(p)" + ")" * 100,
+        "+".join(["m(p)"] * 101),
+        "-" * 100 + "m(p)",
+        "cos(" * 100 + "m(p)" + ")" * 100,
+        "m(p)-(" * 99 + "m(p)-1" + ")" * 99,
+    ])
+    def test_100_levels_simulate_as_evaluated(self, capsys, tmp_path, weight):
+        path = _weighted_net(tmp_path, weight)
+        code, out, err = run_cli(capsys, "simulate", path)
+        assert (code, err) == (0, "")
+        doc = load(Path(path).read_text())
+        final = run(doc.net, doc.net.initial_marking(), RunConfig()).final
+        expected = 0.0 + evaluate(parse(weight), {"p": 0.7})
+        assert struct.pack("d", final[2]) == struct.pack("d", expected)
+        assert expected == 0.0 or f"  q = {expected!r}" in out.splitlines()
 
 
 class TestUsage:

@@ -8,12 +8,14 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from qpn import expr as expr_module
+from qpn.analysis import parse_predicate
 from qpn.errors import (
     DivisionByZeroError,
     EvaluationError,
     ExprSyntaxError,
     MalformedNumberError,
     NegativeSqrtError,
+    NetDefinitionError,
     NonFiniteResultError,
     UnknownFunctionError,
     UnknownPlaceError,
@@ -266,6 +268,46 @@ def test_compiled_matches_tree_walk(tree, values):
     assert struct.pack("d", _fired(tree, env)) == struct.pack("d", expected)
 
 
+def _parenthesized(tree, names):
+    """Emitted code for tree with every operator node in parentheses."""
+    if isinstance(tree, Constant):
+        return expr_module._literal(tree.value)
+    if isinstance(tree, Pi):
+        return "_pi"
+    if isinstance(tree, MarkRef):
+        return names[tree.place]
+    if isinstance(tree, Negate):
+        return f"(-{_parenthesized(tree.operand, names)})"
+    if isinstance(tree, Power):
+        return f"_pow({_parenthesized(tree.base, names)},{_parenthesized(tree.exponent, names)})"
+    if isinstance(tree, (Cos, Sin, Sqrt)):
+        return f"_{type(tree).__name__.lower()}({_parenthesized(tree.operand, names)})"
+    op = {Add: "+", Subtract: "-", Multiply: "*", Divide: "/"}[type(tree)]
+    return f"({_parenthesized(tree.left, names)}{op}{_parenthesized(tree.right, names)})"
+
+
+def _compiled(code):
+    """code compiled with each delimited literal read as _k<i>, as net._shaped reads it."""
+    parts = code.split(expr_module.LITERAL)
+    source = "".join(part if i % 2 == 0 else f"_k{i // 2}" for i, part in enumerate(parts))
+    return compile(source, "<emitted>", "eval")
+
+
+@settings(max_examples=300, deadline=None)
+@given(_exprs())
+def test_emitted_parentheses_do_not_change_the_bytecode(tree):
+    """Emitted code keeps only the parentheses precedence needs, and compiles as fully parenthesized code does."""
+    names = {p: f"m[{i}]" for i, p in enumerate(_PLACES)}
+    emitted, full = _compiled(expr_module._emit(tree, names)), _compiled(_parenthesized(tree, names))
+    assert (emitted.co_code, emitted.co_names, emitted.co_consts) == (full.co_code, full.co_names, full.co_consts)
+
+
+def test_emitted_code_drops_the_parentheses_precedence_does_not_need():
+    assert expr_module._emit(parse("(m(a)+m(b))+-m(c)*(m(a)-m(b))^2"), {"a": "x", "b": "y", "c": "z"}) == (
+        "(x+y+-z*_pow(x-y,`2.0`))"
+    )
+
+
 def _same_outcome(tree, folded, env):
     """Both raise the same error class, or both give the same bits."""
     try:
@@ -331,3 +373,66 @@ def test_parse_cache_is_bounded():
     for i in range(expr_module._PARSED_MAX + 10):
         assert parse(f"{i}+m(p1)") == Add(Constant(float(i)), MarkRef("p1"))
     assert len(expr_module._PARSED) == expr_module._PARSED_MAX
+
+
+class TestDepthBound:
+    """Weights and predicates nest at most expr.MAX_DEPTH levels, in operators and in groups."""
+
+    @pytest.mark.parametrize("text, column", [
+        ("(" * 101 + "1" + ")" * 101, 101),
+        ("(" * 300 + "1" + ")" * 300, 101),
+        ("-" * 3000 + "1", 101),
+        ("cos(" * 101 + "1" + ")" * 101, 401),
+        ("2^" * 101 + "2", 202),
+        ("+".join(["m(p)"] * 102), 505),
+        ("(" * 50 + "m(p)" + "+m(p))" * 50 + "+m(p)" * 51, 605),
+    ])
+    def test_too_deep_text_names_its_line_and_column(self, text, column):
+        with pytest.raises(ExprSyntaxError) as err:
+            parse(text)
+        assert (err.value.line, err.value.column) == (1, column)
+        assert "nested deeper than 100 levels" in str(err.value)
+
+    @pytest.mark.parametrize("text", [
+        "(" * 100 + "1" + ")" * 100,
+        "-" * 100 + "m(p)",
+        "cos(" * 100 + "m(p)" + ")" * 100,
+        "+".join(["m(p)"] * 101),
+        "m(p)-(" * 99 + "m(p)-1" + ")" * 99,
+    ])
+    def test_100_levels_parse_and_round_trip(self, text):
+        tree = parse(text)
+        assert parse(format_expr(tree)) == tree
+
+    @pytest.mark.parametrize("text", [
+        " AND ".join(["m(p)>=0"] * 300),
+        "NOT " * 1200 + "m(p)>=0",
+        "(" * 101 + "m(p)>=0" + ")" * 101,
+        "NOT " * 50 + "(" * 51 + "m(p)" + ")" * 51 + ">=0",
+        "NOT " * 50 + "-(m(p)" + "+m(p)" * 51 + ")>=0",
+    ])
+    def test_too_deep_predicate(self, text):
+        with pytest.raises(ExprSyntaxError, match="nested deeper than 100 levels"):
+            parse_predicate(text)
+
+    @pytest.mark.parametrize("text", [
+        " AND ".join(["m(p)>=0"] * 101),
+        "NOT " * 50 + "-(m(p)" + "+m(p)" * 49 + ")>=0",
+        "(" * 100 + "m(p)>=0" + ")" * 100,
+        "(" * 50 + "(" * 50 + "m(p)" + ")" * 50 + ">=0" + ")" * 50,
+    ])
+    def test_predicate_of_100_levels(self, text):
+        parse_predicate(text)
+
+    def test_net_built_in_python_rejects_a_deeper_tree(self):
+        def chain(levels):
+            tree = MarkRef("p")
+            for _ in range(levels):
+                tree = Add(Constant(1.0), tree)
+            return tree
+
+        places = [PlaceDecl("p", PlaceKind.AMPLITUDE, 0.5), PlaceDecl("q", PlaceKind.AMPLITUDE, 0.0)]
+        net = PetriNet("deep", places, ["t"], [Arc("t", "q", chain(100))])
+        assert fire(net, net.initial_marking(), "t")[1] == evaluate(chain(100), {"p": 0.5})
+        with pytest.raises(NetDefinitionError, match="t->q weight nests deeper than 100 operators"):
+            PetriNet("deep", places, ["t"], [Arc("t", "q", chain(3000))])
