@@ -255,14 +255,13 @@ def _require_integer_net(net: PetriNet) -> None:
         if place.kind != PlaceKind.COUNTER:
             raise NotIntegerNetError(f"place {place.id} is not a counter place")
     for arc in net.arcs:
-        weight = arc.parsed_weight()
         if arc.kind == ArcKind.DRAIN:
             raise NotIntegerNetError(f"arc {arc.source}->{arc.target} is a drain")
-        if _expr.free_places(weight):
+        if _expr.free_places(arc.weight):
             raise NotIntegerNetError(
                 f"arc {arc.source}->{arc.target} has a marking-dependent weight"
             )
-        value = _expr.evaluate(weight, {})
+        value = _expr.evaluate(arc.weight, {})
         if value != int(value):
             raise NotIntegerNetError(
                 f"arc {arc.source}->{arc.target} has non-integer weight {value!r}"
@@ -345,6 +344,8 @@ def check_invariant(graph: ReachabilityGraph, pred: MarkingPredicate | str) -> I
     """
     if isinstance(pred, str):
         pred = parse_predicate(pred)
+    if _too_deep(pred, _expr.MAX_DEPTH):
+        raise PredicateError(f"predicate nests deeper than {_expr.MAX_DEPTH} levels")
     code = _emit_predicate(pred, _names(graph.net, "m[{}]"), itertools.count())
     holds = graph.net.compiled()._define("m", [[f"    return {code}"]])[0]
     for i, node in enumerate(graph.nodes):
@@ -355,6 +356,15 @@ def check_invariant(graph: ReachabilityGraph, pred: MarkingPredicate | str) -> I
             evaluate_predicate(pred, marking_env(graph.net, node))
             raise
     return InvariantResult(True)
+
+
+def _too_deep(pred: MarkingPredicate, levels: int) -> bool:
+    """Whether pred nests more than levels AND, OR, NOT and weight operators along some path, as parsing counts."""
+    if isinstance(pred, Compare):
+        return _expr._too_deep(pred.left, levels) or _expr._too_deep(pred.right, levels)
+    if isinstance(pred, (And, Or, Not)):
+        return levels == 0 or any(_too_deep(child, levels - 1) for child in vars(pred).values())
+    return False
 
 
 def _emit_predicate(pred: MarkingPredicate, places: Mapping[str, str], names: Iterator[int]) -> str:
@@ -478,12 +488,11 @@ def incidence_matrix(net: PetriNet) -> list[list[float]]:
     """
     rows = [[0.0] * len(net.places) for _ in net.transitions]
     for arc in net.arcs:
-        weight = arc.parsed_weight()
-        if _expr.free_places(weight):
+        if _expr.free_places(arc.weight):
             raise NonConstantWeightsError(
                 f"arc {arc.source}->{arc.target} has a marking-dependent weight"
             )
-        value = _expr.evaluate(weight, {})
+        value = _expr.evaluate(arc.weight, {})
         if arc.kind == ArcKind.DEPOSIT:
             rows[net.transition_index[arc.source]][net.place_index[arc.target]] += value
         elif arc.kind == ArcKind.CONSUME:

@@ -248,17 +248,23 @@ def _cmd_simulate(args: argparse.Namespace) -> int:
     return EXIT_OK
 
 
+def _csv_field(text: str) -> str:
+    """text as an RFC 4180 field: quoted, with inner quotes doubled, if it holds a comma, a quote, CR or LF."""
+    return '"' + text.replace('"', '""') + '"' if any(c in text for c in ',"\r\n') else text
+
+
 def _write_trace_csv(path: str, net, trace) -> None:
     try:
         with open(path, "w", encoding="utf-8") as out:
             cells = [repr(v) for v in trace.initial]
+            tids = {t.id: _csv_field(t.id) for t in net.transitions}
             write, join = out.write, ",".join
-            write("step,transition," + join(net.place_ids()) + "\n")
+            write("step,transition," + join(map(_csv_field, net.place_ids())) + "\n")
             write(f"0,,{join(cells)}\n")
             for i, (tid, places, marking) in enumerate(trace.steps.replay(), start=1):
                 for p in places:  # a firing writes no other place
                     cells[p] = repr(marking[p])
-                write(f"{i},{tid},{join(cells)}\n")
+                write(f"{i},{tids[tid]},{join(cells)}\n")
     except OSError as e:
         raise InvalidParamsError(f"cannot write trace {path}: {e.strerror}") from None
 

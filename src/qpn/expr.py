@@ -343,26 +343,16 @@ class _Parser:
         )
 
 
-_PARSED: dict[str, WeightExpr] = {}  # text -> tree, oldest first
-_PARSED_MAX = 4096
-
-
 def parse(text: str) -> WeightExpr:
     """Parse expression text into its unique tree; whitespace-insensitive.
 
-    Trees are immutable, so a text parsed again (arc weights such as ``"1"``
-    recur within a net and across the nets of one grid) returns the cached
-    tree; the cache drops its oldest entry when full.
+    Nothing is cached: qpn.net's arc memo keeps what a net derives from a weight text.
     """
-    node = _PARSED.get(text)
-    if node is not None:
-        return node
     parser = _Parser(_tokenize(text))
     node, _ = parser.parse_expr()
     tok = parser.peek()
     if tok.kind != "end":
         raise ExprSyntaxError(f"trailing input {tok.text!r}", tok.line, tok.column, ("end of input",))
-    _remember(_PARSED, _PARSED_MAX, text, node)
     return node
 
 

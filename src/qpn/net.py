@@ -290,14 +290,14 @@ class PetriNet:
     # -- construction helpers --------------------------------------------------
 
     def _entry(self, arc: Arc, memo: dict) -> _ArcEntry:
-        """The arc's entry in memo; a miss, or an endpoint this net declares otherwise, is normalized afresh."""
-        weight = arc.weight
-        key = (arc.source, arc.target, arc.kind, weight if type(weight) is str else id(weight))
+        """The arc's entry in memo by its weight text; a miss, an endpoint this net declares otherwise, or a
+        weight given as a tree, which is not kept, is normalized afresh."""
+        key = (arc.source, arc.target, arc.kind, arc.weight) if type(arc.weight) is str else None
         entry = memo.get(key)
-        if (entry is None or entry.place not in self.place_index or entry.transition not in self.transition_index
-                or entry.weight is not weight and type(weight) is not str):
-            entry = _arc_entry(weight, _normalize_arc(arc, self.place_index, self.transition_index))
-            _expr._remember(memo, _ARCS_MAX, key, entry)
+        if entry is None or entry.place not in self.place_index or entry.transition not in self.transition_index:
+            entry = _arc_entry(_normalize_arc(arc, self.place_index, self.transition_index))
+            if key is not None:
+                _expr._remember(memo, _ARCS_MAX, key, entry)
         return entry
 
     def _validate(self) -> None:
@@ -416,15 +416,13 @@ _SAFE_DEPOSIT = 2.0**970
 # firings.  After a loop exits, and the plain steps it hands back, it looks at
 # once and then after each firing, _CHUNK looks in all, until a hot loop head
 # comes up.  It records the flag states of up to _MAX_PERIOD firings; once a
-# state comes back, the states in between are a period.  A period seen _HOT
-# times by the nets of one structure (about _HOT * _CHUNK firings, enough to
-# repay its compile cost) is hot, and a run that meets its head builds the
+# state comes back, the states in between are a period.  A period is hot once
+# any net of its structure sights it, and a run that meets its head builds the
 # loop it enters (_CompiledNet.looped): compiled once per structure, called
 # with each net's literals.  The loop runs whole periods per call, up to
 # _BLOCK of them per speculative block.
 _CHUNK = 64
 _MAX_PERIOD = 8
-_HOT = 32
 _BLOCK = 64
 
 
@@ -648,7 +646,7 @@ class _CompiledNet:
                    _source("m, flags", [view._step(ti) for ti in range(len(self.trans))])]
         wiring = [(ct.in_arcs, ct.out_arcs, ct.touched, ct.reads, ct.recheck, ct.rivals) for ct in self.trans]
         return _Structure(book[len(self._consts):], wiring, self.order, self.uniform_rank,
-                          [_module(source) for source in sources], {}, {}, {})
+                          [_module(source) for source in sources], {}, {})
 
     def _over_holes(self) -> tuple[_CompiledNet, list]:
         """A copy of this compiled net whose folded constants are _Hole floats, and the book of their recipes.
@@ -926,20 +924,16 @@ class _CompiledNet:
         return [f"    {line}" for line in self._lines(self._ops(ti), names, ti, slow)]
 
     def sighted(self, period: list[bytes]) -> None:
-        """Count a sighting of the period through these flag states, pooled over the nets of the structure.
+        """Make the period through these flag states hot for the nets of the structure.
 
-        Once hot, the period is kept on the structure by its head, the least
-        of its states, and a run of any net of the structure that meets the
-        head builds its loop there (see looped).
+        The period is kept on the structure by its head, the least of its
+        states, and a run of any net of the structure that meets the head
+        builds its loop there (see looped).
         """
         head = min(period)
-        entry = self._entry
-        if head in entry.hot:
-            return
-        seen = entry.sightings[head] = entry.sightings.get(head, 0) + 1
-        if seen >= _HOT:
+        if head not in self.hot:
             start = period.index(head)
-            entry.hot[head] = self._period(period[start:] + period[:start])
+            self.hot[head] = self._period(period[start:] + period[:start])
 
     def _period(self, states: list[bytes]) -> _Period:
         """The period through these flag states: the transition each firing fires, and its moves of counter places."""
@@ -1284,7 +1278,7 @@ _SHAPES_MAX = 256
 _STRUCTURES: dict[tuple, _Structure] = {}  # structure key -> how its nets build their code, oldest first
 _STRUCTURES_MAX = 64
 _LOOPS_MAX = 64  # loops kept per structure
-_ARCS: dict[tuple, _ArcEntry] = {}  # (source, target, kind, weight text or id(tree)) -> _arc_entry, oldest first
+_ARCS: dict[tuple, _ArcEntry] = {}  # (source, target, kind, weight text) -> _arc_entry, oldest first
 _ARCS_MAX = 1024
 
 
@@ -1347,13 +1341,9 @@ def _skeleton(tree: _expr.WeightExpr, consts: list[float]) -> object:
 class _ArcEntry(NamedTuple):
     """What the nets that have an arc share of it, kept in _ARCS (see PetriNet._entry).
 
-    The nets of a grid have a few hundred distinct arcs over thousands of
-    arcs.  ``weight`` is the weight as the arc gave it: the entry holds a
-    tree keyed by its id, so the id is not reused while the entry lives, and
-    a lookup does not hash the tree.
+    The nets of a grid have a few hundred distinct arcs over thousands of arcs.
     """
 
-    weight: WeightExpr | str
     arc: Arc  # normalized
     place: str  # the endpoint a net must declare as a place
     transition: str  # and the one it must declare as a transition
@@ -1363,8 +1353,8 @@ class _ArcEntry(NamedTuple):
     parts: tuple[tuple, tuple]  # the arc's part of a structure key on an amplitude place, on a counter place
 
 
-def _arc_entry(weight: WeightExpr | str, arc: Arc) -> _ArcEntry:
-    """The entry of a normalized arc whose weight was given as weight.
+def _arc_entry(arc: Arc) -> _ArcEntry:
+    """The entry of a normalized arc.
 
     Its part of a structure key holds its endpoints, its kind's value (a
     string, whose hash is cached) and its folded weight with each constant a
@@ -1380,7 +1370,7 @@ def _arc_entry(weight: WeightExpr | str, arc: Arc) -> _ArcEntry:
     else:
         value, shapes = None, [_skeleton(folded, consts)] * 2
     place, transition = (arc.target, arc.source) if arc.kind is ArcKind.DEPOSIT else (arc.source, arc.target)
-    return _ArcEntry(weight, arc, place, transition, _expr.free_places(arc.weight), (folded, value), tuple(consts),
+    return _ArcEntry(arc, place, transition, _expr.free_places(arc.weight), (folded, value), tuple(consts),
                      tuple([(arc.source, arc.target, arc.kind.value, shape) for shape in shapes]))
 
 
@@ -1433,7 +1423,6 @@ class _Structure:
     uniform_rank: bool
     modules: list[tuple[str, list[str], list[int]]]
     hot: dict[bytes, _Period]  # hot periods by head, sighted by any net of the structure
-    sightings: dict[bytes, int]  # sightings of each period by its head, until it is hot
     loops: dict[tuple, _LoopCode]  # (states, _BLOCK, induction counters) -> code; see _CompiledNet.looped
 
 

@@ -214,7 +214,7 @@ def load(text: str) -> NetDocument:
             attrs = _keyvalues(fields[4:], ("w", "kind"), lineno)
             weight_text = _unquote(attrs["w"], lineno) if "w" in attrs else "1"
             try:
-                weight = _expr.parse(weight_text)
+                _expr.parse(weight_text)  # for the line of its error; the net is given the text
             except ExprSyntaxError as e:
                 raise NetFileSyntaxError(f"bad weight expression: {e}", lineno) from None
             kind: ArcKind | None = None
@@ -222,7 +222,7 @@ def load(text: str) -> NetDocument:
                 if attrs["kind"] not in _ARC_KIND_NAMES:
                     raise NetFileSyntaxError(f"unknown arc kind {attrs['kind']!r}", lineno)
                 kind = _ARC_KIND_NAMES[attrs["kind"]]
-            raw_arcs.append((Arc(src, dst, weight, kind), lineno))
+            raw_arcs.append((Arc(src, dst, weight_text, kind), lineno))
         elif keyword == "k":
             if len(fields) == 3 and fields[1] == "=":
                 value_text = fields[2]
@@ -327,7 +327,7 @@ def save(doc: NetDocument) -> str:
         suffix = f" priority={trans.priority}" if trans.priority != 0 else ""
         lines.append(f"trans {trans.id}{suffix}")
     for arc in net.arcs:
-        weight = _quote(_expr.format_expr(arc.parsed_weight()))
+        weight = _quote(_expr.format_expr(arc.weight))
         suffix = ""
         if arc.kind in (ArcKind.DRAIN, ArcKind.GUARD):
             suffix = f" kind={arc.kind.value}"

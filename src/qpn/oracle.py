@@ -131,7 +131,7 @@ def exact_measurement_dist(net: PetriNet) -> list[tuple[str, float]]:
     for tid in groups[0]:
         weight = 0.0
         for arc in net.output_arcs(tid):
-            w = _expr.evaluate(arc.parsed_weight(), env)
+            w = _expr.evaluate(arc.weight, env)
             weight += w * w
         weights.append(weight)
         total += weight  # in order, as a Born draw totals them

@@ -1,6 +1,7 @@
 """Predicates, reachability graphs, invariants, empirical statistics."""
 
 import dataclasses
+import functools
 import math
 import re
 import struct
@@ -40,13 +41,14 @@ from qpn.errors import (
     NonConstantWeightsError,
     NotIntegerNetError,
     NonFiniteResultError,
+    PredicateError,
     QpnError,
     StateExplosionError,
     StepLimitError,
     UnknownPlaceError,
     ZeroWeightGroupError,
 )
-from qpn.expr import Constant, Cos, MarkRef, parse
+from qpn.expr import Add, Constant, Cos, MarkRef, Subtract, parse
 from qpn.models import ProtocolParams, entanglement_net, measurement_net, zeno_net
 from qpn.net import (
     Arc,
@@ -186,6 +188,40 @@ class TestCheckInvariant:
     def test_tautology(self):
         graph = reachability_graph(entanglement_net())
         assert check_invariant(graph, "0==0").holds
+
+
+def _deep_predicate(shape, levels):
+    """A predicate built in Python that nests levels levels: AND, NOT or weight operators, or half of each."""
+    def nots(pred, n):
+        return functools.reduce(lambda inner, _: Not(inner), range(n), pred)
+
+    def sums(n):
+        return functools.reduce(Add, [MarkRef("p1")] * (n + 1))
+
+    true = Compare(MarkRef("p1"), ">=", Constant(0.0))
+    return {"and": lambda: functools.reduce(And, [true] * (levels + 1)),
+            "not": lambda: nots(true, levels),
+            "sum": lambda: Compare(sums(levels), ">=", Constant(0.0)),
+            "not-sum": lambda: nots(Compare(Constant(0.0), "<=", sums(levels - levels // 2)), levels // 2),
+            "minus": lambda: Compare(functools.reduce(lambda x, y: Subtract(y, x), [MarkRef("p1")] * (levels + 1)),
+                                     ">=", Constant(-1e9))}[shape]()
+
+
+@pytest.mark.parametrize("shape, levels", [("and", 299), ("not", 3000), ("sum", 3000), ("and", 101), ("not", 101),
+                                           ("sum", 101), ("not-sum", 101), ("minus", 101)])
+def test_predicate_built_in_python_deeper_than_the_bound_is_rejected(shape, levels):
+    """Counted as the predicate parser counts depth, before any code is emitted; at most 101 levels are walked."""
+    graph = reachability_graph(entanglement_net())
+    with pytest.raises(PredicateError, match="predicate nests deeper than 100 levels"):
+        check_invariant(graph, _deep_predicate(shape, levels))
+
+
+@pytest.mark.parametrize("shape", ["and", "not", "sum", "not-sum", "minus"])
+def test_predicate_built_in_python_at_the_bound_is_checked(shape):
+    graph = reachability_graph(entanglement_net())
+    pred = _deep_predicate(shape, 100)
+    result = check_invariant(graph, pred)
+    assert result.holds and all(evaluate_predicate(pred, dict(zip(graph.net.place_ids(), node))) for node in graph.nodes)
 
 
 class TestEmpiricalDistribution:

@@ -20,6 +20,7 @@ import struct
 import sys
 import threading
 import weakref
+from dataclasses import replace
 from pathlib import Path
 from types import CodeType
 from unittest import mock
@@ -32,7 +33,7 @@ from qpn import expr as expr_module
 from qpn import net as net_module
 from qpn import netfile
 from qpn.errors import DivisionByZeroError, QpnError
-from qpn.expr import Add, Constant, Divide, MarkRef, Multiply, evaluate, parse
+from qpn.expr import Add, Constant, Divide, MarkRef, Multiply, evaluate, format_expr, parse
 from qpn.models import (
     ProtocolParams,
     entanglement_net,
@@ -578,33 +579,32 @@ def test_structure_cache_is_bounded(monkeypatch):
 
 
 def test_arcs_are_memoized_per_arc(monkeypatch):
-    """An arc is normalized and folded once while its entry lives: the entry holds what a fresh fold gives,
-    a faulting subtree stays unfolded, and an entry left by a dead tree of the same id is not used."""
+    """An arc is normalized and folded once while its entry lives, keyed by its weight text: the entry holds
+    what a fresh fold gives, and a faulting subtree stays unfolded.  An arc whose weight is a tree builds the
+    same entry afresh each time and is not kept."""
     monkeypatch.setattr(net_module, "_ARCS", {})
     folds = []
     fold = expr_module.fold_constants
     monkeypatch.setattr(expr_module, "fold_constants", lambda tree: folds.append(tree) or fold(tree))
     places = [PlaceDecl("a", A, 1.0), PlaceDecl("b", C, 1)]
     for text in ("cos(pi/(2*2500))*m(a)", "1/0", "m(a)+1/0*2", "2*3", "m(a)*-0", "1/(1e308*10)", "m(a)", "0.25"):
-        for weight in (text, parse(text)):  # keyed by the text, and by the tree
-            arc = Arc("t", "a", weight)
-            (entry,) = PetriNet("one", places, ["t"], [arc])._entries
-            assert PetriNet("one", places, ["t"], [Arc("t", "a", weight)])._entries[0] is entry
-            assert folds == [parse(text)]
-            del folds[:]
-            folded, consts = fold(parse(text)), []
-            value = folded.value if type(folded) is Constant and math.isfinite(folded.value) else None
-            shapes = ([net_module._skeleton(folded, consts)] * 2 if value is None
-                      else [net_module._class(value, least) for least in (0.0, 0.5)])
-            assert repr(entry[2:]) == repr(("a", "t", expr_module.free_places(parse(text)), (folded, value),
-                                            (value,) if value is not None else tuple(consts),
-                                            tuple(("t", "a", "deposit", shape) for shape in shapes)))
+        (entry,) = PetriNet("one", places, ["t"], [Arc("t", "a", text)])._entries
+        assert PetriNet("one", places, ["t"], [Arc("t", "a", text)])._entries[0] is entry
+        assert folds == [parse(text)]
+        del folds[:]
+        tree = parse(text)
+        trees = [PetriNet("one", places, ["t"], [Arc("t", "a", tree)])._entries[0] for _ in range(2)]
+        assert folds == [tree, tree] and trees[0] is not trees[1]
+        del folds[:]
+        folded, consts = fold(tree), []
+        value = folded.value if type(folded) is Constant and math.isfinite(folded.value) else None
+        shapes = ([net_module._skeleton(folded, consts)] * 2 if value is None
+                  else [net_module._class(value, least) for least in (0.0, 0.5)])
+        fresh = ("a", "t", expr_module.free_places(tree), (folded, value),
+                 (value,) if value is not None else tuple(consts), tuple(("t", "a", "deposit", shape) for shape in shapes))
+        assert repr(entry[1:]) == repr(trees[0][1:]) == repr(trees[1][1:]) == repr(fresh)
     assert net_module._ARCS[("t", "a", None, "1/0")].folded == (Divide(Constant(1.0), Constant(0.0)), None)
-    stale = parse("m(b)*7")
-    other = PetriNet("one", places, ["t"], [Arc("t", "a", parse("m(a)*8"))])._entries[0]
-    net_module._ARCS[("t", "a", None, id(stale))] = other
-    (entry,) = PetriNet("one", places, ["t"], [Arc("t", "a", stale)])._entries
-    assert entry.folded[0] == Multiply(MarkRef("b"), Constant(7.0))
+    assert all(type(key[3]) is str for key in net_module._ARCS) and len(net_module._ARCS) == 8
 
 
 def test_arc_memo_is_bounded(monkeypatch):
@@ -616,13 +616,17 @@ def test_arc_memo_is_bounded(monkeypatch):
     assert len(net_module._ARCS) == net_module._ARCS_MAX
 
 
-def _assert_built_as_cold(build, fresh=True):
+def _assert_built_as_cold(build, fresh=True, hits=None):
     """A net built through a warm arc memo equals the net built with the memo cleared: its arcs,
-    its structure key and constants, and, if fresh, its compiled code equals a fresh emission."""
+    its structure key and constants, and, if fresh, its compiled code equals a fresh emission.
+
+    Each arc of the second build is a hit, or, where hits is given, exactly the arcs it marks.
+    """
     with mock.patch.object(net_module, "_ARCS", {}):
         cold = build()
     first, warm = build(), build()
-    assert all(a is b for a, b in zip(warm._entries, first._entries))  # every arc of the second build is a hit
+    hit = [a is b for a, b in zip(warm._entries, first._entries)]
+    assert hit == (hits if hits is not None else [True] * len(hit))
     assert warm == cold
     assert _key(warm.compiled()._structure()) == _key(cold.compiled()._structure())
     if fresh:
@@ -645,8 +649,16 @@ def test_memo_builds_golden_nets_as_cold(path):
 @settings(max_examples=60, deadline=None)
 @given(st.one_of(_net_pair(), _edge_nets()))
 def test_memo_builds_random_nets_as_cold(nets):
+    """Each weight is given as its format_expr text; one with a non-finite constant, which no text
+    holds, stays a tree and is built afresh."""
     for net in nets:
-        _assert_built_as_cold(lambda: PetriNet(net.name, net.places, net.transitions, net.arcs))
+        weights = []
+        for arc in net.arcs:
+            text = format_expr(arc.weight)
+            weights.append(text if "inf" not in text and "nan" not in text else arc.weight)
+        arcs = [replace(arc, weight=weight) for arc, weight in zip(net.arcs, weights)]
+        _assert_built_as_cold(lambda: PetriNet(net.name, net.places, net.transitions, arcs),
+                              hits=[type(weight) is str for weight in weights])
 
 
 # --- loops cached on the structure ------------------------------------------------------
@@ -723,7 +735,6 @@ def test_loops_whose_emission_decides_otherwise_are_emitted_afresh(monkeypatch):
     """
     monkeypatch.setattr(net_module, "_STRUCTURES", {})
     monkeypatch.setattr(net_module, "_CHUNK", 8)
-    monkeypatch.setattr(net_module, "_HOT", 2)
     install, installed = net_module._CompiledNet._install, []
 
     def recorded(cnet, code, *args):
@@ -828,13 +839,6 @@ class _Racing(dict):
             yield key
 
 
-def test_parse_eviction_tolerates_a_racing_eviction(monkeypatch):
-    full = _Racing((f"{i}+m(p)", Constant(float(i))) for i in range(expr_module._PARSED_MAX))
-    monkeypatch.setattr(expr_module, "_PARSED", full)
-    assert parse("m(p)+1") == Add(MarkRef("p"), Constant(1.0))
-    assert full["m(p)+1"] == Add(MarkRef("p"), Constant(1.0))
-
-
 def test_shape_eviction_tolerates_a_racing_eviction(monkeypatch):
     full = _Racing((f"shape {i}", ()) for i in range(net_module._SHAPES_MAX))
     monkeypatch.setattr(net_module, "_SHAPES", full)
@@ -845,10 +849,9 @@ def test_shape_eviction_tolerates_a_racing_eviction(monkeypatch):
 
 def test_caches_keep_their_bounds_under_threads(monkeypatch):
     """Threads inserting into full caches at once raise nothing and keep the bounds."""
-    for module, name in ((net_module, "_SHAPES"), (net_module, "_STRUCTURES"), (net_module, "_ARCS"),
-                         (expr_module, "_PARSED")):
-        monkeypatch.setattr(module, name, {})
-        monkeypatch.setattr(module, f"{name}_MAX", 4)
+    for name in ("_SHAPES", "_STRUCTURES", "_ARCS"):
+        monkeypatch.setattr(net_module, name, {})
+        monkeypatch.setattr(net_module, f"{name}_MAX", 4)
     errors = []
 
     def work(w):
@@ -871,5 +874,4 @@ def test_caches_keep_their_bounds_under_threads(monkeypatch):
         sys.setswitchinterval(interval)
     assert not any(t.is_alive() for t in threads)
     assert errors == []
-    assert len(net_module._SHAPES) <= 4 and len(net_module._STRUCTURES) <= 4 and len(expr_module._PARSED) <= 4
-    assert len(net_module._ARCS) <= 4
+    assert len(net_module._SHAPES) <= 4 and len(net_module._STRUCTURES) <= 4 and len(net_module._ARCS) <= 4

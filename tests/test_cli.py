@@ -1,5 +1,6 @@
 """CLI integration: commands, exit codes, output stability."""
 
+import csv
 import hashlib
 import io
 import math
@@ -13,7 +14,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from qpn.cli import main
+from qpn.cli import _csv_field, main
 from qpn.expr import evaluate, parse
 from qpn.net import RunConfig, run
 from qpn.netfile import load
@@ -76,6 +77,25 @@ class TestSimulate:
         assert lines[1].startswith("0,,")
         assert len(lines) == 4  # header + initial + two firings
         assert lines[2].split(",")[1] == "t1"
+
+    def test_trace_csv_quotes_ids_with_commas_or_quotes(self, capsys, tmp_path):
+        """A place id in the header, or a transition id in its column, is an RFC 4180 field: the trace reads
+        back with one cell per place on every row, and with the ids as the file declares them."""
+        trace_path = tmp_path / "trace.csv"
+        code, _, _ = run_cli(capsys, "simulate", str(GOLDEN / "odd_ids.qpn"), "--trace", str(trace_path))
+        assert code == 0
+        with open(trace_path, newline="", encoding="utf-8") as f:
+            rows = list(csv.reader(f))
+        assert rows[0] == ["step", "transition", "a,b", '"q"', "r"]
+        assert [row[1] for row in rows[1:]] == ["", "t,1", "t,1"]
+        assert all(len(row) == len(rows[0]) for row in rows)
+        assert trace_path.read_text().splitlines()[:2] == ['step,transition,"a,b","""q""",r', "0,,2.0,0.0,1.0"]
+
+    @pytest.mark.parametrize("text", ["a,b", '"q"', "x\ny", "x\ry", 'say "a, b"', "plain", ""])
+    def test_csv_field_reads_back_as_its_text(self, text):
+        field = _csv_field(text)
+        assert next(csv.reader([f"{field},end"])) == [text, "end"]
+        assert (field == text) == (not any(c in text for c in ',"\r\n'))
 
     @pytest.mark.parametrize(
         "net, flags, golden",

@@ -365,16 +365,6 @@ class TestFoldConstants:
         assert _fired(parse("m(a)--2"), {"a": 1.0}) == 3.0
 
 
-def test_parse_returns_cached_tree():
-    assert parse("m(p19)-m(p21)") is parse("m(p19)-m(p21)")
-
-
-def test_parse_cache_is_bounded():
-    for i in range(expr_module._PARSED_MAX + 10):
-        assert parse(f"{i}+m(p1)") == Add(Constant(float(i)), MarkRef("p1"))
-    assert len(expr_module._PARSED) == expr_module._PARSED_MAX
-
-
 class TestDepthBound:
     """Weights and predicates nest at most expr.MAX_DEPTH levels, in operators and in groups."""
 

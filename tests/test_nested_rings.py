@@ -4,8 +4,8 @@ Generated nets run their inner ring a number of laps per outer lap, as the
 protocol nets do, with guards that read both counters, mixed priorities and
 the hazards of ``test_trace._ring_case``.  Each net is paired with a sibling
 of its structure whose guard thresholds coincide where the net's differ, or
-the other way round.  Under a lowered look interval, sighting threshold and
-block length, ``run_final`` and ``run`` are compared bit for bit with a
+the other way round.  Under a lowered look interval and block length,
+``run_final`` and ``run`` are compared bit for bit with a
 ``step()`` loop on the loops the first net emits and on the loops its
 sibling installs from the structure's code.
 """
@@ -100,8 +100,8 @@ def test_nested_rings_match_step_loop():
             engaged.append(_loop_firings(net) > 0)
             patched.append(_loop_firings(sibling) > 0 and not emitted)
 
-    chunk, hot, block = _lowered()
-    with chunk, hot, block:
+    chunk, block = _lowered()
+    with chunk, block:
         check()
     assert sum(engaged) >= 0.6 * len(engaged), f"loops ran on {sum(engaged)} of {len(engaged)} deterministic examples"
     assert sum(patched) >= 0.5 * len(patched), \
@@ -124,8 +124,8 @@ def test_nested_rings_record_matches_step_loop():
         engaged.append(_loop_firings(net) > 0)
         patched.append(_loop_firings(sibling) > 0 and not emitted)
 
-    chunk, hot, block = _lowered()
-    with chunk, hot, block:
+    chunk, block = _lowered()
+    with chunk, block:
         check()
     assert sum(engaged) >= 0.6 * len(engaged), f"loops ran on {sum(engaged)} of {len(engaged)} examples"
     assert sum(patched) >= 0.4 * len(patched), f"installed loops ran on {sum(patched)} of {len(patched)} examples"

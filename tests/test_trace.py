@@ -289,7 +289,7 @@ def _spike(c, e):
 
 
 # hazards that strike after 1,500 laps of a 3-transition ring, well after its
-# loop has compiled with the real look interval and sighting threshold
+# loop has compiled with the real look interval
 _LATE_HAZARDS = {
     "overflow": ([PlaceDecl("g", A, 1.0)], [Arc("t1", "g", "m(g)*0.5")]),  # x1.5 a lap
     "negative": ([PlaceDecl("c", C, 1500.0)], [Arc("t2", "c", "0-1")]),
@@ -361,11 +361,14 @@ def test_loop_whose_every_block_fails_is_entered_once_per_replayed_block():
     """Snapping f fails the first period of every block, which the run then fires as plain steps.
 
     Each entry does no firing and hands back one block of up to _BLOCK
-    periods, so the run never spins at the loop head.  The budgets end 7
-    firings apart across one block's stretch, so the last block of each run
-    is cut short by the budget.
+    periods, so the run never spins at the loop head: from its first look,
+    _CHUNK firings in, to the step it stops at, it enters once per block at
+    most.  The budgets end 7 firings apart across one block's stretch, so the
+    last block of each run is cut short by the budget.
     """
     block = net_module._BLOCK * 3
+    net = _late_net("fractional")
+    fault = _reference(net, net.initial_marking(), RunConfig(), True).step_index
     for max_steps in (10**6, *range(3000, 3000 + block + 3, 7)):
         results = []
         with _alone(), _recording_loops(results):
@@ -374,7 +377,7 @@ def test_loop_whose_every_block_fails_is_entered_once_per_replayed_block():
         assert results
         assert all(fired == 0 and 0 < replay <= block for fired, replay in results)
         assert all(replay == block for _, replay in results[:-1])
-        assert len(results) <= min(max_steps, 4500) // block
+        assert len(results) <= -(-(min(max_steps, fault) - net_module._CHUNK) // block)
 
 
 def _check_against_step_loop(net, m0, config, single):
@@ -397,9 +400,9 @@ def _check_against_step_loop(net, m0, config, single):
 def test_loops_match_step_loop_on_ring_nets():
     """run_final with compiled loops equals a step() loop, on every outcome.
 
-    The look interval, the sighting threshold and the block length are
-    lowered so that loops compile within the first laps and the hazards
-    strike inside them, speculative blocks included.
+    The look interval and the block length are lowered so that loops compile
+    within the first laps and the hazards strike inside them, speculative
+    blocks included.
     """
     engaged = []
 
@@ -410,8 +413,7 @@ def test_loops_match_step_loop_on_ring_nets():
         _check_against_step_loop(net, net.initial_marking(), config, single)
         engaged.append(_loop_firings(net) > 0)
 
-    with mock.patch.object(net_module, "_CHUNK", 8), mock.patch.object(net_module, "_HOT", 2), \
-            mock.patch.object(net_module, "_BLOCK", 4):
+    with mock.patch.object(net_module, "_CHUNK", 8), mock.patch.object(net_module, "_BLOCK", 4):
         check()
     assert sum(engaged) >= 0.6 * len(engaged), f"loops ran on {sum(engaged)} of {len(engaged)} examples"
 
@@ -428,6 +430,36 @@ def _metered_ring(laps):
     return PetriNet("metered", places, ["t0", "t1", "t2"], arcs)
 
 
+def test_a_period_sighted_once_is_entered_by_a_sibling_at_its_first_look_at_the_head():
+    """One sighting by one net makes a period hot for its structure: a sibling net of the structure
+    sights nothing and enters the loop at the first look of its run that meets the head."""
+    sightings, looks, entries = [], [], []
+    sighted, looped = net_module._CompiledNet.sighted, net_module._CompiledNet.looped
+
+    class Looks(dict):
+        def get(self, state, default=None):
+            looks.append(state)
+            return super().get(state, default)
+
+    def entered(cnet, head):
+        entries.append((len(looks), head))
+        return looped(cnet, head)
+
+    with _alone(), mock.patch.object(net_module._CompiledNet, "sighted",
+                                     lambda cnet, period: sightings.append(period) or sighted(cnet, period)):
+        first = _metered_ring(400)
+        run_final(first, first.initial_marking(), RunConfig())
+        assert len(sightings) == 1 and _loop_firings(first) > 0
+        (head,) = first.compiled().hot
+        sibling = _metered_ring(500)
+        sibling.compiled().loops = Looks()
+        with mock.patch.object(net_module._CompiledNet, "looped", entered):
+            final = run_final(sibling, sibling.initial_marking(), RunConfig())
+    assert len(sightings) == 1
+    assert entries[0] == (looks.index(head) + 1, head)
+    assert final.marking[sibling.place_index["c"]] == 500 and _loop_firings(sibling) > 1000
+
+
 def _recording_trip_counts(calls):
     trip_count = net_module._trip_count
 
@@ -442,8 +474,7 @@ def _recording_trip_counts(calls):
 def test_counter_decided_exits_match_step_loop():
     """Trip counts of 0 and 1, and trip counts cut by the budget, on exits the lap counter decides."""
     calls = []
-    with mock.patch.object(net_module, "_CHUNK", 8), mock.patch.object(net_module, "_HOT", 2), \
-            _recording_trip_counts(calls):
+    with mock.patch.object(net_module, "_CHUNK", 8), _recording_trip_counts(calls):
         for laps in range(8, 30):
             for max_steps in (10**6, 3 * laps - 7, 3 * laps - 1, 3 * laps, 3 * laps + 1):
                 for single in (False, True):
@@ -475,7 +506,7 @@ def _switched_ring(laps, at):
 
 def test_counter_term_read_next_to_a_moving_place_cuts_the_trip_count():
     """The trip count ends where a counter term that the loop's code reads flips, and s fires on time."""
-    with mock.patch.object(net_module, "_CHUNK", 8), mock.patch.object(net_module, "_HOT", 2):
+    with mock.patch.object(net_module, "_CHUNK", 8):
         for at in range(20, 60, 3):
             for max_steps in (10**6, 3 * at - 1, 3 * at + 1):
                 net = _switched_ring(80, at)
@@ -493,7 +524,7 @@ def test_counter_entry_states_match_step_loop(c0):
     """
     calls = []
     with _recording_trip_counts(calls):
-        with mock.patch.object(net_module, "_CHUNK", 8), mock.patch.object(net_module, "_HOT", 2):
+        with mock.patch.object(net_module, "_CHUNK", 8):
             net = _metered_ring(60)
             run_final(net, net.initial_marking(), RunConfig())  # compiles the loop
         m0 = net.initial_marking()
@@ -520,8 +551,7 @@ def test_counter_at_negative_zero_that_the_replay_never_moves_keeps_its_sign():
             Arc("t1", "r2"), Arc("t1", "c", "2"), Arc("r2", "t0"), Arc("t0", "r0")]
     net = PetriNet("consumed", places, ["t0", "t1", "t2"], arcs)
     results = []
-    with mock.patch.object(net_module, "_CHUNK", 8), mock.patch.object(net_module, "_HOT", 2), \
-            _recording_loops(results):
+    with mock.patch.object(net_module, "_CHUNK", 8), _recording_loops(results):
         run_final(net, net.initial_marking(), RunConfig())  # compiles the loop
         assert results
         m0 = net.initial_marking()
@@ -543,8 +573,7 @@ def test_loop_with_a_trip_count_of_0_hands_back_a_block():
     places = [PlaceDecl("r", C, 1.0), PlaceDecl("b", C, 2000.0), PlaceDecl("c", C, 2.0**53)]
     net = PetriNet("one", places, ["t"], [Arc("r", "t"), Arc("b", "t"), Arc("t", "r"), Arc("t", "c")])
     results = []
-    with mock.patch.object(net_module, "_CHUNK", 8), mock.patch.object(net_module, "_HOT", 2), \
-            _recording_loops(results):
+    with mock.patch.object(net_module, "_CHUNK", 8), _recording_loops(results):
         _check_against_step_loop(net, net.initial_marking(), RunConfig(), False)
     assert results and all(fired == 0 for fired, _ in results)
     assert len(results) <= 2000 // net_module._BLOCK + 1
@@ -573,7 +602,7 @@ def test_loop_whose_head_is_another_loops_exit_state_is_entered_at_once():
     make the run fire plain steps there instead of looking again.
     """
     warm, laps = 40, 40
-    with mock.patch.object(net_module, "_CHUNK", 8), mock.patch.object(net_module, "_HOT", 2):
+    with mock.patch.object(net_module, "_CHUNK", 8):
         net = _ring_behind_warm_up(warm, laps)
         run_final(net, net.initial_marking(), RunConfig())  # compiles both loops
         loops = net.compiled().loops
@@ -654,8 +683,8 @@ def test_late_hazard_in_a_loop_patched_from_a_sibling_matches_step_loop(hazard):
 
 
 def test_loops_patched_from_a_sibling_match_step_loop_on_ring_nets():
-    """Ring nets run the loops their sibling left on the structure, with the look interval,
-    the sighting threshold and the block length lowered."""
+    """Ring nets run the loops their sibling left on the structure, with the look interval
+    and the block length lowered."""
     patched = []
 
     @settings(max_examples=100, deadline=None)
@@ -664,8 +693,7 @@ def test_loops_patched_from_a_sibling_match_step_loop_on_ring_nets():
         net, config, single = case
         patched.append(_check_sibling(net, config, single))
 
-    with mock.patch.object(net_module, "_CHUNK", 8), mock.patch.object(net_module, "_HOT", 2), \
-            mock.patch.object(net_module, "_BLOCK", 4):
+    with mock.patch.object(net_module, "_CHUNK", 8), mock.patch.object(net_module, "_BLOCK", 4):
         check()
     assert sum(patched) >= 0.5 * len(patched), f"patched loops ran on {sum(patched)} of {len(patched)} examples"
 

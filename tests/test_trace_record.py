@@ -223,9 +223,8 @@ def test_run_whose_re_test_faults_after_the_firing_returns_no_trace():
 
 
 def _lowered():
-    """The look interval, sighting threshold and block length lowered, so loops compile within the first laps."""
-    return (mock.patch.object(net_module, "_CHUNK", 8), mock.patch.object(net_module, "_HOT", 2),
-            mock.patch.object(net_module, "_BLOCK", 4))
+    """The look interval and block length lowered, so loops compile within the first laps."""
+    return mock.patch.object(net_module, "_CHUNK", 8), mock.patch.object(net_module, "_BLOCK", 4)
 
 
 def test_recording_loops_match_step_loop_on_ring_nets():
@@ -239,8 +238,8 @@ def test_recording_loops_match_step_loop_on_ring_nets():
         _check_record(net, net.initial_marking(), config)
         engaged.append(_loop_firings(net) > 0)
 
-    chunk, hot, block = _lowered()
-    with chunk, hot, block:
+    chunk, block = _lowered()
+    with chunk, block:
         check()
     assert sum(engaged) >= 0.6 * len(engaged), f"recording loops ran on {sum(engaged)} of {len(engaged)} examples"
 
@@ -274,8 +273,8 @@ def test_recording_loop_hands_a_failed_block_to_plain_steps(hazard):
 
 def test_recording_loop_under_budgets_that_cut_a_block_short():
     """Budgets that end part way through a block, or a period, of a clean loop and of one whose blocks fail."""
-    chunk, hot, block = _lowered()
-    with chunk, hot, block:
+    chunk, block = _lowered()
+    with chunk, block:
         for max_steps in range(150, 150 + 3 * 4 * 2 + 2):
             net = _metered_ring(60)
             _check_record(net, net.initial_marking(), RunConfig(max_steps=max_steps))
@@ -336,7 +335,7 @@ def test_recording_loops_patched_from_a_sibling_match_step_loop_on_ring_nets():
         if not born:  # a Born run enters no loop
             patched.append(_loop_firings(sibling) > 0 and not emitted)
 
-    chunk, hot, block = _lowered()
-    with chunk, hot, block:
+    chunk, block = _lowered()
+    with chunk, block:
         check()
     assert sum(patched) >= 0.4 * len(patched), f"patched loops ran on {sum(patched)} of {len(patched)} deterministic examples"
