@@ -16,7 +16,7 @@ from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass
-from typing import Callable, Iterator, Mapping, Sequence, Union
+from typing import Iterator, Mapping, Sequence, Union
 
 from . import expr as _expr
 from .errors import (
@@ -35,7 +35,6 @@ from .net import (
     Policy,
     RunConfig,
     TerminalStatus,
-    _CompiledNet,
     _FAULTS,
     _names,
     marking_env,
@@ -230,7 +229,7 @@ class ReachabilityGraph:
     def edges(self) -> tuple[tuple[int, str, int], ...]:
         """(source node index, transition id, target node index) in BFS order; successors runs on each node again."""
         cnet = self.net.compiled()
-        successors, tids = _successors(cnet), [ct.tid for ct in cnet.trans]
+        successors, tids = cnet.successors(), [ct.tid for ct in cnet.trans]
         index = {node: i for i, node in enumerate(self.nodes)}
         return tuple((src, tids[ti], index[key]) for src, node in enumerate(self.nodes)
                      for ti, key in successors(node))
@@ -278,7 +277,7 @@ def reachability_graph(net: PetriNet, max_states: int = 10_000) -> ReachabilityG
     """
     _require_integer_net(net)
     cnet = net.compiled()
-    successors = _successors(cnet)
+    successors = cnet.successors()
     tids = [ct.tid for ct in cnet.trans]
     root = tuple(net.initial_marking())
     index: dict[tuple[float, ...], int] = {root: 0}
@@ -299,31 +298,6 @@ def reachability_graph(net: PetriNet, max_states: int = 10_000) -> ReachabilityG
                 parents.append((src, tids[ti]))
     del index  # freed before the tuples are built, which lowers the peak
     return ReachabilityGraph(net, tuple(nodes), tuple(parents), tuple(quiescent))
-
-
-def _successors(cnet: _CompiledNet) -> Callable[[tuple[float, ...]], list[tuple[int, tuple[float, ...]]]]:
-    """Generated successors(state): (ordinal, successor) of each enabled transition, in ordinal order.
-
-    The state tuple is unpacked into locals x<p>.  Each transition runs its
-    enabling test on them, then its firing with each place it touches in a
-    local y<p>, and the successor tuple is built from both.  A failing
-    overflow or counter test copies the successor to a list that finish()
-    raises on or snaps, as the step would.
-    """
-    n = len(cnet.net.places)
-    lines = [f"    {''.join(f'x{p}, ' for p in range(n))}= state"] if n else []
-    lines.append("    out = []")
-    olds = _names(cnet.net, "x{}")
-    for ti, ct in enumerate(cnet.trans):
-        values = [f"y{p}" if p in ct.touched else f"x{p}" for p in range(n)]
-        copy = "; ".join(f"y{p} = s[{p}]" for p in ct.touched)
-        slow = f"s = [{', '.join(values)}]; _finish({ti}, s); {copy}"
-        firing = cnet._firing(ti, dict(zip(cnet.net.place_index, values)), slow)
-        lines += [f"    if {cnet._test(ti, olds)}:", *(f"        y{p} = x{p}" for p in ct.touched),
-                  *(f"    {line}" for line in firing),
-                  f"        out.append(({ti}, ({''.join(f'{v}, ' for v in values)})))"]
-    lines.append("    return out")
-    return cnet._define("state", [lines])[0]
 
 
 @dataclass(frozen=True)

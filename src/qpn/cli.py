@@ -435,9 +435,6 @@ def main(argv: list[str] | None = None) -> int:
     except _USAGE_ERRORS as e:
         print(f"error: {e}", file=sys.stderr)
         return EXIT_USAGE
-    except StepLimitError as e:
-        print(f"error: {e}", file=sys.stderr)
-        return EXIT_RUNTIME
     except QpnError as e:
         print(f"error: {e}", file=sys.stderr)
         return EXIT_RUNTIME

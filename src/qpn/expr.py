@@ -577,8 +577,8 @@ _COMPILE_GLOBALS = {
 
 # Emitted code wraps each float literal, finite or not, in this delimiter,
 # which it uses nowhere else, so qpn.net can split a generated module into
-# its shape and its literals with one str.split: it compiles each shape once,
-# with the literals as arguments, and calls that code with each module's
+# its text and its literals with one str.split: it compiles the text once,
+# with the literals as arguments, and calls that code with each net's
 # literals.  The text between delimiters is the value's repr, which float()
 # reads back; it is never compiled as it stands.
 LITERAL = "`"

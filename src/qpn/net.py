@@ -194,7 +194,7 @@ class Steps:
         m = list(self._start)
         flags, _ = cnet.enabled_flags(m)
         trans = [(ct.step, ct.tid, ct.touched) for ct in cnet.trans]
-        choose = _chooser(cnet, self._config, m, flags)
+        choose = _chooser(cnet, self._config.policy, random.Random(self._config.seed), m, flags)
         for _ in range(self._firings):
             step, tid, touched = trans[choose()]
             step(m, flags)
@@ -582,7 +582,7 @@ class _CompiledNet:
                 ct.in_arcs, ct.out_arcs, ct.touched, ct.reads, ct.recheck, ct.rivals = wiring
             self.order, self.uniform_rank = plan.order, plan.uniform_rank
         self._entry, self._values = plan, _derive(plan.derived, self._consts)
-        enabled, steps = (self._exec(shape, text, [self._values[i] for i in holes]) for shape, text, holes in plan.modules)
+        enabled, steps = (self._exec(factory, [self._values[i] for i in holes]) for factory, holes in plan.modules)
         for ct, enabled_fn, step_fn in zip(self.trans, enabled, steps):
             ct.enabled, ct.step = enabled_fn, step_fn
         self._born: list[Callable[[Sequence[float]], float]] | None = None
@@ -646,7 +646,7 @@ class _CompiledNet:
                    _source("m, flags", [view._step(ti) for ti in range(len(self.trans))])]
         wiring = [(ct.in_arcs, ct.out_arcs, ct.touched, ct.reads, ct.recheck, ct.rivals) for ct in self.trans]
         return _Structure(book[len(self._consts):], wiring, self.order, self.uniform_rank,
-                          [_module(source) for source in sources], {}, {})
+                          [_module(source) for source in sources], {}, {}, None)
 
     def _over_holes(self) -> tuple[_CompiledNet, list]:
         """A copy of this compiled net whose folded constants are _Hole floats, and the book of their recipes.
@@ -713,6 +713,44 @@ class _CompiledNet:
             return self._firing(ti, self._m) + ["    return 0"]
         return self._firing(ti, self._m) + ["    d = 0", "    try:", *retests, "    except _FAULTS:",
                                    "        raise _RecheckFault from None", "    return d"]
+
+    def successors(self) -> Callable[[tuple[float, ...]], list[tuple[int, tuple[float, ...]]]]:
+        """Generated successors(state): (ordinal, successor) of each enabled transition, in ordinal order.
+
+        The first net of the structure that asks emits its module over holes
+        (see _over_holes) and keeps it on the structure; every net calls
+        that module's factory with its own literals.  Threads that ask at
+        once may each emit it, and any of the equal modules serves.
+        """
+        entry = self._entry
+        if entry.successors is None:
+            entry.successors = _module(_source("state", [self._over_holes()[0]._successors()]))
+        factory, holes = entry.successors
+        return self._exec(factory, [self._values[i] for i in holes])[0]
+
+    def _successors(self) -> list[str]:
+        """Lines of successors(state), the whole step of the reachability BFS from one marking tuple.
+
+        The state tuple is unpacked into locals x<p>.  Each transition runs its
+        enabling test on them, then its firing with each place it touches in a
+        local y<p>, and the successor tuple is built from both.  A failing
+        overflow or counter test copies the successor to a list that finish()
+        raises on or snaps, as the step would.
+        """
+        n = len(self.net.places)
+        lines = [f"    {''.join(f'x{p}, ' for p in range(n))}= state"] if n else []
+        lines.append("    out = []")
+        olds = _names(self.net, "x{}")
+        for ti, ct in enumerate(self.trans):
+            values = [f"y{p}" if p in ct.touched else f"x{p}" for p in range(n)]
+            copy = "; ".join(f"y{p} = s[{p}]" for p in ct.touched)
+            slow = f"s = [{', '.join(values)}]; _finish({ti}, s); {copy}"
+            firing = self._firing(ti, dict(zip(self.net.place_index, values)), slow)
+            lines += [f"    if {self._test(ti, olds)}:", *(f"        y{p} = x{p}" for p in ct.touched),
+                      *(f"    {line}" for line in firing),
+                      f"        out.append(({ti}, ({''.join(f'{v}, ' for v in values)})))"]
+        lines.append("    return out")
+        return lines
 
     def _moves(self, ti: int) -> dict[int, int]:
         """Each place ti touches: 1 if a firing can only raise it, -1 if only lower it, else 0.
@@ -975,7 +1013,7 @@ class _CompiledNet:
         """This net's loop: its structure's code called with its literals, its trip plan from its counter levels."""
         plan = ([(after[p][-1], min(after[p]), room[p]) for p in induction],
                 [(c, after[induction[c]][i], arg, read) for c, i, arg, read in code.terms], code.breaks)
-        run = self._exec(code.shape, code.text, [self._values[i] for i in code.holes],
+        run = self._exec(code.factory, [self._values[i] for i in code.holes],
                          _plan=plan, _d=tuple(after[p][-1] for p in induction))[0]
         return _Loop(run, period)
 
@@ -1125,9 +1163,9 @@ class _CompiledNet:
             finite=f"not ({_nonfinite(tested)})" if tested else "True",
             advance="".join(f"    if j: x{p} += j * _d[{counter_of[p]}]\n" for p in untracked),
             store="".join(f"    m[{p}] = x{p}\n" for p in written))
-        shape, parts, holes = _module(_source("m, budget", [[text]]))
+        factory, holes = _module(_source("m, budget", [[text]]))
         terms = [(*term, name in read_terms) for term, name in zip(plan_terms, counter_terms.values())]
-        return _LoopCode(shape, parts, holes, terms,
+        return _LoopCode(factory, holes, terms,
                          [(want, [terms_at[name] for name in names]) for want, names in breaks])
 
     def finish(self, ti: int, m: Marking) -> None:
@@ -1156,19 +1194,19 @@ class _CompiledNet:
                 m[p] = r + 0.0
 
     def _define(self, params: str, bodies: list[list[str]]) -> list[Callable]:
-        """One generated function per transition from its body lines, in one module."""
-        parts = _source(params, bodies).split(_expr.LITERAL)  # shape text at even positions, literals at odd
-        return self._exec(_expr.LITERAL.join(parts[::2]), parts[::2], [float(text) for text in parts[1::2]])
+        """One generated function per body from its lines, in one module compiled for this net alone."""
+        parts = _source(params, bodies).split(_expr.LITERAL)  # text at even positions, literals at odd
+        return self._exec(_factory(parts[::2]), [float(text) for text in parts[1::2]])
 
-    def _exec(self, shape: str, text: list[str], literals: list[float], **extra: object) -> list[Callable]:
-        """The functions _f0, _f1, .. a generated module defines: its shape's factory called with its literals.
+    def _exec(self, factory: CodeType, literals: list[float], **extra: object) -> list[Callable]:
+        """The functions _f0, _f1, .. a generated module defines: its factory called with its literals.
 
         The factory runs in a namespace of the net's own; extra adds globals.
         """
         namespace = dict(_expr._COMPILE_GLOBALS)
         namespace.update(_fault=_raise_fault, _finish=self.finish, _FAULTS=_FAULTS, _RecheckFault=_RecheckFault,
                          _trip=_trip_count, _range=range, **extra)
-        exec(_shaped(shape, text), namespace)  # noqa: S102 - source built from our own AST
+        exec(factory, namespace)  # noqa: S102 - source built from our own AST
         return namespace["_make"](*literals)
 
     def diagnose(self, ti: int, m: Sequence[float]) -> None:
@@ -1193,9 +1231,6 @@ class _CompiledNet:
         except _FAULTS:
             self.diagnose(ti, m)
             raise
-
-    def enabled_ordinals(self, m: Sequence[float]) -> list[int]:
-        return [ti for ti in range(len(self.trans)) if self.enabled(ti, m)]
 
     def enabled_flags(self, m: Sequence[float]) -> tuple[bytearray, int]:
         """The enabled flag of every transition, and how many are set."""
@@ -1242,39 +1277,37 @@ class _CompiledNet:
         return weights
 
 
-# --- code cache ------------------------------------------------------------------------
+# --- compiled code ------------------------------------------------------------------------
 #
-# The nets of one family differ mostly in their float literals, and the cache
-# works at two levels.
+# Compiled code has one home: the structure of the nets that run it.  The nets
+# of one family differ mostly in their float literals.
 #
-# Modules are compiled once per shape: the source with the literals that
-# expr.LITERAL delimits cut out.  A shape compiles to a factory whose body is
-# the module with literal i read as its argument _k<i> (see _shaped).  Every
-# module of that shape, the first included, is the factory called in the
-# net's own namespace with the net's literals: its functions read them from
-# closure cells, and every net of the shape shares their code objects.  Where
-# the compiler would fold literals of the real text, such as 1e308*10 in a
-# weight fold_constants keeps because it is not finite, the function does
-# that float operation when it runs, with the same result.
-#
-# Nets are emitted once per structure: the net with each folded constant a
+# A net is emitted once per structure: the net with each folded constant a
 # hole, and the outcome of each decision emission takes on a value (see
 # _CompiledNet._structure).  The first net of a structure emits its enabling
 # tests and steps over _Hole constants, which learns the recipe of every
-# literal: a constant, a sum of them or a threshold w - EPSILON.  A later net
-# of that structure computes its literals from the recipes with the same float
-# operations and calls the shapes' factories with them, with no emission.
-# Every value is written as a literal, finite or not, so a key keeps one entry.
+# literal: a constant, a sum of them or a threshold w - EPSILON.  Each module
+# is compiled once, to a factory whose body is the module with literal i read
+# as its argument _k<i> (see _factory), and the structure keeps the factory
+# and the recipe of each literal.  Every net of the structure, the first
+# included, computes its literals from the recipes with the same float
+# operations and calls the factories with them in a namespace of its own: its
+# functions read the literals from closure cells, and every net of the
+# structure shares their code objects.  Where the compiler would fold literals
+# of the real text, such as 1e308*10 in a weight fold_constants keeps because
+# it is not finite, the function does that float operation when it runs, with
+# the same result.  Every value is written as a literal, finite or not, so a
+# key keeps one entry.
 #
-# Loops are emitted once per structure too.  Sightings of a period are pooled
-# over the nets of the structure, and a hot period is kept on the structure by
-# its head.  The first net that enters it emits its loop over _Hole constants,
-# once for each set of induction counters; every net calls the factory of that
-# code with its own literals and derives its trip plan from its own constants
-# (see _CompiledNet.looped).
+# Loops and the BFS successors are emitted once per structure too, by the
+# first net that needs them.  Sightings of a period are pooled over the nets
+# of the structure, and a hot period is kept on the structure by its head.
+# The first net that enters it emits its loop over _Hole constants, once for
+# each set of induction counters; every net calls the factory of that code
+# with its own literals and derives its trip plan from its own constants (see
+# _CompiledNet.looped).  A net's Born code and each check predicate are
+# compiled for the one net that runs them (see _CompiledNet._define).
 
-_SHAPES: dict[str, CodeType] = {}  # shape -> its factory (see _shaped), oldest first
-_SHAPES_MAX = 256
 _STRUCTURES: dict[tuple, _Structure] = {}  # structure key -> how its nets build their code, oldest first
 _STRUCTURES_MAX = 64
 _LOOPS_MAX = 64  # loops kept per structure
@@ -1399,31 +1432,32 @@ def _source(params: str, bodies: list[list[str]]) -> str:
     return "\n".join(lines)
 
 
-def _module(source: str) -> tuple[str, list[str], list[int]]:
-    """A module emitted over holes: its shape, its text between the literals, and each literal's recipe index."""
+def _module(source: str) -> tuple[CodeType, list[int]]:
+    """A module emitted over holes: its factory (see _factory) and each literal's recipe index."""
     parts = source.split(_expr.LITERAL)
-    return _expr.LITERAL.join(parts[::2]), parts[::2], list(map(int, parts[1::2]))
+    return _factory(parts[::2]), list(map(int, parts[1::2]))
 
 
-@dataclass(frozen=True)
+@dataclass
 class _Structure:
-    """How the nets of one structure build their enabling tests and steps.
+    """How the nets of one structure build their code.
 
     ``derived`` are the recipes after the constants (see _Hole), from
     which _derive computes a net's literals.  ``wiring`` is each
     transition's (in_arcs, out_arcs, touched, reads, recheck, rivals), and
     ``modules`` are the enabling tests and the steps (see _module).  The
-    loops of the structure's nets are built from ``hot`` and ``loops``,
-    which hold no net and no function: flag states, code, text and recipes.
+    rest is set as nets of the structure need it, and holds no net and no
+    function: flag states, factories and recipes.
     """
 
     derived: list[tuple]
     wiring: list[tuple]
     order: list[int]
     uniform_rank: bool
-    modules: list[tuple[str, list[str], list[int]]]
+    modules: list[tuple[CodeType, list[int]]]
     hot: dict[bytes, _Period]  # hot periods by head, sighted by any net of the structure
     loops: dict[tuple, _LoopCode]  # (states, _BLOCK, induction counters) -> code; see _CompiledNet.looped
+    successors: tuple[CodeType, list[int]] | None  # see _CompiledNet.successors
 
 
 @dataclass(frozen=True)
@@ -1443,15 +1477,14 @@ class _Period:
 class _LoopCode:
     """A loop as the nets of its structure build it (see _CompiledNet._emit_loop).
 
-    ``shape``, ``text`` and ``holes`` are its module (see _module), each
-    literal the index of a structure value.  ``terms`` and ``breaks`` build
+    ``factory`` and ``holes`` are its module (see _module), each literal
+    the index of a structure value.  ``terms`` and ``breaks`` build
     the trip plan from a net's counter levels (see _trip_count); a term is
     (counter, firing, threshold's argument, read), where the net's plan
     holds the counter's level after that firing.
     """
 
-    shape: str
-    text: list[str]
+    factory: CodeType
     holes: list[int]
     terms: list[tuple]
     breaks: list[tuple]
@@ -1479,21 +1512,17 @@ def _levels(moves: tuple, consts: list[float]) -> tuple[tuple, dict[int, list[in
     return tuple(p for p in places if p not in irregular), after, room
 
 
-def _shaped(shape: str, text: list[str]) -> CodeType:
-    """The factory of this shape, text its parts between literals, compiled on the shape's first module.
+def _factory(text: list[str]) -> CodeType:
+    """The factory of a generated module, text its parts between literals.
 
-    It is a module defining _make(_k0, ..): the shape's module with literal
-    i read as _k<i>, whose call returns the module's functions.
+    It is a module defining _make(_k0, ..): the module with literal i read
+    as _k<i>, whose call returns the module's functions.
     """
-    code = _SHAPES.get(shape)
-    if code is None:
-        holes = [f"_k{i}" for i in range(len(text) - 1)]
-        lines = ("".join(part + hole for part, hole in zip(text, holes)) + text[-1]).split("\n")
-        functions = [line[4:line.index("(")] for line in lines if line.startswith("def ")]
-        source = "\n    ".join([f"def _make({', '.join(holes)}):", *lines, f"return [{', '.join(functions)}]"])
-        code = compile(source, "<string>", "exec")
-        _expr._remember(_SHAPES, _SHAPES_MAX, shape, code)
-    return code
+    holes = [f"_k{i}" for i in range(len(text) - 1)]
+    lines = ("".join(part + hole for part, hole in zip(text, holes)) + text[-1]).split("\n")
+    functions = [line[4:line.index("(")] for line in lines if line.startswith("def ")]
+    source = "\n    ".join([f"def _make({', '.join(holes)}):", *lines, f"return [{', '.join(functions)}]"])
+    return compile(source, "<string>", "exec")
 
 
 def _running_sums(weights: Sequence[float]) -> list[float]:
@@ -1549,7 +1578,7 @@ def is_enabled(net: PetriNet, m: Sequence[float], transition_id: str) -> bool:
 def enabled_transitions(net: PetriNet, m: Sequence[float]) -> list[str]:
     _check_dimension(net, m)
     cnet = net.compiled()
-    return [cnet.trans[i].tid for i in cnet.enabled_ordinals(m)]
+    return [ct.tid for ct, on in zip(cnet.trans, cnet.enabled_flags(m)[0]) if on]
 
 
 def fire(net: PetriNet, m: Sequence[float], transition_id: str) -> Marking:
@@ -1572,7 +1601,7 @@ def conflict_groups(net: PetriNet, m: Sequence[float]) -> list[list[str]]:
     """
     _check_dimension(net, m)
     cnet = net.compiled()
-    pending = set(cnet.enabled_ordinals(m))
+    pending = {t for t, on in enumerate(cnet.enabled_flags(m)[0]) if on}
     groups = []
     for t in cnet.order:  # each group is found from its first member in priority order
         if t in pending:
@@ -1621,16 +1650,16 @@ def _born_choice(cnet: _CompiledNet, m: Sequence[float], enabled: list[int], rng
     return members[_draw(sums, sums[-1], rng)]
 
 
-def _chooser(cnet: _CompiledNet, config: RunConfig, m: Marking, flags: bytearray) -> Callable[[], int]:
-    """How a run picks each firing: the first enabled transition in priority order, or a Born draw.
+def _chooser(cnet: _CompiledNet, policy: Policy, rng: random.Random, m: Sequence[float],
+             flags: bytearray) -> Callable[[], int]:
+    """How a run or a step picks each firing: the first enabled transition in priority order, or a Born draw.
 
-    The choice reads m and flags as the run updates them in place.  Under
-    BornRandom a run draws from random.Random(seed) once per step, also for
-    a singleton group, so that it matches a step() loop draw for draw.
+    The choice reads m and flags as a run updates them in place.  Under
+    BornRandom each choice draws from rng once, also for a singleton group,
+    so that a run from random.Random(seed) matches a step() loop draw for draw.
     """
     order = cnet.order
-    if config.policy == Policy.BORN_RANDOM:
-        rng = random.Random(config.seed)
+    if policy == Policy.BORN_RANDOM:
         return lambda: _born_choice(cnet, m, [i for i in order if flags[i]], rng)
     if cnet.uniform_rank:  # priority order == ordinal order
         return functools.partial(flags.find, 1)
@@ -1646,14 +1675,10 @@ def step(
     """Fire one transition per the configured policy; None when quiescent."""
     validate_marking(net, m)
     cnet = net.compiled()
-    # tested in ordinal order, so that a fault is the one a run meets first
-    enabled = sorted(cnet.enabled_ordinals(m), key=lambda t: (cnet.trans[t].rank, t))
-    if not enabled:
+    flags, count = cnet.enabled_flags(m)  # tested in ordinal order, so that a fault is the one a run meets first
+    if not count:
         return None
-    if config.policy == Policy.DETERMINISTIC_PRIORITY:
-        ti = enabled[0]
-    else:
-        ti = _born_choice(cnet, m, enabled, rng)
+    ti = _chooser(cnet, config.policy, rng, m, flags)()
     out = list(m)
     cnet.fire_into(ti, out)
     return cnet.trans[ti].tid, out
@@ -1815,7 +1840,7 @@ def _execute(
     except QpnError as e:
         e.step_index = 0
         raise
-    choose = _chooser(cnet, config, m, flags)
+    choose = _chooser(cnet, config.policy, random.Random(config.seed), m, flags)
     steps = [ct.step for ct in trans]
     max_steps = config.max_steps
     hot = cnet.hot

@@ -722,17 +722,16 @@ def test_enabling_tolerance_boundary(kind, weight, q, value, expected):
 
 
 def test_enabling_tolerance_boundary_through_cached_shapes(monkeypatch):
-    """From an empty shape cache, later weights reuse the factory of an earlier one,
-    called with their own threshold w - 1e-12, and keep the boundary exactly."""
-    monkeypatch.setattr(net_module, "_SHAPES", {})
-    known = []  # per module built: whether its shape's factory was compiled already
-    shaped = net_module._shaped
-    monkeypatch.setattr(net_module, "_shaped", lambda shape, text: known.append(shape in net_module._SHAPES)
-                        or shaped(shape, text))
-    for kind, weight, q, value, expected in _boundary_cases():
+    """From an empty structure cache, later nets of a structure call the factories of an earlier one
+    with their own threshold w - 1e-12, and keep the boundary exactly."""
+    monkeypatch.setattr(net_module, "_STRUCTURES", {})
+    compiled, factory = [], net_module._factory
+    monkeypatch.setattr(net_module, "_factory", lambda text: compiled.append(text) or factory(text))
+    cases = list(_boundary_cases())
+    for kind, weight, q, value, expected in cases:
         test_enabling_tolerance_boundary(kind, weight, q, value, expected)
-    assert sum(known) >= 1  # hits
-    assert known.count(False) == len(net_module._SHAPES)  # each shape compiled once
+    # each structure compiles its enabling tests and its steps once
+    assert len(compiled) == 2 * len(net_module._STRUCTURES) < len(cases)
 
 
 # --- the consume arcs of one place are tested against their sum --------------------
@@ -844,7 +843,7 @@ def test_enabling_tests_without_repeated_consume_places_are_generated_as_before(
                 compared += 1
             else:
                 repeated += 1
-    assert compared > 100 and repeated == 1  # the repeated-consume golden net
+    assert compared > 100 and repeated == 2  # the golden nets repeated_consume and counters
 
 
 # --- firing atomicity property over random nets ------------------------------------
