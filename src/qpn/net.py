@@ -41,7 +41,7 @@ import math
 import random
 import struct
 from bisect import bisect_right
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from itertools import accumulate
 from types import CodeType
 from typing import Callable, Container, Iterable, Iterator, Mapping, NamedTuple, Sequence
@@ -259,7 +259,7 @@ def _normalize_arc(arc: Arc, places: Container[str], transitions: Container[str]
         raise NetDefinitionError(
             f"arc {arc.source}->{arc.target} does not connect a declared place and transition"
         )
-    return replace(arc, weight=weight, kind=kind)
+    return Arc(arc.source, arc.target, weight, kind)
 
 
 class PetriNet:
@@ -415,12 +415,13 @@ _SAFE_DEPOSIT = 2.0**970
 # A deterministic run, traced or not, looks for a hot loop every _CHUNK
 # firings.  After a loop exits, and the plain steps it hands back, it looks at
 # once and then after each firing, _CHUNK looks in all, until a hot loop head
-# comes up.  It records the flag states of up to _MAX_PERIOD firings; once a
-# state comes back, the states in between are a period.  A period is hot once
-# any net of its structure sights it, and a run that meets its head builds the
-# loop it enters (_CompiledNet.looped): compiled once per structure, called
-# with each net's literals.  The loop runs whole periods per call, up to
-# _BLOCK of them per speculative block.
+# comes up: the step loop makes the looks after each firing itself and leaves
+# only on a head.  It records the flag states of up to _MAX_PERIOD firings;
+# once a state comes back, the states in between are a period.  A period is
+# hot once any net of its structure sights it, and a run that meets its head
+# builds the loop it enters (_CompiledNet.looped): compiled once per
+# structure, called with each net's literals.  The loop runs whole periods per
+# call, up to _BLOCK of them per speculative block.
 _CHUNK = 64
 _MAX_PERIOD = 8
 _BLOCK = 64
@@ -429,12 +430,13 @@ _BLOCK = 64
 # A compiled loop (see _emit_loop) returns the firings done and the firings the run
 # fires next as plain steps before it looks for a loop again: a failed block; a
 # block after a trip count of 0, so that a head met again at once is not entered
-# again at once; one after a trip count short of the budget; else none.
+# again at once; one after a trip count short of the budget; else none.  Its
+# trip count is _f1, emitted after it in its module (see _emit_trip).
 _LOOP = """\
 {load}    j = 0
     z = 0.0
     try:
-{hoisted}        k, {terms}= _trip(_plan, budget // {n}{args})
+{hoisted}        k, {terms}= _f1(budget // {n}{args})
     except _FAULTS:
         k = 0
     while j < k:
@@ -473,59 +475,6 @@ def _nonfinite(values: list[str]) -> str:
 def _names(net: PetriNet, template: str) -> dict[str, str]:
     """Each place id -> the code that reads the place: template filled with its index."""
     return {p.id: template.format(i) for i, p in enumerate(net.places)}
-
-
-def _trip_count(plan: tuple, periods: int, *values: float) -> tuple:
-    """The whole periods a loop runs from its entry state, then the entry value of each counter term it reads.
-
-    ``values`` holds the loop's induction counters, the thresholds of its
-    counter terms, then the values of the guard terms it computed at entry.
-    Each counter must hold an exact non-negative integer, not -0.0.  The
-    periods are then cut so that every counter stays non-negative after each
-    firing and exact (at most 2**53 after every move), so that no counter
-    term the loop's code reads changes its value, and so that every guard
-    that these terms decide comes out as in the recorded period.  A term
-    flips at most once, so such a guard holds over one range of periods.
-    """
-    counters, terms, breaks = plan
-    levels = []
-    for x, (d, low, room) in zip(values, counters):
-        if x % 1.0 != 0.0 or math.copysign(1.0, x) < 0.0 or x + low < 0.0:
-            return (0,) + (False,) * sum(read for *_, read in terms)
-        levels.append(int(x))
-        if room:
-            periods = min(periods, (2**53 - levels[-1]) // room)
-        if d < 0:
-            periods = min(periods, (levels[-1] + low) // -d + 1)
-    # each term's value at entry and the first period in which it differs; the read terms' values
-    held, flips, reads = [], [], []
-    for c, offset, threshold, read in terms:  # counter c + offset + j * d >= threshold in period j
-        d, level, threshold = counters[c][0], levels[c] + offset, values[threshold]
-        held.append(level >= threshold)
-        if d > 0 and not held[-1]:
-            flips.append((math.ceil(threshold) - level + d - 1) // d)
-        elif d < 0 and held[-1]:
-            flips.append((level - math.ceil(threshold)) // -d + 1)
-        else:
-            flips.append(math.inf)
-        if read:
-            reads.append(held[-1])
-            if flips[-1] < periods:
-                periods = flips[-1]
-    known = held + list(values)  # term values, then values[i] at len(held) + i
-    flips += [math.inf] * len(values)
-    for want, names in breaks:  # the guard's terms all hold in the periods [lo, hi)
-        lo, hi = 0, math.inf
-        for i in names:
-            if known[i]:
-                hi = flips[i] if flips[i] < hi else hi
-            elif flips[i] > lo:
-                lo = flips[i]
-        if want:
-            periods = min(periods, hi if lo == 0 else 0)
-        elif lo < hi:
-            periods = min(periods, lo)
-    return (periods, *reads)
 
 
 class _Loop:
@@ -1010,11 +959,13 @@ class _CompiledNet:
         return loop
 
     def _install(self, code: _LoopCode, period: _Period, induction: tuple, after: dict, room: dict) -> _Loop:
-        """This net's loop: its structure's code called with its literals, its trip plan from its counter levels."""
-        plan = ([(after[p][-1], min(after[p]), room[p]) for p in induction],
-                [(c, after[induction[c]][i], arg, read) for c, i, arg, read in code.terms], code.breaks)
-        run = self._exec(code.factory, [self._values[i] for i in code.holes],
-                         _plan=plan, _d=tuple(after[p][-1] for p in induction))[0]
+        """This net's loop: its structure's code called with its literals and the plan of its counter moves.
+
+        Per counter its move per period, lowest level and sum of move sizes, then per term its counter's level.
+        """
+        plan = [n for p in induction for n in (after[p][-1], min(after[p]), room[p])]
+        plan += [after[induction[c]][i] for c, i, _, _ in code.terms]
+        run = self._exec(code.factory, [self._values[i] for i in code.holes], _plan=tuple(plan))[0]
         return _Loop(run, period)
 
     def _emit_loop(self, period: _Period, induction: tuple) -> _LoopCode:
@@ -1026,7 +977,7 @@ class _CompiledNet:
         becomes a guard that the flag recorded in states[i + 1] comes out
         again.
 
-        The loop is specialized on the entry state (see _trip_count).
+        The loop is specialized on the entry state (see _emit_trip).
         Induction counters, the counter places whose every move in the
         period is a constant integer, drop their counter checks, and their
         updates unless other code reads them.  Guard terms and weight
@@ -1045,9 +996,10 @@ class _CompiledNet:
         Traced and untraced runs enter the same loop.
 
         Code computed once is shared by its text over holes, and a counter
-        term by its place, its firing and its threshold's text, so the code
-        depends on the structure, the period and the induction counters
-        alone: never on which values coincide on one net.
+        term by its place, the moves of its counter up to its firing and its
+        threshold's text, so the code depends on the structure, the period
+        and the induction counters alone: never on which values coincide on
+        one net.
         """
         states, n, ids, x = period.states, len(period.states), self._ids, _names(self.net, "x{}")
         steps = []  # (transition, operations, guards as (transition re-tested, flag wanted))
@@ -1101,7 +1053,9 @@ class _CompiledNet:
                             fixed_weights.add(term[1])
                         name = once(self._term(term, x, None))
                     elif fixed and kind == "ge" and term[1] in counter_of:
-                        at = term[1], i, term[2]
+                        # the counter holds one level from each of its moves to the next
+                        moved = sum(q == term[1] for firing in period.moves[:i + 1] for q, _, _ in firing)
+                        at = term[1], moved, term[2]
                         if at not in counter_terms:
                             counter_terms[at] = f"g{len(counter_terms)}"
                             plan_terms.append((counter_of[term[1]], i, len(args)))
@@ -1161,12 +1115,14 @@ class _CompiledNet:
             copies=", ".join("s" + v for v in saved) or "z",
             fast="".join(f"                {line}\n" for line in fast or ["pass"]),
             finite=f"not ({_nonfinite(tested)})" if tested else "True",
-            advance="".join(f"    if j: x{p} += j * _d[{counter_of[p]}]\n" for p in untracked),
+            advance="".join(f"    if j: x{p} += j * _plan[{3 * counter_of[p]}]\n" for p in untracked),
             store="".join(f"    m[{p}] = x{p}\n" for p in written))
-        factory, holes = _module(_source("m, budget", [[text]]))
         terms = [(*term, name in read_terms) for term, name in zip(plan_terms, counter_terms.values())]
-        return _LoopCode(factory, holes, terms,
-                         [(want, [terms_at[name] for name in names]) for want, names in breaks])
+        layout = [(want, [terms_at[name] for name in names]) for want, names in breaks]
+        signs = [{sign * ((self._consts[k] > 0) - (self._consts[k] < 0))
+                  for firing in period.moves for q, k, sign in firing if q == p} - {0} for p in induction]
+        factory, holes = _module(_source("m, budget", [[text]]) + "\n" + _emit_trip(signs, terms, layout, len(args)))
+        return _LoopCode(factory, holes, terms, layout)
 
     def finish(self, ti: int, m: Marking) -> None:
         """The slow path of a firing of ti whose overflow or counter test failed, in a step or a successor.
@@ -1205,7 +1161,8 @@ class _CompiledNet:
         """
         namespace = dict(_expr._COMPILE_GLOBALS)
         namespace.update(_fault=_raise_fault, _finish=self.finish, _FAULTS=_FAULTS, _RecheckFault=_RecheckFault,
-                         _trip=_trip_count, _range=range, **extra)
+                         _range=range, _int=int, _ceil=math.ceil, _copysign=math.copysign, _inf=math.inf,
+                         **extra)
         exec(factory, namespace)  # noqa: S102 - source built from our own AST
         return namespace["_make"](*literals)
 
@@ -1478,10 +1435,11 @@ class _LoopCode:
     """A loop as the nets of its structure build it (see _CompiledNet._emit_loop).
 
     ``factory`` and ``holes`` are its module (see _module), each literal
-    the index of a structure value.  ``terms`` and ``breaks`` build
-    the trip plan from a net's counter levels (see _trip_count); a term is
-    (counter, firing, threshold's argument, read), where the net's plan
-    holds the counter's level after that firing.
+    the index of a structure value: the loop _f0, then its trip count _f1.
+    ``terms`` and ``breaks`` are the layout the trip count was emitted from
+    (see _emit_trip); a term is (counter, firing, threshold's argument,
+    read), and a net passes the counter's level after that firing (see
+    _CompiledNet._install).
     """
 
     factory: CodeType
@@ -1512,16 +1470,83 @@ def _levels(moves: tuple, consts: list[float]) -> tuple[tuple, dict[int, list[in
     return tuple(p for p in places if p not in irregular), after, room
 
 
+def _emit_trip(signs: list[set[int]], terms: list[tuple], breaks: list[tuple], arity: int) -> str:
+    """A loop's trip count _f1(k, a0, ..), straight-line code that the loop _f0 calls at entry.
+
+    k is the budget in periods; a0, .. are the induction counters, the
+    thresholds of the counter terms, then the guard values the breaks name.
+    It returns the periods the loop runs, then the entry value of each term
+    the loop reads.  A counter must enter as an exact non-negative integer,
+    not -0.0, and the periods are cut, each by a minimum over Python
+    integers, so that it stays non-negative and at most 2**53, no term the
+    loop reads changes and every guard these terms decide comes out as
+    recorded.  The net's integers come in _plan (see _CompiledNet._install).
+    signs[c] holds the signs of counter c's moves, fixed by the structure;
+    where they differ, the code tests the move d<c> per period.  Term t,
+    (counter, firing, threshold's argument, read), holds as g<t> at entry
+    and differs from period f<t> on (_inf: never), so the terms of a break,
+    (flag wanted, indices into terms then values), all hold over one range
+    of periods [lo, hi).
+    """
+    names = [f"{name}{c}" for c in range(len(signs)) for name in ("d", "low", "room")]
+    names += [f"o{t}" for t in range(len(terms))]
+    reads = [f"g{t}" for t, term in enumerate(terms) if term[3]]
+    lines = [f"{''.join(f'{name}, ' for name in names)}= _plan"] if names else []
+    # -0.0 and the negatives are the counters copysign reads as negative
+    bad = [f"a{c} % 1.0 != 0.0 or a{c} <= 0.0 and _copysign(1.0, a{c}) < 0.0"
+           + f" or a{c} + low{c} < 0.0" * (-1 in s) for c, s in enumerate(signs)]
+    lines += [f"if {' or '.join(bad)}: return {', '.join(['(0', *['False'] * len(reads)])},)"] if bad else []
+    lines += [f"l{c} = _int(a{c})" for c in range(len(signs))]
+    moving = [c for c, s in enumerate(signs) if s]
+    if moving:  # no counter passes 2**53 unless their sum can
+        levels, rooms = (" + ".join(f"{name}{c}" for c in moving) for name in ("l", "room"))
+        lines.append(f"if {levels} + k * ({rooms}) > {2**53}:")
+        lines += [f"    if (r := ({2**53} - l{c}) // room{c}) < k: k = r" for c in moving]
+    for c, s in enumerate(signs):
+        cut = f"if (r := (l{c} + low{c}) // -d{c} + 1) < k: k = r"
+        lines += ([f"if d{c} < 0:", f"    {cut}"] if 1 in s else [cut]) if -1 in s else []
+        own = [(t, arg, read) for t, (counter, _, arg, read) in enumerate(terms) if counter == c]
+        lines += [f"g{t} = l{c} + o{t} >= a{arg}" for t, arg, _ in own]
+        up, down = "(_ceil(a{a}) - l{c} - o{t} + d{c} - 1) // d{c}", "(l{c} + o{t} - _ceil(a{a})) // -d{c} + 1"
+        flip = ("_inf if g{t} else " + up if s == {1} else down + " if g{t} else _inf" if s == {-1}
+                else f"{up} if not g{{t}} and d{{c}} > 0 else {down} if g{{t}} and d{{c}} < 0 else _inf")
+        flips = [f"f{t} = " + flip.format(t=t, a=arg, c=c) for t, arg, _ in own]
+        if len(s) == 2 and own:  # a counter whose moves cancel flips no term
+            flips = [f"if d{c}:", *(f"    {line}" for line in flips), "else:",
+                     f"    {' = '.join(f'f{t}' for t, _, _ in own)} = _inf"]
+        lines += flips * bool(s) + [f"if f{t} < k: k = f{t}" for t, _, read in own if read and s]
+    known = [(f"g{t}", f"f{t}", signs[c]) for t, (c, *_) in enumerate(terms)]
+    known += [(f"a{i}", "", set()) for i in range(arity)]
+    for want, indices in breaks:
+        held = [known[i] for i in indices]
+        if want:  # all hold at entry, then up to the first flip; once k is 0, no flip cuts it
+            lines += [f"if not ({' and '.join(g for g, _, _ in held)}) and 0 < k: k = 0"] if held else []
+            lines += [f"if {f} < k: k = {f}" for _, f, s in held if -1 in s]
+            continue
+        starts = [(g, f) for g, f, s in held if 1 in s]  # up to lo, where lo < hi
+        ends = [f if s == {-1} else f"({f} if {g} else _inf)" for g, f, s in held if -1 in s]
+        body = [f"if not {g} and {f} > lo: lo = {f}" if i else f"lo = 0 if {g} else {f}"
+                for i, (g, f) in enumerate(starts)]
+        lo = "lo" if starts else "0"
+        body.append(f"if {' and '.join(f'{lo} < {end}' for end in [*ends, 'k'])}: k = {lo}")
+        sticky = [g for g, _, s in held if 1 not in s]  # false once false: its moves never raise it
+        lines += [f"if {' and '.join(sticky)}:", *(f"    {line}" for line in body)] if sticky else body
+    lines.append(f"return {', '.join(['(k', *reads])},)")
+    return "\n    ".join([f"def _f1({', '.join(['k', *(f'a{i}' for i in range(arity))])}):", *lines])
+
+
 def _factory(text: list[str]) -> CodeType:
     """The factory of a generated module, text its parts between literals.
 
     It is a module defining _make(_k0, ..): the module with literal i read
-    as _k<i>, whose call returns the module's functions.
+    as _k<i>, whose call returns the module's functions.  They are globals
+    of the namespace it runs in, as in a module, so one can call another.
     """
     holes = [f"_k{i}" for i in range(len(text) - 1)]
     lines = ("".join(part + hole for part, hole in zip(text, holes)) + text[-1]).split("\n")
-    functions = [line[4:line.index("(")] for line in lines if line.startswith("def ")]
-    source = "\n    ".join([f"def _make({', '.join(holes)}):", *lines, f"return [{', '.join(functions)}]"])
+    functions = ", ".join([line[4:line.index("(")] for line in lines if line.startswith("def ")])
+    declared = [f"global {functions}"] if functions else []
+    source = "\n    ".join([f"def _make({', '.join(holes)}):", *declared, *lines, f"return [{functions}]"])
     return compile(source, "<string>", "exec")
 
 
@@ -1826,7 +1851,8 @@ def _execute(
 
     Deterministic runs enter the compiled loops of their hot periods; each
     call leaves the marking at a period boundary, so the run goes on with
-    the flags it had there.
+    the flags it had there.  After a loop exits, the step loop itself looks
+    for a hot head after each firing, and leaves only on one (see _CHUNK).
     """
     validate_marking(net, m0)
     cnet = net.compiled()
@@ -1849,10 +1875,13 @@ def _execute(
     replay = 0  # firings a loop has left to plain steps, after which the run looks at once
     start = 0
     while True:
+        looking = False  # whether to look after each firing of this round
         if replay:
             stop, replay = start + replay, 0
+        elif relook:
+            stop, looking = min(start + relook, max_steps), True
         elif deterministic:  # the next firing depends on flags alone
-            stop = min(start + (_CHUNK if path is None and not relook else 1), max_steps)
+            stop = min(start + (_CHUNK if path is None else 1), max_steps)
         else:
             stop = max_steps
         for step_index in range(start, stop):
@@ -1878,6 +1907,15 @@ def _execute(
             except QpnError as e:  # from a Born draw, the generated result checks or a diagnosis
                 e.step_index = step_index
                 raise
+            if looking:  # a look that misses ends here; every loop's head is hot, so a hit takes the full look
+                if bytes(flags) in hot:
+                    stop = step_index + 1
+                    break
+                relook -= 1
+        else:  # every look of the round missed
+            if looking and stop != max_steps:
+                start = stop
+                continue
         if stop == max_steps:
             break
         # a look for a hot loop: run the compiled one, or record the flag states

@@ -146,6 +146,17 @@ def _integer(text: str, lineno: int, what: str) -> int:
 # --- load -------------------------------------------------------------------------
 
 
+class _ReadArc(Arc):
+    """An arc as load reads it: its weight text keys the arc memo, and a miss takes the tree load parsed."""
+
+    def __init__(self, source: str, target: str, weight: str, kind: ArcKind | None, tree: _expr.WeightExpr):
+        super().__init__(source, target, weight, kind)
+        object.__setattr__(self, "tree", tree)  # Arc is frozen
+
+    def parsed_weight(self) -> _expr.WeightExpr:
+        return self.tree
+
+
 def load(text: str) -> NetDocument:
     """Parse and fully validate a .qpn document."""
     name: str | None = None
@@ -214,7 +225,7 @@ def load(text: str) -> NetDocument:
             attrs = _keyvalues(fields[4:], ("w", "kind"), lineno)
             weight_text = _unquote(attrs["w"], lineno) if "w" in attrs else "1"
             try:
-                _expr.parse(weight_text)  # for the line of its error; the net is given the text
+                tree = _expr.parse(weight_text)  # for the line of its error; the net is given both
             except ExprSyntaxError as e:
                 raise NetFileSyntaxError(f"bad weight expression: {e}", lineno) from None
             kind: ArcKind | None = None
@@ -222,7 +233,7 @@ def load(text: str) -> NetDocument:
                 if attrs["kind"] not in _ARC_KIND_NAMES:
                     raise NetFileSyntaxError(f"unknown arc kind {attrs['kind']!r}", lineno)
                 kind = _ARC_KIND_NAMES[attrs["kind"]]
-            raw_arcs.append((Arc(src, dst, weight_text, kind), lineno))
+            raw_arcs.append((_ReadArc(src, dst, weight_text, kind, tree), lineno))
         elif keyword == "k":
             if len(fields) == 3 and fields[1] == "=":
                 value_text = fields[2]

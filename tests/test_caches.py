@@ -748,11 +748,12 @@ def _emissions(counts):
 
 
 def _loop_key(cnet, loop):
-    """A loop's code, instruction for instruction with literals by their bits, the globals it is specialized on,
-    and the ordinals of its period: the first enabled transition of each state in priority order."""
+    """A loop's code with its trip count's, instruction for instruction with literals by their bits, the plan it
+    is specialized on, and the ordinals of its period: the first enabled transition of each state in priority
+    order."""
     scope = loop.run.__globals__
     fired = [next(t for t in cnet.order if state[t]) for state in loop.states]
-    return _function_key(loop.run), scope["_plan"], scope["_d"], fired
+    return _function_key(loop.run), _function_key(scope["_f1"]), scope["_plan"], fired
 
 
 def _assert_loops_as_fresh(cnet):

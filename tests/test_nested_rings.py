@@ -7,7 +7,8 @@ of its structure whose guard thresholds coincide where the net's differ, or
 the other way round.  Under a lowered look interval and block length,
 ``run_final`` and ``run`` are compared bit for bit with a
 ``step()`` loop on the loops the first net emits and on the loops its
-sibling installs from the structure's code.
+sibling installs from the structure's code, and every trip count
+``run_final`` takes with ``test_trace._trip_count``.
 """
 
 from hypothesis import given, settings
@@ -16,7 +17,15 @@ from hypothesis import strategies as st
 from qpn.expr import Constant
 from qpn.net import Arc, ArcKind, PetriNet, PlaceDecl, PlaceKind, RunConfig, TransitionDecl
 from test_caches import _emissions
-from test_trace import _HAZARDS, _add_hazard, _alone, _check_against_step_loop, _loop_firings, _sibling
+from test_trace import (
+    _HAZARDS,
+    _add_hazard,
+    _alone,
+    _check_against_step_loop,
+    _loop_firings,
+    _recording_trip_counts,
+    _sibling,
+)
 from test_trace_record import _check_record, _lowered
 
 C, A = PlaceKind.COUNTER, PlaceKind.AMPLITUDE
@@ -84,14 +93,15 @@ def _nested_case(draw):
 
 
 def test_nested_rings_match_step_loop():
-    """run_final on the loops the net emits, then on the loops its sibling installs with no emission."""
-    engaged, patched = [], []
+    """run_final on the loops the net emits, then on the loops its sibling installs with no emission; every
+    trip count equals the reference's."""
+    engaged, patched, trips = [], [], []
 
     @settings(max_examples=150, deadline=None)
     @given(_nested_case())
     def check(case):
         net, sibling, config, single = case
-        with _alone():
+        with _alone(), _recording_trip_counts(trips):
             _check_against_step_loop(net, net.initial_marking(), config, single)
             emitted = []
             with _emissions(emitted):
@@ -106,6 +116,7 @@ def test_nested_rings_match_step_loop():
     assert sum(engaged) >= 0.6 * len(engaged), f"loops ran on {sum(engaged)} of {len(engaged)} deterministic examples"
     assert sum(patched) >= 0.5 * len(patched), \
         f"installed loops ran on {sum(patched)} of {len(patched)} deterministic examples"
+    assert len({k for _, k, _ in trips}) > 10
 
 
 def test_nested_rings_record_matches_step_loop():

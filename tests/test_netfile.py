@@ -7,6 +7,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import qpn.expr as expr_module
 import qpn.net as net_module
 import qpn.netfile as netfile_module
 from qpn.errors import (
@@ -68,6 +69,18 @@ class TestGoldenFiles:
                 mock.patch.object(netfile_module, "_normalize_arc", counted):
             assert load(text).net == first.net
         assert calls == []
+
+    def test_load_parses_each_weight_once(self):
+        """load parses each of the 57 weights of blocking_n60_m60.qpn once, for the line of its error, and an
+        arc memo miss takes that tree, with the memo cleared or warm."""
+        text, texts, parse = (GOLDEN / "blocking_n60_m60.qpn").read_text(), [], expr_module.parse
+        with mock.patch.object(net_module, "_ARCS", {}), \
+                mock.patch.object(expr_module, "parse", lambda source: texts.append(source) or parse(source)):
+            cold = load(text)
+            assert len(texts) == len(cold.net.arcs) == 57
+            del texts[:]
+            assert load(text).net == cold.net
+            assert len(texts) == 57
 
     def test_mapped_entanglement_golden(self):
         doc = load((GOLDEN / "entanglement_mapped.qpn").read_text())
@@ -345,6 +358,32 @@ def _mutated_golden(draw):
                 tokens[j] = new
             lines[i] = " ".join(tokens)
     return "\n".join(lines) + "\n"
+
+
+def _loaded(text):
+    """The net a load builds, or its error's class, message and line."""
+    try:
+        return load(text).net
+    except NetFileError as e:
+        return type(e), str(e), e.line
+
+
+_WARM = {}  # the arc memo after loading every golden file
+
+
+@settings(max_examples=200, deadline=None)
+@given(_mutated_golden())
+def test_load_of_mutated_golden_fails_alike_on_a_cold_and_a_warm_arc_memo(text):
+    """A load whose arcs hit the arc memo builds the same net, or raises the same error at the same line, as
+    one whose arcs all miss and take the trees load parsed."""
+    if not _WARM:
+        with mock.patch.object(net_module, "_ARCS", _WARM):
+            for path in GOLDEN.glob("*.qpn"):
+                load(path.read_text())
+    with mock.patch.object(net_module, "_ARCS", {}):
+        cold = _loaded(text)
+    with mock.patch.object(net_module, "_ARCS", dict(_WARM)):
+        assert _loaded(text) == cold
 
 
 @settings(max_examples=400, deadline=None)

@@ -460,15 +460,102 @@ def test_a_period_sighted_once_is_entered_by_a_sibling_at_its_first_look_at_the_
     assert final.marking[sibling.place_index["c"]] == 500 and _loop_firings(sibling) > 1000
 
 
-def _recording_trip_counts(calls):
-    trip_count = net_module._trip_count
+def _trip_count(plan: tuple, periods: int, *values: float) -> tuple:
+    """The reference trip count: the whole periods a loop runs from its entry state, then the entry value of each
+    counter term it reads.  Each loop emits it as straight-line code (net._emit_trip) over its net's plan (_plan).
 
-    def record(plan, periods, *values):
-        result = trip_count(plan, periods, *values)
-        calls.append((periods, result[0], values[:len(plan[0])]))
-        return result
+    ``values`` holds the loop's induction counters, the thresholds of its
+    counter terms, then the values of the guard terms it computed at entry.
+    Each counter must hold an exact non-negative integer, not -0.0.  The
+    periods are then cut so that every counter stays non-negative after each
+    firing and exact (at most 2**53 after every move), so that no counter
+    term the loop's code reads changes its value, and so that every guard
+    that these terms decide comes out as in the recorded period.  A term
+    flips at most once, so such a guard holds over one range of periods.
+    """
+    counters, terms, breaks = plan
+    levels = []
+    for x, (d, low, room) in zip(values, counters):
+        if x % 1.0 != 0.0 or math.copysign(1.0, x) < 0.0 or x + low < 0.0:
+            return (0,) + (False,) * sum(read for *_, read in terms)
+        levels.append(int(x))
+        if room:
+            periods = min(periods, (2**53 - levels[-1]) // room)
+        if d < 0:
+            periods = min(periods, (levels[-1] + low) // -d + 1)
+    # each term's value at entry and the first period in which it differs; the read terms' values
+    held, flips, reads = [], [], []
+    for c, offset, threshold, read in terms:  # counter c + offset + j * d >= threshold in period j
+        d, level, threshold = counters[c][0], levels[c] + offset, values[threshold]
+        held.append(level >= threshold)
+        if d > 0 and not held[-1]:
+            flips.append((math.ceil(threshold) - level + d - 1) // d)
+        elif d < 0 and held[-1]:
+            flips.append((level - math.ceil(threshold)) // -d + 1)
+        else:
+            flips.append(math.inf)
+        if read:
+            reads.append(held[-1])
+            if flips[-1] < periods:
+                periods = flips[-1]
+    known = held + list(values)  # term values, then values[i] at len(held) + i
+    flips += [math.inf] * len(values)
+    for want, names in breaks:  # the guard's terms all hold in the periods [lo, hi)
+        lo, hi = 0, math.inf
+        for i in names:
+            if known[i]:
+                hi = flips[i] if flips[i] < hi else hi
+            elif flips[i] > lo:
+                lo = flips[i]
+        if want:
+            periods = min(periods, hi if lo == 0 else 0)
+        elif lo < hi:
+            periods = min(periods, lo)
+    return (periods, *reads)
 
-    return mock.patch.object(net_module, "_trip_count", record)
+
+def _plan(code, induction, after, room):
+    """The plan _trip_count reads for a loop's code: the layout it was emitted from, with a net's counter moves."""
+    return ([(after[p][-1], min(after[p]), room[p]) for p in induction],
+            [(c, after[induction[c]][i], arg, read) for c, i, arg, read in code.terms], code.breaks)
+
+
+def _outcome(trip, *args):
+    """A trip count's result, or "fault" where it raises what a loop takes for a trip count of 0."""
+    try:
+        return trip(*args)
+    except net_module._FAULTS:
+        return "fault"
+
+
+def _recording_trip_counts(calls, plans=None):
+    """Patch loop building so that every trip count a loop computes is checked against _trip_count.
+
+    Each call that does not fault is appended to calls as (periods, trip
+    count, induction counters); plans, if given, gets each loop's emitted
+    trip count with its plan and the (periods, values) of its calls.
+    """
+    install = net_module._CompiledNet._install
+
+    def installed(cnet, code, period, induction, after, room):
+        loop = install(cnet, code, period, induction, after, room)
+        plan, scope, entries = _plan(code, induction, after, room), loop.run.__globals__, []
+        trip = scope["_f1"]
+        if plans is not None:
+            plans.append((trip, plan, entries))
+
+        def recorded(periods, *values):
+            entries.append((periods, values))
+            expected = _outcome(_trip_count, plan, periods, *values)
+            assert _outcome(trip, periods, *values) == expected, (plan, periods, values)
+            result = trip(periods, *values)
+            calls.append((periods, result[0], values[:len(plan[0])]))
+            return result
+
+        scope["_f1"] = recorded
+        return loop
+
+    return mock.patch.object(net_module._CompiledNet, "_install", installed)
 
 
 def test_counter_decided_exits_match_step_loop():
