@@ -25,6 +25,8 @@ integers get a trip count instead of per-firing checks, guard terms over
 unwritten places are evaluated once, and blocks of periods run without
 finiteness tests; a block whose test at its end fails is rolled back and
 fired as plain steps, so every result stays bit for bit that of a step() loop.
+The firings that lead from the loop's exit back to its head become its
+bridge, and the loop then runs the outer cycle as laps.
 A traced run (:func:`run`) is that same run, and keeps only its config and
 firing count: its firings and markings are replayed as a step() loop
 through the generated steps (see :class:`Steps`).  Each loop is compiled
@@ -41,7 +43,7 @@ import math
 import random
 import struct
 from bisect import bisect_right
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from itertools import accumulate
 from types import CodeType
 from typing import Callable, Container, Iterable, Iterator, Mapping, NamedTuple, Sequence
@@ -413,49 +415,73 @@ _SAFE_DEPOSIT = 2.0**970
 
 
 # A deterministic run, traced or not, looks for a hot loop every _CHUNK
-# firings.  After a loop exits, and the plain steps it hands back, it looks at
-# once and then after each firing, _CHUNK looks in all, until a hot loop head
-# comes up: the step loop makes the looks after each firing itself and leaves
-# only on a head.  It records the flag states of up to _MAX_PERIOD firings;
-# once a state comes back, the states in between are a period.  A period is
-# hot once any net of its structure sights it, and a run that meets its head
-# builds the loop it enters (_CompiledNet.looped): compiled once per
-# structure, called with each net's literals.  The loop runs whole periods per
-# call, up to _BLOCK of them per speculative block.
+# firings, and from its first firing on once its structure holds hot heads.
+# After a loop exits, and the plain steps it hands back, it looks at once and
+# then after each firing, _CHUNK looks in all, until a hot loop head comes up:
+# the step loop makes the looks after each firing itself and leaves only on a
+# head.  It records the flag states of up to _MAX_PERIOD firings; once a state
+# comes back, the states in between are a period.  A period is hot once any
+# net of its structure sights it, and a run that meets its head builds the
+# loop it enters (_CompiledNet.looped): compiled once per structure, called
+# with each net's literals.  The loop runs whole periods per call, up to
+# _BLOCK of them per speculative block.  When a loop without a bridge exits by
+# its trip count, the run records the flag states from its head on, up to
+# _MAX_BRIDGE of them; once the head comes back, the states in between are
+# the bridge, and the loop at that head is built again to run outer laps.
 _CHUNK = 64
 _MAX_PERIOD = 8
 _BLOCK = 64
+_MAX_BRIDGE = 32
 
 
 # A compiled loop (see _emit_loop) returns the firings done and the firings the run
 # fires next as plain steps before it looks for a loop again: a failed block; a
 # block after a trip count of 0, so that a head met again at once is not entered
 # again at once; one after a trip count short of the budget; else none.  Its
-# trip count is _f1, emitted after it in its module (see _emit_trip).
+# trip count is _f1, emitted after it in its module (see _emit_trip).  A loop
+# with a bridge runs outer laps: each computes its hoisted code and trip count
+# from the locals, runs its periods and then, while the budget holds it, the
+# bridge back to the head (_BRIDGE); a bridge that misses is restored and
+# handed back whole.  A loop with no bridge runs one lap.
 _LOOP = """\
-{load}    j = 0
+{load}    j = d = 0
     z = 0.0
-    try:
-{hoisted}        k, {terms}= _f1(budget // {n}{args})
-    except _FAULTS:
-        k = 0
-    while j < k:
-        b = k - j if k - j < {block} else {block}
-        {copies} = {saved}
+    while True:
         try:
-            for _ in _range(b):
-{fast}            else:
-                if {finite}:
-                    j += b
-                    continue
+{hoisted}            k, {terms}= _f1(budget // {n}{args})
         except _FAULTS:
-            pass
-        {saved} = {copies}
-        b *= {n}
-        break
-    else:
-        b = (k < budget // {n}) if k else budget if budget < {span} else {span}
-{advance}{store}    return j * {n}, b"""
+            k = 0
+        while j < k:
+            b = k - j if k - j < {block} else {block}
+{periods}            b *= {n}
+            break
+        else:
+            b = (k < budget // {n}) if k else budget if budget < {span} else {span}
+{advance}{bridge}        break
+{store}    return d + j * {n}, b"""
+
+_BRIDGE = """\
+        if j == k and budget - j * {n} >= {length}:
+            d += j * {n}
+            budget -= j * {n} + {length}
+            j = 0
+{crossing}            b = {length}
+"""
+
+# A speculative block of a loop: its lines run count times on the locals,
+# which it restores from copies unless all runs end with every one finite.
+_SPECULATE = """\
+            {copies} = {saved}
+            try:
+                for _ in _range({count}):
+{fast}                else:
+                    if {finite}:
+                        {done}
+                        continue
+            except _FAULTS:
+                pass
+            {saved} = {copies}
+"""
 
 
 class _RecheckFault(Exception):
@@ -480,16 +506,19 @@ def _names(net: PetriNet, template: str) -> dict[str, str]:
 class _Loop:
     """A compiled period: run(m, budget) -> (firings done, firings to replay as steps).
 
-    Its calls run whole periods, so a run leaves it at a period boundary.
+    Its calls run whole periods, and with a bridge whole laps, so a run
+    leaves it at its head.
     """
 
-    __slots__ = ("run", "states", "period", "single", "firings")
+    __slots__ = ("run", "states", "period", "bridge", "single", "firings")
 
     def __init__(self, run: Callable[[Marking, int], tuple[int, int]], period: _Period):
         self.run = run
         self.states = states = period.states  # the flag state before each firing of the period
         self.period = len(states)
-        self.single = all(sum(state) == 1 for state in states)  # one transition enabled in every state
+        self.bridge = len(period.bridge)  # the firings of its bridge, 0 for a loop that runs one lap
+        # one transition enabled in every state, the bridge's included
+        self.single = all(sum(state) == 1 for state in (*states, *period.bridge))
         self.firings = 0  # firings done by run, over all runs of the net
 
 
@@ -923,13 +952,12 @@ class _CompiledNet:
             self.hot[head] = self._period(period[start:] + period[:start])
 
     def _period(self, states: list[bytes]) -> _Period:
-        """The period through these flag states: the transition each firing fires, and its moves of counter places."""
+        """The period through these flag states, with the moves of counter places that each of its firings makes."""
         index, places, arcs = self.net.place_index, self.net.places, self.net.arcs
         # the index of each arc's first folded constant
         slots = list(accumulate([len(entry.consts) for entry in self.net._entries], initial=0))
-        fired = tuple(next(t for t in self.order if pre[t]) for pre in states)
         moves = []
-        for ti in fired:
+        for ti in (next(t for t in self.order if pre[t]) for pre in states):
             firing = []
             for j in self.trans[ti].in_arcs + self.trans[ti].out_arcs:
                 arc = arcs[j]
@@ -938,7 +966,19 @@ class _CompiledNet:
                     constant = self._weights[j][1] is not None  # never a drain's m(p)
                     firing.append((p, slots[j] if constant else None, 1 if arc.kind is ArcKind.DEPOSIT else -1))
             moves.append(tuple(firing))
-        return _Period(states, fired, tuple(moves))
+        return _Period(states, tuple(moves), ())
+
+    def bridged(self, trail: list[bytes]) -> None:
+        """Keep these flag states, from an exit of the loop at their first back to it, as that loop's bridge.
+
+        The bridge is kept on the structure's period, and this net's loop
+        there is built again with it, keeping the count of its firings.
+        """
+        head, period = trail[0], self.hot[trail[0]]
+        if not period.bridge:
+            self.hot[head] = replace(period, bridge=tuple(trail))
+        loop = self.loops.pop(head, None)  # None where another thread's run took it first
+        self.looped(head).firings += loop.firings if loop else 0
 
     def looped(self, head: bytes) -> _Loop:
         """This net's loop at a hot head of its structure.
@@ -950,7 +990,7 @@ class _CompiledNet:
         """
         period = self.hot[head]
         induction, after, room = _levels(period.moves, self._consts)
-        key = (tuple(period.states), _BLOCK, induction)
+        key = (tuple(period.states), period.bridge, _BLOCK, induction)
         code = self._entry.loops.get(key)
         if code is None:
             code = self._over_holes()[0]._emit_loop(period, induction)
@@ -995,26 +1035,21 @@ class _CompiledNet:
         which meet the exit or the fault as they would have (see _LOOP).
         Traced and untraced runs enter the same loop.
 
+        A period with a bridge runs laps (see _LOOP): the entry code and the
+        trip count run again at each lap, and the bridge's firings run after
+        the periods with every test but the finiteness and overflow tests,
+        each re-test a guard, in one block of their own.
+
         Code computed once is shared by its text over holes, and a counter
         term by its place, the moves of its counter up to its firing and its
-        threshold's text, so the code depends on the structure, the period
-        and the induction counters alone: never on which values coincide on
-        one net.
+        threshold's text, so the code depends on the structure, the period,
+        its bridge and the induction counters alone: never on which values
+        coincide on one net.
         """
         states, n, ids, x = period.states, len(period.states), self._ids, _names(self.net, "x{}")
-        steps = []  # (transition, operations, guards as (transition re-tested, flag wanted))
-        for i, (pre, ti) in enumerate(zip(states, period.fired)):
-            post = states[(i + 1) % n]
-            moves = self._moves(ti)
-            guards = [(tj, post[tj]) for tj in self.trans[ti].recheck  # those _step re-tests
-                      if not ((s := self._signs(tj, moves)) == {1} and pre[tj] or s == {-1} and not pre[tj])]
-            steps.append((ti, self._ops(ti), guards))
-        written = sorted({p for ti in period.fired for p in self.trans[ti].touched})
+        steps = self._transits(states, states[0])
+        written, bound, reads = self._touches(steps)
         moving = {ids[p] for p in written}
-        bound = {name for _, ops, _ in steps for op in ops if op[0] == "bind" for name in _expr.free_places(op[2])}
-        reads = moving | bound
-        for _, _, guards in steps:
-            reads.update(*(self._term_reads(term) for tj, _ in guards for term in self._terms[tj]))
         counter_of = {p: c for c, p in enumerate(induction)}
         hoisted: dict[str, str] = {}  # code computed at entry -> the local holding it
         entry_lines: list[str] = []
@@ -1022,7 +1057,7 @@ class _CompiledNet:
         def once(code: str) -> str:
             if code not in hoisted:
                 hoisted[code] = f"h{len(hoisted)}"
-                entry_lines.append(f"        {hoisted[code]} = {code}\n")
+                entry_lines.append(f"            {hoisted[code]} = {code}\n")
             return hoisted[code]
 
         fixed_weights: set[str] = set()  # weight names bound at entry
@@ -1077,52 +1112,103 @@ class _CompiledNet:
                     breaks[bool(want), tuple(decided)] = None
             guard_lines.append(lines)
         untracked = [p for p in induction if ids[p] not in tracked]
-
-        fast, sink = [], False
-        for i, (ti, ops, _) in enumerate(steps):
-            fast_ops = []
-            for op in self._inlined(ops):
-                kind = op[0]
-                if (kind in ("fault", "overflow") or kind == "zero" and op[1] in counter_of
-                        or kind in ("consume", "deposit") and op[1] in untracked):
-                    continue
-                if kind in ("bind", "consume", "deposit"):
-                    op = (kind, op[1], hoist(op[2]))
-                elif kind == "counters":
-                    op = ("counters", [p for p in op[1] if p not in counter_of])
-                    if not op[1]:
-                        continue
-                elif kind == "drain":
-                    fast_ops.append(("sink", op[1]))
-                    sink = True
-                fast_ops.append(op)
-            fast += self._lines(fast_ops, x, ti, "break")
-            fast += guard_lines[i]
+        fast = []
+        for (ti, ops, _), lines in zip(steps, guard_lines):
+            fast += self._lines(self._loop_ops(ops, counter_of, untracked, hoist), x, ti, "break") + lines
+        bridge = ""
+        if period.bridge:
+            crossing = self._transits(period.bridge, states[0])
+            crossed, _, more = self._touches(crossing)
+            reads |= more
+            body = []
+            for ti, ops, guards in crossing:
+                body += self._lines(self._loop_ops(ops, (), (), None), x, ti, "break")
+                body += [f"if not ({self._test(tj, x)}): break" if want else f"if {self._test(tj, x)}: break"
+                         for tj, want in guards]
+            bridge = _BRIDGE.format(n=n, length=len(crossing),
+                                    crossing=self._block(body, crossed, (), crossing, 1, f"d += {len(crossing)}"))
+            written = sorted({*written, *crossed})
 
         terms_at = {name: t for t, name in enumerate(counter_terms.values())}  # index into _trip's known
         for name in dict.fromkeys(name for _, names in breaks for name in names):
             if name not in terms_at:
                 terms_at[name] = len(counter_terms) + len(args)
                 args.append(name)
-        saved = [f"x{p}" for p in written if p not in untracked]
-        tested = saved + ["z"] if sink else saved
         text = _LOOP.format(
             load="".join(f"    x{p} = m[{p}]\n" for p in sorted(self.net.place_index[r] for r in reads)),
             hoisted="".join(entry_lines),
             terms="".join(f"{g}, " for g in counter_terms.values() if g in read_terms),
             n=n, args="".join(f", {a}" for a in args),
-            block=_BLOCK, span=_BLOCK * n, saved=", ".join(saved) or "z",
-            copies=", ".join("s" + v for v in saved) or "z",
-            fast="".join(f"                {line}\n" for line in fast or ["pass"]),
-            finite=f"not ({_nonfinite(tested)})" if tested else "True",
-            advance="".join(f"    if j: x{p} += j * _plan[{3 * counter_of[p]}]\n" for p in untracked),
-            store="".join(f"    m[{p}] = x{p}\n" for p in written))
+            block=_BLOCK, span=_BLOCK * n, periods=self._block(fast, written, untracked, steps, "b", "j += b"),
+            advance="".join(f"        if j: x{p} += j * _plan[{3 * counter_of[p]}]\n" for p in untracked),
+            bridge=bridge, store="".join(f"    m[{p}] = x{p}\n" for p in written))
         terms = [(*term, name in read_terms) for term, name in zip(plan_terms, counter_terms.values())]
         layout = [(want, [terms_at[name] for name in names]) for want, names in breaks]
         signs = [{sign * ((self._consts[k] > 0) - (self._consts[k] < 0))
                   for firing in period.moves for q, k, sign in firing if q == p} - {0} for p in induction]
         factory, holes = _module(_source("m, budget", [[text]]) + "\n" + _emit_trip(signs, terms, layout, len(args)))
         return _LoopCode(factory, holes, terms, layout)
+
+    def _transits(self, states: Sequence[bytes], after: bytes) -> list[tuple]:
+        """The firings from these flag states in turn, the last followed by after, as a loop runs them.
+
+        Firing i is the first enabled transition of states[i] in priority
+        order: (transition, operations, guards), its guards each re-test its
+        step makes, as (transition re-tested, flag wanted after the firing).
+        """
+        steps = []
+        for pre, post in zip(states, [*states[1:], after]):
+            ti = next(t for t in self.order if pre[t])
+            moves = self._moves(ti)
+            guards = [(tj, post[tj]) for tj in self.trans[ti].recheck  # those _step re-tests
+                      if not ((s := self._signs(tj, moves)) == {1} and pre[tj] or s == {-1} and not pre[tj])]
+            steps.append((ti, self._ops(ti), guards))
+        return steps
+
+    def _touches(self, steps: list[tuple]) -> tuple[list[int], set[str], set[str]]:
+        """The places these firings write, in order; those their bound weights read; all they read or write, by id."""
+        written = sorted({p for ti, _, _ in steps for p in self.trans[ti].touched})
+        bound = {name for _, ops, _ in steps for op in ops if op[0] == "bind" for name in _expr.free_places(op[2])}
+        reads = {self._ids[p] for p in written} | bound
+        for _, _, guards in steps:
+            reads.update(*(self._term_reads(term) for tj, _ in guards for term in self._terms[tj]))
+        return written, bound, reads
+
+    def _loop_ops(self, ops: list[tuple], induction: Container[int], untracked: Container[int],
+                  hoist: Callable | None) -> list[tuple]:
+        """A firing's operations as a loop body runs them, with hoist, if given, rewriting each weight.
+
+        The finiteness and overflow tests go, and a drain adds x - x of its
+        value to the sink first; induction counters lose their counter
+        checks and `+ 0.0`, and untracked ones their updates.
+        """
+        out = []
+        for op in self._inlined(ops):
+            kind = op[0]
+            if (kind in ("fault", "overflow") or kind == "zero" and op[1] in induction
+                    or kind in ("consume", "deposit") and op[1] in untracked):
+                continue
+            if kind in ("bind", "consume", "deposit") and hoist:
+                op = (kind, op[1], hoist(op[2]))
+            elif kind == "counters":
+                op = ("counters", [p for p in op[1] if p not in induction])
+                if not op[1]:
+                    continue
+            elif kind == "drain":
+                out.append(("sink", op[1]))
+            out.append(op)
+        return out
+
+    @staticmethod
+    def _block(lines: list[str], written: list[int], untracked: Container[int], steps: list[tuple],
+               count: str | int, done: str) -> str:
+        """A speculative block running these lines of these firings count times, then done (see _SPECULATE)."""
+        saved = [f"x{p}" for p in written if p not in untracked]
+        drains = any(op[0] == "drain" for _, ops, _ in steps for op in ops)
+        tested = saved + ["z"] if drains else saved
+        return _SPECULATE.format(saved=", ".join(saved) or "z", copies=", ".join("s" + v for v in saved) or "z",
+                                 count=count, done=done, finite=f"not ({_nonfinite(tested)})" if tested else "True",
+                                 fast="".join(f"                    {line}\n" for line in lines or ["pass"]))
 
     def finish(self, ti: int, m: Marking) -> None:
         """The slow path of a firing of ti whose overflow or counter test failed, in a step or a successor.
@@ -1152,7 +1238,8 @@ class _CompiledNet:
     def _define(self, params: str, bodies: list[list[str]]) -> list[Callable]:
         """One generated function per body from its lines, in one module compiled for this net alone."""
         parts = _source(params, bodies).split(_expr.LITERAL)  # text at even positions, literals at odd
-        return self._exec(_factory(parts[::2]), [float(text) for text in parts[1::2]])
+        literals = [float(text) for text in parts[1::2]]
+        return self._exec(_factory(parts[::2], list(range(len(literals)))), literals)
 
     def _exec(self, factory: CodeType, literals: list[float], **extra: object) -> list[Callable]:
         """The functions _f0, _f1, .. a generated module defines: its factory called with its literals.
@@ -1244,13 +1331,13 @@ class _CompiledNet:
 # _CompiledNet._structure).  The first net of a structure emits its enabling
 # tests and steps over _Hole constants, which learns the recipe of every
 # literal: a constant, a sum of them or a threshold w - EPSILON.  Each module
-# is compiled once, to a factory whose body is the module with literal i read
-# as its argument _k<i> (see _factory), and the structure keeps the factory
-# and the recipe of each literal.  Every net of the structure, the first
-# included, computes its literals from the recipes with the same float
-# operations and calls the factories with them in a namespace of its own: its
-# functions read the literals from closure cells, and every net of the
-# structure shares their code objects.  Where the compiler would fold literals
+# is compiled once, to a factory whose body is the module with each literal
+# read as an argument _k<i>, one per distinct recipe (see _module), and the
+# structure keeps the factory and the recipe of each argument.  Every net of
+# the structure, the first included, computes its literals from the recipes
+# with the same float operations and calls the factories with them in a
+# namespace of its own: its functions read the literals from closure cells,
+# and every net of the structure shares their code objects.  Where the compiler would fold literals
 # of the real text, such as 1e308*10 in a weight fold_constants keeps because
 # it is not finite, the function does that float operation when it runs, with
 # the same result.  Every value is written as a literal, finite or not, so a
@@ -1260,10 +1347,11 @@ class _CompiledNet:
 # first net that needs them.  Sightings of a period are pooled over the nets
 # of the structure, and a hot period is kept on the structure by its head.
 # The first net that enters it emits its loop over _Hole constants, once for
-# each set of induction counters; every net calls the factory of that code
-# with its own literals and derives its trip plan from its own constants (see
-# _CompiledNet.looped).  A net's Born code and each check predicate are
-# compiled for the one net that runs them (see _CompiledNet._define).
+# each set of induction counters, and again once the period has a bridge;
+# every net calls the factory of that code with its own literals and derives
+# its trip plan from its own constants (see _CompiledNet.looped).  A net's
+# Born code and each check predicate are compiled for the one net that runs
+# them (see _CompiledNet._define).
 
 _STRUCTURES: dict[tuple, _Structure] = {}  # structure key -> how its nets build their code, oldest first
 _STRUCTURES_MAX = 64
@@ -1390,9 +1478,16 @@ def _source(params: str, bodies: list[list[str]]) -> str:
 
 
 def _module(source: str) -> tuple[CodeType, list[int]]:
-    """A module emitted over holes: its factory (see _factory) and each literal's recipe index."""
+    """A module emitted over holes: its factory (see _factory) and the recipe index of each of its arguments.
+
+    The literals of one recipe read one argument, so a module takes one
+    value per distinct recipe.
+    """
     parts = source.split(_expr.LITERAL)
-    return _factory(parts[::2]), list(map(int, parts[1::2]))
+    slots: dict[int, int] = {}  # recipe index -> argument
+    for text in parts[1::2]:
+        slots.setdefault(int(text), len(slots))
+    return _factory(parts[::2], [slots[int(text)] for text in parts[1::2]]), list(slots)
 
 
 @dataclass
@@ -1413,21 +1508,24 @@ class _Structure:
     uniform_rank: bool
     modules: list[tuple[CodeType, list[int]]]
     hot: dict[bytes, _Period]  # hot periods by head, sighted by any net of the structure
-    loops: dict[tuple, _LoopCode]  # (states, _BLOCK, induction counters) -> code; see _CompiledNet.looped
+    loops: dict[tuple, _LoopCode]  # (states, bridge, _BLOCK, induction counters) -> code; see _CompiledNet.looped
     successors: tuple[CodeType, list[int]] | None  # see _CompiledNet.successors
 
 
 @dataclass(frozen=True)
 class _Period:
-    """A hot period: the flag states from its head, the transition each firing fires, and its counter moves.
+    """A hot period: the flag states from its head and its counter moves; firing i fires the first enabled
+    transition of states[i] in priority order.
 
     ``moves`` holds, per firing, (place, index of the constant moved or
     None, sign) for each consume, drain or deposit on a counter place.
+    ``bridge`` holds the flag states of the firings from an exit of its
+    loop back to the head, once a run has recorded them.
     """
 
     states: list[bytes]
-    fired: tuple[int, ...]
     moves: tuple[tuple[tuple[int, int | None, int], ...], ...]
+    bridge: tuple[bytes, ...]
 
 
 @dataclass(frozen=True)
@@ -1535,18 +1633,19 @@ def _emit_trip(signs: list[set[int]], terms: list[tuple], breaks: list[tuple], a
     return "\n    ".join([f"def _f1({', '.join(['k', *(f'a{i}' for i in range(arity))])}):", *lines])
 
 
-def _factory(text: list[str]) -> CodeType:
-    """The factory of a generated module, text its parts between literals.
+def _factory(text: list[str], slots: list[int]) -> CodeType:
+    """The factory of a generated module, text its parts between literals and slots the argument each reads.
 
     It is a module defining _make(_k0, ..): the module with literal i read
-    as _k<i>, whose call returns the module's functions.  They are globals
-    of the namespace it runs in, as in a module, so one can call another.
+    as _k<slots[i]>, whose call returns the module's functions.  They are
+    globals of the namespace it runs in, as in a module, so one can call
+    another.
     """
-    holes = [f"_k{i}" for i in range(len(text) - 1)]
-    lines = ("".join(part + hole for part, hole in zip(text, holes)) + text[-1]).split("\n")
+    lines = ("".join(part + f"_k{slot}" for part, slot in zip(text, slots)) + text[-1]).split("\n")
     functions = ", ".join([line[4:line.index("(")] for line in lines if line.startswith("def ")])
     declared = [f"global {functions}"] if functions else []
-    source = "\n    ".join([f"def _make({', '.join(holes)}):", *declared, *lines, f"return [{functions}]"])
+    arguments = ", ".join(f"_k{i}" for i in range(max(slots, default=-1) + 1))
+    source = "\n    ".join([f"def _make({arguments}):", *declared, *lines, f"return [{functions}]"])
     return compile(source, "<string>", "exec")
 
 
@@ -1850,9 +1949,12 @@ def _execute(
     """Fire from m0 under config: the final marking, the firings done and why the run stopped.
 
     Deterministic runs enter the compiled loops of their hot periods; each
-    call leaves the marking at a period boundary, so the run goes on with
-    the flags it had there.  After a loop exits, the step loop itself looks
-    for a hot head after each firing, and leaves only on one (see _CHUNK).
+    call leaves the marking at its head, so the run goes on with the flags
+    it had there.  On a structure with hot heads, and after a loop exits,
+    the step loop itself looks for a hot head after each firing, and leaves
+    only on one (see _CHUNK).  After a loop without a bridge exits by its
+    trip count, the run records the flag states up to its head's return,
+    one firing a round, and keeps them as its bridge (see _MAX_BRIDGE).
     """
     validate_marking(net, m0)
     cnet = net.compiled()
@@ -1871,13 +1973,16 @@ def _execute(
     max_steps = config.max_steps
     hot = cnet.hot
     path: list[bytes] | None = None  # flag states recorded since the last look
-    relook = 0  # firings after a loop exit still to look for a cached loop head at
+    trail: list[bytes] | None = None  # flag states recorded since a loop without a bridge exited
+    relook = _CHUNK if deterministic and hot else 0  # firings still to look for a hot head after
     replay = 0  # firings a loop has left to plain steps, after which the run looks at once
     start = 0
     while True:
         looking = False  # whether to look after each firing of this round
         if replay:
             stop, replay = start + replay, 0
+        elif trail is not None:
+            stop = min(start + 1, max_steps)
         elif relook:
             stop, looking = min(start + relook, max_steps), True
         elif deterministic:  # the next firing depends on flags alone
@@ -1921,6 +2026,10 @@ def _execute(
         # a look for a hot loop: run the compiled one, or record the flag states
         start = stop
         state = bytes(flags)
+        if trail is not None:
+            if state == trail[0]:
+                cnet.bridged(trail)
+            trail = trail + [state] if state != trail[0] and len(trail) < _MAX_BRIDGE else None
         loop = cnet.loops.get(state)
         if loop is None and state in hot:
             loop = cnet.looped(state)
@@ -1929,10 +2038,11 @@ def _execute(
             budget = (max_steps - start) // loop.period * loop.period
             if not budget:
                 continue
-            done, replay = loop.run(m, budget)  # m is back at a period boundary: flags hold
+            done, replay = loop.run(m, budget)  # m is back at the head: flags hold
             loop.firings += done
             start += done
             relook = _CHUNK
+            trail = [state] if replay == 1 and not loop.bridge else None
         elif relook:
             relook -= 1
         elif path is None:

@@ -156,15 +156,16 @@ def _checking(counts):
     texts = {}  # id(factory) -> the factory, kept alive so that its id names it alone, and its text
     built_from = set()  # the ids of the factories modules were built from
 
-    def factory(text):
-        code = compile_(text)
-        texts[id(code)] = code, text
+    def factory(text, slots):
+        code = compile_(text, slots)
+        texts[id(code)] = code, text, slots
         counts["compiled"] += 1
         return code
 
     def exec_(cnet, code, literals, **extra):
         built = build(cnet, code, literals, **extra)
-        fresh = _fresh(_literal_text(texts[id(code)][1], literals))
+        _, text, slots = texts[id(code)]
+        fresh = _fresh(_literal_text(text, [literals[slot] for slot in slots]))
         assert [fn.__name__ for fn in built] == list(fresh)
         assert [_function_key(fn) for fn in built] == [_function_key(fn) for fn in fresh.values()]
         counts["modules"] += 1
@@ -232,8 +233,9 @@ def test_patched_code_equals_a_fresh_compile_on_grid_shapes(checked, mode):
         cnet = _exercise(net, max_steps=10**6)
         built.append(len(cnet.loops))
     assert built == [1, 1, 1]
-    assert checked["modules"] == 12  # the tests, steps, Born code and loops of three nets
-    assert checked["compiled"] == 3 + 3  # the structure's tests, steps and loop; each net's Born code
+    # the tests, steps, Born code and loops of three nets, and the first net's loop before its bridge
+    assert checked["modules"] == 13
+    assert checked["compiled"] == 4 + 3  # the structure's tests, steps, loop and loop with its bridge; Born code
     assert checked["hits"] == 6  # the tests, the steps and the loops of the last two nets
 
 
@@ -319,7 +321,7 @@ def test_born_code_of_constant_weights_is_patched(monkeypatch, text):
     cnet = net.compiled()
     m0 = net.initial_marking()
     texts, factory = [], net_module._factory
-    monkeypatch.setattr(net_module, "_factory", lambda text: texts.append(text) or factory(text))
+    monkeypatch.setattr(net_module, "_factory", lambda text, slots: texts.append(text) or factory(text, slots))
     weights = cnet.born_weights(list(range(len(cnet.trans))), m0)
     (born,) = texts  # the text of the Born module, between its literals
     literals = [cell.cell_contents for fn in cnet._born for cell in fn.__closure__ or ()]
@@ -736,12 +738,14 @@ def test_memo_builds_random_nets_as_cold(nets):
 # --- loops cached on the structure ------------------------------------------------------
 
 
-def _emissions(counts):
-    """Patch _CompiledNet._emit_loop so that each emission of a loop appends its flag states to counts."""
+def _emissions(counts, bridged=True):
+    """Patch _CompiledNet._emit_loop so that each emission of a loop appends its flag states to counts; with
+    bridged false, only each emission of a loop without a bridge."""
     emit = net_module._CompiledNet._emit_loop
 
     def counted(cnet, period, induction):
-        counts.append(period.states)
+        if bridged or not period.bridge:
+            counts.append(period.states)
         return emit(cnet, period, induction)
 
     return mock.patch.object(net_module._CompiledNet, "_emit_loop", counted)
@@ -776,7 +780,7 @@ def test_patched_loops_equal_a_fresh_compile_on_grid_shapes(checked, build):
             trace = run(net, m0, RunConfig())
         cnet = net.compiled()
         assert final.marking == trace.final
-        patched += len(cnet.loops) - len(emitted)
+        patched += bool(cnet.loops) and not emitted
         _assert_loops_as_fresh(cnet)
     assert len(net_module._STRUCTURES) == 1
     assert patched >= 5 and checked["hits"] >= patched  # every cell after the first patches its loop
@@ -856,8 +860,9 @@ def test_a_net_that_patched_a_cached_loop_is_freed(monkeypatch):
 
 
 def test_threads_that_meet_one_hot_head_each_get_a_correct_loop(monkeypatch):
-    """Threads build the plain loop of one hot period at once, on their own nets and on a shared one:
-    every run equals a run of the same net on a cache of its own, bit for bit."""
+    """Threads build the plain loop of one hot period at once, on their own nets and on a shared one, record
+    its bridge and build the loop again with it: every run equals a run of the same net on a cache of its
+    own, bit for bit."""
     cells = [(n, 25) for n in range(40, 46)]
 
     def final(n, m):
@@ -871,8 +876,9 @@ def test_threads_that_meet_one_hot_head_each_get_a_correct_loop(monkeypatch):
     monkeypatch.setattr(net_module, "_STRUCTURES", {})
     warm = slaz_passing_net(ProtocolParams(N=39, M=25))[0]
     run(warm, warm.initial_marking(), RunConfig())  # the period turns hot and its loop is built
-    for entry in net_module._STRUCTURES.values():  # drop the loop's code, so that the threads emit it
+    for entry in net_module._STRUCTURES.values():  # drop the loop's code and bridge, so that the threads make them
         entry.loops.clear()
+        entry.hot.update([(head, replace(period, bridge=())) for head, period in entry.hot.items()])
     shared = slaz_passing_net(ProtocolParams(N=40, M=25))[0]
     got, errors = [], []
 
@@ -897,7 +903,7 @@ def test_threads_that_meet_one_hot_head_each_get_a_correct_loop(monkeypatch):
     assert not any(t.is_alive() for t in threads)
     assert errors == []
     assert len(got) == 2 * len(cells) and all(bits == expected[n] for n, bits in got)
-    assert shared.compiled().loops
+    assert shared.compiled().loops and all(loop.bridge for loop in shared.compiled().loops.values())
 
 
 # --- eviction from a full cache ------------------------------------------------------

@@ -4,10 +4,12 @@ A compiled loop computes its trip count with straight-line code emitted
 next to it in its module (``net._emit_trip``); ``test_trace._trip_count`` is
 the generic reference.  They are compared on every loop entry of the wide
 table grid and of the ring nets here, and on entry states that no run
-reaches.  After a loop exits, a run looks for a loop head after each firing
-inside its step loop; the loop calls it makes, with the step of each, the
-firings done and the firings handed back, are pinned against a reference
-look loop kept here, which makes one look per pass of its outer loop.
+reaches.  After a loop exits, and from its first firing on a structure with
+hot heads, a run looks for a loop head after each firing inside its step
+loop, and it records the bridge of a loop that has none; the loop calls it
+makes, with the step of each, the firings done and the firings handed back,
+are pinned against a reference look loop kept here, which makes one look per
+pass of its outer loop.
 """
 
 import math
@@ -156,18 +158,23 @@ def _reference_schedule(net, m0, config, single, schedule):
     schedule as (step, firings done, firings handed back); returns (firings, status).
 
     It looks once per pass of its outer loop: after the _CHUNK firings of a
-    pass, or after each firing while it records a period or, up to _CHUNK
-    looks, after a loop exit.
+    pass, or after each firing while it records a period or a bridge or, up
+    to _CHUNK looks, after a loop exit and from the first firing on a
+    structure with hot heads.  A bridge is recorded from the exit of a loop
+    that has none, when the loop hands back one firing, until its head comes
+    back within _MAX_BRIDGE states.
     """
     cnet = net.compiled()
     m = [float(v) for v in m0]
     flags, count = cnet.enabled_flags(m)
-    max_steps, path, relook, replay, start = config.max_steps, None, 0, 0, 0
+    max_steps, path, trail, replay, start = config.max_steps, None, None, 0, 0
+    relook = net_module._CHUNK if cnet.hot else 0
     while True:
         if replay:
             stop, replay = start + replay, 0
         else:
-            stop = min(start + (net_module._CHUNK if path is None and not relook else 1), max_steps)
+            looks = path is not None or trail is not None or relook
+            stop = min(start + (1 if looks else net_module._CHUNK), max_steps)
         for step_index in range(start, stop):
             if count == 0:
                 return step_index, TerminalStatus.QUIESCENT
@@ -178,6 +185,14 @@ def _reference_schedule(net, m0, config, single, schedule):
             break
         start = stop
         state = bytes(flags)
+        if trail is not None:
+            if state == trail[0]:
+                cnet.bridged(trail)
+                trail = None
+            elif len(trail) < net_module._MAX_BRIDGE:
+                trail.append(state)
+            else:
+                trail = None
         loop = cnet.loops.get(state)
         if loop is None and state in cnet.hot:
             loop = cnet.looped(state)
@@ -190,6 +205,7 @@ def _reference_schedule(net, m0, config, single, schedule):
             schedule.append((start, done, replay))
             start += done
             relook = net_module._CHUNK
+            trail = [state] if replay == 1 and not loop.bridge else None
         elif relook:
             relook -= 1
         elif path is None:
@@ -266,6 +282,29 @@ def test_loop_calls_match_the_reference_look_loop_on_protocol_cells(mode, n, m):
             calls += len(_check_schedule(lambda: build(ProtocolParams(N=n, M=m))[0], RunConfig(max_steps=max_steps),
                                          single))
     assert calls > 0
+
+
+def test_a_warm_structure_enters_its_first_loop_at_its_first_hot_head():
+    """On a structure with hot heads a run looks from its first firing on, so a later cell of the table makes
+    its first loop call at the first firing after which its flags are a hot head, where the reference look
+    loop makes it."""
+    for build in (slaz_passing_net, slaz_blocking_net):
+        def second(build=build):
+            first = build(ProtocolParams(N=21, M=8))[0]
+            run_final(first, first.initial_marking(), RunConfig())
+            return build(ProtocolParams(N=48, M=24))[0]
+
+        schedule = _check_schedule(second, RunConfig(), True)
+        with _alone():
+            net = second()
+            cnet = net.compiled()
+            m = net.initial_marking()
+            flags, _ = cnet.enabled_flags(m)
+            head = 0
+            while not head or bytes(flags) not in cnet.hot:  # the protocol nets fire in ordinal order
+                cnet.trans[flags.find(1)].step(m, flags)
+                head += 1
+        assert schedule[0][0] == head < net_module._CHUNK, (schedule[0], head)
 
 
 @pytest.mark.parametrize("chunk", [64, 8, 1])

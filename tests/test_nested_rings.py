@@ -69,7 +69,7 @@ def _nested_case(draw):
     for t in ring:
         for _ in range(draw(st.integers(min_value=0, max_value=1))):
             arcs.append(Arc(t, draw(st.sampled_from(["a0", "a1"])), draw(st.sampled_from(_WEIGHTS))))
-    for hazard in draw(st.sets(st.sampled_from(_HAZARDS), max_size=2)):
+    for hazard in sorted(draw(st.sets(st.sampled_from(_HAZARDS), max_size=2))):  # not in hash order
         at_lap = draw(st.integers(min_value=30, max_value=total + 20))
         _add_hazard(draw, hazard, at_lap, lambda: draw(st.sampled_from(ring)), places, transitions, arcs)
 
@@ -93,8 +93,8 @@ def _nested_case(draw):
 
 
 def test_nested_rings_match_step_loop():
-    """run_final on the loops the net emits, then on the loops its sibling installs with no emission; every
-    trip count equals the reference's."""
+    """run_final on the loops the net emits, then on the loops its sibling installs with no emission, apart from
+    a loop with a bridge that the sibling records first; every trip count equals the reference's."""
     engaged, patched, trips = [], [], []
 
     @settings(max_examples=150, deadline=None)
@@ -104,7 +104,7 @@ def test_nested_rings_match_step_loop():
         with _alone(), _recording_trip_counts(trips):
             _check_against_step_loop(net, net.initial_marking(), config, single)
             emitted = []
-            with _emissions(emitted):
+            with _emissions(emitted, bridged=False):  # a bridge the sibling records is new code
                 _check_against_step_loop(sibling, sibling.initial_marking(), config, single)
         if not single:  # a run under the single check stops before its loops compile
             engaged.append(_loop_firings(net) > 0)
@@ -120,7 +120,8 @@ def test_nested_rings_match_step_loop():
 
 
 def test_nested_rings_record_matches_step_loop():
-    """run() records through the loops the net emits, then through those its sibling installs."""
+    """run() records through the loops the net emits, then through those its sibling installs (a loop with a
+    bridge that the sibling records first it emits)."""
     engaged, patched = [], []
 
     @settings(max_examples=80, deadline=None)
@@ -130,7 +131,7 @@ def test_nested_rings_record_matches_step_loop():
         with _alone():
             _check_record(net, net.initial_marking(), config)
             emitted = []
-            with _emissions(emitted):
+            with _emissions(emitted, bridged=False):  # a bridge the sibling records is new code
                 _check_record(sibling, sibling.initial_marking(), config)
         engaged.append(_loop_firings(net) > 0)
         patched.append(_loop_firings(sibling) > 0 and not emitted)

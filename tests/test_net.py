@@ -726,7 +726,7 @@ def test_enabling_tolerance_boundary_through_cached_shapes(monkeypatch):
     with their own threshold w - 1e-12, and keep the boundary exactly."""
     monkeypatch.setattr(net_module, "_STRUCTURES", {})
     compiled, factory = [], net_module._factory
-    monkeypatch.setattr(net_module, "_factory", lambda text: compiled.append(text) or factory(text))
+    monkeypatch.setattr(net_module, "_factory", lambda text, slots: compiled.append(text) or factory(text, slots))
     cases = list(_boundary_cases())
     for kind, weight, q, value, expected in cases:
         test_enabling_tolerance_boundary(kind, weight, q, value, expected)
