@@ -425,14 +425,19 @@ def empirical_distribution(
     m0 = net.initial_marking()
     table = BornTable(net, m0)
     assigned = _assigned(net, mapping)
-    counts: dict[tuple[str, ...], int] = {}
+    born, quiescent = Policy.BORN_RANDOM, TerminalStatus.QUIESCENT
+    finals: dict[tuple[float, ...], int] = {}  # runs per final marking, in the order of their first run
     for i in range(runs):
-        config = RunConfig(policy=Policy.BORN_RANDOM, seed=run_seed(seed, i))
+        config = RunConfig(policy=born, seed=run_seed(seed, i))
         final = run_final(net, m0, config, table=table)
-        if final.status != TerminalStatus.QUIESCENT:
+        if final.status is not quiescent:
             raise StepLimitError(f"run {i} did not reach quiescence within {config.max_steps} steps")
-        key = _outcome(assigned, final.marking)
-        counts[key] = counts.get(key, 0) + 1
+        marking = tuple(final.marking)
+        finals[marking] = finals.get(marking, 0) + 1
+    counts: dict[tuple[str, ...], int] = {}
+    for marking, n in finals.items():
+        key = _outcome(assigned, marking)
+        counts[key] = counts.get(key, 0) + n
     return EmpiricalDistribution(runs, counts)
 
 

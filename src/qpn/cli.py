@@ -294,6 +294,10 @@ def _cmd_check(args: argparse.Namespace) -> int:
 # --- measure -----------------------------------------------------------------------
 
 
+def _outcome_name(key: tuple[str, ...]) -> str:
+    return " & ".join(key) if key else "(no marked outcome)"
+
+
 def _cmd_measure(args: argparse.Namespace) -> int:
     doc = _load_file(args.file)
     if doc.mapping is None:
@@ -303,8 +307,7 @@ def _cmd_measure(args: argparse.Namespace) -> int:
     dist = analysis.empirical_distribution(doc.net, doc.mapping, runs, seed=seed)
     print(f"runs: {dist.runs}  seed: {seed}")
     for key, freq, stderr in dist.items():
-        name = " & ".join(key) if key else "(no marked outcome)"
-        print(f"  {name}: {freq:.6f} +- {stderr:.6f}")
+        print(f"  {_outcome_name(key)}: {freq:.6f} +- {stderr:.6f}")
     if not args.expect:
         return EXIT_OK
     # each branch's outcome is that of its successor of m0, as a run counts it;
@@ -322,7 +325,7 @@ def _cmd_measure(args: argparse.Namespace) -> int:
         pull = abs(freq - p) / sigma if sigma > 0 else 0.0
         worst = max(worst, pull)
         status = "ok" if pull <= 4.0 else "OUT OF RANGE"
-        print(f"  expect {' & '.join(key)}: {p:.6f}  observed {freq:.6f}  ({pull:.2f} sigma) {status}")
+        print(f"  expect {_outcome_name(key)}: {p:.6f}  observed {freq:.6f}  ({pull:.2f} sigma) {status}")
         if pull > 4.0:
             failed = True
     print(f"worst deviation: {worst:.2f} sigma (limit 4)")

@@ -1861,6 +1861,10 @@ class _Branch:
 # admits no draw: every run through it runs as without a table
 _REFERENCE = "reference"
 
+# the C seeding of random.Random: for an int seed, random.Random.seed adds
+# only the reset of gauss_next, which no Born draw reads
+_reseed = random.Random.__mro__[1].seed
+
 
 class BornTable:
     """The Born steps from the markings that Born runs of a net from m0 meet.
@@ -1921,12 +1925,13 @@ class BornTable:
     def walk(self, config: RunConfig) -> FinalState | None:
         """The Born run with this config, or None where it meets a fault or max_steps."""
         rng = self._rng
-        rng.seed(config.seed)
+        _reseed(rng, config.seed)
+        max_steps = config.max_steps
         entries = self._entries
         entry = self._first
         firings = 0
         while entry.__class__ is _Branch:
-            if firings == config.max_steps:
+            if firings == max_steps:
                 return None
             successor = entry.successors[_draw(entry.sums, entry.sums[-1], rng)]
             if successor is None:

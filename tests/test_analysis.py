@@ -3,6 +3,7 @@
 import dataclasses
 import functools
 import math
+import random
 import re
 import struct
 import tracemalloc
@@ -482,6 +483,37 @@ def test_each_sweep_run_is_one_run_final_call(monkeypatch):
         (run_seed(4, i), run_final(doc.net, m0, RunConfig(policy=Policy.BORN_RANDOM, seed=run_seed(4, i))).firings)
         for i in range(50)
     ]
+
+
+_RESEEDS = [0, 1, 2**32 - 1, 2**32, 2**63, 2**64 - 1]
+
+
+def test_table_reseed_reproduces_random_random_draw_for_draw():
+    """The C reseed a table walk uses gives random.Random(seed)'s first draws bit for bit."""
+    rng = random.Random()
+    seeds = _RESEEDS + [run_seed(s, i) for s in _RESEEDS for i in range(1000)]
+    for seed in seeds:
+        rng.random()  # the reseed starts over whatever a previous run drew
+        net_module._reseed(rng, seed)
+        reference = random.Random(seed)
+        assert [rng.random().hex() for _ in range(5)] == [reference.random().hex() for _ in range(5)], seed
+
+
+def test_sweep_maps_each_final_marking_to_its_outcome_once(monkeypatch):
+    """10,000 runs of the golden measurement net end in 3 markings, and _outcome reads each once."""
+    doc = netfile.load((GOLDEN / "measurement.qpn").read_text(encoding="utf-8"))
+    markings = []
+    mapped = analysis_module._outcome
+
+    def recording(assigned, marking):
+        markings.append(tuple(marking))
+        return mapped(assigned, marking)
+
+    monkeypatch.setattr(analysis_module, "_outcome", recording)
+    dist = empirical_distribution(doc.net, doc.mapping, 10_000, seed=1)
+    assert len(markings) == len(set(markings)) == 3
+    assert list(dist.counts) == [mapped(analysis_module._assigned(doc.net, doc.mapping), m) for m in markings]
+    assert sum(dist.counts.values()) == 10_000
 
 
 def test_table_walks_only_born_runs_of_its_own_net_and_marking():

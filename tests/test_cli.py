@@ -398,6 +398,26 @@ class TestMeasure:
         assert (code, err) == (0, "")
         assert out == (GOLDEN / "measure_runs2000_seed1.txt").read_text(encoding="utf-8")
 
+    def test_seeded_output_matches_golden_on_eight_branches(self, capsys):
+        """Eight branches with sqrt(a_i/S) weights: counts and --expect report as recorded."""
+        code, out, err = run_cli(
+            capsys,
+            "measure", str(GOLDEN / "branches8.qpn"), "--runs", "2000", "--seed", "7", "--expect",
+        )
+        assert (code, err) == (0, "")
+        assert out == (GOLDEN / "measure_branches8_runs2000_seed7.txt").read_text(encoding="utf-8")
+
+    def test_unmarked_outcome_has_one_name(self, capsys, tmp_path):
+        """A branch that marks no mapped place is named alike in its frequency and expect lines."""
+        text = (GOLDEN / "measurement.qpn").read_text(encoding="utf-8")
+        path = tmp_path / "unmapped.qpn"
+        path.write_text(text.replace('map p4 = "e3"\n', ""), encoding="utf-8")
+        code, out, _ = run_cli(capsys, "measure", str(path), "--runs", "300", "--seed", "1", "--expect")
+        assert code == 0
+        assert "  (no marked outcome): 0.326667 +- 0.027077\n" in out
+        assert "  expect (no marked outcome): 0.333333  observed 0.326667  (0.24 sigma) ok\n" in out
+        assert "expect :" not in out
+
     def test_single_run(self, capsys):
         code, out, _ = run_cli(
             capsys, "measure", str(GOLDEN / "measurement.qpn"), "--runs", "1", "--seed", "5"
