@@ -180,8 +180,8 @@ def _cmd_tables(args: argparse.Namespace) -> int:
     for flag, tolerance in (("--tol-passing", args.tol_passing), ("--tol-blocking", args.tol_blocking)):
         if not tolerance >= 0.0:
             raise InvalidParamsError(f"{flag} must be a number >= 0, got {tolerance}")
-    n_values = _parse_int_list(args.N) if args.N else list(GRID_N)
-    m_values = _parse_int_list(args.M) if args.M else list(GRID_M)
+    n_values = _parse_int_list(args.N) if args.N is not None else list(GRID_N)
+    m_values = _parse_int_list(args.M) if args.M is not None else list(GRID_M)
     report = run_tables(
         modes, n_values, m_values, tol_passing=args.tol_passing, tol_blocking=args.tol_blocking
     )

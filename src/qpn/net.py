@@ -414,20 +414,19 @@ _FAULTS = (ArithmeticError, ValueError)
 _SAFE_DEPOSIT = 2.0**970
 
 
-# A deterministic run, traced or not, looks for a hot loop every _CHUNK
-# firings, and from its first firing on once its structure holds hot heads.
-# After a loop exits, and the plain steps it hands back, it looks at once and
-# then after each firing, _CHUNK looks in all, until a hot loop head comes up:
-# the step loop makes the looks after each firing itself and leaves only on a
-# head.  It records the flag states of up to _MAX_PERIOD firings; once a state
-# comes back, the states in between are a period.  A period is hot once any
-# net of its structure sights it, and a run that meets its head builds the
-# loop it enters (_CompiledNet.looped): compiled once per structure, called
-# with each net's literals.  The loop runs whole periods per call, up to
-# _BLOCK of them per speculative block.  When a loop without a bridge exits by
-# its trip count, the run records the flag states from its head on, up to
-# _MAX_BRIDGE of them; once the head comes back, the states in between are
-# the bridge, and the loop at that head is built again to run outer laps.
+# A deterministic run, traced or not, looks for a hot loop after each round
+# of firings: _CHUNK of them, or one while it records flag states and for
+# _CHUNK looks after a loop exit (and the plain steps it hands back) or from
+# its first firing on a structure with hot heads.  It records the flag states
+# of up to _MAX_PERIOD firings; once a state comes back, the states in
+# between are a period.  A period is hot once any net of its structure
+# sights it, and a run that meets its head builds the loop it enters
+# (_CompiledNet.looped): compiled once per structure, called with each net's
+# literals.  The loop runs whole periods per call, up to _BLOCK of them per
+# speculative block.  When a loop without a bridge exits by its trip count,
+# the run records the flag states from its head on, up to _MAX_BRIDGE of
+# them; once the head comes back, the states in between are the bridge, and
+# the loop at that head is built again to run outer laps.
 _CHUNK = 64
 _MAX_PERIOD = 8
 _BLOCK = 64
@@ -1953,13 +1952,12 @@ def _execute(
 ) -> FinalState:
     """Fire from m0 under config: the final marking, the firings done and why the run stopped.
 
-    Deterministic runs enter the compiled loops of their hot periods; each
-    call leaves the marking at its head, so the run goes on with the flags
-    it had there.  On a structure with hot heads, and after a loop exits,
-    the step loop itself looks for a hot head after each firing, and leaves
-    only on one (see _CHUNK).  After a loop without a bridge exits by its
-    trip count, the run records the flag states up to its head's return,
-    one firing a round, and keeps them as its bridge (see _MAX_BRIDGE).
+    Deterministic runs look for a hot head after each round of firings (see
+    _CHUNK) and enter the compiled loops of their hot periods; each call
+    leaves the marking at its head, so the run goes on with the flags it had
+    there.  After a loop without a bridge exits by its trip count, the run
+    records the flag states up to its head's return and keeps them as its
+    bridge (see _MAX_BRIDGE).
     """
     validate_marking(net, m0)
     cnet = net.compiled()
@@ -1979,19 +1977,14 @@ def _execute(
     hot = cnet.hot
     path: list[bytes] | None = None  # flag states recorded since the last look
     trail: list[bytes] | None = None  # flag states recorded since a loop without a bridge exited
-    relook = _CHUNK if deterministic and hot else 0  # firings still to look for a hot head after
+    relook = _CHUNK if hot else 0  # looks still to make after each firing
     replay = 0  # firings a loop has left to plain steps, after which the run looks at once
     start = 0
     while True:
-        looking = False  # whether to look after each firing of this round
         if replay:
             stop, replay = start + replay, 0
-        elif trail is not None:
-            stop = min(start + 1, max_steps)
-        elif relook:
-            stop, looking = min(start + relook, max_steps), True
         elif deterministic:  # the next firing depends on flags alone
-            stop = min(start + (_CHUNK if path is None else 1), max_steps)
+            stop = min(start + (1 if relook or path or trail else _CHUNK), max_steps)
         else:
             stop = max_steps
         for step_index in range(start, stop):
@@ -2017,15 +2010,6 @@ def _execute(
             except QpnError as e:  # from a Born draw, the generated result checks or a diagnosis
                 e.step_index = step_index
                 raise
-            if looking:  # a look that misses ends here; every loop's head is hot, so a hit takes the full look
-                if bytes(flags) in hot:
-                    stop = step_index + 1
-                    break
-                relook -= 1
-        else:  # every look of the round missed
-            if looking and stop != max_steps:
-                start = stop
-                continue
         if stop == max_steps:
             break
         # a look for a hot loop: run the compiled one, or record the flag states

@@ -244,6 +244,12 @@ class TestTables:
         code, _, err = run_cli(capsys, "tables", "--N", "320;500")
         assert code == 2
 
+    @pytest.mark.parametrize("flag", ["--N", "--M"])
+    def test_empty_list_exit_2(self, capsys, flag):
+        """An empty --N or --M is an empty list, not the default grid axis."""
+        code, out, err = run_cli(capsys, "tables", "--N", "2", "--M", "2", flag, "")
+        assert (code, out, err) == (2, "", "error: empty list: ''\n")
+
     def test_golden_csv(self, capsys):
         """Byte-for-byte regression of the CSV surface on one reference cell."""
         code, out, _ = run_cli(capsys, "tables", "--N", "320", "--M", "25")

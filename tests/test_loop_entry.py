@@ -5,11 +5,11 @@ next to it in its module (``net._emit_trip``); ``test_trace._trip_count`` is
 the generic reference.  They are compared on every loop entry of the wide
 table grid and of the ring nets here, and on entry states that no run
 reaches.  After a loop exits, and from its first firing on a structure with
-hot heads, a run looks for a loop head after each firing inside its step
-loop, and it records the bridge of a loop that has none; the loop calls it
-makes, with the step of each, the firings done and the firings handed back,
-are pinned against a reference look loop kept here, which makes one look per
-pass of its outer loop.
+hot heads, a run looks for a loop head after each firing, and it records the
+bridge of a loop that has none; the loop calls it makes, with the step of
+each, the firings done and the firings handed back, are pinned against a
+reference look loop kept here, which, like ``net._execute``, makes one look
+per pass of its outer loop.
 """
 
 import math
@@ -154,8 +154,8 @@ def test_trip_counts_match_the_reference_on_entry_states_no_run_reaches(name):
 
 
 def _reference_schedule(net, m0, config, single, schedule):
-    """A run as the look loop made it before its looks moved into the step loop, appending each loop call to
-    schedule as (step, firings done, firings handed back); returns (firings, status).
+    """A run spelled as net._execute's look loop, appending each loop call to schedule as
+    (step, firings done, firings handed back); returns (firings, status).
 
     It looks once per pass of its outer loop: after the _CHUNK firings of a
     pass, or after each firing while it records a period or a bridge or, up

@@ -6,6 +6,7 @@ import operator
 import random
 import struct
 import sys
+from unittest import mock
 
 import pytest
 from hypothesis import given, settings
@@ -24,7 +25,7 @@ from qpn.errors import (
     ZeroWeightGroupError,
 )
 from qpn.expr import Constant, Divide, evaluate
-from qpn.models import ProtocolParams, entanglement_net, measurement_net, zeno_net
+from qpn.models import ProtocolParams, entanglement_net, measurement_net, slaz_blocking_net, slaz_passing_net, zeno_net
 from qpn.oracle import exact_measurement_dist
 from qpn.net import (
     Arc,
@@ -1348,3 +1349,27 @@ def test_born_total_adds_the_weights_in_order():
                 chosen = tid
                 break
         assert step(net, m0, RunConfig(Policy.BORN_RANDOM, seed), random.Random(seed))[0] == chosen
+
+
+@pytest.mark.parametrize("build", [slaz_passing_net, slaz_blocking_net])
+def test_born_run_on_a_structure_with_hot_heads_never_looks(build):
+    """A Born run draws its next firing, so its flags name no loop: on a structure that already holds hot
+    heads, run_final and run() build no loop, sight no period and equal the step() loop."""
+    with mock.patch.object(net_module, "_STRUCTURES", {}):
+        warm = build(ProtocolParams(N=21, M=8))[0]
+        run_final(warm, warm.initial_marking(), RunConfig())
+        net = build(ProtocolParams(N=48, M=24))[0]
+        cnet = net.compiled()
+        hot = dict(cnet.hot)
+        assert hot and not cnet.loops
+        config = RunConfig(policy=Policy.BORN_RANDOM, seed=7, max_steps=2000)  # t10 ends both with a zero-weight fault
+        expected, end = _step_loop(net, net.initial_marking(), config)
+        with mock.patch.object(net_module._CompiledNet, "looped") as looped, \
+                mock.patch.object(net_module._CompiledNet, "sighted") as sighted:
+            trace = run(net, net.initial_marking(), config)
+            final = run_final(net, net.initial_marking(), config)
+    assert looped.call_count == sighted.call_count == 0
+    assert not cnet.loops and cnet.hot == hot
+    assert end == trace.status == final.status == TerminalStatus.STEP_LIMIT
+    assert [(tid, _bits(m)) for tid, m in trace.steps] == [(tid, _bits(m)) for tid, m in expected]
+    assert (final.firings, _bits(final.marking)) == (len(expected), _bits(expected[-1][1]))
